@@ -8,9 +8,7 @@ pipeline for real univariate series.
 
 from ._backend import backend_name
 from .error_analysis import (
-    CoefficientVector,
     MseCurve,
-    filter_coefficients,
     forecast_coefficients,
     mse_sweep,
     observation_covariance,
@@ -18,8 +16,10 @@ from .error_analysis import (
     theoretical_mse_pmm,
 )
 from .filtering import (
+    CoefficientVector,
     FilterState,
     batch_filter_means,
+    filter_coefficients,
     filter_init,
     filter_step,
     run_filter,

@@ -1,28 +1,11 @@
-"""Kernel backend selection.
-
-The compiled extension is preferred when present; setting the environment
-variable ``PMMKIT_PURE_PYTHON`` to a non-empty value forces the fallback.
-"""
+"""The kernel module and backend name, under the paths the benchmark reads."""
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("PMMKIT_PURE_PYTHON"):
-    from . import _kernels_py as kernels
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[no-redef]
-
-        BACKEND = "cython"
-    except ImportError:
-        from . import _kernels_py as kernels  # type: ignore[no-redef]
-
-        BACKEND = "python"
+# Kept for pmmbench: its provenance calls backend_name(), its traced run wraps kernels.
+from . import _kernels_py as kernels  # noqa: F401
 
 
 def backend_name() -> str:
-    """Which kernel implementation this process is using."""
-    return BACKEND
+    """The kernel implementation; numpy is the only one."""
+    return "python"

@@ -105,7 +105,13 @@ def _read_y_column(path: str) -> np.ndarray:
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    # Strict JSON: a NaN or infinity raises instead of printing NaN/Infinity.
+    print(json.dumps(payload, indent=2, allow_nan=False))
+
+
+def _require_positive_n(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"--n must be >= 1, got {n}")
 
 
 def _load_fitted(args) -> FittedModel:
@@ -205,6 +211,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    _require_positive_n(args.n)
     fitted = _load_fitted(args)
     y = _read_y_column(args.input)
     if args.n > y.size:
@@ -314,6 +321,7 @@ def cmd_monte_carlo(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _require_positive_n(args.n)
     params = load_params(args.params)
     y = _read_y_column(args.input)[: args.n]
     if y.size < args.n:

@@ -20,7 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .filtering import _variance_and_gains, filter_variance_sequence
+from .filtering import (
+    CoefficientVector,
+    filter_coefficients,
+    filter_variance_sequence,
+)
 from .forecasting import variance_at_horizon
 from .model import (
     InvalidModelError,
@@ -45,24 +49,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CoefficientVector:
-    """Weights w such that the forecaster outputs sum_i w_i * Y_i."""
-
-    n: int
-    horizon: int
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.weights.setflags(write=False)
-
-    def apply(self, ys) -> float:
-        ys = np.asarray(ys, dtype=float)
-        if ys.shape != (self.n,):
-            raise ValueError(f"expected {self.n} observations, got {ys.shape}")
-        return float(self.weights @ ys)
-
-
-@dataclass(frozen=True)
 class MseCurve:
     """One theoretical-MSE curve over a sweep of n or k."""
 
@@ -77,29 +63,6 @@ class MseCurve:
             inner = ";".join(f"{k}={v}" for k, v in sorted(self.fixed.items()))
             return f"{self.model_label}({inner})"
         return self.model_label
-
-
-def filter_coefficients(m: TransitionModel, n: int) -> CoefficientVector:
-    """Observation weights of the filter mean E[X_n | Y_1:n].
-
-    Base case: a single observation carries weight b.  Each later step
-    scales all previous weights by (a1 - a3*G), adds (a2 - a4*G) to the
-    weight of the previously-last observation, and appends the gain G for
-    the new one.  The gains come from the model's own variance recursion.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    a1, a2 = m.A[0]
-    a3, a4 = m.A[1]
-    _, gains = _variance_and_gains(m, n)
-    w = np.zeros(n)
-    w[0] = m.b
-    for t in range(2, n + 1):
-        g = gains[t - 2]
-        w[: t - 1] *= a1 - a3 * g
-        w[t - 2] += a2 - a4 * g
-        w[t - 1] = g
-    return CoefficientVector(n=n, horizon=0, weights=w)
 
 
 def forecast_coefficients(m: TransitionModel, n: int, k: int) -> CoefficientVector:

@@ -21,11 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .model import InvalidModelError, PmmParams, TransitionModel
 
 __all__ = [
+    "CoefficientVector",
     "FilterState",
+    "filter_coefficients",
     "filter_init",
     "filter_step",
     "run_filter",
@@ -37,6 +39,24 @@ __all__ = [
 # Below this, Y_{n+1} is numerically deterministic given (X_n, Y_n) and the
 # update gain is ill-posed.
 DEGENERATE_DENOMINATOR = 1e-14
+
+
+@dataclass(frozen=True)
+class CoefficientVector:
+    """Weights w such that the forecaster outputs sum_i w_i * Y_i."""
+
+    n: int
+    horizon: int
+    weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.weights.setflags(write=False)
+
+    def apply(self, ys) -> float:
+        ys = np.asarray(ys, dtype=float)
+        if ys.shape != (self.n,):
+            raise ValueError(f"expected {self.n} observations, got {ys.shape}")
+        return float(self.weights @ ys)
 
 
 @dataclass(frozen=True)
@@ -79,16 +99,20 @@ def filter_step(s: FilterState, m: TransitionModel, y_next: float) -> FilterStat
 def run_filter(m: TransitionModel, ys) -> FilterState:
     """Filter a whole observation sequence.
 
-    Initialization only needs b, which the transition model carries in its
-    marginal, so this is filter_init followed by filter_step over ys[1:].
+    The mean is the filter's coefficient vector applied to ys; the variance
+    is the last term of the model's variance recursion.  Both match
+    filter_init followed by filter_step over ys[1:].
     """
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 1 or ys.size < 1:
         raise ValueError("need a 1-d sequence with at least one observation")
-    state = FilterState(n=1, mean=m.b * ys[0], variance=1.0 - m.b * m.b, last_y=ys[0])
-    for y in ys[1:]:
-        state = filter_step(state, m, float(y))
-    return state
+    variances, gains = _variance_and_gains(m, ys.size)
+    return FilterState(
+        n=ys.size,
+        mean=float(_weights(m, gains) @ ys),
+        variance=float(variances[-1]),
+        last_y=float(ys[-1]),
+    )
 
 
 def _variance_and_gains(m: TransitionModel, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,21 +149,40 @@ def filter_gain_sequence(m: TransitionModel, n: int) -> np.ndarray:
     return _variance_and_gains(m, n)[1]
 
 
+def _weights(m: TransitionModel, gains: np.ndarray) -> np.ndarray:
+    # Absorbing observation t scales every earlier weight by
+    # c_t = a1 - a3*G_t, adds d_t = a2 - a4*G_t to the weight of
+    # observation t-1 and gives observation t the weight G_t (b for the
+    # first).  So observation j < n ends with (w_j*c_{j+1} + d_{j+1}) times
+    # the suffix product c_{j+2}...c_n.
+    a1, a2 = m.A[0]
+    a3, a4 = m.A[1]
+    entry = np.concatenate(([m.b], gains))
+    c = a1 - a3 * gains
+    d = a2 - a4 * gains
+    suffix = np.append(np.cumprod(c[::-1])[::-1][1:], 1.0)
+    weights = np.empty(entry.size)
+    weights[:-1] = (entry[:-1] * c + d) * suffix
+    weights[-1] = entry[-1]
+    return weights
+
+
+def filter_coefficients(m: TransitionModel, n: int) -> CoefficientVector:
+    """Observation weights of the filter mean E[X_n | Y_1:n]; cost O(n).
+
+    The gains come from the model's own variance recursion.
+    """
+    _, gains = _variance_and_gains(m, n)
+    return CoefficientVector(n=n, horizon=0, weights=_weights(m, gains))
+
+
 def batch_filter_means(m: TransitionModel, obs: np.ndarray) -> np.ndarray:
     """Final filter mean for every row of ``obs`` (shape (rows, n)).
 
-    Row i yields the same value as ``run_filter(m, obs[i]).mean``; the heavy
-    lifting runs in the kernel backend.
+    Row i yields the same value as ``run_filter(m, obs[i]).mean``.
     """
-    obs = np.ascontiguousarray(obs, dtype=float)
+    obs = np.asarray(obs, dtype=float)
     if obs.ndim != 2 or obs.shape[1] < 1:
         raise ValueError("obs must be 2-d with at least one column")
-    n = obs.shape[1]
-    if n == 1:
-        return m.b * obs[:, 0]
-    a1, a2 = m.A[0]
-    a3, a4 = m.A[1]
-    _, gains = _variance_and_gains(m, n)
-    phi_m = a1 - gains * a3
-    phi_y = a2 - gains * a4
-    return kernels.batch_filter_means(phi_m, phi_y, gains, m.b, obs)
+    weights = filter_coefficients(m, obs.shape[1]).weights
+    return kernels.batch_filter_means(weights, obs)

@@ -182,20 +182,24 @@ def _marginal_inverse(b: float) -> np.ndarray:
     return np.array([[1.0, -b], [-b, 1.0]]) / det
 
 
-def markov_form(p: PmmParams) -> TransitionModel:
-    """Convert the covariance parameterization to the transition form."""
+def _transition(p: PmmParams) -> tuple[np.ndarray, np.ndarray]:
+    """A and the symmetrized Q, unvalidated; |b| >= 1 raises."""
     a, b, c, d, e = p.astuple()
-    marginal = np.array([[1.0, b], [b, 1.0]])
     cross = np.array([[a, e], [d, c]])  # Cov[Z_{n+1}, Z_n]
     A = cross @ _marginal_inverse(b)
-    Q = marginal - A @ cross.T
-    Q = 0.5 * (Q + Q.T)
+    Q = np.array([[1.0, b], [b, 1.0]]) - A @ cross.T
+    return A, 0.5 * (Q + Q.T)
+
+
+def markov_form(p: PmmParams) -> TransitionModel:
+    """Convert the covariance parameterization to the transition form."""
+    A, Q = _transition(p)
     if np.linalg.eigvalsh(Q).min() < -PD_TOL:
         raise InvalidModelError(
             "noise covariance is not positive semidefinite; "
             f"parameters {p.astuple()} are inadmissible"
         )
-    return TransitionModel(A=A, Q=Q, marginal=marginal)
+    return TransitionModel(A=A, Q=Q, marginal=np.array([[1.0, p.b], [p.b, 1.0]]))
 
 
 def matrix_power_coeffs(m: TransitionModel, k: int) -> PowerCoeffs:
@@ -213,11 +217,8 @@ def validate(p: PmmParams, hmm_tol: float = 1e-9) -> ValidationReport:
     gamma_min = float(np.linalg.eigvalsh(gamma_from_params(p)).min())
     gamma_pd = gamma_min > PD_TOL
     if abs(p.b) < 1.0:
-        a_mat = np.array([[p.a, p.e], [p.d, p.c]]) @ _marginal_inverse(p.b)
-        q_mat = np.array([[1.0, p.b], [p.b, 1.0]]) - a_mat @ np.array(
-            [[p.a, p.d], [p.e, p.c]]
-        )
-        q_min = float(np.linalg.eigvalsh(0.5 * (q_mat + q_mat.T)).min())
+        a_mat, q_mat = _transition(p)
+        q_min = float(np.linalg.eigvalsh(q_mat).min())
         radius = float(max(abs(np.linalg.eigvals(a_mat))))
     else:
         # The marginal is singular; no transition form exists.

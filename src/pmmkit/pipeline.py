@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filtering import batch_filter_means
+from .filtering import filter_coefficients
 from .model import PmmParams, markov_form, matrix_power_coeffs, validate
 from .simulate import empirical_covariances
 
@@ -249,8 +249,8 @@ def evaluate_errors(
     x_std = model.x_standardize.apply(x_test)
     y_std = model.y_standardize.apply(y_test)
     m = markov_form(model.params)
-    windows = np.lib.stride_tricks.sliding_window_view(y_std, n)[:count]
-    means = batch_filter_means(m, windows)
+    weights = filter_coefficients(m, n).weights
+    means = np.correlate(y_std, weights, "valid")[:count]
     pc = matrix_power_coeffs(m, k)
     predictions = pc.xx * means + pc.xy * y_std[n - 1 : n - 1 + count]
     targets = x_std[n - 1 + k : n - 1 + k + count]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .filtering import batch_filter_means
 from .model import InvalidModelError, PmmParams, markov_form, matrix_power_coeffs
 

@@ -1,11 +1,13 @@
-"""Shared test utilities: random admissible models and an independent
-scalar Kalman reference for the hidden-Markov special case."""
+"""Shared test utilities: random admissible models, an independent scalar
+Kalman reference for the hidden-Markov special case, and the step-by-step
+loops that the vectorized kernels replaced, kept as references."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from pmmkit import PmmParams, hmm_params, validate
+from pmmkit.filtering import filter_gain_sequence
 
 
 def random_valid_params(rng, max_spectral_radius: float = 0.999) -> PmmParams:
@@ -58,6 +60,47 @@ def scalar_hmm_filter_coefficients(a: float, b: float, n: int) -> np.ndarray:
         unit[i] = 1.0
         weights[i] = scalar_hmm_kalman(a, b, unit)[0]
     return weights
+
+
+def sequential_simulate_pairs(a1, a2, a3, a4, l11, l21, l22, x0, y0, eps):
+    """One trajectory of Z_{t+1} = A Z_t + L w_{t+1}, one Python step per
+    time point; ``eps`` has shape (steps-1, 2)."""
+    steps = eps.shape[0] + 1
+    x = np.empty(steps)
+    y = np.empty(steps)
+    xs = float(x0)
+    ys = float(y0)
+    x[0] = xs
+    y[0] = ys
+    eu = eps[:, 0].tolist()
+    ev = eps[:, 1].tolist()
+    for t in range(1, steps):
+        u = eu[t - 1]
+        v = ev[t - 1]
+        xn = a1 * xs + a2 * ys + l11 * u
+        yn = a3 * xs + a4 * ys + l21 * u + l22 * v
+        x[t] = xn
+        y[t] = yn
+        xs = xn
+        ys = yn
+    return x, y
+
+
+def quadratic_filter_coefficients(m, n: int) -> np.ndarray:
+    """Filter-mean weights by the O(n^2) recursion: each step scales all
+    previous weights by (a1 - a3*G), adds (a2 - a4*G) to the weight of the
+    previously-last observation, and appends the gain G."""
+    a1, a2 = m.A[0]
+    a3, a4 = m.A[1]
+    gains = filter_gain_sequence(m, n)
+    w = np.zeros(n)
+    w[0] = m.b
+    for t in range(2, n + 1):
+        g = gains[t - 2]
+        w[: t - 1] *= a1 - a3 * g
+        w[t - 2] += a2 - a4 * g
+        w[t - 1] = g
+    return w
 
 
 # Reference parameter sets.  fig2/fig4 perturb the cross covariances of the

@@ -1,81 +1,120 @@
-import os
-import subprocess
-import sys
+"""The numpy kernels and the coefficient-vector filter against the
+step-by-step recursions they replaced (kept in helpers)."""
 
 import numpy as np
 import pytest
 
-from pmmkit import backend_name
-from pmmkit import _kernels_py
-
-try:
-    from pmmkit import _kernels
-except ImportError:
-    _kernels = None
-
-needs_compiled = pytest.mark.skipif(
-    _kernels is None, reason="compiled kernels not built"
+from pmmkit import (
+    backend_name,
+    filter_coefficients,
+    filter_init,
+    filter_step,
+    get_preset,
+    markov_form,
+    run_filter,
+    sample,
 )
+from pmmkit._kernels_py import REPLICATE_CHUNK, SCAN_BLOCK, simulate_block
+from pmmkit.pipeline import FittedModel, StandardizationParams, evaluate_errors
+from helpers import (
+    quadratic_filter_coefficients,
+    random_valid_params,
+    sequential_simulate_pairs,
+)
+
+PRESETS = ("fig2", "fig3", "fig4", "fig5")
+A = (0.81, -0.41, -0.18, 0.02)
+L = (0.15, -0.03, 0.98)
 
 
 def test_backend_reported():
-    assert backend_name() in ("cython", "python")
+    assert backend_name() == "python"
 
 
-def test_env_var_forces_fallback():
-    code = "import pmmkit; print(pmmkit.backend_name())"
-    env = dict(os.environ, PMMKIT_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+@pytest.mark.parametrize("preset", ["fig2", "fig4", "fig5"])
+@pytest.mark.parametrize(
+    "n_steps", [1, 2, SCAN_BLOCK, SCAN_BLOCK + 1, SCAN_BLOCK + 2, 7 * SCAN_BLOCK + 3]
+)
+def test_sample_matches_sequential_loop(preset, n_steps):
+    p = get_preset(preset).true_params
+    m = markov_form(p)
+    # The draws sample makes: the first pair, then one noise pair per step.
+    rng = np.random.default_rng(31)
+    x0, y0 = np.linalg.cholesky(m.marginal) @ rng.standard_normal(2)
+    eps = rng.standard_normal((n_steps - 1, 2))
+    (l11, _), (l21, l22) = np.linalg.cholesky(m.Q)
+    x_ref, y_ref = sequential_simulate_pairs(
+        *m.A.ravel(), l11, l21, l22, x0, y0, eps
     )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "python"
+    traj = sample(p, n_steps, seed=31)
+    np.testing.assert_allclose(traj.x, x_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.y, y_ref, rtol=0, atol=1e-12)
 
 
-@needs_compiled
-class TestKernelEquivalence:
-    A = (0.81, -0.41, -0.18, 0.02)
-    L = (0.15, -0.03, 0.98)
+def test_simulate_block_rows_bit_identical_to_sequential_loop():
+    reps = 2 * REPLICATE_CHUNK + 3  # two full chunks and a partial one
+    rng = np.random.default_rng(62)
+    x0 = rng.standard_normal(reps)
+    y0 = rng.standard_normal(reps)
+    eps = rng.standard_normal((reps, 12, 2))
+    x, y = simulate_block(*A, *L, x0, y0, eps)
+    assert x.shape == y.shape == (reps, 13)
+    for i in range(reps):
+        x_ref, y_ref = sequential_simulate_pairs(*A, *L, x0[i], y0[i], eps[i])
+        np.testing.assert_array_equal(x[i], x_ref)
+        np.testing.assert_array_equal(y[i], y_ref)
 
-    def test_simulate_pairs(self):
-        rng = np.random.default_rng(61)
-        eps = rng.standard_normal((5000, 2))
-        args = (*self.A, *self.L, 0.4, -0.2, eps)
-        xc, yc = _kernels.simulate_pairs(*args)
-        xp, yp = _kernels_py.simulate_pairs(*args)
-        np.testing.assert_allclose(xc, xp, atol=1e-12)
-        np.testing.assert_allclose(yc, yp, atol=1e-12)
 
-    def test_simulate_block(self):
-        rng = np.random.default_rng(62)
-        x0 = rng.standard_normal(300)
-        y0 = rng.standard_normal(300)
-        eps = rng.standard_normal((300, 25, 2))
-        args = (*self.A, *self.L, x0, y0, eps)
-        xc, yc = _kernels.simulate_block(*args)
-        xp, yp = _kernels_py.simulate_block(*args)
-        np.testing.assert_allclose(xc, xp, atol=1e-12)
-        np.testing.assert_allclose(yc, yp, atol=1e-12)
+@pytest.mark.parametrize("preset", PRESETS)
+@pytest.mark.parametrize("which", ["true", "hmm"])
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 400])
+def test_linear_filter_coefficients_match_quadratic_loop(preset, which, n):
+    pr = get_preset(preset)
+    m = markov_form(pr.true_params if which == "true" else pr.hmm_reference)
+    np.testing.assert_allclose(
+        filter_coefficients(m, n).weights,
+        quadratic_filter_coefficients(m, n),
+        rtol=1e-13,
+        atol=0,
+    )
 
-    def test_block_consistent_with_single(self):
-        rng = np.random.default_rng(63)
-        eps = rng.standard_normal((1, 40, 2))
-        xb, yb = _kernels.simulate_block(
-            *self.A, *self.L, np.array([0.3]), np.array([0.7]), eps
-        )
-        xs, ys = _kernels.simulate_pairs(
-            *self.A, *self.L, 0.3, 0.7, np.ascontiguousarray(eps[0])
-        )
-        np.testing.assert_allclose(xb[0], xs, atol=1e-13)
-        np.testing.assert_allclose(yb[0], ys, atol=1e-13)
 
-    def test_batch_filter_means(self):
-        rng = np.random.default_rng(64)
-        n = 12
-        phi_m = rng.uniform(-0.9, 0.9, n - 1)
-        phi_y = rng.uniform(-0.9, 0.9, n - 1)
-        gains = rng.uniform(-0.9, 0.9, n - 1)
-        obs = rng.standard_normal((200, n))
-        out_c = _kernels.batch_filter_means(phi_m, phi_y, gains, -0.2, obs)
-        out_p = _kernels_py.batch_filter_means(phi_m, phi_y, gains, -0.2, obs)
-        np.testing.assert_allclose(out_c, out_p, atol=1e-12)
+def fold_filter_step(p, ys):
+    m = markov_form(p)
+    state = filter_init(p, ys[0])
+    for y in ys[1:]:
+        state = filter_step(state, m, float(y))
+    return state
+
+
+def test_run_filter_equals_fold_of_filter_step():
+    rng = np.random.default_rng(65)
+    for n in (1, 2, 3, 40, 700):
+        p = random_valid_params(rng)
+        ys = rng.standard_normal(n)
+        state = fold_filter_step(p, ys)
+        result = run_filter(markov_form(p), ys)
+        assert result.n == state.n and result.last_y == state.last_y
+        assert result.mean == pytest.approx(state.mean, abs=1e-12)
+        assert result.variance == pytest.approx(state.variance, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, k", [(1, 0), (4, 2), (30, 5)])
+def test_evaluate_errors_equal_per_window_filter(n, k):
+    p = get_preset("fig4").true_params
+    model = FittedModel(
+        params=p,
+        x_standardize=StandardizationParams(0.3, 1.7),
+        y_standardize=StandardizationParams(-0.2, 0.8),
+    )
+    traj = sample(p, 400, seed=67)
+    x_test, y_test = 0.3 + 1.7 * traj.x, -0.2 + 0.8 * traj.y
+    errors = evaluate_errors(model, x_test, y_test, n, k)
+    m = markov_form(p)
+    a_k = np.linalg.matrix_power(m.A, k)
+    x_std, y_std = (x_test - 0.3) / 1.7, (y_test + 0.2) / 0.8
+    assert errors.size == x_test.size - n - k + 1
+    for i, err in enumerate(errors):
+        state = fold_filter_step(p, y_std[i : i + n])
+        prediction = a_k[0, 0] * state.mean + a_k[0, 1] * state.last_y
+        assert err == pytest.approx((x_std[i + n - 1 + k] - prediction) ** 2, abs=1e-12)

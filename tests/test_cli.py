@@ -240,6 +240,34 @@ class TestForecast:
         assert code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["forecast", "oracle"])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_n_rejected(self, tmp_path, fig2_params_file, capsys, command, n):
+        data = tmp_path / "obs.csv"
+        write_series_csv(data, np.zeros(3), [0.1, 0.2, 0.3])
+        code = run_cli(
+            command, "--params", fig2_params_file, "--input", data,
+            "--n", n, "--k", 1,
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ValueError"
+
+    def test_infinite_observation_is_a_json_error(
+        self, tmp_path, fig2_params_file, capsys
+    ):
+        data = tmp_path / "obs.csv"
+        write_series_csv(data, np.zeros(3), [0.1, float("inf"), 0.3])
+        code = run_cli(
+            "forecast", "--params", fig2_params_file, "--input", data,
+            "--n", 3, "--k", 1,
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ValueError"
+
 
 class TestEvaluate:
     def test_synthetic_table_orderings(self, tmp_path, capsys):
