@@ -10,6 +10,7 @@ from ._backend import backend_name
 from .error_analysis import (
     MseCurve,
     forecast_coefficients,
+    forecaster_mse,
     mse_sweep,
     observation_covariance,
     theoretical_mse_hmm_under_pmm,
@@ -64,6 +65,7 @@ __all__ = [
     "MseCurve",
     "filter_coefficients",
     "forecast_coefficients",
+    "forecaster_mse",
     "mse_sweep",
     "observation_covariance",
     "theoretical_mse_hmm_under_pmm",

@@ -23,16 +23,15 @@ from . import __version__
 from ._backend import backend_name
 from .error_analysis import (
     curves_to_csv,
+    forecaster_mse,
     mse_sweep,
-    theoretical_mse_hmm_under_pmm,
     theoretical_mse_pmm,
 )
 from .filtering import run_filter
-from .forecasting import forecast
+from .forecasting import forecast, forecast_path
 from .model import (
     PmmError,
     hmm_params,
-    is_hmm,
     load_params,
     markov_form,
     validate,
@@ -44,7 +43,7 @@ from .pipeline import (
     StandardizationParams,
     detrend,
     estimate_params,
-    evaluate,
+    evaluate_grid,
     fit_detrend,
     read_series_csv,
 )
@@ -223,14 +222,15 @@ def cmd_forecast(args) -> int:
     tail_std = fitted.y_standardize.apply(tail)
     model = markov_form(fitted.params)
     state = run_filter(model, tail_std)
-    horizons = range(1, args.k + 1) if args.horizon_path else [args.k]
+    path = forecast_path(state, model, args.k)
+    if not args.horizon_path:
+        path = path[-1:]
     rows = []
-    for k in horizons:
-        result = forecast(state, model, k)
+    for result in path:
         xs = fitted.x_standardize
         rows.append(
             {
-                "k": k,
+                "k": result.horizon,
                 "mean": result.mean,
                 "variance": result.variance,
                 "mean_original": float(xs.invert(np.array(result.mean))),
@@ -266,17 +266,11 @@ def cmd_evaluate(args) -> int:
         detrend=fitted.detrend,
         fit_window=fitted.fit_window,
     )
-    rows = []
-    for n in n_values:
-        for k in k_values:
-            rows.append(
-                (
-                    n,
-                    k,
-                    evaluate(hmm_fitted, x, y, n, k),
-                    evaluate(fitted, x, y, n, k),
-                )
-            )
+    mse_hmm = evaluate_grid(hmm_fitted, x, y, n_values, k_values)
+    mse_pmm = evaluate_grid(fitted, x, y, n_values, k_values)
+    rows = [
+        (n, k, mse_hmm[(n, k)], mse_pmm[(n, k)]) for n in n_values for k in k_values
+    ]
 
     def write(fh):
         fh.write("n,k,mse_hmm,mse_pmm\n")
@@ -299,12 +293,7 @@ def cmd_monte_carlo(args) -> int:
     p_true = load_params(args.params)
     p_fc = load_params(args.forecaster_params) if args.forecaster_params else p_true
     mse, stderr = monte_carlo_mse(p_true, p_fc, args.n, args.k, args.reps, args.seed)
-    if is_hmm(p_fc):
-        theory = theoretical_mse_hmm_under_pmm(p_true, p_fc, args.n, args.k)
-    elif p_fc == p_true:
-        theory = theoretical_mse_pmm(p_true, args.n, args.k)
-    else:
-        theory = None
+    theory = forecaster_mse(p_true, p_fc, [args.n], [args.k])[(args.n, args.k)]
     _print_json(
         {
             "n": args.n,

@@ -1,16 +1,37 @@
-"""Theoretical mean-square-error comparison of the two model families.
+"""Exact mean-square error of a linear forecaster under a pairwise model.
 
-When the data follow the full pairwise model, its conditional expectation is
-the orthogonal projection of X_{n+k} onto span(Y_1..Y_n), so for any other
-linear forecaster
+A forecaster built from parameters p_fc filters with its own gains G_t,
+but the observations it sees come from the true model.  Its filter mean
+m_t is linear in (X_{t-1}, Y_{t-1}, m_{t-1}) and the fresh noise, so the
+augmented state s_t = (X_t, Y_t, e_t), with e_t = X_t - m_t the filter
+error, is itself Gauss-Markov:
 
-    MSE_other = MSE_optimal + E[(sum_i (w_i - w'_i) Y_i)^2],
+    s_t = F_t s_{t-1} + H_t W_t,    Cov W_t = Q (the true model's noise),
 
-a Pythagoras split.  Both forecasters here are linear with coefficient
-vectors that obey a one-step recursion driven by each model's own filter
-gain, and the observation covariances E[Y_i Y_j] are explicit in the powers
-of the true transition matrix.  Everything in this module is exact up to
-floating point; no simulation is involved.
+    F_t = [[a1,                 a2,                 0          ],
+           [a3,                 a4,                 0          ],
+           [da1 - G_t da3,      da2 - G_t da4,      a1' - G_t a3']],
+
+    H_t = [[1, 0], [0, 1], [1, -G_t]],
+
+with primed entries from the forecaster's transition matrix and
+da = a - a' the entrywise difference of the two.  Its covariance follows
+S_t = F_t S_{t-1} F_t^T + H_t Q H_t^T from the stationary start S_1
+(X_1, Y_1 standard with correlation b, e_1 = X_1 - b' Y_1).  The k-step
+forecast is xx' m_n + xy' Y_n with (xx', xy') the first row of A'^k, while
+X_{n+k} = [A^k]_00 X_n + [A^k]_01 Y_n + noise, so
+
+    MSE(n, k) = v^T S_n v + [sum_{j<k} A^j Q A^j^T]_00,
+    v = ([A^k]_00 - xx', [A^k]_01 - xy', xx').
+
+The horizon terms are built once up to the largest k; one pass up to the
+largest n then yields every grid point, in O(max n + grid) time and O(1)
+memory in n (the error analysis of suboptimal filters in Anderson & Moore,
+Optimal Filtering, 1979).  Carrying the error e_t rather than the mean m_t
+avoids cancelling two O(1) covariances to get a small MSE: when p_fc is
+the truth, da = 0, e_t decouples and S_n's last entry is the filter
+variance that ``theoretical_mse_pmm`` gives by the scalar recursion.
+Everything here is exact up to floating point; no simulation is involved.
 """
 
 from __future__ import annotations
@@ -18,12 +39,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .filtering import (
     CoefficientVector,
     filter_coefficients,
     filter_variance_sequence,
+    riccati_steps,
 )
 from .forecasting import variance_at_horizon
 from .model import (
@@ -40,6 +61,7 @@ __all__ = [
     "MseCurve",
     "filter_coefficients",
     "forecast_coefficients",
+    "forecaster_mse",
     "observation_covariance",
     "theoretical_mse_pmm",
     "theoretical_mse_hmm_under_pmm",
@@ -77,7 +99,10 @@ def forecast_coefficients(m: TransitionModel, n: int, k: int) -> CoefficientVect
 
 
 def observation_covariance(m: TransitionModel, b: float, n: int) -> np.ndarray:
-    """The n x n matrix E[Y_i Y_j] = b*yx_{|i-j|} + yy_{|i-j|} (lag 0 is 1)."""
+    """The n x n matrix E[Y_i Y_j] = b*yx_{|i-j|} + yy_{|i-j|} (lag 0 is 1).
+
+    O(n^2) memory; a reference for tests, not used by the MSE routines.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     lag_cov = np.empty(n)
@@ -85,7 +110,82 @@ def observation_covariance(m: TransitionModel, b: float, n: int) -> np.ndarray:
     for j in range(n):
         lag_cov[j] = b * power[1, 0] + power[1, 1]
         power = m.A @ power
-    return toeplitz(lag_cov)
+    lags = np.arange(n)
+    return lag_cov[np.abs(lags[:, None] - lags[None, :])]
+
+
+def _horizon_terms(
+    m: TransitionModel, m_fc: TransitionModel, k_values: list[int]
+) -> dict[int, tuple[np.ndarray, float]]:
+    """For each k: the error weights v on (X_n, Y_n, e_n) and the variance
+    of the noise that enters after step n."""
+    wanted = set(k_values)
+    out = {}
+    power, fc_power, noise = np.eye(2), np.eye(2), 0.0
+    for k in range(max(k_values) + 1):
+        if k in wanted:
+            v = np.array(
+                [
+                    power[0, 0] - fc_power[0, 0],
+                    power[0, 1] - fc_power[0, 1],
+                    fc_power[0, 0],
+                ]
+            )
+            out[k] = (v, noise)
+        noise += float((power @ m.Q @ power.T)[0, 0])
+        power, fc_power = m.A @ power, m_fc.A @ fc_power
+    return out
+
+
+def forecaster_mse(
+    p_true: PmmParams, p_fc: PmmParams, n_values, k_values
+) -> dict[tuple[int, int], float]:
+    """Exact MSE of the forecaster built from ``p_fc`` on data from
+    ``p_true``, for every (n, k) of the grid, in one pass over n.
+
+    The forecaster may be any admissible model: the true one, its
+    hidden-Markov restriction or anything else.
+    """
+    n_values = sorted({int(n) for n in n_values})
+    k_values = sorted({int(k) for k in k_values})
+    if not n_values or not k_values:
+        raise ValueError("n_values and k_values must be nonempty")
+    if n_values[0] < 1 or k_values[0] < 0:
+        raise ValueError(
+            f"need n >= 1 and k >= 0, got n={n_values[0]}, k={k_values[0]}"
+        )
+    m = markov_form(p_true)
+    m_fc = markov_form(p_fc)
+    horizon = _horizon_terms(m, m_fc, k_values)
+    b, b_fc = m.b, m_fc.b
+    cov = np.array(
+        [
+            [1.0, b, 1.0 - b_fc * b],
+            [b, 1.0, b - b_fc],
+            [1.0 - b_fc * b, b - b_fc, 1.0 - 2.0 * b_fc * b + b_fc * b_fc],
+        ]
+    )
+    (da1, da2), (da3, da4) = m.A - m_fc.A
+    a1f, a3f = m_fc.A[:, 0]
+    # F S F^T + H Q H^T as one product [F H] diag(S, Q) [F H]^T.
+    lift = np.zeros((3, 5))
+    lift[:2, :2] = m.A
+    lift[:2, 3:] = np.eye(2)
+    blocks = np.zeros((5, 5))
+    blocks[3:, 3:] = m.Q
+    gains = riccati_steps(m_fc)
+    out = {}
+    t = 1
+    for n in n_values:
+        for _ in range(n - t):
+            g, _ = next(gains)
+            lift[2] = (da1 - g * da3, da2 - g * da4, a1f - g * a3f, 1.0, -g)
+            blocks[:3, :3] = cov
+            cov = lift @ blocks @ lift.T
+        t = n
+        for k, (v, noise) in horizon.items():
+            out[(n, k)] = float(v @ cov @ v) + noise
+    return out
 
 
 def theoretical_mse_pmm(p: PmmParams, n: int, k: int) -> float:
@@ -97,45 +197,20 @@ def theoretical_mse_pmm(p: PmmParams, n: int, k: int) -> float:
     return variance_at_horizon(p_n, m, k)
 
 
-def theoretical_mse_hmm_under_pmm(
-    p_true: PmmParams, p_hmm: PmmParams, n: int, k: int, hmm_tol: float = 1e-9
-) -> float:
-    """MSE of the hidden-Markov forecaster when the data follow ``p_true``.
-
-    The two coefficient vectors are built under their own models (the
-    misspecified one runs its own gain recursion); the penalty term is the
-    quadratic form of their difference in the true observation covariance.
-    """
+def _require_hmm(p_hmm: PmmParams, hmm_tol: float = 1e-9) -> None:
     if not is_hmm(p_hmm, hmm_tol):
         raise InvalidModelError(
             f"forecaster parameters {p_hmm.astuple()} violate the "
             "hidden-Markov constraints"
         )
-    m_true = markov_form(p_true)
-    m_hmm = markov_form(p_hmm)
-    if k == 0:
-        w_true = filter_coefficients(m_true, n).weights
-        w_hmm = filter_coefficients(m_hmm, n).weights
-    else:
-        w_true = forecast_coefficients(m_true, n, k).weights
-        w_hmm = forecast_coefficients(m_hmm, n, k).weights
-    delta = w_true - w_hmm
-    sigma = observation_covariance(m_true, m_true.b, n)
-    return theoretical_mse_pmm(p_true, n, k) + float(delta @ sigma @ delta)
 
 
-def _curve_pair(
-    sweep: str,
-    indices: list[int],
-    mse_pairs: list[tuple[float, float]],
-    fixed: dict[str, int],
-) -> list[MseCurve]:
-    pmm = tuple((i, v[0]) for i, v in zip(indices, mse_pairs))
-    hmm = tuple((i, v[1]) for i, v in zip(indices, mse_pairs))
-    return [
-        MseCurve("PMM", sweep, pmm, dict(fixed)),
-        MseCurve("HMM", sweep, hmm, dict(fixed)),
-    ]
+def theoretical_mse_hmm_under_pmm(
+    p_true: PmmParams, p_hmm: PmmParams, n: int, k: int, hmm_tol: float = 1e-9
+) -> float:
+    """MSE of the hidden-Markov forecaster when the data follow ``p_true``."""
+    _require_hmm(p_hmm, hmm_tol)
+    return forecaster_mse(p_true, p_hmm, [n], [k])[(n, k)]
 
 
 def mse_sweep(
@@ -150,29 +225,28 @@ def mse_sweep(
     k_values = [int(k) for k in k_values]
     if not n_values or not k_values:
         raise ValueError("n_values and k_values must be nonempty")
-    curves: list[MseCurve] = []
+    _require_hmm(p_hmm)
+    mse = {
+        "PMM": forecaster_mse(p_true, p_true, n_values, k_values),
+        "HMM": forecaster_mse(p_true, p_hmm, n_values, k_values),
+    }
     if len(k_values) > 1:
-        for n in n_values:
-            pairs = [
-                (
-                    theoretical_mse_pmm(p_true, n, k),
-                    theoretical_mse_hmm_under_pmm(p_true, p_hmm, n, k),
-                )
-                for k in k_values
-            ]
-            fixed = {"n": n} if len(n_values) > 1 else {}
-            curves.extend(_curve_pair("k", k_values, pairs, fixed))
-    else:
-        k = k_values[0]
-        pairs = [
-            (
-                theoretical_mse_pmm(p_true, n, k),
-                theoretical_mse_hmm_under_pmm(p_true, p_hmm, n, k),
+        fixed = len(n_values) > 1
+        return [
+            MseCurve(
+                label,
+                "k",
+                tuple((k, mse[label][(n, k)]) for k in k_values),
+                {"n": n} if fixed else {},
             )
             for n in n_values
+            for label in ("PMM", "HMM")
         ]
-        curves.extend(_curve_pair("n", n_values, pairs, {}))
-    return curves
+    k = k_values[0]
+    return [
+        MseCurve(label, "n", tuple((n, mse[label][(n, k)]) for n in n_values))
+        for label in ("PMM", "HMM")
+    ]
 
 
 def curves_to_csv(curves, fh) -> None:

@@ -33,6 +33,7 @@ __all__ = [
     "run_filter",
     "filter_variance_sequence",
     "filter_gain_sequence",
+    "riccati_steps",
     "batch_filter_means",
 ]
 
@@ -115,27 +116,39 @@ def run_filter(m: TransitionModel, ys) -> FilterState:
     )
 
 
-def _variance_and_gains(m: TransitionModel, n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+def riccati_steps(m: TransitionModel):
+    """Yield (G, P) for steps t = 2, 3, ...: the gain that absorbs Y_t and
+    the filter variance V[X_t | Y_1:t] after it; P_1 = 1 - b^2.
+
+    Lazy, so a caller that folds the steps into its own recursion keeps
+    O(1) memory in n.
+    """
     a1, _ = m.A[0]
     a3, _ = m.A[1]
     q11, q12 = m.Q[0]
     q22 = m.Q[1, 1]
-    b = m.b
-    variances = np.empty(n)
-    gains = np.empty(n - 1)
-    variances[0] = 1.0 - b * b
-    for t in range(1, n):
-        p_prev = variances[t - 1]
-        denom = a3 * a3 * p_prev + q22
+    p = 1.0 - m.b * m.b
+    while True:
+        denom = a3 * a3 * p + q22
         if denom <= DEGENERATE_DENOMINATOR:
             raise InvalidModelError(
                 f"degenerate observation channel (innovation variance {denom:g})"
             )
-        g = (a1 * a3 * p_prev + q12) / denom
+        g = (a1 * a3 * p + q12) / denom
+        p = max(a1 * a1 * p + q11 - g * g * denom, 0.0)
+        yield g, p
+
+
+def _variance_and_gains(m: TransitionModel, n: int) -> tuple[np.ndarray, np.ndarray]:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    variances = np.empty(n)
+    gains = np.empty(n - 1)
+    variances[0] = 1.0 - m.b * m.b
+    # range comes first so that zip stops before asking for a gain past n.
+    for t, (g, p) in zip(range(1, n), riccati_steps(m)):
         gains[t - 1] = g
-        variances[t] = max(a1 * a1 * p_prev + q11 - g * g * denom, 0.0)
+        variances[t] = p
     return variances, gains
 
 

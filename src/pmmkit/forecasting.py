@@ -21,6 +21,7 @@ __all__ = [
     "forecast_mean",
     "forecast_variance",
     "forecast",
+    "forecast_path",
     "variance_at_horizon",
 ]
 
@@ -69,3 +70,22 @@ def forecast(s: FilterState, m: TransitionModel, k: int) -> ForecastResult:
         mean=forecast_mean(s, m, k),
         variance=forecast_variance(s, m, k),
     )
+
+
+def forecast_path(
+    s: FilterState, m: TransitionModel, k_max: int
+) -> list[ForecastResult]:
+    """``forecast(s, m, k)`` for k = 1..k_max in one O(k_max) pass: A^k and
+    the predictive covariance are carried from each horizon to the next."""
+    _require_horizon(k_max)
+    power = np.eye(2)
+    cov = np.array([[s.variance, 0.0], [0.0, 0.0]])
+    path = []
+    for k in range(1, k_max + 1):
+        power = m.A @ power
+        cov = m.A @ cov @ m.A.T + m.Q
+        mean = power[0, 0] * s.mean + power[0, 1] * s.last_y
+        path.append(
+            ForecastResult(horizon=k, mean=float(mean), variance=float(cov[0, 0]))
+        )
+    return path

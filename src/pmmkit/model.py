@@ -21,6 +21,7 @@ transition model stores Q rather than a particular square root B.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -81,7 +82,33 @@ class PmmParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PmmParams":
-        return cls(*(float(data[k]) for k in ("a", "b", "c", "d", "e")))
+        """Parameters from a mapping with a finite number under each of
+        a..e; missing or non-numeric keys raise ValueError naming them."""
+        if not isinstance(data, dict):
+            raise ValueError(
+                "parameters must be an object with keys a..e, "
+                f"got {type(data).__name__}"
+            )
+        keys = ("a", "b", "c", "d", "e")
+        values = {k: _finite_float(data[k]) for k in keys if k in data}
+        missing = [k for k in keys if k not in data]
+        bad = [k for k, v in values.items() if v is None]
+        if missing or bad:
+            problems = []
+            if missing:
+                problems.append("missing " + ", ".join(missing))
+            if bad:
+                problems.append("not a finite number: " + ", ".join(bad))
+            raise ValueError("invalid parameters: " + "; ".join(problems))
+        return cls(**values)
+
+
+def _finite_float(value) -> float | None:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        return None
+    return number if math.isfinite(number) else None
 
 
 @dataclass(frozen=True)
@@ -243,6 +270,6 @@ def load_params(path: str | Path) -> PmmParams:
     """Read parameters from JSON; accepts a bare {a..e} document or a fitted
     model document with a nested "params" object."""
     data = json.loads(Path(path).read_text())
-    if "params" in data and isinstance(data["params"], dict):
+    if isinstance(data, dict) and isinstance(data.get("params"), dict):
         data = data["params"]
     return PmmParams.from_dict(data)

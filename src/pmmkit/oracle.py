@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import InvalidModelError, PmmParams, markov_form
 
@@ -99,10 +98,10 @@ def conditional(
     sigma_gg = g[np.ix_(given, given)]
     sigma_gt = g[given, target_index]
     try:
-        f = cho_factor(sigma_gg)
+        lower = np.linalg.cholesky(sigma_gg)
     except np.linalg.LinAlgError as exc:
         raise InvalidModelError(f"conditioning block is singular: {exc}") from exc
-    weights = cho_solve(f, sigma_gt)
+    weights = np.linalg.solve(lower.T, np.linalg.solve(lower, sigma_gt))
     variance = float(g[target_index, target_index] - sigma_gt @ weights)
     return weights, variance
 

@@ -37,6 +37,7 @@ __all__ = [
     "estimate_params",
     "evaluate",
     "evaluate_errors",
+    "evaluate_grid",
     "read_series_csv",
 ]
 
@@ -225,6 +226,35 @@ def estimate_params(
     )
 
 
+def _window_errors(model: FittedModel, x_test, y_test, n_values, k_values):
+    """Yield (n, k, squared errors of every sliding (n, k) window) over the
+    grid; the filter means of each n are computed once for all k."""
+    x_test = np.asarray(x_test, dtype=float)
+    y_test = np.asarray(y_test, dtype=float)
+    if x_test.size != y_test.size:
+        raise ValueError("series lengths differ")
+    x_std = model.x_standardize.apply(x_test)
+    y_std = model.y_standardize.apply(y_test)
+    for n in n_values:
+        for k in k_values:
+            if n < 1 or k < 0:
+                raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
+            if x_test.size - n - k + 1 < 1:
+                raise ValueError(
+                    f"test series of length {x_test.size} has no complete "
+                    f"(n={n}, k={k}) window"
+                )
+    m = markov_form(model.params)
+    for n in n_values:
+        means = np.correlate(y_std, filter_coefficients(m, n).weights, "valid")
+        for k in k_values:
+            count = x_test.size - n - k + 1
+            pc = matrix_power_coeffs(m, k)
+            predictions = pc.xx * means[:count] + pc.xy * y_std[n - 1 : n - 1 + count]
+            targets = x_std[n - 1 + k : n - 1 + k + count]
+            yield n, k, (targets - predictions) ** 2
+
+
 def evaluate_errors(
     model: FittedModel, x_test, y_test, n: int, k: int
 ) -> np.ndarray:
@@ -234,32 +264,26 @@ def evaluate_errors(
     the standardized x at offset i+n-1+k; windows slide by one.  Inputs are
     expected already detrended when the model carries a seasonal fit.
     """
-    if n < 1 or k < 0:
-        raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
-    x_test = np.asarray(x_test, dtype=float)
-    y_test = np.asarray(y_test, dtype=float)
-    if x_test.size != y_test.size:
-        raise ValueError("series lengths differ")
-    count = x_test.size - n - k + 1
-    if count < 1:
-        raise ValueError(
-            f"test series of length {x_test.size} has no complete "
-            f"(n={n}, k={k}) window"
-        )
-    x_std = model.x_standardize.apply(x_test)
-    y_std = model.y_standardize.apply(y_test)
-    m = markov_form(model.params)
-    weights = filter_coefficients(m, n).weights
-    means = np.correlate(y_std, weights, "valid")[:count]
-    pc = matrix_power_coeffs(m, k)
-    predictions = pc.xx * means + pc.xy * y_std[n - 1 : n - 1 + count]
-    targets = x_std[n - 1 + k : n - 1 + k + count]
-    return (targets - predictions) ** 2
+    [(_, _, errors)] = _window_errors(model, x_test, y_test, [n], [k])
+    return errors
 
 
 def evaluate(model: FittedModel, x_test, y_test, n: int, k: int) -> float:
     """Standardized mean squared error over all sliding (n, k) windows."""
     return float(evaluate_errors(model, x_test, y_test, n, k).mean())
+
+
+def evaluate_grid(
+    model: FittedModel, x_test, y_test, n_values, k_values
+) -> dict[tuple[int, int], float]:
+    """``evaluate`` for every (n, k) of the grid, sharing each n's filter
+    means across all k."""
+    n_values = list(dict.fromkeys(int(n) for n in n_values))
+    k_values = list(dict.fromkeys(int(k) for k in k_values))
+    return {
+        (n, k): float(errors.mean())
+        for n, k, errors in _window_errors(model, x_test, y_test, n_values, k_values)
+    }
 
 
 def read_series_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

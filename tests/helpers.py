@@ -1,12 +1,22 @@
 """Shared test utilities: random admissible models, an independent scalar
 Kalman reference for the hidden-Markov special case, and the step-by-step
-loops that the vectorized kernels replaced, kept as references."""
+loops and the n x n quadratic form that the production paths replaced,
+kept as references."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from pmmkit import PmmParams, hmm_params, validate
+from pmmkit import (
+    PmmParams,
+    filter_coefficients,
+    forecast_coefficients,
+    hmm_params,
+    markov_form,
+    observation_covariance,
+    theoretical_mse_pmm,
+    validate,
+)
 from pmmkit.filtering import filter_gain_sequence
 
 
@@ -101,6 +111,24 @@ def quadratic_filter_coefficients(m, n: int) -> np.ndarray:
         w[t - 2] += a2 - a4 * g
         w[t - 1] = g
     return w
+
+
+def quadratic_form_mse(p_true: PmmParams, p_fc: PmmParams, n: int, k: int) -> float:
+    """MSE of the forecaster built from ``p_fc`` on data from ``p_true`` by
+    the Pythagoras split: the optimal MSE plus the quadratic form of the
+    two coefficient vectors' difference in the n x n observation
+    covariance.  O(n^2) memory."""
+    m_true = markov_form(p_true)
+    m_fc = markov_form(p_fc)
+    if k == 0:
+        w_true = filter_coefficients(m_true, n).weights
+        w_fc = filter_coefficients(m_fc, n).weights
+    else:
+        w_true = forecast_coefficients(m_true, n, k).weights
+        w_fc = forecast_coefficients(m_fc, n, k).weights
+    delta = w_true - w_fc
+    sigma = observation_covariance(m_true, m_true.b, n)
+    return theoretical_mse_pmm(p_true, n, k) + float(delta @ sigma @ delta)
 
 
 # Reference parameter sets.  fig2/fig4 perturb the cross covariances of the

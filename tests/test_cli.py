@@ -1,13 +1,26 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pmmkit import FittedModel, sample, save_params
+import pmmkit
+from pmmkit import (
+    FittedModel,
+    PmmParams,
+    evaluate,
+    get_preset,
+    hmm_params,
+    is_hmm,
+    sample,
+    save_params,
+    validate,
+)
 from pmmkit.cli import main
-from helpers import FIG2_PARAMS, PRESSURE_PARAMS
+from helpers import FIG2_PARAMS, PRESSURE_PARAMS, quadratic_form_mse
 
 
 @pytest.fixture
@@ -48,6 +61,18 @@ class TestSimulate:
         est = summary["empirical_covariances"]
         assert est["a"] == pytest.approx(0.9, abs=0.05)
         assert summary["rng"] == "numpy-pcg64"
+
+    def test_missing_key_names_it(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"a": 0.9, "c": 0.0, "d": 0.0, "e": 0.0}))
+        code = run_cli(
+            "simulate", "--params", bad, "--n", 10, "--seed", 0,
+            "--output", tmp_path / "t.csv",
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "missing b" in err["message"]
 
     def test_invalid_params_fail_with_json_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -295,6 +320,35 @@ class TestEvaluate:
             assert float(mse_p) <= float(mse_h)
         capsys.readouterr()
 
+    def test_table_bit_identical_to_per_cell_evaluate(self, tmp_path, capsys):
+        t = sample(FIG2_PARAMS, 6_000, seed=8)
+        fit_data = tmp_path / "fit.csv"
+        write_series_csv(fit_data, t.x[:3_000], t.y[:3_000])
+        model_path = tmp_path / "model.json"
+        assert run_cli("fit", "--input", fit_data, "--output", model_path) == 0
+        test_data = tmp_path / "test.csv"
+        write_series_csv(test_data, t.x[3_000:], t.y[3_000:])
+        table = tmp_path / "table.csv"
+        code = run_cli(
+            "evaluate", "--model", model_path, "--input", test_data,
+            "--n-grid", "5,20,50", "--k-grid", "1,24,48", "--output", table,
+        )
+        assert code == 0
+        capsys.readouterr()
+        fitted = FittedModel.load(model_path)
+        hmm = FittedModel(
+            params=hmm_params(fitted.params.a, fitted.params.b),
+            x_standardize=fitted.x_standardize,
+            y_standardize=fitted.y_standardize,
+        )
+        x, y = t.x[3_000:], t.y[3_000:]
+        want = ["n,k,mse_hmm,mse_pmm"]
+        for n in (5, 20, 50):
+            for k in (1, 24, 48):
+                mse_h, mse_p = evaluate(hmm, x, y, n, k), evaluate(fitted, x, y, n, k)
+                want.append(f"{n},{k},{mse_h:.12e},{mse_p:.12e}")
+        assert table.read_text().splitlines() == want
+
     def test_empty_grid_rejected(self, tmp_path, capsys):
         t = sample(FIG2_PARAMS, 1000, seed=7)
         data = tmp_path / "d.csv"
@@ -336,6 +390,24 @@ class TestMonteCarlo:
         assert abs(payload["mse"] - payload["theoretical_mse"]) < 3 * payload["stderr"]
 
 
+    def test_general_forecaster_reports_exact_theory(self, tmp_path, capsys):
+        true = get_preset("fig4").true_params
+        other = PmmParams(true.a, true.b, true.c, true.d + 0.1, true.e)
+        assert validate(other).ok and not is_hmm(other) and other != true
+        true_file, other_file = tmp_path / "true.json", tmp_path / "other.json"
+        save_params(true, true_file)
+        save_params(other, other_file)
+        code = run_cli(
+            "monte-carlo", "--params", true_file, "--forecaster-params", other_file,
+            "--n", 5, "--k", 2, "--reps", 20_000, "--seed", 14,
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        want = quadratic_form_mse(true, other, 5, 2)
+        assert abs(payload["theoretical_mse"] - want) <= 1e-10 * want
+        assert abs(payload["mse"] - want) <= 5 * payload["stderr"]
+
+
 class TestOracleSubcommand:
     def test_recursive_and_oracle_agree(self, tmp_path, fig2_params_file, capsys):
         data = tmp_path / "obs.csv"
@@ -362,3 +434,18 @@ def test_module_entry_point():
     )
     assert out.returncode == 0
     assert "pmmkit" in out.stdout
+
+
+def test_import_leaves_scipy_out(tmp_path):
+    src = str(Path(pmmkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", "import pmmkit.cli, sys; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from pmmkit import (
     build_joint,
     filter_coefficients,
     forecast_coefficients,
+    forecaster_mse,
+    get_preset,
     hmm_params,
     markov_form,
     matrix_power_coeffs,
@@ -22,6 +25,7 @@ from pmmkit.filtering import filter_init, filter_step
 from pmmkit.simulate import monte_carlo_mse
 from helpers import (
     FIG2_PARAMS,
+    quadratic_form_mse,
     random_hmm,
     random_valid_params,
     scalar_hmm_filter_coefficients,
@@ -191,6 +195,80 @@ class TestTheoreticalMse:
             decomposed = theoretical_mse_hmm_under_pmm(p_true, p_hmm, n, k)
             direct = direct_hmm_mse(p_true, p_hmm, n, k)
             assert decomposed == pytest.approx(direct, abs=1e-9)
+
+
+class TestForecasterMse:
+    @pytest.mark.parametrize(
+        "preset, n_grid",
+        [("fig2", None), ("fig3", None), ("fig4", None), ("fig5", None),
+         ("fig4", range(1, 401))],
+    )
+    def test_sweep_matches_quadratic_form_and_variance_recursion(self, preset, n_grid):
+        fig = get_preset(preset)
+        n_values = list(n_grid or fig.n_values)
+        k_values = list(fig.k_values)
+        curves = mse_sweep(fig.true_params, fig.hmm_reference, n_values, k_values)
+        checked = 0
+        for curve in curves:
+            for index, mse in curve.points:
+                if curve.sweep_variable == "n":
+                    n, k = index, k_values[0]
+                else:
+                    n, k = curve.fixed.get("n", n_values[0]), index
+                if curve.model_label == "PMM":
+                    want = theoretical_mse_pmm(fig.true_params, n, k)
+                else:
+                    want = quadratic_form_mse(fig.true_params, fig.hmm_reference, n, k)
+                assert abs(mse - want) <= 1e-12 * want
+                checked += 1
+        assert checked == 2 * len(n_values) * len(k_values)
+
+    def test_general_forecaster_matches_quadratic_form(self):
+        rng = np.random.default_rng(59)
+        n_values, k_values = range(1, 31), [0, 1, 3, 7]
+        for _ in range(40):
+            p_true = random_valid_params(rng)
+            p_fc = random_valid_params(rng)
+            got = forecaster_mse(p_true, p_fc, n_values, k_values)
+            optimal = forecaster_mse(p_true, p_true, n_values, k_values)
+            for n in n_values:
+                for k in k_values:
+                    want = quadratic_form_mse(p_true, p_fc, n, k)
+                    assert abs(got[(n, k)] - want) <= 1e-12 * want
+                    want = theoretical_mse_pmm(p_true, n, k)
+                    assert abs(optimal[(n, k)] - want) <= 1e-12 * want
+
+    def test_grid_points_equal_single_points(self):
+        rng = np.random.default_rng(60)
+        p_true, p_fc = random_valid_params(rng), random_valid_params(rng)
+        grid = forecaster_mse(p_true, p_fc, [9, 2, 30, 2], [4, 0])
+        assert sorted(grid) == [(n, k) for n in (2, 9, 30) for k in (0, 4)]
+        for (n, k), mse in grid.items():
+            assert mse == forecaster_mse(p_true, p_fc, [n], [k])[(n, k)]
+
+    def test_long_chain_in_constant_memory(self):
+        fig = get_preset("fig4")
+        tracemalloc.start()
+        try:
+            hmm = forecaster_mse(fig.true_params, fig.hmm_reference, [20_000], [0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # An n x n float matrix at n = 20000 would take 3.2 GB.
+        assert peak < 1_000_000
+        pmm = forecaster_mse(fig.true_params, fig.true_params, [20_000], [0])
+        # fig4's error has settled to the last digit long before n = 1000.
+        want = quadratic_form_mse(fig.true_params, fig.hmm_reference, 1000, 0)
+        assert abs(hmm[(20_000, 0)] - want) <= 1e-12 * want
+        want = theoretical_mse_pmm(fig.true_params, 20_000, 0)
+        assert abs(pmm[(20_000, 0)] - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize(
+        "n_values, k_values", [([0, 3], [0]), ([3], [-1]), ([], [0])]
+    )
+    def test_bad_grid_rejected(self, n_values, k_values):
+        with pytest.raises(ValueError):
+            forecaster_mse(FIG2_PARAMS, HMM_BASE, n_values, k_values)
 
 
 class TestMonteCarloAgreement:

@@ -14,7 +14,7 @@ from pmmkit import (
     run_filter,
 )
 from pmmkit.filtering import filter_variance_sequence
-from pmmkit.forecasting import variance_at_horizon
+from pmmkit.forecasting import forecast_path, variance_at_horizon
 from helpers import FIG2_PARAMS, random_valid_params
 
 FIG2_MODEL = markov_form(FIG2_PARAMS)
@@ -144,3 +144,25 @@ class TestVarianceProfile:
             assert direct == pytest.approx(
                 composed_xx * s.mean + composed_xy * s.last_y, abs=1e-12
             )
+
+
+class TestPath:
+    def test_matches_per_horizon_forecast(self):
+        rng = np.random.default_rng(61)
+        for p in (FIG2_PARAMS, random_valid_params(rng)):
+            m = markov_form(p)
+            state = run_filter(m, rng.standard_normal(30))
+            path = forecast_path(state, m, 200)
+            assert [r.horizon for r in path] == list(range(1, 201))
+            want = [forecast(state, m, k) for k in range(1, 201)]
+            np.testing.assert_allclose(
+                [r.mean for r in path], [r.mean for r in want], rtol=1e-13, atol=0
+            )
+            np.testing.assert_allclose(
+                [r.variance for r in path], [r.variance for r in want], rtol=1e-13, atol=0
+            )
+
+    def test_horizon_must_be_positive(self):
+        state = run_filter(FIG2_MODEL, [0.5])
+        with pytest.raises(ValueError):
+            forecast_path(state, FIG2_MODEL, 0)

@@ -229,3 +229,18 @@ class TestSerialization:
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"params": FIG2_PARAMS.to_dict(), "repaired": False}))
         assert load_params(path) == FIG2_PARAMS
+
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"a": 0.9, "c": 0.0, "d": 0.0, "e": 0.0}, ["missing b"]),
+            ({"a": 0.9, "b": "x", "c": None, "d": 0.0, "e": 0.0}, ["b, c"]),
+            ({"a": float("nan"), "b": 0.1, "d": 0.0, "e": 0.0}, ["missing c", ": a"]),
+            ([0.9, 0.1, 0.0, 0.0, 0.0], ["keys a..e"]),
+        ],
+    )
+    def test_bad_document_names_the_keys(self, doc, named):
+        with pytest.raises(ValueError) as info:
+            PmmParams.from_dict(doc)
+        for text in named:
+            assert text in str(info.value)

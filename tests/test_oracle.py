@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from pmmkit import PmmParams, build_joint, conditional, gamma_from_params, markov_form
+from pmmkit import (
+    InvalidModelError,
+    PmmParams,
+    build_joint,
+    conditional,
+    gamma_from_params,
+    markov_form,
+)
+from pmmkit.oracle import JointCovariance
 from pmmkit.error_analysis import filter_coefficients, theoretical_mse_pmm
 from helpers import FIG2_PARAMS, random_valid_params
 
@@ -52,6 +60,11 @@ class TestConditional:
         w, var = conditional(j, j.x_index(4), [j.y_index(t) for t in (1, 2, 3)])
         np.testing.assert_array_equal(w, np.zeros(3))
         assert var == 1.0
+
+    def test_non_positive_definite_block_rejected(self):
+        j = JointCovariance(1, 1, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(InvalidModelError):
+            conditional(j, 0, [0, 1])
 
     def test_two_solver_cross_check(self):
         rng = np.random.default_rng(42)

@@ -16,6 +16,7 @@ from pmmkit import (
 from pmmkit.pipeline import (
     StandardizationParams,
     evaluate_errors,
+    evaluate_grid,
     seasonal_values,
 )
 from helpers import FIG2_PARAMS
@@ -202,6 +203,18 @@ class TestEvaluate:
         x = np.zeros(20)
         y = np.zeros(20)
         assert evaluate_errors(model, x, y, 5, 2).size == 14
+
+    def test_grid_bit_identical_to_per_cell_evaluate(self):
+        t = sample(FIG2_PARAMS, 5_000, seed=82)
+        model = FittedModel(
+            params=FIG2_PARAMS,
+            x_standardize=StandardizationParams(0.1, 1.3),
+            y_standardize=StandardizationParams(-0.2, 0.9),
+        )
+        grid = evaluate_grid(model, t.x, t.y, [5, 20, 50, 5], [1, 24, 48])
+        assert list(grid) == [(n, k) for n in (5, 20, 50) for k in (1, 24, 48)]
+        for (n, k), mse in grid.items():
+            assert mse == evaluate(model, t.x, t.y, n, k)
 
     def test_insufficient_data_rejected(self):
         ident = StandardizationParams(0.0, 1.0)
