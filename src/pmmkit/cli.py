@@ -10,7 +10,6 @@ stderr.  Set PMM_LOG=DEBUG|INFO|WARNING for log verbosity.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -29,6 +28,7 @@ from .error_analysis import (
 )
 from .filtering import run_filter
 from .forecasting import forecast, forecast_path
+from .io import atomic_write, read_columns
 from .model import (
     PmmError,
     hmm_params,
@@ -59,10 +59,7 @@ log = logging.getLogger("pmmkit")
 
 
 def _atomic_write(path: Path, write_fn) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        write_fn(fh)
-    os.replace(tmp, path)
+    atomic_write(path, write_fn)
     log.info("wrote %s", path)
 
 
@@ -90,17 +87,7 @@ def _parse_periods(text: str) -> tuple[float, float]:
 
 def _read_y_column(path: str) -> np.ndarray:
     """The observed column only; used where the hidden series is unknown."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: missing CSV header")
-        names = {name.strip().lower(): name for name in reader.fieldnames}
-        if "y" not in names:
-            raise ValueError(f"{path}: need a y column, found {reader.fieldnames}")
-        ys = [float(row[names["y"]]) for row in reader]
-    if not ys:
-        raise ValueError(f"{path}: no data rows")
-    return np.asarray(ys)
+    return read_columns(path, ("y",))[0]
 
 
 def _print_json(payload: dict) -> None:

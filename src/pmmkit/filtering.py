@@ -149,6 +149,12 @@ def _variance_and_gains(m: TransitionModel, n: int) -> tuple[np.ndarray, np.ndar
     for t, (g, p) in zip(range(1, n), riccati_steps(m)):
         gains[t - 1] = g
         variances[t] = p
+        if p == variances[t - 1]:
+            # Each step is a function of the previous variance alone, so
+            # once it repeats exactly every later (G, P) is this one.
+            gains[t:] = g
+            variances[t + 1 :] = p
+            break
     return variances, gains
 
 

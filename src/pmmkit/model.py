@@ -28,6 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .io import atomic_write
+
 __all__ = [
     "PmmError",
     "InvalidModelError",
@@ -263,7 +265,8 @@ def validate(p: PmmParams, hmm_tol: float = 1e-9) -> ValidationReport:
 
 
 def save_params(p: PmmParams, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(p.to_dict(), indent=2) + "\n")
+    text = json.dumps(p.to_dict(), indent=2) + "\n"
+    atomic_write(path, lambda fh: fh.write(text))
 
 
 def load_params(path: str | Path) -> PmmParams:

@@ -16,7 +16,6 @@ with the fitting window's moments (no leakage).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .filtering import filter_coefficients
+from .io import atomic_write, read_columns
 from .model import PmmParams, markov_form, matrix_power_coeffs, validate
 from .simulate import empirical_covariances
 
@@ -130,7 +130,8 @@ class FittedModel:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
+        text = json.dumps(self.to_json_dict(), indent=2) + "\n"
+        atomic_write(path, lambda fh: fh.write(text))
 
     @classmethod
     def load(cls, path: str | Path) -> "FittedModel":
@@ -290,21 +291,7 @@ def read_series_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read the hidden/observed columns from a headed CSV.
 
     Requires columns named ``x`` and ``y`` (case-insensitive); any other
-    columns, such as a timestamp, are ignored.
+    columns, such as a timestamp, are ignored.  See ``io.read_columns`` for
+    the rows that are rejected.
     """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: missing CSV header")
-        names = {name.strip().lower(): name for name in reader.fieldnames}
-        if "x" not in names or "y" not in names:
-            raise ValueError(
-                f"{path}: need columns x and y, found {reader.fieldnames}"
-            )
-        xs, ys = [], []
-        for row in reader:
-            xs.append(float(row[names["x"]]))
-            ys.append(float(row[names["y"]]))
-    if not xs:
-        raise ValueError(f"{path}: no data rows")
-    return np.asarray(xs), np.asarray(ys)
+    return read_columns(path, ("x", "y"))

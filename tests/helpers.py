@@ -1,9 +1,11 @@
 """Shared test utilities: random admissible models, an independent scalar
 Kalman reference for the hidden-Markov special case, and the step-by-step
-loops and the n x n quadratic form that the production paths replaced,
-kept as references."""
+loops, the n x n quadratic form and the row-by-row CSV reader that the
+production paths replaced, kept as references."""
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -17,7 +19,7 @@ from pmmkit import (
     theoretical_mse_pmm,
     validate,
 )
-from pmmkit.filtering import filter_gain_sequence
+from pmmkit.filtering import filter_gain_sequence, riccati_steps
 
 
 def random_valid_params(rng, max_spectral_radius: float = 0.999) -> PmmParams:
@@ -94,6 +96,31 @@ def sequential_simulate_pairs(a1, a2, a3, a4, l11, l21, l22, x0, y0, eps):
         xs = xn
         ys = yn
     return x, y
+
+
+def dictreader_columns(path, names) -> tuple[np.ndarray, ...]:
+    """Row-by-row ``csv.DictReader`` read of the named columns
+    (case-insensitive, stripped header names), one ``float()`` per field."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        keys = {name.strip().lower(): name for name in reader.fieldnames}
+        columns = [[] for _ in names]
+        for row in reader:
+            for column, name in zip(columns, names):
+                column.append(float(row[keys[name]]))
+    return tuple(np.asarray(column) for column in columns)
+
+
+def loop_variance_and_gains(m, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Filter variances (t = 1..n) and gains (t = 2..n), one Riccati step
+    per t with no early exit."""
+    variances = np.empty(n)
+    gains = np.empty(n - 1)
+    variances[0] = 1.0 - m.b * m.b
+    for t, (g, p) in zip(range(1, n), riccati_steps(m)):
+        gains[t - 1] = g
+        variances[t] = p
+    return variances, gains
 
 
 def quadratic_filter_coefficients(m, n: int) -> np.ndarray:

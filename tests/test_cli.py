@@ -20,6 +20,7 @@ from pmmkit import (
     validate,
 )
 from pmmkit.cli import main
+from pmmkit.pipeline import StandardizationParams
 from helpers import FIG2_PARAMS, PRESSURE_PARAMS, quadratic_form_mse
 
 
@@ -362,6 +363,58 @@ class TestEvaluate:
         )
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+
+# A bad row at data row 2 of every file; each subcommand reads the y column.
+MALFORMED_INPUTS = {
+    "short_row": ("t,x,y\n1,1.0,2.0\n2,3.0\n3,1.0,2.0\n", "column"),
+    "empty_field": ("t,x,y\n1,1.0,2.0\n2,3.0,\n", "''"),
+    "non_numeric_field": ("t,x,y\n1,1.0,2.0\n2,3.0,abc\n", "'abc'"),
+    "hash_field": ("t,x,y\n1,1.0,2.0\n2,3.0,#\n", "'#'"),
+    "nan": ("t,x,y\n1,1.0,2.0\n2,3.0,nan\n", "column y at data row 2"),
+    "inf": ("t,x,y\n1,1.0,2.0\n2,3.0,inf\n", "column y at data row 2"),
+    "minus_inf": ("t,x,y\n1,1.0,2.0\n2,3.0,-inf\n", "column y at data row 2"),
+    "header_only": ("t,x,y\n", "no data rows"),
+    "empty_file": ("", "missing CSV header"),
+}
+
+
+class TestMalformedInput:
+    @pytest.fixture
+    def model_file(self, tmp_path):
+        ident = StandardizationParams(0.0, 1.0)
+        path = tmp_path / "model.json"
+        FittedModel(params=FIG2_PARAMS, x_standardize=ident, y_standardize=ident).save(
+            path
+        )
+        return path
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    @pytest.mark.parametrize("command", ["fit", "forecast", "evaluate"])
+    def test_json_error_names_file(self, tmp_path, model_file, capsys, command, case):
+        text, detail = MALFORMED_INPUTS[case]
+        data = tmp_path / "bad.csv"
+        data.write_text(text)
+        out = tmp_path / "out"
+        argv = {
+            "fit": ["fit", "--input", data, "--output", out],
+            "forecast": [
+                "forecast", "--model", model_file, "--input", data,
+                "--n", 1, "--k", 1, "--output", out,
+            ],
+            "evaluate": [
+                "evaluate", "--model", model_file, "--input", data,
+                "--n-grid", 1, "--k-grid", 1, "--output", out,
+            ],
+        }[command]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{data}: ")
+        assert detail in err["message"]
+        assert not out.exists()
 
 
 class TestMonteCarlo:

@@ -12,8 +12,18 @@ from pmmkit import (
     oracle_filter,
     run_filter,
 )
-from pmmkit.filtering import filter_gain_sequence, filter_variance_sequence
-from helpers import FIG2_PARAMS, random_valid_params, scalar_hmm_kalman
+from pmmkit.filtering import (
+    _variance_and_gains,
+    filter_gain_sequence,
+    filter_variance_sequence,
+)
+from pmmkit.presets import PRESET_NAMES, get_preset
+from helpers import (
+    FIG2_PARAMS,
+    loop_variance_and_gains,
+    random_valid_params,
+    scalar_hmm_kalman,
+)
 
 FIG2_MODEL = markov_form(FIG2_PARAMS)
 
@@ -68,6 +78,9 @@ class TestStep:
         s = filter_init(p, 0.1)
         with pytest.raises(InvalidModelError):
             filter_step(s, m, 0.2)
+        for n in (2, 5000):
+            with pytest.raises(InvalidModelError):
+                filter_variance_sequence(m, n)
 
 
 class TestOracleEquivalence:
@@ -113,6 +126,33 @@ class TestVarianceProperties:
             seq = filter_variance_sequence(markov_form(p), 3000)
             assert np.all(seq >= 0.0) and np.all(seq <= 1.0)
             assert np.max(np.abs(np.diff(seq[-100:]))) < 1e-7
+
+
+def _fixed_point_models():
+    models = []
+    for name in PRESET_NAMES:
+        preset = get_preset(name)
+        models += [preset.true_params, preset.hmm_reference]
+    rng = np.random.default_rng(27)
+    models += [random_valid_params(rng) for _ in range(20)]
+    return [markov_form(p) for p in models]
+
+
+class TestRiccatiFixedPoint:
+    @pytest.mark.parametrize("n", [1, 2, 150, 5000])
+    def test_bit_identical_to_plain_loop(self, n):
+        for m in _fixed_point_models():
+            variances, gains = _variance_and_gains(m, n)
+            want_variances, want_gains = loop_variance_and_gains(m, n)
+            assert np.array_equal(variances, want_variances)
+            assert np.array_equal(gains, want_gains)
+
+    def test_presets_reach_the_fixed_point(self):
+        # The early exit is exercised: each preset's variance repeats
+        # exactly well before n = 5000.
+        for m in _fixed_point_models()[: 2 * len(PRESET_NAMES)]:
+            variances = filter_variance_sequence(m, 5000)
+            assert np.count_nonzero(np.diff(variances)) < 1000
 
 
 class TestHmmReduction:

@@ -113,9 +113,12 @@ class TestVarianceProfile:
             p = random_valid_params(rng, max_spectral_radius=0.98)
             m = markov_form(p)
             p_n = float(filter_variance_sequence(m, 4)[-1])
-            profile = np.array(
-                [variance_at_horizon(p_n, m, k) for k in range(0, 400)]
-            )
+            # variance_at_horizon(p_n, m, k) for k = 0..399, in one pass.
+            cov = np.array([[p_n, 0.0], [0.0, 0.0]])
+            profile = np.empty(400)
+            for k in range(400):
+                profile[k] = cov[0, 0]
+                cov = m.A @ cov @ m.A.T + m.Q
             assert np.all(profile >= 0.0)
             assert np.all(profile <= 1.0 + 1e-9)
             assert profile[-1] == pytest.approx(1.0, abs=1e-3)

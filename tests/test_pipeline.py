@@ -13,13 +13,14 @@ from pmmkit import (
     theoretical_mse_pmm,
     validate,
 )
+from pmmkit.io import read_columns
 from pmmkit.pipeline import (
     StandardizationParams,
     evaluate_errors,
     evaluate_grid,
     seasonal_values,
 )
-from helpers import FIG2_PARAMS
+from helpers import FIG2_PARAMS, dictreader_columns
 
 
 def harmonic(i, period):
@@ -249,6 +250,50 @@ class TestSerialization:
         assert loaded.params == fitted.params
 
 
+def _seeded_rows(seed: int, count: int):
+    rng = np.random.default_rng(seed)
+    x = 5.0 + 2.0 * rng.standard_normal(count)
+    y = rng.standard_normal(count) * 10.0 ** rng.integers(-8, 9, size=count)
+    return [(i + 1, f"{xv:.17g}", f"{yv:.17g}") for i, (xv, yv) in enumerate(zip(x, y))]
+
+
+def _csv_text(header: str, rows, fmt: str = "{0},{1},{2}", newline: str = "\n") -> str:
+    lines = [header] + [fmt.format(*row) for row in rows]
+    return newline.join(lines) + newline
+
+
+# Each case writes the same seeded values in one of the formats the reader
+# accepts; the row-by-row DictReader reader is the reference.
+READER_INPUTS = {
+    "evaluate_sized": lambda rows: _csv_text("t,x,y", rows),
+    "crlf": lambda rows: _csv_text("t,x,y", rows[:500], newline="\r\n"),
+    "header_case_and_spaces": lambda rows: _csv_text(" T , X ,Y ", rows[:500]),
+    "quoted_numbers": lambda rows: _csv_text(
+        '"t","x","y"', rows[:500], fmt='{0},"{1}","{2}"'
+    ),
+    "blank_lines": lambda rows: _csv_text("t,x,y", rows[:500], fmt="\n{0},{1},{2}\n"),
+    "extra_and_timestamp_columns": lambda rows: _csv_text(
+        "timestamp,y,note,x,t", rows[:500],
+        fmt="2021-01-01T00:00+{0}h,{2},a note,{1},{0}",
+    ),
+}
+
+# (file text, what the error message must contain besides the path).
+REJECTED_INPUTS = {
+    "short_row": ("t,x,y\n1,1.0,2.0\n2,3.0\n3,1.0,2.0\n", "column"),
+    "empty_field": ("t,x,y\n1,1.0,2.0\n2,3.0,\n", "''"),
+    "non_numeric_field": ("t,x,y\n1,1.0,2.0\n2,3.0,abc\n", "'abc'"),
+    "hash_field": ("t,x,y\n1,1.0,2.0\n2,#,2.0\n", "'#'"),
+    "nan": ("t,x,y\n1,1.0,2.0\n2,3.0,nan\n", "column y at data row 2"),
+    "inf": ("t,x,y\n1,1.0,2.0\n2,inf,2.0\n", "column x at data row 2"),
+    "minus_inf": ("t,x,y\n1,1.0,2.0\n\n2,3.0,-inf\n", "column y at data row 2"),
+    "header_only": ("t,x,y\n", "no data rows"),
+    "blank_lines_only": ("t,x,y\n\n\n", "no data rows"),
+    "empty_file": ("", "missing CSV header"),
+    "missing_column": ("t,x,z\n1,1.0,2.0\n", "need column(s) y"),
+}
+
+
 class TestCsvReader:
     def test_reads_with_timestamp_column(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -270,3 +315,25 @@ class TestCsvReader:
         path.write_text("x,y\n")
         with pytest.raises(ValueError):
             read_series_csv(path)
+
+    @pytest.mark.parametrize("case", sorted(READER_INPUTS))
+    def test_bit_identical_to_dictreader(self, tmp_path, case):
+        path = tmp_path / "data.csv"
+        path.write_bytes(READER_INPUTS[case](_seeded_rows(91, 3_000)).encode())
+        want_x, want_y = dictreader_columns(path, ("x", "y"))
+        x, y = read_series_csv(path)
+        assert np.array_equal(x, want_x) and np.array_equal(y, want_y)
+        (y_only,) = read_columns(path, ("y",))
+        assert np.array_equal(y_only, dictreader_columns(path, ("y",))[0])
+        assert x.flags.c_contiguous and y.flags.c_contiguous
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_INPUTS))
+    def test_rejected_with_path_named(self, tmp_path, case):
+        text, detail = REJECTED_INPUTS[case]
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_series_csv(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ")
+        assert detail in message
