@@ -112,11 +112,7 @@ def _load_fitted(args) -> FittedModel:
 
 
 def cmd_simulate(args) -> int:
-    params = load_params(args.params)
-    report = validate(params)
-    if not report.ok:
-        raise PmmError(f"invalid parameters: {report.summary()}")
-    traj = sample(params, args.n, args.seed)
+    traj = sample(load_params(args.params), args.n, args.seed)
     _atomic_write(Path(args.output), lambda fh: trajectory_to_csv(traj, fh))
     _print_json(
         {
@@ -245,6 +241,9 @@ def cmd_evaluate(args) -> int:
         y = detrend(y, fitted.detrend, start_index=args.start_index)
     n_values = _parse_grid(args.n_grid)
     k_values = _parse_grid(args.k_grid)
+    # The fitted model first, so that inadmissible parameters are reported
+    # by markov_form's gate rather than by the restriction's |a| < 1 check.
+    mse_pmm = evaluate_grid(fitted, x, y, n_values, k_values)
     hmm_restriction = hmm_params(fitted.params.a, fitted.params.b)
     hmm_fitted = FittedModel(
         params=hmm_restriction,
@@ -254,7 +253,6 @@ def cmd_evaluate(args) -> int:
         fit_window=fitted.fit_window,
     )
     mse_hmm = evaluate_grid(hmm_fitted, x, y, n_values, k_values)
-    mse_pmm = evaluate_grid(fitted, x, y, n_values, k_values)
     rows = [
         (n, k, mse_hmm[(n, k)], mse_pmm[(n, k)]) for n in n_values for k in k_values
     ]

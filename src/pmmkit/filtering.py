@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 # Below this, Y_{n+1} is numerically deterministic given (X_n, Y_n) and the
-# update gain is ill-posed.
+# update gain is ill-posed.  Only a hand-built TransitionModel gets here:
+# for one from markov_form the denominator is at least min eig Q > PD_TOL.
 DEGENERATE_DENOMINATOR = 1e-14
 
 
@@ -75,26 +76,28 @@ def filter_init(p: PmmParams, y1: float) -> FilterState:
     return FilterState(n=1, mean=p.b * y1, variance=1.0 - p.b * p.b, last_y=y1)
 
 
-def filter_step(s: FilterState, m: TransitionModel, y_next: float) -> FilterState:
-    """Absorb one more observation."""
-    a1, a2 = m.A[0]
-    a3, a4 = m.A[1]
+def _riccati_step(m: TransitionModel, p: float) -> tuple[float, float]:
+    """The gain that absorbs the next observation, and the filter variance
+    after it, from the current filter variance ``p``."""
+    a1, a3 = m.A[0, 0], m.A[1, 0]
     q11, q12 = m.Q[0]
-    q22 = m.Q[1, 1]
-    denom = a3 * a3 * s.variance + q22
+    denom = a3 * a3 * p + m.Q[1, 1]
     if denom <= DEGENERATE_DENOMINATOR:
         raise InvalidModelError(
             f"degenerate observation channel (innovation variance {denom:g})"
         )
-    gain = (a1 * a3 * s.variance + q12) / denom
+    gain = (a1 * a3 * p + q12) / denom
+    # The clamp guards roundoff at near-degenerate models.
+    return gain, max(a1 * a1 * p + q11 - gain * gain * denom, 0.0)
+
+
+def filter_step(s: FilterState, m: TransitionModel, y_next: float) -> FilterState:
+    """Absorb one more observation."""
+    a1, a2 = m.A[0]
+    a3, a4 = m.A[1]
+    gain, variance = _riccati_step(m, s.variance)
     mean = a1 * s.mean + a2 * s.last_y + gain * (y_next - a3 * s.mean - a4 * s.last_y)
-    variance = a1 * a1 * s.variance + q11 - gain * gain * denom
-    return FilterState(
-        n=s.n + 1,
-        mean=mean,
-        variance=max(variance, 0.0),  # guard roundoff at near-degenerate models
-        last_y=y_next,
-    )
+    return FilterState(n=s.n + 1, mean=mean, variance=variance, last_y=y_next)
 
 
 def run_filter(m: TransitionModel, ys) -> FilterState:
@@ -123,19 +126,9 @@ def riccati_steps(m: TransitionModel):
     Lazy, so a caller that folds the steps into its own recursion keeps
     O(1) memory in n.
     """
-    a1, _ = m.A[0]
-    a3, _ = m.A[1]
-    q11, q12 = m.Q[0]
-    q22 = m.Q[1, 1]
     p = 1.0 - m.b * m.b
     while True:
-        denom = a3 * a3 * p + q22
-        if denom <= DEGENERATE_DENOMINATOR:
-            raise InvalidModelError(
-                f"degenerate observation channel (innovation variance {denom:g})"
-            )
-        g = (a1 * a3 * p + q12) / denom
-        p = max(a1 * a1 * p + q11 - g * g * denom, 0.0)
+        g, p = _riccati_step(m, p)
         yield g, p
 
 

@@ -6,9 +6,9 @@ other columns, such as a timestamp, are ignored.  The data rows are parsed
 by one ``np.loadtxt`` call restricted to the named columns, which accepts
 quoted numbers, CRLF line endings and blank lines.  Everything else is
 rejected with a ValueError that names the file: a missing header or column,
-no data rows, a short row, an empty or non-numeric field (``#`` included:
-there are no comment lines), and a NaN or infinite value, whose message
-also names the data row (1-based, counting the rows that hold data).
+no data rows, and, by column and data row (1-based, counting the rows that
+hold data), a short row, an empty or non-numeric field (``#`` included:
+there are no comment lines) and a NaN or infinite value.
 
 ``atomic_write`` makes an output file appear whole or not at all: it writes
 a unique temporary file in the target's directory, flushes and fsyncs it,
@@ -58,7 +58,8 @@ def read_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray, ..
                 quotechar='"',
             )
         except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            fh.seek(start)
+            raise ValueError(f"{path}: {_bad_field(fh, index, names) or exc}") from None
     finite = np.isfinite(data)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
@@ -68,6 +69,35 @@ def read_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray, ..
         )
     # One C-contiguous array per column.
     return tuple(data.T.copy())
+
+
+def _bad_field(lines, index: dict[str, int], names: Sequence[str]) -> str | None:
+    """Where np.loadtxt failed, by this reader's count: the first short row
+    or unparseable field in the named columns, with its 1-based data row."""
+    row = 0
+    for line in lines:
+        if line == "\n":
+            continue
+        row += 1
+        fields = next(csv.reader([line]))
+        for name in names:
+            where = f"in column {name} at data row {row}"
+            if index[name] >= len(fields):
+                return f"missing field {where}: the row has {len(fields)} field(s)"
+            if not _is_number(fields[index[name]]):
+                return f"could not convert {fields[index[name]]!r} to float {where}"
+    return None
+
+
+def _is_number(field: str) -> bool:
+    # float() also takes underscores and non-ASCII digits; np.loadtxt does not.
+    if not field.isascii() or "_" in field:
+        return False
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
 
 
 def atomic_write(path: str | Path, write_fn: Callable[[TextIO], object]) -> None:

@@ -203,31 +203,28 @@ def is_hmm(p: PmmParams, tol: float = 1e-9) -> bool:
     )
 
 
-def _marginal_inverse(b: float) -> np.ndarray:
-    # Closed-form 2x2 inverse of [[1, b], [b, 1]] for exactness.
-    det = 1.0 - b * b
-    if det <= 0.0:
-        raise InvalidModelError(f"singular pair marginal: |b| >= 1 (b={b})")
-    return np.array([[1.0, -b], [-b, 1.0]]) / det
-
-
 def _transition(p: PmmParams) -> tuple[np.ndarray, np.ndarray]:
-    """A and the symmetrized Q, unvalidated; |b| >= 1 raises."""
+    """A and the symmetrized Q, unvalidated; needs |b| < 1."""
     a, b, c, d, e = p.astuple()
     cross = np.array([[a, e], [d, c]])  # Cov[Z_{n+1}, Z_n]
-    A = cross @ _marginal_inverse(b)
+    # Closed-form inverse of the marginal [[1, b], [b, 1]] for exactness.
+    A = cross @ (np.array([[1.0, -b], [-b, 1.0]]) / (1.0 - b * b))
     Q = np.array([[1.0, b], [b, 1.0]]) - A @ cross.T
     return A, 0.5 * (Q + Q.T)
 
 
 def markov_form(p: PmmParams) -> TransitionModel:
-    """Convert the covariance parameterization to the transition form."""
+    """Convert the covariance parameterization to the transition form.
+
+    This is the package's admissibility gate: parameters that ``validate``
+    rejects raise InvalidModelError, so every TransitionModel built here
+    has a positive definite marginal and noise covariance and a spectral
+    radius below 1.
+    """
+    report = validate(p)
+    if not report.ok:
+        raise InvalidModelError(f"invalid parameters: {report.summary()}")
     A, Q = _transition(p)
-    if np.linalg.eigvalsh(Q).min() < -PD_TOL:
-        raise InvalidModelError(
-            "noise covariance is not positive semidefinite; "
-            f"parameters {p.astuple()} are inadmissible"
-        )
     return TransitionModel(A=A, Q=Q, marginal=np.array([[1.0, p.b], [p.b, 1.0]]))
 
 

@@ -24,7 +24,13 @@ import numpy as np
 
 from .filtering import filter_coefficients
 from .io import atomic_write, read_columns
-from .model import PmmParams, markov_form, matrix_power_coeffs, validate
+from .model import (
+    PmmParams,
+    _finite_float,
+    markov_form,
+    matrix_power_coeffs,
+    validate,
+)
 from .simulate import empirical_covariances
 
 __all__ = [
@@ -111,21 +117,40 @@ class FittedModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FittedModel":
+        """The model a ``to_json_dict`` document describes; a missing,
+        non-numeric or out-of-range field raises ValueError naming it."""
+        if not isinstance(doc, dict):
+            raise ValueError(
+                f"fitted model must be a JSON object, got {type(doc).__name__}"
+            )
         det = None
         if doc.get("detrend"):
             d = doc["detrend"]
+            if not isinstance(d, dict):
+                raise ValueError("fitted model: detrend must be an object or null")
+            periods = _numbers(d.get("periods"), "detrend.periods", 2)
+            if min(periods) <= 1.0:
+                raise ValueError(
+                    f"fitted model: detrend.periods must exceed 1 sample, got {periods}"
+                )
             det = DetrendModel(
-                theta=np.asarray(d["theta"], dtype=float),
-                periods=(float(d["periods"][0]), float(d["periods"][1])),
-                sigma=float(d["sigma"]),
+                theta=np.array(_numbers(d.get("theta"), "detrend.theta", 5)),
+                periods=(periods[0], periods[1]),
+                sigma=_number(d.get("sigma"), "detrend.sigma"),
             )
-        window = tuple(doc["fit_window"]) if doc.get("fit_window") else None
+        window = doc.get("fit_window")
+        if window and not (
+            isinstance(window, list)
+            and len(window) == 2
+            and all(isinstance(v, int) for v in window)
+        ):
+            raise ValueError(f"fitted model: fit_window must be two integers, got {window!r}")
         return cls(
-            params=PmmParams.from_dict(doc["params"]),
-            x_standardize=StandardizationParams(**doc["x_standardize"]),
-            y_standardize=StandardizationParams(**doc["y_standardize"]),
+            params=PmmParams.from_dict(doc.get("params")),
+            x_standardize=_moments(doc, "x_standardize"),
+            y_standardize=_moments(doc, "y_standardize"),
             detrend=det,
-            fit_window=window,
+            fit_window=tuple(window) if window else None,
             repaired=bool(doc.get("repaired", False)),
         )
 
@@ -136,6 +161,33 @@ class FittedModel:
     @classmethod
     def load(cls, path: str | Path) -> "FittedModel":
         return cls.from_json_dict(json.loads(Path(path).read_text()))
+
+
+def _number(value, name: str) -> float:
+    number = _finite_float(value)
+    if number is None:
+        raise ValueError(f"fitted model: {name} must be a finite number, got {value!r}")
+    return number
+
+
+def _numbers(value, name: str, count: int) -> list[float]:
+    numbers = [_finite_float(v) for v in value] if isinstance(value, list) else []
+    if len(numbers) != count or None in numbers:
+        raise ValueError(
+            f"fitted model: {name} must be {count} finite numbers, got {value!r}"
+        )
+    return numbers
+
+
+def _moments(doc: dict, key: str) -> StandardizationParams:
+    """Standardization moments read by name; other keys are ignored."""
+    section = doc.get(key)
+    if not isinstance(section, dict):
+        raise ValueError(f"fitted model: {key} must be an object with mean and std")
+    std = _number(section.get("std"), f"{key}.std")
+    if std <= 0.0:
+        raise ValueError(f"fitted model: {key}.std must be > 0, got {std}")
+    return StandardizationParams(_number(section.get("mean"), f"{key}.mean"), std)
 
 
 def _design_matrix(start_index: int, count: int, periods) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels_py as kernels
 from .filtering import batch_filter_means
-from .model import InvalidModelError, PmmParams, markov_form, matrix_power_coeffs
+from .model import PmmParams, markov_form, matrix_power_coeffs
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -51,25 +51,11 @@ class Trajectory:
 
 
 def _chol2(mat: np.ndarray) -> tuple[float, float, float]:
-    """Lower Cholesky factor (l11, l21, l22) of a 2x2 PSD matrix.
-
-    Closed form so that PSD-singular noise (a deterministic channel) still
-    yields a usable factor instead of a LinAlgError.
-    """
-    m11, m12 = float(mat[0, 0]), float(mat[0, 1])
-    m22 = float(mat[1, 1])
-    if m11 < -1e-12 or m22 < -1e-12:
-        raise InvalidModelError("covariance has a negative diagonal")
-    if m11 <= 0.0:
-        if abs(m12) > 1e-12:
-            raise InvalidModelError("covariance is not positive semidefinite")
-        return 0.0, 0.0, math.sqrt(max(m22, 0.0))
-    l11 = math.sqrt(m11)
-    l21 = m12 / l11
-    rest = m22 - l21 * l21
-    if rest < -1e-10:
-        raise InvalidModelError("covariance is not positive semidefinite")
-    return l11, l21, math.sqrt(max(rest, 0.0))
+    """Lower Cholesky factor (l11, l21, l22) of a 2x2 positive definite
+    matrix; ``markov_form`` makes both the marginal and Q one."""
+    l11 = math.sqrt(float(mat[0, 0]))
+    l21 = float(mat[0, 1]) / l11
+    return l11, l21, math.sqrt(float(mat[1, 1]) - l21 * l21)
 
 
 def sample(p: PmmParams, n_steps: int, seed: int) -> Trajectory:

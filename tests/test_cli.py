@@ -20,7 +20,7 @@ from pmmkit import (
     validate,
 )
 from pmmkit.cli import main
-from pmmkit.pipeline import StandardizationParams
+from pmmkit.pipeline import DetrendModel, StandardizationParams
 from helpers import FIG2_PARAMS, PRESSURE_PARAMS, quadratic_form_mse
 
 
@@ -75,17 +75,72 @@ class TestSimulate:
         assert err["error"] == "ValueError"
         assert "missing b" in err["message"]
 
-    def test_invalid_params_fail_with_json_error(self, tmp_path, capsys):
+    # Every subcommand that builds a model from the a = 1 document.
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "simulate",
+            "forecast",
+            "evaluate",
+            "monte-carlo-true",
+            "monte-carlo-forecaster",
+            "theoretical-mse",
+            "oracle",
+        ],
+    )
+    def test_invalid_params_fail_with_json_error(
+        self, tmp_path, fig2_params_file, capsys, command
+    ):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"a": 1.0, "b": 0, "c": 0, "d": 0, "e": 0}))
-        code = run_cli(
-            "simulate", "--params", bad, "--n", 10, "--seed", 0,
-            "--output", tmp_path / "t.csv",
+        ident = {"mean": 0.0, "std": 1.0}
+        bad_model = tmp_path / "model.json"
+        bad_model.write_text(
+            json.dumps(
+                {
+                    "params": {"a": 1.0, "b": 0, "c": 0, "d": 0, "e": 0},
+                    "x_standardize": ident,
+                    "y_standardize": ident,
+                }
+            )
         )
-        assert code == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "PmmError"
-        assert not (tmp_path / "t.csv").exists()
+        hmm_file = tmp_path / "hmm.json"
+        save_params(hmm_params(0.9, -0.2), hmm_file)
+        data = tmp_path / "obs.csv"
+        write_series_csv(data, np.zeros(8), np.linspace(-1.0, 1.0, 8))
+        out = tmp_path / "out.csv"
+        argv = {
+            "simulate": [
+                "simulate", "--params", bad, "--n", 10, "--seed", 0, "--output", out,
+            ],
+            "forecast": [
+                "forecast", "--params", bad, "--input", data, "--n", 4, "--k", 2,
+                "--output", out,
+            ],
+            "evaluate": [
+                "evaluate", "--model", bad_model, "--input", data,
+                "--n-grid", 2, "--k-grid", 1, "--output", out,
+            ],
+            "monte-carlo-true": [
+                "monte-carlo", "--params", bad, "--n", 3, "--k", 1, "--reps", 100,
+            ],
+            "monte-carlo-forecaster": [
+                "monte-carlo", "--params", fig2_params_file,
+                "--forecaster-params", bad, "--n", 3, "--k", 1, "--reps", 100,
+            ],
+            "theoretical-mse": [
+                "theoretical-mse", "--params", bad, "--hmm-params", hmm_file,
+                "--n-grid", 4, "--k-grid", 0, "--output", out,
+            ],
+            "oracle": ["oracle", "--params", bad, "--input", data, "--n", 4],
+        }[command]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "InvalidModelError"
+        assert "gamma_pd=False" in err["message"]
+        assert not out.exists()
 
 
 class TestTheoreticalMse:
@@ -367,16 +422,71 @@ class TestEvaluate:
 
 # A bad row at data row 2 of every file; each subcommand reads the y column.
 MALFORMED_INPUTS = {
-    "short_row": ("t,x,y\n1,1.0,2.0\n2,3.0\n3,1.0,2.0\n", "column"),
-    "empty_field": ("t,x,y\n1,1.0,2.0\n2,3.0,\n", "''"),
-    "non_numeric_field": ("t,x,y\n1,1.0,2.0\n2,3.0,abc\n", "'abc'"),
-    "hash_field": ("t,x,y\n1,1.0,2.0\n2,3.0,#\n", "'#'"),
+    "short_row": ("t,x,y\n1,1.0,2.0\n2,3.0\n3,1.0,2.0\n", "column y at data row 2"),
+    "empty_field": ("t,x,y\n1,1.0,2.0\n2,3.0,\n", "'' to float in column y at data row 2"),
+    "non_numeric_field": (
+        "t,x,y\n1,1.0,2.0\n2,3.0,abc\n", "'abc' to float in column y at data row 2"
+    ),
+    "hash_field": ("t,x,y\n1,1.0,2.0\n2,3.0,#\n", "'#' to float in column y at data row 2"),
     "nan": ("t,x,y\n1,1.0,2.0\n2,3.0,nan\n", "column y at data row 2"),
     "inf": ("t,x,y\n1,1.0,2.0\n2,3.0,inf\n", "column y at data row 2"),
     "minus_inf": ("t,x,y\n1,1.0,2.0\n2,3.0,-inf\n", "column y at data row 2"),
     "header_only": ("t,x,y\n", "no data rows"),
     "empty_file": ("", "missing CSV header"),
 }
+
+
+MISSING = object()
+# Edits of a valid fitted-model document that loading must reject, as
+# (key path, new value or MISSING, text the message must contain); the
+# empty path wraps the whole document in a list.
+MALFORMED_MODELS = {
+    "list_document": ((), None, "must be a JSON object"),
+    "missing_params": (("params",), MISSING, "parameters must be an object"),
+    "missing_mean": (("x_standardize", "mean"), MISSING, "x_standardize.mean"),
+    "nan_mean": (("y_standardize", "mean"), float("nan"), "y_standardize.mean"),
+    "string_std": (("y_standardize", "std"), "abc", "y_standardize.std"),
+    "zero_std": (("y_standardize", "std"), 0, "y_standardize.std must be > 0"),
+    "negative_std": (("x_standardize", "std"), -1.0, "x_standardize.std must be > 0"),
+    "short_theta": (("detrend", "theta"), [1.0] * 4, "detrend.theta"),
+    "string_theta": (("detrend", "theta"), [1.0] * 4 + ["x"], "detrend.theta"),
+    "unit_period": (("detrend", "periods"), [1.0, 8772.0], "detrend.periods"),
+    "scalar_fit_window": (("fit_window",), 5, "fit_window"),
+}
+
+
+def _model_doc(path, value):
+    """A valid detrended fitted-model document with one edit applied."""
+    doc = FittedModel(
+        params=FIG2_PARAMS,
+        x_standardize=StandardizationParams(0.0, 1.0),
+        y_standardize=StandardizationParams(0.0, 1.0),
+        detrend=DetrendModel(theta=np.zeros(5), periods=(24.0, 8772.0), sigma=1.0),
+    ).to_json_dict()
+    if not path:
+        return [doc]
+    *outer, key = path
+    section = doc
+    for name in outer:
+        section = section[name]
+    if value is MISSING:
+        del section[key]
+    else:
+        section[key] = value
+    return doc
+
+
+def _model_argv(command, model, data, out):
+    return {
+        "forecast": [
+            "forecast", "--model", model, "--input", data,
+            "--n", 4, "--k", 1, "--output", out,
+        ],
+        "evaluate": [
+            "evaluate", "--model", model, "--input", data,
+            "--n-grid", 2, "--k-grid", 1, "--output", out,
+        ],
+    }[command]
 
 
 class TestMalformedInput:
@@ -415,6 +525,36 @@ class TestMalformedInput:
         assert err["message"].startswith(f"{data}: ")
         assert detail in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+    @pytest.mark.parametrize("command", ["forecast", "evaluate"])
+    def test_model_json_error_names_key(self, tmp_path, capsys, command, case):
+        path, value, detail = MALFORMED_MODELS[case]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(_model_doc(path, value)))
+        data = tmp_path / "obs.csv"
+        write_series_csv(data, np.zeros(8), np.linspace(-1.0, 1.0, 8))
+        out = tmp_path / "out.csv"
+        assert run_cli(*_model_argv(command, model, data, out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError"
+        assert detail in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["forecast", "evaluate"])
+    def test_model_unknown_keys_ignored(self, tmp_path, capsys, command):
+        doc = _model_doc(("y_standardize", "note"), "extra")
+        doc["comment"] = "extra"
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        data = tmp_path / "obs.csv"
+        write_series_csv(data, np.zeros(8), np.linspace(-1.0, 1.0, 8))
+        out = tmp_path / "out.csv"
+        assert run_cli(*_model_argv(command, model, data, out)) == 0
+        capsys.readouterr()
+        assert out.exists()
 
 
 class TestMonteCarlo:

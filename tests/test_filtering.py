@@ -4,6 +4,7 @@ import pytest
 from pmmkit import (
     InvalidModelError,
     PmmParams,
+    TransitionModel,
     batch_filter_means,
     filter_init,
     filter_step,
@@ -17,6 +18,7 @@ from pmmkit.filtering import (
     filter_gain_sequence,
     filter_variance_sequence,
 )
+from pmmkit.model import _transition
 from pmmkit.presets import PRESET_NAMES, get_preset
 from helpers import (
     FIG2_PARAMS,
@@ -74,7 +76,11 @@ class TestStep:
 
     def test_degenerate_channel_raises(self):
         p = PmmParams(0.0, 0.0, 1.0 - 1e-15, 0.0, 0.0)
-        m = markov_form(p)
+        with pytest.raises(InvalidModelError, match="gamma_pd=False"):
+            markov_form(p)
+        # The filter's own guard, on a model that bypasses the gate.
+        A, Q = _transition(p)
+        m = TransitionModel(A=A, Q=Q, marginal=np.eye(2))
         s = filter_init(p, 0.1)
         with pytest.raises(InvalidModelError):
             filter_step(s, m, 0.2)

@@ -280,10 +280,18 @@ READER_INPUTS = {
 
 # (file text, what the error message must contain besides the path).
 REJECTED_INPUTS = {
-    "short_row": ("t,x,y\n1,1.0,2.0\n2,3.0\n3,1.0,2.0\n", "column"),
-    "empty_field": ("t,x,y\n1,1.0,2.0\n2,3.0,\n", "''"),
-    "non_numeric_field": ("t,x,y\n1,1.0,2.0\n2,3.0,abc\n", "'abc'"),
-    "hash_field": ("t,x,y\n1,1.0,2.0\n2,#,2.0\n", "'#'"),
+    "short_row": ("t,x,y\n1,1.0,2.0\n2,3.0\n3,1.0,2.0\n", "column y at data row 2"),
+    "empty_field": ("t,x,y\n1,1.0,2.0\n2,3.0,\n", "'' to float in column y at data row 2"),
+    "non_numeric_field": (
+        "t,x,y\n1,1.0,2.0\n2,3.0,abc\n", "'abc' to float in column y at data row 2"
+    ),
+    "hash_field": ("t,x,y\n1,1.0,2.0\n2,#,2.0\n", "'#' to float in column x at data row 2"),
+    "non_numeric_after_blank_line": (
+        "t,x,y\n1,1.0,2.0\n\n\n2,3.0,abc\n", "'abc' to float in column y at data row 2"
+    ),
+    "short_row_after_blank_line": (
+        "t,x,y\n\n1,1.0,2.0\n\n2,3.0\n", "column y at data row 2"
+    ),
     "nan": ("t,x,y\n1,1.0,2.0\n2,3.0,nan\n", "column y at data row 2"),
     "inf": ("t,x,y\n1,1.0,2.0\n2,inf,2.0\n", "column x at data row 2"),
     "minus_inf": ("t,x,y\n1,1.0,2.0\n\n2,3.0,-inf\n", "column y at data row 2"),
