@@ -49,6 +49,7 @@ from .pipeline import (
 )
 from .presets import PRESET_NAMES, get_preset
 from .simulate import (
+    RNG_ALGORITHM,
     empirical_covariances,
     monte_carlo_mse,
     sample,
@@ -285,7 +286,7 @@ def cmd_monte_carlo(args) -> int:
             "k": args.k,
             "reps": args.reps,
             "seed": args.seed,
-            "rng": "numpy-pcg64",
+            "rng": RNG_ALGORITHM,
             "mse": mse,
             "stderr": stderr,
             "theoretical_mse": theory,
@@ -426,11 +427,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _log_level() -> int:
+    """The level named by PMM_LOG, in any case; WARNING when unset."""
+    name = os.environ.get("PMM_LOG", "WARNING")
+    # Maps a level name to its number and anything else to a string.
+    level = logging.getLevelName(name.upper())
+    if not isinstance(level, int):
+        raise ValueError(
+            f"PMM_LOG={name!r} is not a log level; "
+            "use DEBUG, INFO, WARNING, ERROR or CRITICAL"
+        )
+    return level
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("PMM_LOG", "WARNING").upper())
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        logging.basicConfig(level=_log_level())
         return args.func(args)
     except (PmmError, ValueError, OSError, KeyError) as exc:
         json.dump(

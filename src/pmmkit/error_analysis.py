@@ -28,10 +28,13 @@ The horizon terms are built once up to the largest k; one pass up to the
 largest n then yields every grid point, in O(max n + grid) time and O(1)
 memory in n (the error analysis of suboptimal filters in Anderson & Moore,
 Optimal Filtering, 1979).  Carrying the error e_t rather than the mean m_t
-avoids cancelling two O(1) covariances to get a small MSE: when p_fc is
-the truth, da = 0, e_t decouples and S_n's last entry is the filter
-variance that ``theoretical_mse_pmm`` gives by the scalar recursion.
-Everything here is exact up to floating point; no simulation is involved.
+avoids cancelling two O(1) covariances to get a small MSE.  When p_fc is
+the truth, da = 0, e_t decouples, S_n's last entry is the filter variance
+P_n and the MSE is the optimal one, V[X_{n+k} | Y_1:n]; so
+``theoretical_mse_pmm`` is a one-point call with p_fc = p_true, and
+``theoretical_mse_hmm_under_pmm`` and ``mse_sweep`` call the same pass
+with a hidden-Markov forecaster.  Everything here is exact up to floating
+point; no simulation is involved.
 """
 
 from __future__ import annotations
@@ -40,27 +43,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filtering import (
-    CoefficientVector,
-    filter_coefficients,
-    filter_variance_sequence,
-    riccati_steps,
-)
-from .forecasting import variance_at_horizon
-from .model import (
-    InvalidModelError,
-    PmmParams,
-    TransitionModel,
-    is_hmm,
-    markov_form,
-    matrix_power_coeffs,
-)
+# filter_coefficients is re-exported here for callers that look it up in
+# this module.
+from .filtering import filter_coefficients, riccati_steps
+from .model import InvalidModelError, PmmParams, TransitionModel, is_hmm, markov_form
 
 __all__ = [
-    "CoefficientVector",
     "MseCurve",
     "filter_coefficients",
-    "forecast_coefficients",
     "forecaster_mse",
     "observation_covariance",
     "theoretical_mse_pmm",
@@ -85,17 +75,6 @@ class MseCurve:
             inner = ";".join(f"{k}={v}" for k, v in sorted(self.fixed.items()))
             return f"{self.model_label}({inner})"
         return self.model_label
-
-
-def forecast_coefficients(m: TransitionModel, n: int, k: int) -> CoefficientVector:
-    """Observation weights of the k-step forecast E[X_{n+k} | Y_1:n]."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    base = filter_coefficients(m, n)
-    pc = matrix_power_coeffs(m, k)
-    w = pc.xx * base.weights
-    w[-1] += pc.xy
-    return CoefficientVector(n=n, horizon=k, weights=w)
 
 
 def observation_covariance(m: TransitionModel, b: float, n: int) -> np.ndarray:
@@ -190,15 +169,11 @@ def forecaster_mse(
 
 def theoretical_mse_pmm(p: PmmParams, n: int, k: int) -> float:
     """MSE of the optimal forecaster: V[X_{n+k} | Y_1:n], observation-free."""
-    m = markov_form(p)
-    p_n = float(filter_variance_sequence(m, n)[-1])
-    if k == 0:
-        return p_n
-    return variance_at_horizon(p_n, m, k)
+    return forecaster_mse(p, p, [n], [k])[(n, k)]
 
 
-def _require_hmm(p_hmm: PmmParams, hmm_tol: float = 1e-9) -> None:
-    if not is_hmm(p_hmm, hmm_tol):
+def _require_hmm(p_hmm: PmmParams) -> None:
+    if not is_hmm(p_hmm):
         raise InvalidModelError(
             f"forecaster parameters {p_hmm.astuple()} violate the "
             "hidden-Markov constraints"
@@ -206,10 +181,10 @@ def _require_hmm(p_hmm: PmmParams, hmm_tol: float = 1e-9) -> None:
 
 
 def theoretical_mse_hmm_under_pmm(
-    p_true: PmmParams, p_hmm: PmmParams, n: int, k: int, hmm_tol: float = 1e-9
+    p_true: PmmParams, p_hmm: PmmParams, n: int, k: int
 ) -> float:
     """MSE of the hidden-Markov forecaster when the data follow ``p_true``."""
-    _require_hmm(p_hmm, hmm_tol)
+    _require_hmm(p_hmm)
     return forecaster_mse(p_true, p_hmm, [n], [k])[(n, k)]
 
 

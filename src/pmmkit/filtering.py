@@ -25,14 +25,12 @@ from . import _kernels_py as kernels
 from .model import InvalidModelError, PmmParams, TransitionModel
 
 __all__ = [
-    "CoefficientVector",
     "FilterState",
     "filter_coefficients",
     "filter_init",
     "filter_step",
     "run_filter",
     "filter_variance_sequence",
-    "filter_gain_sequence",
     "riccati_steps",
     "batch_filter_means",
 ]
@@ -41,24 +39,6 @@ __all__ = [
 # update gain is ill-posed.  Only a hand-built TransitionModel gets here:
 # for one from markov_form the denominator is at least min eig Q > PD_TOL.
 DEGENERATE_DENOMINATOR = 1e-14
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Weights w such that the forecaster outputs sum_i w_i * Y_i."""
-
-    n: int
-    horizon: int
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.weights.setflags(write=False)
-
-    def apply(self, ys) -> float:
-        ys = np.asarray(ys, dtype=float)
-        if ys.shape != (self.n,):
-            raise ValueError(f"expected {self.n} observations, got {ys.shape}")
-        return float(self.weights @ ys)
 
 
 @dataclass(frozen=True)
@@ -103,7 +83,7 @@ def filter_step(s: FilterState, m: TransitionModel, y_next: float) -> FilterStat
 def run_filter(m: TransitionModel, ys) -> FilterState:
     """Filter a whole observation sequence.
 
-    The mean is the filter's coefficient vector applied to ys; the variance
+    The mean is ``filter_coefficients(m, n) @ ys``; the variance
     is the last term of the model's variance recursion.  Both match
     filter_init followed by filter_step over ys[1:].
     """
@@ -156,11 +136,6 @@ def filter_variance_sequence(m: TransitionModel, n: int) -> np.ndarray:
     return _variance_and_gains(m, n)[0]
 
 
-def filter_gain_sequence(m: TransitionModel, n: int) -> np.ndarray:
-    """The gains used at steps 2..n; observation-independent."""
-    return _variance_and_gains(m, n)[1]
-
-
 def _weights(m: TransitionModel, gains: np.ndarray) -> np.ndarray:
     # Absorbing observation t scales every earlier weight by
     # c_t = a1 - a3*G_t, adds d_t = a2 - a4*G_t to the weight of
@@ -179,13 +154,15 @@ def _weights(m: TransitionModel, gains: np.ndarray) -> np.ndarray:
     return weights
 
 
-def filter_coefficients(m: TransitionModel, n: int) -> CoefficientVector:
-    """Observation weights of the filter mean E[X_n | Y_1:n]; cost O(n).
+def filter_coefficients(m: TransitionModel, n: int) -> np.ndarray:
+    """Read-only weights w of the filter mean E[X_n | Y_1:n] = w @ Y_1:n;
+    cost O(n).
 
     The gains come from the model's own variance recursion.
     """
-    _, gains = _variance_and_gains(m, n)
-    return CoefficientVector(n=n, horizon=0, weights=_weights(m, gains))
+    weights = _weights(m, _variance_and_gains(m, n)[1])
+    weights.setflags(write=False)
+    return weights
 
 
 def batch_filter_means(m: TransitionModel, obs: np.ndarray) -> np.ndarray:
@@ -196,5 +173,4 @@ def batch_filter_means(m: TransitionModel, obs: np.ndarray) -> np.ndarray:
     obs = np.asarray(obs, dtype=float)
     if obs.ndim != 2 or obs.shape[1] < 1:
         raise ValueError("obs must be 2-d with at least one column")
-    weights = filter_coefficients(m, obs.shape[1]).weights
-    return kernels.batch_filter_means(weights, obs)
+    return kernels.batch_filter_means(filter_coefficients(m, obs.shape[1]), obs)

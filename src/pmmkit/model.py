@@ -238,7 +238,7 @@ def matrix_power_coeffs(m: TransitionModel, k: int) -> PowerCoeffs:
     return PowerCoeffs(k, power[0, 0], power[0, 1], power[1, 0], power[1, 1])
 
 
-def validate(p: PmmParams, hmm_tol: float = 1e-9) -> ValidationReport:
+def validate(p: PmmParams) -> ValidationReport:
     """Full admissibility report: 4x4 PD, noise PSD, spectral radius < 1."""
     gamma_min = float(np.linalg.eigvalsh(gamma_from_params(p)).min())
     gamma_pd = gamma_min > PD_TOL
@@ -257,7 +257,7 @@ def validate(p: PmmParams, hmm_tol: float = 1e-9) -> ValidationReport:
         q_psd=bool(q_min >= -PD_TOL),
         spectral_radius=radius,
         spectral_ok=bool(radius < 1.0 - SPECTRAL_TOL),
-        is_hmm=is_hmm(p, hmm_tol),
+        is_hmm=is_hmm(p),
     )
 
 

@@ -299,7 +299,7 @@ def _window_errors(model: FittedModel, x_test, y_test, n_values, k_values):
                 )
     m = markov_form(model.params)
     for n in n_values:
-        means = np.correlate(y_std, filter_coefficients(m, n).weights, "valid")
+        means = np.correlate(y_std, filter_coefficients(m, n), "valid")
         for k in k_values:
             count = x_test.size - n - k + 1
             pc = matrix_power_coeffs(m, k)

@@ -1,7 +1,8 @@
 """Shared test utilities: random admissible models, an independent scalar
 Kalman reference for the hidden-Markov special case, and the step-by-step
-loops, the n x n quadratic form and the row-by-row CSV reader that the
-production paths replaced, kept as references."""
+loops, the per-horizon forecast and variance recursions, the forecast
+coefficients, the n x n quadratic form and the row-by-row CSV reader that
+the production paths replaced, kept as references."""
 
 from __future__ import annotations
 
@@ -9,17 +10,10 @@ import csv
 
 import numpy as np
 
-from pmmkit import (
-    PmmParams,
-    filter_coefficients,
-    forecast_coefficients,
-    hmm_params,
-    markov_form,
-    observation_covariance,
-    theoretical_mse_pmm,
-    validate,
-)
-from pmmkit.filtering import filter_gain_sequence, riccati_steps
+from pmmkit import PmmParams, filter_coefficients, hmm_params, markov_form, validate
+from pmmkit.error_analysis import observation_covariance
+from pmmkit.filtering import filter_variance_sequence, riccati_steps
+from pmmkit.model import matrix_power_coeffs
 
 
 def random_valid_params(rng, max_spectral_radius: float = 0.999) -> PmmParams:
@@ -129,7 +123,7 @@ def quadratic_filter_coefficients(m, n: int) -> np.ndarray:
     previously-last observation, and appends the gain G."""
     a1, a2 = m.A[0]
     a3, a4 = m.A[1]
-    gains = filter_gain_sequence(m, n)
+    gains = loop_variance_and_gains(m, n)[1]
     w = np.zeros(n)
     w[0] = m.b
     for t in range(2, n + 1):
@@ -137,6 +131,51 @@ def quadratic_filter_coefficients(m, n: int) -> np.ndarray:
         w[: t - 1] *= a1 - a3 * g
         w[t - 2] += a2 - a4 * g
         w[t - 1] = g
+    return w
+
+
+def reference_forecast(s, m, k: int) -> tuple[float, float]:
+    """Predictive mean and variance at horizon k >= 1 from a filter state,
+    each horizon rebuilt from scratch: the mean from the entries of A^k,
+    the variance by k steps of S <- A S A^T + Q from diag(P, 0)."""
+    if k < 1:
+        raise ValueError(f"forecast horizon must be >= 1, got {k}")
+    pc = matrix_power_coeffs(m, k)
+    cov = np.array([[s.variance, 0.0], [0.0, 0.0]])
+    for _ in range(k):
+        cov = m.A @ cov @ m.A.T + m.Q
+    return pc.xx * s.mean + pc.xy * s.last_y, float(cov[0, 0])
+
+
+def scalar_mse_grid(p: PmmParams, n_values, k_values) -> dict:
+    """MSE of the optimal forecaster, V[X_{n+k} | Y_1:n], for every (n, k)
+    of the grid by the scalar recursions: the filter variance P_n, then k
+    steps of S <- A S A^T + Q from diag(P_n, 0), run for all n at once."""
+    m = markov_form(p)
+    n_values = np.array(sorted(set(n_values)))
+    cov = np.zeros((n_values.size, 2, 2))
+    cov[:, 0, 0] = filter_variance_sequence(m, n_values[-1])[n_values - 1]
+    out = {}
+    for k in range(max(k_values) + 1):
+        if k in k_values:
+            out.update(((int(n), k), float(v)) for n, v in zip(n_values, cov[:, 0, 0]))
+        cov = m.A @ cov @ m.A.T + m.Q
+    return out
+
+
+def scalar_mse_pmm(p: PmmParams, n: int, k: int) -> float:
+    """One point of ``scalar_mse_grid``."""
+    return scalar_mse_grid(p, [n], [k])[(n, k)]
+
+
+def forecast_coefficients(m, n: int, k: int) -> np.ndarray:
+    """Observation weights of the k-step forecast E[X_{n+k} | Y_1:n]: the
+    filter weights scaled by [A^k]_00, plus [A^k]_01 on the last one."""
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    pc = matrix_power_coeffs(m, k)
+    w = pc.xx * filter_coefficients(m, n)
+    w[-1] += pc.xy
     return w
 
 
@@ -148,14 +187,11 @@ def quadratic_form_mse(p_true: PmmParams, p_fc: PmmParams, n: int, k: int) -> fl
     m_true = markov_form(p_true)
     m_fc = markov_form(p_fc)
     if k == 0:
-        w_true = filter_coefficients(m_true, n).weights
-        w_fc = filter_coefficients(m_fc, n).weights
+        delta = filter_coefficients(m_true, n) - filter_coefficients(m_fc, n)
     else:
-        w_true = forecast_coefficients(m_true, n, k).weights
-        w_fc = forecast_coefficients(m_fc, n, k).weights
-    delta = w_true - w_fc
+        delta = forecast_coefficients(m_true, n, k) - forecast_coefficients(m_fc, n, k)
     sigma = observation_covariance(m_true, m_true.b, n)
-    return theoretical_mse_pmm(p_true, n, k) + float(delta @ sigma @ delta)
+    return scalar_mse_pmm(p_true, n, k) + float(delta @ sigma @ delta)
 
 
 # Reference parameter sets.  fig2/fig4 perturb the cross covariances of the

@@ -15,22 +15,19 @@ import pytest
 from pmmkit import (
     FittedModel,
     estimate_params,
-    forecast_mean,
-    forecast_variance,
+    forecast,
     hmm_params,
     markov_form,
     monte_carlo_mse,
-    observation_covariance,
-    oracle_filter,
-    oracle_forecast,
     run_filter,
     sample,
     theoretical_mse_hmm_under_pmm,
     theoretical_mse_pmm,
 )
 from pmmkit.cli import main as cli_main
-from pmmkit.error_analysis import filter_coefficients, mse_sweep
+from pmmkit.error_analysis import filter_coefficients, mse_sweep, observation_covariance
 from pmmkit.filtering import filter_init, filter_step
+from pmmkit.oracle import oracle_filter, oracle_forecast
 from pmmkit.pipeline import (
     StandardizationParams,
     detrend,
@@ -66,8 +63,9 @@ def test_criterion_01_oracle_equivalence():
         assert abs(state.mean - o_mean) < 1e-9
         assert abs(state.variance - o_var) < 1e-9
         f_mean, f_var = oracle_forecast(p, ys, k)
-        assert abs(forecast_mean(state, m, k) - f_mean) < 1e-9
-        assert abs(forecast_variance(state, m, k) - f_var) < 1e-9
+        result = forecast(state, m, k)
+        assert abs(result.mean - f_mean) < 1e-9
+        assert abs(result.variance - f_var) < 1e-9
     assert time.perf_counter() - started < 10.0
 
 
@@ -83,8 +81,9 @@ def test_criterion_02_hmm_degeneracy():
         ref_m, ref_v, ref_fm, ref_fv = scalar_hmm_kalman(a, b, ys, k)
         assert abs(state.mean - ref_m) < 1e-12
         assert abs(state.variance - ref_v) < 1e-12
-        assert abs(forecast_mean(state, m, k) - ref_fm) < 1e-12
-        assert abs(forecast_variance(state, m, k) - ref_fv) < 1e-12
+        result = forecast(state, m, k)
+        assert abs(result.mean - ref_fm) < 1e-12
+        assert abs(result.variance - ref_fv) < 1e-12
 
 
 def _filtering_ratio_curves(preset):
@@ -295,7 +294,7 @@ def test_criterion_10_invariant_suite():
             if t > 1:
                 state = filter_step(state, m, ys[t - 1])
             coeffs = filter_coefficients(m, t)
-            assert abs(coeffs.apply(ys[:t]) - state.mean) < 1e-10
+            assert abs(coeffs @ ys[:t] - state.mean) < 1e-10
         cases += 1
 
     assert cases >= 500

@@ -72,7 +72,7 @@ def test_linear_filter_coefficients_match_quadratic_loop(preset, which, n):
     pr = get_preset(preset)
     m = markov_form(pr.true_params if which == "true" else pr.hmm_reference)
     np.testing.assert_allclose(
-        filter_coefficients(m, n).weights,
+        filter_coefficients(m, n),
         quadratic_filter_coefficients(m, n),
         rtol=1e-13,
         atol=0,

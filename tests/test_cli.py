@@ -11,17 +11,15 @@ import pmmkit
 from pmmkit import (
     FittedModel,
     PmmParams,
-    evaluate,
     get_preset,
     hmm_params,
-    is_hmm,
     sample,
-    save_params,
     validate,
 )
 from pmmkit.cli import main
-from pmmkit.pipeline import DetrendModel, StandardizationParams
-from helpers import FIG2_PARAMS, PRESSURE_PARAMS, quadratic_form_mse
+from pmmkit.model import is_hmm, save_params
+from pmmkit.pipeline import DetrendModel, StandardizationParams, evaluate
+from helpers import FIG2_PARAMS, PRESSURE_PARAMS, quadratic_form_mse, scalar_mse_pmm
 
 
 @pytest.fixture
@@ -618,6 +616,60 @@ class TestOracleSubcommand:
             payload["theoretical_mse"], abs=1e-9
         )
 
+    @pytest.mark.parametrize("preset", ["fig2", "fig4"])
+    def test_theoretical_mse_matches_scalar_reference(self, tmp_path, capsys, preset):
+        p = get_preset(preset).true_params
+        params = tmp_path / "params.json"
+        save_params(p, params)
+        data = tmp_path / "obs.csv"
+        write_series_csv(data, np.zeros(12), sample(p, 12, seed=3).y)
+        # The oracle conditions the joint law, so n + k stays within its cap.
+        for n in (1, 5, 11):
+            for k in (0, 1, 5):
+                code = run_cli(
+                    "oracle", "--params", params, "--input", data,
+                    "--n", n, "--k", k,
+                )
+                assert code == 0
+                got = json.loads(capsys.readouterr().out)["theoretical_mse"]
+                want = scalar_mse_pmm(p, n, k)
+                assert abs(got - want) <= 1e-12 * want
+
+
+def _python(argv, cwd, **env):
+    """A fresh interpreter that imports this pmmkit, run in ``cwd``."""
+    src = str(Path(pmmkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        cwd=cwd,
+    )
+
+
+class TestLogLevel:
+    ARGV = [
+        "-m", "pmmkit.cli", "theoretical-mse", "--preset", "fig2", "--output", "t.csv",
+    ]
+
+    def test_unknown_level_is_a_json_error(self, tmp_path):
+        out = _python(self.ARGV, tmp_path, PMM_LOG="verbose")
+        assert out.returncode == 1
+        assert out.stdout == ""
+        [line] = out.stderr.splitlines()
+        error = json.loads(line)
+        assert error["error"] == "ValueError"
+        assert "PMM_LOG" in error["message"] and "verbose" in error["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_level_name_is_case_insensitive(self, tmp_path):
+        out = _python(self.ARGV, tmp_path, PMM_LOG="info")
+        assert out.returncode == 0, out.stderr
+        assert "wrote t.csv" in out.stderr
+        assert (tmp_path / "t.csv").is_file()
+
 
 def test_module_entry_point():
     out = subprocess.run(
@@ -630,15 +682,8 @@ def test_module_entry_point():
 
 
 def test_import_leaves_scipy_out(tmp_path):
-    src = str(Path(pmmkit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run(
-        [sys.executable, "-c", "import pmmkit.cli, sys; print('scipy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tmp_path,
+    out = _python(
+        ["-c", "import pmmkit.cli, sys; print('scipy' in sys.modules)"], tmp_path
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"

@@ -6,29 +6,30 @@ import pytest
 
 from pmmkit import (
     InvalidModelError,
-    build_joint,
     filter_coefficients,
-    forecast_coefficients,
     forecaster_mse,
     get_preset,
     hmm_params,
     markov_form,
-    matrix_power_coeffs,
     mse_sweep,
-    observation_covariance,
     run_filter,
     theoretical_mse_hmm_under_pmm,
     theoretical_mse_pmm,
 )
-from pmmkit.error_analysis import curves_to_csv
+from pmmkit.error_analysis import curves_to_csv, observation_covariance
 from pmmkit.filtering import filter_init, filter_step
+from pmmkit.model import matrix_power_coeffs
+from pmmkit.oracle import build_joint
 from pmmkit.simulate import monte_carlo_mse
 from helpers import (
     FIG2_PARAMS,
+    forecast_coefficients,
     quadratic_form_mse,
     random_hmm,
     random_valid_params,
     scalar_hmm_filter_coefficients,
+    scalar_mse_grid,
+    scalar_mse_pmm,
 )
 
 FIG2_MODEL = markov_form(FIG2_PARAMS)
@@ -40,9 +41,9 @@ def direct_hmm_mse(p_true, p_hmm, n, k):
     joint = build_joint(p_true, n, k)
     m_hmm = markov_form(p_hmm)
     if k == 0:
-        w = filter_coefficients(m_hmm, n).weights
+        w = filter_coefficients(m_hmm, n)
     else:
-        w = forecast_coefficients(m_hmm, n, k).weights
+        w = forecast_coefficients(m_hmm, n, k)
     target = joint.x_index(n + k)
     given = [joint.y_index(t) for t in range(1, n + 1)]
     sigma_yy = joint.matrix[np.ix_(given, given)]
@@ -55,16 +56,20 @@ class TestFilterCoefficients:
         rng = np.random.default_rng(51)
         for _ in range(5):
             m = markov_form(random_valid_params(rng))
-            np.testing.assert_array_equal(
-                filter_coefficients(m, 1).weights, [m.b]
-            )
+            np.testing.assert_array_equal(filter_coefficients(m, 1), [m.b])
+
+    def test_weights_are_read_only(self):
+        weights = filter_coefficients(FIG2_MODEL, 4)
+        assert weights.shape == (4,)
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
 
     def test_reproduces_filter_mean(self):
         rng = np.random.default_rng(52)
         ys = rng.standard_normal(5)
         coeffs = filter_coefficients(FIG2_MODEL, 5)
         state = run_filter(FIG2_MODEL, ys)
-        assert coeffs.apply(ys) == pytest.approx(state.mean, abs=1e-10)
+        assert coeffs @ ys == pytest.approx(state.mean, abs=1e-10)
 
     def test_prefix_duality_with_filter_steps(self):
         rng = np.random.default_rng(53)
@@ -77,25 +82,27 @@ class TestFilterCoefficients:
                 if t > 1:
                     state = filter_step(state, m, ys[t - 1])
                 coeffs = filter_coefficients(m, t)
-                assert coeffs.apply(ys[:t]) == pytest.approx(state.mean, abs=1e-10)
+                assert coeffs @ ys[:t] == pytest.approx(state.mean, abs=1e-10)
 
     def test_hmm_matches_textbook_scalar_coefficients(self):
-        weights = filter_coefficients(markov_form(HMM_BASE), 4).weights
+        weights = filter_coefficients(markov_form(HMM_BASE), 4)
         reference = scalar_hmm_filter_coefficients(0.9, -0.2, 4)
         np.testing.assert_allclose(weights, reference, atol=1e-12)
 
 
 class TestForecastCoefficients:
+    """The k-step weights that quadratic_form_mse and direct_hmm_mse use."""
+
     def test_memory_loss_at_long_horizon(self):
         coeffs = forecast_coefficients(FIG2_MODEL, 6, 400)
-        np.testing.assert_allclose(coeffs.weights, np.zeros(6), atol=1e-12)
+        np.testing.assert_allclose(coeffs, np.zeros(6), atol=1e-12)
 
     def test_hmm_last_weight_uncorrected(self):
         m = markov_form(HMM_BASE)
-        base = filter_coefficients(m, 5).weights
+        base = filter_coefficients(m, 5)
         pc = matrix_power_coeffs(m, 3)
         np.testing.assert_allclose(
-            forecast_coefficients(m, 5, 3).weights, pc.xx * base, atol=1e-14
+            forecast_coefficients(m, 5, 3), pc.xx * base, atol=1e-14
         )
 
     def test_reproduces_forecast_mean(self):
@@ -105,7 +112,7 @@ class TestForecastCoefficients:
         state = run_filter(FIG2_MODEL, ys)
         pc = matrix_power_coeffs(FIG2_MODEL, 2)
         expected = pc.xx * state.mean + pc.xy * state.last_y
-        assert coeffs.apply(ys) == pytest.approx(expected, abs=1e-10)
+        assert coeffs @ ys == pytest.approx(expected, abs=1e-10)
 
 
 class TestObservationCovariance:
@@ -163,11 +170,25 @@ class TestTheoreticalMse:
                 var, abs=1e-9
             )
 
+    @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4", "fig5"])
+    def test_matches_scalar_reference_on_preset_grid(self, preset):
+        p = get_preset(preset).true_params
+        n_values, k_values = [*range(1, 401), 20_000], [0, 1, 5, 48, 600]
+        want = scalar_mse_grid(p, n_values, k_values)
+        got = forecaster_mse(p, p, n_values, k_values)
+        assert sorted(got) == sorted(want)
+        for key, mse in got.items():
+            assert abs(mse - want[key]) <= 1e-12 * want[key]
+        # theoretical_mse_pmm is one point of that grid.
+        singles = [(n, k) for n in (1, 2, 37, 400) for k in k_values]
+        for n, k in singles + [(20_000, 0)]:
+            assert theoretical_mse_pmm(p, n, k) == got[(n, k)]
+
     def test_identical_forecasters_coincide(self):
         for n, k in ((1, 0), (4, 0), (3, 2), (6, 5)):
             assert theoretical_mse_hmm_under_pmm(
                 HMM_BASE, HMM_BASE, n, k
-            ) == pytest.approx(theoretical_mse_pmm(HMM_BASE, n, k), abs=1e-12)
+            ) == pytest.approx(scalar_mse_pmm(HMM_BASE, n, k), abs=1e-12)
 
     def test_non_hmm_forecaster_rejected(self):
         with pytest.raises(InvalidModelError):
@@ -216,7 +237,7 @@ class TestForecasterMse:
                 else:
                     n, k = curve.fixed.get("n", n_values[0]), index
                 if curve.model_label == "PMM":
-                    want = theoretical_mse_pmm(fig.true_params, n, k)
+                    want = scalar_mse_pmm(fig.true_params, n, k)
                 else:
                     want = quadratic_form_mse(fig.true_params, fig.hmm_reference, n, k)
                 assert abs(mse - want) <= 1e-12 * want
@@ -235,7 +256,7 @@ class TestForecasterMse:
                 for k in k_values:
                     want = quadratic_form_mse(p_true, p_fc, n, k)
                     assert abs(got[(n, k)] - want) <= 1e-12 * want
-                    want = theoretical_mse_pmm(p_true, n, k)
+                    want = scalar_mse_pmm(p_true, n, k)
                     assert abs(optimal[(n, k)] - want) <= 1e-12 * want
 
     def test_grid_points_equal_single_points(self):
@@ -260,7 +281,7 @@ class TestForecasterMse:
         # fig4's error has settled to the last digit long before n = 1000.
         want = quadratic_form_mse(fig.true_params, fig.hmm_reference, 1000, 0)
         assert abs(hmm[(20_000, 0)] - want) <= 1e-12 * want
-        want = theoretical_mse_pmm(fig.true_params, 20_000, 0)
+        want = scalar_mse_pmm(fig.true_params, 20_000, 0)
         assert abs(pmm[(20_000, 0)] - want) <= 1e-12 * want
 
     @pytest.mark.parametrize(

@@ -5,20 +5,19 @@ from pmmkit import (
     InvalidModelError,
     PmmParams,
     TransitionModel,
-    batch_filter_means,
     filter_init,
     filter_step,
     hmm_params,
     markov_form,
-    oracle_filter,
     run_filter,
 )
 from pmmkit.filtering import (
     _variance_and_gains,
-    filter_gain_sequence,
+    batch_filter_means,
     filter_variance_sequence,
 )
 from pmmkit.model import _transition
+from pmmkit.oracle import oracle_filter
 from pmmkit.presets import PRESET_NAMES, get_preset
 from helpers import (
     FIG2_PARAMS,
@@ -189,5 +188,5 @@ class TestBatch:
         np.testing.assert_allclose(batch_filter_means(m, obs), m.b * obs[:, 0])
 
     def test_gain_sequence_length(self):
-        assert filter_gain_sequence(FIG2_MODEL, 5).shape == (4,)
-        assert filter_gain_sequence(FIG2_MODEL, 1).shape == (0,)
+        assert _variance_and_gains(FIG2_MODEL, 5)[1].shape == (4,)
+        assert _variance_and_gains(FIG2_MODEL, 1)[1].shape == (0,)

@@ -5,17 +5,14 @@ from pmmkit import (
     PmmParams,
     filter_init,
     forecast,
-    forecast_mean,
-    forecast_variance,
+    forecast_path,
     hmm_params,
     markov_form,
-    matrix_power_coeffs,
-    oracle_forecast,
     run_filter,
 )
-from pmmkit.filtering import filter_variance_sequence
-from pmmkit.forecasting import forecast_path, variance_at_horizon
-from helpers import FIG2_PARAMS, random_valid_params
+from pmmkit.model import matrix_power_coeffs
+from pmmkit.oracle import oracle_forecast
+from helpers import FIG2_PARAMS, random_valid_params, reference_forecast
 
 FIG2_MODEL = markov_form(FIG2_PARAMS)
 
@@ -23,41 +20,41 @@ FIG2_MODEL = markov_form(FIG2_PARAMS)
 class TestMean:
     def test_long_horizon_relaxes_to_zero(self):
         s = run_filter(FIG2_MODEL, [0.3, -1.1, 0.7])
-        assert abs(forecast_mean(s, FIG2_MODEL, 500)) < 1e-6
+        assert abs(forecast(s, FIG2_MODEL, 500).mean) < 1e-6
 
     def test_hmm_mean_is_geometric(self):
         a, b = 0.8, -0.4
         m = markov_form(hmm_params(a, b))
         s = run_filter(m, [0.5, 1.2, -0.3])
         for k in range(1, 11):
-            assert forecast_mean(s, m, k) == pytest.approx(a**k * s.mean, rel=1e-12)
+            assert forecast(s, m, k).mean == pytest.approx(a**k * s.mean, rel=1e-12)
 
     def test_pinned_fig2_value(self):
         s = run_filter(FIG2_MODEL, [0.3, -1.1, 0.7])
-        assert forecast_mean(s, FIG2_MODEL, 2) == pytest.approx(
+        assert forecast(s, FIG2_MODEL, 2).mean == pytest.approx(
             0.047934136586871838, abs=1e-12
         )
 
     def test_horizon_must_be_positive(self):
         s = filter_init(FIG2_PARAMS, 0.2)
         with pytest.raises(ValueError):
-            forecast_mean(s, FIG2_MODEL, 0)
+            forecast(s, FIG2_MODEL, 0)
 
 
 class TestVariance:
     def test_long_horizon_relaxes_to_unit(self):
         s = run_filter(FIG2_MODEL, [0.3, -1.1, 0.7])
-        assert forecast_variance(s, FIG2_MODEL, 500) == pytest.approx(1.0, abs=1e-6)
+        assert forecast(s, FIG2_MODEL, 500).variance == pytest.approx(1.0, abs=1e-6)
 
     def test_memoryless_model_one_step(self):
         p = hmm_params(0.0, 0.4)
         m = markov_form(p)
         s = filter_init(p, 1.1)
-        assert forecast_variance(s, m, 1) == pytest.approx(1.0, abs=1e-14)
+        assert forecast(s, m, 1).variance == pytest.approx(1.0, abs=1e-14)
 
     def test_pinned_fig2_value(self):
         s = run_filter(FIG2_MODEL, [0.3, -1.1, 0.7])
-        assert forecast_variance(s, FIG2_MODEL, 2) == pytest.approx(
+        assert forecast(s, FIG2_MODEL, 2).variance == pytest.approx(
             0.46789136023225519, abs=1e-12
         )
 
@@ -93,8 +90,9 @@ class TestOracleEquivalence:
             m = markov_form(p)
             s = run_filter(m, ys)
             mean, var = oracle_forecast(p, ys, k)
-            assert forecast_mean(s, m, k) == pytest.approx(mean, abs=1e-9)
-            assert forecast_variance(s, m, k) == pytest.approx(var, abs=1e-9)
+            result = forecast(s, m, k)
+            assert result.mean == pytest.approx(mean, abs=1e-9)
+            assert result.variance == pytest.approx(var, abs=1e-9)
 
 
 class TestVarianceProfile:
@@ -103,8 +101,8 @@ class TestVarianceProfile:
         for _ in range(20):
             a, b = rng.uniform(-0.95, 0.95, size=2)
             m = markov_form(hmm_params(a, b))
-            p_n = float(filter_variance_sequence(m, 5)[-1])
-            profile = [variance_at_horizon(p_n, m, k) for k in range(0, 30)]
+            s = run_filter(m, np.zeros(5))
+            profile = [s.variance] + [r.variance for r in forecast_path(s, m, 29)]
             assert np.all(np.diff(profile) >= -1e-12)
 
     def test_general_model_nonnegative_and_converging(self):
@@ -112,13 +110,10 @@ class TestVarianceProfile:
         for _ in range(20):
             p = random_valid_params(rng, max_spectral_radius=0.98)
             m = markov_form(p)
-            p_n = float(filter_variance_sequence(m, 4)[-1])
-            # variance_at_horizon(p_n, m, k) for k = 0..399, in one pass.
-            cov = np.array([[p_n, 0.0], [0.0, 0.0]])
-            profile = np.empty(400)
-            for k in range(400):
-                profile[k] = cov[0, 0]
-                cov = m.A @ cov @ m.A.T + m.Q
+            s = run_filter(m, np.zeros(4))
+            profile = np.array(
+                [s.variance] + [r.variance for r in forecast_path(s, m, 399)]
+            )
             assert np.all(profile >= 0.0)
             assert np.all(profile <= 1.0 + 1e-9)
             assert profile[-1] == pytest.approx(1.0, abs=1e-3)
@@ -129,7 +124,7 @@ class TestVarianceProfile:
         # (Under the hidden-Markov constraints this never happens, see
         # test_nondecreasing_under_hmm.)
         s = run_filter(FIG2_MODEL, [0.3, -1.1, 0.7])
-        assert forecast_variance(s, FIG2_MODEL, 1) < s.variance
+        assert forecast(s, FIG2_MODEL, 1).variance < s.variance
 
     def test_composition_identity(self):
         # The j+k horizon equals composing the j and k power coefficients.
@@ -143,7 +138,7 @@ class TestVarianceProfile:
             pk = matrix_power_coeffs(m, k)
             composed_xx = pj.xx * pk.xx + pj.xy * pk.yx
             composed_xy = pj.xx * pk.xy + pj.xy * pk.yy
-            direct = forecast_mean(s, m, j + k)
+            direct = forecast(s, m, j + k).mean
             assert direct == pytest.approx(
                 composed_xx * s.mean + composed_xy * s.last_y, abs=1e-12
             )
@@ -157,13 +152,15 @@ class TestPath:
             state = run_filter(m, rng.standard_normal(30))
             path = forecast_path(state, m, 200)
             assert [r.horizon for r in path] == list(range(1, 201))
-            want = [forecast(state, m, k) for k in range(1, 201)]
+            want = np.array([reference_forecast(state, m, k) for k in range(1, 201)])
             np.testing.assert_allclose(
-                [r.mean for r in path], [r.mean for r in want], rtol=1e-13, atol=0
+                [r.mean for r in path], want[:, 0], rtol=1e-13, atol=0
             )
             np.testing.assert_allclose(
-                [r.variance for r in path], [r.variance for r in want], rtol=1e-13, atol=0
+                [r.variance for r in path], want[:, 1], rtol=1e-13, atol=0
             )
+            for k in (1, 2, 17, 200):
+                assert forecast(state, m, k) == path[k - 1]
 
     def test_horizon_must_be_positive(self):
         state = run_filter(FIG2_MODEL, [0.5])

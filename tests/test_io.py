@@ -5,8 +5,9 @@ import pytest
 
 import pmmkit.model
 import pmmkit.pipeline
-from pmmkit import FittedModel, estimate_params, load_params, sample, save_params
+from pmmkit import FittedModel, estimate_params, load_params, sample
 from pmmkit.io import atomic_write
+from pmmkit.model import save_params
 from helpers import FIG2_PARAMS
 
 

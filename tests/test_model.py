@@ -6,15 +6,12 @@ import pytest
 from pmmkit import (
     InvalidModelError,
     PmmParams,
-    gamma_from_params,
     hmm_params,
-    is_hmm,
     load_params,
     markov_form,
-    matrix_power_coeffs,
-    save_params,
     validate,
 )
+from pmmkit.model import gamma_from_params, is_hmm, matrix_power_coeffs, save_params
 from helpers import FIG2_PARAMS, FIG4_PARAMS, PRESSURE_PARAMS, random_valid_params
 
 

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from pmmkit import (
-    InvalidModelError,
-    PmmParams,
-    build_joint,
-    conditional,
-    gamma_from_params,
-    markov_form,
-)
-from pmmkit.oracle import JointCovariance
+from pmmkit import InvalidModelError, PmmParams, markov_form
+from pmmkit.model import gamma_from_params
+from pmmkit.oracle import JointCovariance, build_joint, conditional
 from pmmkit.error_analysis import filter_coefficients, theoretical_mse_pmm
 from helpers import FIG2_PARAMS, random_valid_params
 
@@ -94,7 +88,7 @@ class TestAgainstRecursions:
                 j, j.x_index(n), [j.y_index(t) for t in range(1, n + 1)]
             )
             coeffs = filter_coefficients(markov_form(p), n)
-            np.testing.assert_allclose(w, coeffs.weights, atol=1e-9)
+            np.testing.assert_allclose(w, coeffs, atol=1e-9)
 
     def test_conditional_variance_matches_theoretical_mse(self):
         rng = np.random.default_rng(44)

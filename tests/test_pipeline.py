@@ -3,12 +3,8 @@ import pytest
 
 from pmmkit import (
     FittedModel,
-    detrend,
     estimate_params,
-    evaluate,
-    fit_detrend,
     hmm_params,
-    read_series_csv,
     sample,
     theoretical_mse_pmm,
     validate,
@@ -16,8 +12,12 @@ from pmmkit import (
 from pmmkit.io import read_columns
 from pmmkit.pipeline import (
     StandardizationParams,
+    detrend,
+    evaluate,
     evaluate_errors,
     evaluate_grid,
+    fit_detrend,
+    read_series_csv,
     seasonal_values,
 )
 from helpers import FIG2_PARAMS, dictreader_columns
