@@ -2,7 +2,8 @@
 
 Neither simulation recursion runs one Python iteration per step of a long
 series: replicate trajectories advance together, one time step per
-iteration, and a single trajectory runs as a blocked scan.
+iteration, and a single trajectory runs as a blocked scan.  Neither bounds
+its own memory: the caller sizes the replicate block or the trajectory.
 """
 
 from __future__ import annotations
@@ -11,9 +12,6 @@ import numpy as np
 
 # Steps per block of the blocked scan in simulate_pairs.
 SCAN_BLOCK = 256
-# Replicates advanced together in simulate_block: a chunk's rows stay in
-# cache, and its time-major noise copy stays under 1 MB at 50 steps.
-REPLICATE_CHUNK = 1024
 
 
 def simulate_pairs(a1, a2, a3, a4, l11, l21, l22, x0, y0, eps):
@@ -71,24 +69,23 @@ def simulate_block(a1, a2, a3, a4, l11, l21, l22, x0, y0, eps):
     """Independent replicate trajectories, one per row.
 
     ``x0``, ``y0`` have shape (reps,); ``eps`` has shape (reps, steps-1, 2).
-    The trajectories are stored time-major and advance one chunk of
-    replicates at a time, so each step works on short contiguous rows and
-    only the chunk's noise is copied to time-major order.  The returned
-    (reps, steps) arrays are transposed views of that storage.
+    Every replicate it is given advances together, one step per iteration.
+    The returned (reps, steps) arrays are in Fortran order, so each step
+    writes contiguous columns; the noise is read in place.  Memory is
+    O(reps * steps): callers that need a bound pass a block of replicates
+    at a time.
     """
     reps, steps_m1, _ = eps.shape
-    x = np.empty((steps_m1 + 1, reps))
-    y = np.empty((steps_m1 + 1, reps))
-    x[0] = x0
-    y[0] = y0
-    for lo in range(0, reps, REPLICATE_CHUNK):
-        chunk = slice(lo, lo + REPLICATE_CHUNK)
-        noise = eps[chunk].transpose(1, 2, 0).copy()  # (steps-1, 2, chunk)
-        for t, (u, v) in enumerate(noise, start=1):
-            x_prev, y_prev = x[t - 1, chunk], y[t - 1, chunk]
-            x[t, chunk] = a1 * x_prev + a2 * y_prev + l11 * u
-            y[t, chunk] = a3 * x_prev + a4 * y_prev + l21 * u + l22 * v
-    return x.T, y.T
+    x = np.empty((reps, steps_m1 + 1), order="F")
+    y = np.empty((reps, steps_m1 + 1), order="F")
+    x[:, 0] = x0
+    y[:, 0] = y0
+    for t in range(1, steps_m1 + 1):
+        u, v = eps[:, t - 1, 0], eps[:, t - 1, 1]
+        x_prev, y_prev = x[:, t - 1], y[:, t - 1]
+        x[:, t] = a1 * x_prev + a2 * y_prev + l11 * u
+        y[:, t] = a3 * x_prev + a4 * y_prev + l21 * u + l22 * v
+    return x, y
 
 
 def batch_filter_means(weights, obs):

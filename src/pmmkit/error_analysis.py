@@ -24,17 +24,21 @@ X_{n+k} = [A^k]_00 X_n + [A^k]_01 Y_n + noise, so
     MSE(n, k) = v^T S_n v + [sum_{j<k} A^j Q A^j^T]_00,
     v = ([A^k]_00 - xx', [A^k]_01 - xy', xx').
 
-The horizon terms are built once up to the largest k; one pass up to the
-largest n then yields every grid point, in O(max n + grid) time and O(1)
-memory in n (the error analysis of suboptimal filters in Anderson & Moore,
-Optimal Filtering, 1979).  Carrying the error e_t rather than the mean m_t
-avoids cancelling two O(1) covariances to get a small MSE.  When p_fc is
-the truth, da = 0, e_t decouples, S_n's last entry is the filter variance
-P_n and the MSE is the optimal one, V[X_{n+k} | Y_1:n]; so
-``theoretical_mse_pmm`` is a one-point call with p_fc = p_true, and
-``theoretical_mse_hmm_under_pmm`` and ``mse_sweep`` call the same pass
-with a hidden-Markov forecaster.  Everything here is exact up to floating
-point; no simulation is involved.
+The horizon terms are built once up to the largest k; one pass over n
+then yields every grid point, in O(min(max n, settle step) + grid) time
+and O(1) memory in n (the error analysis of suboptimal filters in
+Anderson & Moore, Optimal Filtering, 1979).  The pass stops at the exact
+fixed point: once the forecaster's filter variance, and with it its gain,
+repeats and S_t repeats bit for bit, every later step would return the
+same S_t, so the rest of the n grid takes that value.  On the presets
+this happens within a few hundred steps.  Carrying the error e_t rather
+than the mean m_t avoids cancelling two O(1) covariances to get a small
+MSE.  When p_fc is the truth, da = 0, e_t decouples, S_n's last entry is
+the filter variance P_n and the MSE is the optimal one,
+V[X_{n+k} | Y_1:n]; so ``theoretical_mse_pmm`` is a one-point call with
+p_fc = p_true, and ``theoretical_mse_hmm_under_pmm`` and ``mse_sweep``
+call the same pass with a hidden-Markov forecaster.  Everything here is
+exact up to floating point; no simulation is involved.
 """
 
 from __future__ import annotations
@@ -120,7 +124,8 @@ def forecaster_mse(
     p_true: PmmParams, p_fc: PmmParams, n_values, k_values
 ) -> dict[tuple[int, int], float]:
     """Exact MSE of the forecaster built from ``p_fc`` on data from
-    ``p_true``, for every (n, k) of the grid, in one pass over n.
+    ``p_true``, for every (n, k) of the grid, in one pass over n that
+    stops at the exact fixed point of the augmented-state covariance.
 
     The forecaster may be any admissible model: the true one, its
     hidden-Markov restriction or anything else.
@@ -153,15 +158,22 @@ def forecaster_mse(
     blocks = np.zeros((5, 5))
     blocks[3:, 3:] = m.Q
     gains = riccati_steps(m_fc)
+    variance = 1.0 - b_fc * b_fc
+    settled = False
     out = {}
     t = 1
     for n in n_values:
-        for _ in range(n - t):
-            g, _ = next(gains)
+        while t < n and not settled:
+            g, next_variance = next(gains)
             lift[2] = (da1 - g * da3, da2 - g * da4, a1f - g * a3f, 1.0, -g)
             blocks[:3, :3] = cov
-            cov = lift @ blocks @ lift.T
-        t = n
+            next_cov = lift @ blocks @ lift.T
+            # The next gain is a function of the filter variance alone, and
+            # the next S of this gain and S: once both repeat exactly, every
+            # later step returns this S.
+            settled = next_variance == variance and np.array_equal(next_cov, cov)
+            variance, cov = next_variance, next_cov
+            t += 1
         for k, (v, noise) in horizon.items():
             out[(n, k)] = float(v @ cov @ v) + noise
     return out

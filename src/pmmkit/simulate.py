@@ -5,18 +5,21 @@ correlation b; later pairs follow Z_{t+1} = A Z_t + B W_{t+1}, with B the
 lower Cholesky factor of Q (any square root would do; the lower factor is
 fixed for reproducibility).  All randomness comes from numpy's default
 PCG64 generator, so a (params, length, seed) triple pins the trajectory
-bit for bit.
+bit for bit.  Monte Carlo advances REPLICATE_CHUNK replicates at a time
+and keeps only their squared errors, so its memory is
+O(reps + REPLICATE_CHUNK * (n + k)) whatever the number of replicates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import _kernels_py as kernels
-from .filtering import batch_filter_means
+from .filtering import filter_coefficients
 from .model import PmmParams, markov_form, matrix_power_coeffs
 
 __all__ = [
@@ -29,6 +32,11 @@ __all__ = [
 ]
 
 RNG_ALGORITHM = "numpy-pcg64"
+# Replicates simulated and filtered together in monte_carlo_mse: a block's
+# noise and trajectories take under 2 MB at 50 steps, so they stay in cache.
+REPLICATE_CHUNK = 1024
+# Rows formatted by one string operation in trajectory_to_csv.
+WRITE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -58,6 +66,12 @@ def _chol2(mat: np.ndarray) -> tuple[float, float, float]:
     return l11, l21, math.sqrt(float(mat[1, 1]) - l21 * l21)
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got seed={seed}")
+    return np.random.default_rng(seed)
+
+
 def sample(p: PmmParams, n_steps: int, seed: int) -> Trajectory:
     """Simulate ``n_steps`` pairs; deterministic given (p, n_steps, seed)."""
     if n_steps < 1:
@@ -65,7 +79,7 @@ def sample(p: PmmParams, n_steps: int, seed: int) -> Trajectory:
     m = markov_form(p)
     l011, l021, l022 = _chol2(m.marginal)
     lq11, lq21, lq22 = _chol2(m.Q)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     e0 = rng.standard_normal(2)
     x0 = l011 * e0[0]
     y0 = l021 * e0[0] + l022 * e0[1]
@@ -76,20 +90,6 @@ def sample(p: PmmParams, n_steps: int, seed: int) -> Trajectory:
     a3, a4 = m.A[1]
     x, y = kernels.simulate_pairs(a1, a2, a3, a4, lq11, lq21, lq22, x0, y0, eps)
     return Trajectory(x=x, y=y, seed=seed)
-
-
-def _simulate_block(m, reps: int, steps: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    l011, l021, l022 = _chol2(m.marginal)
-    lq11, lq21, lq22 = _chol2(m.Q)
-    e0 = rng.standard_normal((reps, 2))
-    x0 = l011 * e0[:, 0]
-    y0 = l021 * e0[:, 0] + l022 * e0[:, 1]
-    if steps == 1:
-        return x0[:, None], y0[:, None]
-    eps = rng.standard_normal((reps, steps - 1, 2))
-    a1, a2 = m.A[0]
-    a3, a4 = m.A[1]
-    return kernels.simulate_block(a1, a2, a3, a4, lq11, lq21, lq22, x0, y0, eps)
 
 
 def monte_carlo_mse(
@@ -106,6 +106,12 @@ def monte_carlo_mse(
     forecaster filters the first n observations under its own parameters
     and predicts X_{n+k}.  Returns the mean squared error and its standard
     error over replicates.
+
+    The first pairs of all replicates are drawn up front; each block of
+    REPLICATE_CHUNK replicates then draws its own noise, is simulated and
+    filtered, and leaves only its squared errors.  Consecutive draws equal
+    one large draw bit for bit, so the result does not depend on the block
+    size.
     """
     if reps < 100:
         raise ValueError(f"need reps >= 100, got {reps}")
@@ -113,12 +119,27 @@ def monte_carlo_mse(
         raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
     m_true = markov_form(p_true)
     m_fc = markov_form(forecaster_params)
-    rng = np.random.default_rng(seed)
-    x, y = _simulate_block(m_true, reps, n + k, rng)
-    means = batch_filter_means(m_fc, y[:, :n])
+    rng = _rng(seed)
+    l011, l021, l022 = _chol2(m_true.marginal)
+    lq11, lq21, lq22 = _chol2(m_true.Q)
+    a1, a2 = m_true.A[0]
+    a3, a4 = m_true.A[1]
+    e0 = rng.standard_normal((reps, 2))
+    x0 = l011 * e0[:, 0]
+    y0 = l021 * e0[:, 0] + l022 * e0[:, 1]
+    weights = filter_coefficients(m_fc, n)
     pc = matrix_power_coeffs(m_fc, k)
-    predictions = pc.xx * means + pc.xy * y[:, n - 1]
-    sq_errors = (x[:, n + k - 1] - predictions) ** 2
+    sq_errors = np.empty(reps)
+    for lo in range(0, reps, REPLICATE_CHUNK):
+        block = slice(lo, min(lo + REPLICATE_CHUNK, reps))
+        eps = rng.standard_normal((block.stop - lo, n + k - 1, 2))
+        x, y = kernels.simulate_block(
+            a1, a2, a3, a4, lq11, lq21, lq22, x0[block], y0[block], eps
+        )
+        means = kernels.batch_filter_means(weights, y[:, :n])
+        predictions = pc.xx * means + pc.xy * y[:, n - 1]
+        sq_errors[block] = (x[:, n + k - 1] - predictions) ** 2
+        del eps, x, y  # so that the next block's arrays do not overlap these
     mse = float(sq_errors.mean())
     stderr = float(sq_errors.std(ddof=1) / math.sqrt(reps))
     return mse, stderr
@@ -147,7 +168,14 @@ def empirical_covariances(x, y) -> PmmParams:
 
 
 def trajectory_to_csv(traj: Trajectory, fh) -> None:
-    """Write a trajectory as ``t,x,y`` rows, t starting at 1."""
+    """Write a trajectory as ``t,x,y`` rows, t starting at 1.
+
+    WRITE_ROWS rows at a time go through one ``%`` operation on a flat
+    tuple, which formats each value exactly as ``f"{v:.12e}"`` does.
+    """
     fh.write("t,x,y\n")
-    for t, (xv, yv) in enumerate(zip(traj.x, traj.y), start=1):
-        fh.write(f"{t},{xv:.12e},{yv:.12e}\n")
+    for lo in range(0, len(traj), WRITE_ROWS):
+        xs = traj.x[lo : lo + WRITE_ROWS].tolist()
+        ys = traj.y[lo : lo + WRITE_ROWS].tolist()
+        rows = zip(range(lo + 1, lo + 1 + len(xs)), xs, ys)
+        fh.write("%d,%.12e,%.12e\n" * len(xs) % tuple(chain.from_iterable(rows)))

@@ -1,19 +1,24 @@
 """Shared test utilities: random admissible models, an independent scalar
 Kalman reference for the hidden-Markov special case, and the step-by-step
 loops, the per-horizon forecast and variance recursions, the forecast
-coefficients, the n x n quadratic form and the row-by-row CSV reader that
-the production paths replaced, kept as references."""
+coefficients, the n x n quadratic form, the row-by-row CSV reader and
+writer, the exact-MSE pass without its fixed-point exit and the
+whole-batch Monte Carlo that the production paths replaced, kept as
+references."""
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
 from pmmkit import PmmParams, filter_coefficients, hmm_params, markov_form, validate
-from pmmkit.error_analysis import observation_covariance
-from pmmkit.filtering import filter_variance_sequence, riccati_steps
+from pmmkit import _kernels_py as kernels
+from pmmkit.error_analysis import _horizon_terms, observation_covariance
+from pmmkit.filtering import batch_filter_means, filter_variance_sequence, riccati_steps
 from pmmkit.model import matrix_power_coeffs
+from pmmkit.simulate import _chol2
 
 
 def random_valid_params(rng, max_spectral_radius: float = 0.999) -> PmmParams:
@@ -192,6 +197,76 @@ def quadratic_form_mse(p_true: PmmParams, p_fc: PmmParams, n: int, k: int) -> fl
         delta = forecast_coefficients(m_true, n, k) - forecast_coefficients(m_fc, n, k)
     sigma = observation_covariance(m_true, m_true.b, n)
     return scalar_mse_pmm(p_true, n, k) + float(delta @ sigma @ delta)
+
+
+def loop_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) -> dict:
+    """``forecaster_mse`` with one augmented-state covariance step per t up
+    to the largest n, and no fixed-point exit."""
+    n_values = sorted({int(n) for n in n_values})
+    k_values = sorted({int(k) for k in k_values})
+    m = markov_form(p_true)
+    m_fc = markov_form(p_fc)
+    horizon = _horizon_terms(m, m_fc, k_values)
+    b, b_fc = m.b, m_fc.b
+    cov = np.array(
+        [
+            [1.0, b, 1.0 - b_fc * b],
+            [b, 1.0, b - b_fc],
+            [1.0 - b_fc * b, b - b_fc, 1.0 - 2.0 * b_fc * b + b_fc * b_fc],
+        ]
+    )
+    (da1, da2), (da3, da4) = m.A - m_fc.A
+    a1f, a3f = m_fc.A[:, 0]
+    lift = np.zeros((3, 5))
+    lift[:2, :2] = m.A
+    lift[:2, 3:] = np.eye(2)
+    blocks = np.zeros((5, 5))
+    blocks[3:, 3:] = m.Q
+    gains = riccati_steps(m_fc)
+    out = {}
+    t = 1
+    for n in n_values:
+        for _ in range(n - t):
+            g, _ = next(gains)
+            lift[2] = (da1 - g * da3, da2 - g * da4, a1f - g * a3f, 1.0, -g)
+            blocks[:3, :3] = cov
+            cov = lift @ blocks @ lift.T
+        t = n
+        for k, (v, noise) in horizon.items():
+            out[(n, k)] = float(v @ cov @ v) + noise
+    return out
+
+
+def whole_batch_monte_carlo_mse(
+    p_true: PmmParams, p_fc: PmmParams, n: int, k: int, reps: int, seed: int
+) -> tuple[float, float]:
+    """``monte_carlo_mse`` with the noise of every replicate drawn at once,
+    one ``simulate_block`` over all replicates and one
+    ``batch_filter_means``: O(reps * (n + k)) memory."""
+    m_true = markov_form(p_true)
+    m_fc = markov_form(p_fc)
+    rng = np.random.default_rng(seed)
+    l011, l021, l022 = _chol2(m_true.marginal)
+    lq11, lq21, lq22 = _chol2(m_true.Q)
+    e0 = rng.standard_normal((reps, 2))
+    x0 = l011 * e0[:, 0]
+    y0 = l021 * e0[:, 0] + l022 * e0[:, 1]
+    eps = rng.standard_normal((reps, n + k - 1, 2))
+    a1, a2 = m_true.A[0]
+    a3, a4 = m_true.A[1]
+    x, y = kernels.simulate_block(a1, a2, a3, a4, lq11, lq21, lq22, x0, y0, eps)
+    means = batch_filter_means(m_fc, y[:, :n])
+    pc = matrix_power_coeffs(m_fc, k)
+    predictions = pc.xx * means + pc.xy * y[:, n - 1]
+    sq_errors = (x[:, n + k - 1] - predictions) ** 2
+    return float(sq_errors.mean()), float(sq_errors.std(ddof=1) / math.sqrt(reps))
+
+
+def rowwise_trajectory_to_csv(traj, fh) -> None:
+    """``trajectory_to_csv`` with one f-string per row."""
+    fh.write("t,x,y\n")
+    for t, (xv, yv) in enumerate(zip(traj.x, traj.y), start=1):
+        fh.write(f"{t},{xv:.12e},{yv:.12e}\n")
 
 
 # Reference parameter sets.  fig2/fig4 perturb the cross covariances of the

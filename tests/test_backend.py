@@ -14,8 +14,9 @@ from pmmkit import (
     run_filter,
     sample,
 )
-from pmmkit._kernels_py import REPLICATE_CHUNK, SCAN_BLOCK, simulate_block
+from pmmkit._kernels_py import SCAN_BLOCK, simulate_block
 from pmmkit.pipeline import FittedModel, StandardizationParams, evaluate_errors
+from pmmkit.simulate import REPLICATE_CHUNK
 from helpers import (
     quadratic_filter_coefficients,
     random_valid_params,
@@ -52,7 +53,7 @@ def test_sample_matches_sequential_loop(preset, n_steps):
 
 
 def test_simulate_block_rows_bit_identical_to_sequential_loop():
-    reps = 2 * REPLICATE_CHUNK + 3  # two full chunks and a partial one
+    reps = 2 * REPLICATE_CHUNK + 3  # more than one Monte Carlo block
     rng = np.random.default_rng(62)
     x0 = rng.standard_normal(reps)
     y0 = rng.standard_normal(reps)

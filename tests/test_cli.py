@@ -61,6 +61,20 @@ class TestSimulate:
         assert est["a"] == pytest.approx(0.9, abs=0.05)
         assert summary["rng"] == "numpy-pcg64"
 
+    def test_negative_seed_names_it(self, tmp_path, fig2_params_file, capsys):
+        out = tmp_path / "t.csv"
+        code = run_cli(
+            "simulate", "--params", fig2_params_file, "--n", 10,
+            "--seed", -3, "--output", out,
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError"
+        assert "seed=-3" in err["message"]
+        assert list(tmp_path.iterdir()) == [fig2_params_file]
+
     def test_missing_key_names_it(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"a": 0.9, "c": 0.0, "d": 0.0, "e": 0.0}))
@@ -580,6 +594,18 @@ class TestMonteCarlo:
         assert payload["theoretical_mse"] is not None
         assert abs(payload["mse"] - payload["theoretical_mse"]) < 3 * payload["stderr"]
 
+    def test_negative_seed_names_it(self, tmp_path, fig2_params_file, capsys):
+        code = run_cli(
+            "monte-carlo", "--params", fig2_params_file,
+            "--n", 5, "--k", 2, "--reps", 100, "--seed", -1,
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError"
+        assert "seed=-1" in err["message"]
+        assert list(tmp_path.iterdir()) == [fig2_params_file]
 
     def test_general_forecaster_reports_exact_theory(self, tmp_path, capsys):
         true = get_preset("fig4").true_params

@@ -16,14 +16,16 @@ from pmmkit import (
     theoretical_mse_hmm_under_pmm,
     theoretical_mse_pmm,
 )
+from pmmkit import error_analysis
 from pmmkit.error_analysis import curves_to_csv, observation_covariance
-from pmmkit.filtering import filter_init, filter_step
+from pmmkit.filtering import filter_init, filter_step, riccati_steps
 from pmmkit.model import matrix_power_coeffs
 from pmmkit.oracle import build_joint
 from pmmkit.simulate import monte_carlo_mse
 from helpers import (
     FIG2_PARAMS,
     forecast_coefficients,
+    loop_forecaster_mse,
     quadratic_form_mse,
     random_hmm,
     random_valid_params,
@@ -283,6 +285,48 @@ class TestForecasterMse:
         assert abs(hmm[(20_000, 0)] - want) <= 1e-12 * want
         want = scalar_mse_pmm(fig.true_params, 20_000, 0)
         assert abs(pmm[(20_000, 0)] - want) <= 1e-12 * want
+
+    # The presets' fixed points fall between steps 95 and 216, so this grid
+    # has points on both sides of each.
+    FIXED_POINT_N = [1, 2, 50, 300, 5000]
+    FIXED_POINT_K = [0, 1, 7]
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4", "fig5"])
+    @pytest.mark.parametrize("which", ["true", "hmm"])
+    def test_fixed_point_exit_equals_full_loop_on_presets(self, preset, which):
+        fig = get_preset(preset)
+        p_fc = fig.true_params if which == "true" else fig.hmm_reference
+        args = (fig.true_params, p_fc, self.FIXED_POINT_N, self.FIXED_POINT_K)
+        assert forecaster_mse(*args) == loop_forecaster_mse(*args)
+
+    def test_fixed_point_exit_equals_full_loop_on_random_pairs(self):
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            args = (
+                random_valid_params(rng),
+                random_valid_params(rng),
+                self.FIXED_POINT_N,
+                self.FIXED_POINT_K,
+            )
+            assert forecaster_mse(*args) == loop_forecaster_mse(*args)
+
+    def test_pass_stops_at_fixed_point(self, monkeypatch):
+        drawn = []
+
+        def counted_steps(m):
+            for step in riccati_steps(m):
+                drawn.append(step)
+                yield step
+
+        monkeypatch.setattr(error_analysis, "riccati_steps", counted_steps)
+        fig = get_preset("fig4")
+        for p_fc in (fig.true_params, fig.hmm_reference):
+            drawn.clear()
+            args = (fig.true_params, p_fc, [20_000], [0])
+            mse = forecaster_mse(*args)
+            # fig4 settles by step 216; the full pass would draw 19 999.
+            assert len(drawn) < 1000
+            assert mse == loop_forecaster_mse(*args)
 
     @pytest.mark.parametrize(
         "n_values, k_values", [([0, 3], [0]), ([3], [-1]), ([], [0])]

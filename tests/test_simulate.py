@@ -1,11 +1,18 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pmmkit import PmmParams, hmm_params, sample, monte_carlo_mse
-from pmmkit.simulate import empirical_covariances, trajectory_to_csv
-from helpers import FIG2_PARAMS
+from pmmkit import PmmParams, get_preset, hmm_params, sample, monte_carlo_mse
+from pmmkit.simulate import (
+    REPLICATE_CHUNK,
+    WRITE_ROWS,
+    Trajectory,
+    empirical_covariances,
+    trajectory_to_csv,
+)
+from helpers import FIG2_PARAMS, rowwise_trajectory_to_csv, whole_batch_monte_carlo_mse
 
 
 class TestReproducibility:
@@ -27,6 +34,10 @@ class TestReproducibility:
         assert t.seed == 3 and t.rng == "numpy-pcg64"
         with pytest.raises(ValueError):
             t.x[0] = 99.0  # frozen
+
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed=-3"):
+            sample(FIG2_PARAMS, 10, seed=-3)
 
 
 class TestMoments:
@@ -74,6 +85,36 @@ class TestMonteCarloMse:
         r2 = monte_carlo_mse(FIG2_PARAMS, FIG2_PARAMS, 5, 2, 500, seed=10)
         assert r1 == r2
 
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed=-1"):
+            monte_carlo_mse(FIG2_PARAMS, FIG2_PARAMS, 5, 2, 500, seed=-1)
+
+    # Fewer than one block, exactly one, one plus a single replicate, and
+    # two full blocks plus a partial one.
+    @pytest.mark.parametrize(
+        "reps", [100, REPLICATE_CHUNK, REPLICATE_CHUNK + 1, 2 * REPLICATE_CHUNK + 3]
+    )
+    @pytest.mark.parametrize("n, k", [(1, 0), (1, 3), (50, 5)])
+    @pytest.mark.parametrize("preset", ["fig2", "fig4"])
+    @pytest.mark.parametrize("which", ["true", "hmm"])
+    def test_blocks_equal_whole_batch(self, reps, n, k, preset, which):
+        fig = get_preset(preset)
+        p_fc = fig.true_params if which == "true" else fig.hmm_reference
+        args = (fig.true_params, p_fc, n, k, reps, 23)
+        assert monte_carlo_mse(*args) == whole_batch_monte_carlo_mse(*args)
+
+    def test_memory_bounded_in_replicates(self):
+        fig = get_preset("fig4")
+        tracemalloc.start()
+        try:
+            monte_carlo_mse(fig.true_params, fig.hmm_reference, 400, 5, 100_000, seed=24)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Noise and both trajectories for every replicate at once would
+        # take about 650 MB here.
+        assert peak < 32_000_000
+
 
 class TestCsv:
     def test_header_and_rows(self):
@@ -86,3 +127,22 @@ class TestCsv:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert float(first[1]) == pytest.approx(t.x[0], rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "n_steps", [1, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1, 10_000]
+    )
+    def test_batched_rows_equal_rowwise(self, n_steps):
+        t = sample(FIG2_PARAMS, n_steps, seed=12)
+        got, want = io.StringIO(), io.StringIO()
+        trajectory_to_csv(t, got)
+        rowwise_trajectory_to_csv(t, want)
+        assert got.getvalue() == want.getvalue()
+
+    def test_extreme_values_equal_rowwise(self):
+        values = np.array([0.0, -0.0, 5e-324, 1e-300, -1.5e300, 123456.789])
+        t = Trajectory(x=values, y=values[::-1].copy(), seed=0)
+        got, want = io.StringIO(), io.StringIO()
+        trajectory_to_csv(t, got)
+        rowwise_trajectory_to_csv(t, want)
+        assert got.getvalue() == want.getvalue()
+        assert "-0.000000000000e+00" in got.getvalue()
