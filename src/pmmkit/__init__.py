@@ -6,65 +6,46 @@ hidden-Markov special case, Monte Carlo validation, and a fit/evaluate
 pipeline for real univariate series.  The names below are the package
 surface; helpers such as the oracle, the detrending steps and the
 validation report stay importable from their submodules.
+
+The import is lazy: a name loads its submodule, and numpy, on first
+access, so that ``pmmkit.cli`` can pin numpy's thread pool before it loads.
 """
 
-from ._backend import backend_name
-from .error_analysis import (
-    forecaster_mse,
-    mse_sweep,
-    theoretical_mse_hmm_under_pmm,
-    theoretical_mse_pmm,
-)
-from .filtering import (
-    FilterState,
-    filter_coefficients,
-    filter_init,
-    filter_step,
-    run_filter,
-)
-from .forecasting import ForecastResult, forecast, forecast_path
-from .model import (
-    InvalidModelError,
-    PmmError,
-    PmmParams,
-    TransitionModel,
-    hmm_params,
-    load_params,
-    markov_form,
-    validate,
-)
-from .pipeline import FittedModel, estimate_params
-from .presets import get_preset
-from .simulate import monte_carlo_mse, sample
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "backend_name",
-    "forecaster_mse",
-    "mse_sweep",
-    "theoretical_mse_pmm",
-    "theoretical_mse_hmm_under_pmm",
-    "FilterState",
-    "filter_coefficients",
-    "filter_init",
-    "filter_step",
-    "run_filter",
-    "ForecastResult",
-    "forecast",
-    "forecast_path",
-    "PmmError",
-    "InvalidModelError",
-    "PmmParams",
-    "TransitionModel",
-    "hmm_params",
-    "load_params",
-    "markov_form",
-    "validate",
-    "FittedModel",
-    "estimate_params",
-    "get_preset",
-    "monte_carlo_mse",
-    "sample",
-]
+# Submodule -> the names it exports here.
+_EXPORTS = {
+    "_backend": ["backend_name"],
+    "error_analysis": [
+        "forecaster_mse", "mse_sweep", "theoretical_mse_pmm",
+        "theoretical_mse_hmm_under_pmm",
+    ],
+    "filtering": [
+        "FilterState", "filter_coefficients", "filter_init", "filter_step", "run_filter",
+    ],
+    "forecasting": ["ForecastResult", "forecast", "forecast_path"],
+    "model": [
+        "PmmError", "InvalidModelError", "PmmParams", "TransitionModel", "hmm_params",
+        "load_params", "markov_form", "validate",
+    ],
+    "pipeline": ["FittedModel", "estimate_params"],
+    "presets": ["get_preset"],
+    "simulate": ["monte_carlo_mse", "sample"],
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -5,6 +5,14 @@ hidden oracle subcommand for debugging).  Every subcommand is deterministic
 given its flags, writes output files atomically, exits 0 only when all
 outputs were written, and reports failures as machine-readable JSON on
 stderr.  Set PMM_LOG=DEBUG|INFO|WARNING for log verbosity.
+
+Numpy's BLAS gets one thread: every call works on 2x2/3x3 recursions and
+single vectors, where a thread pool only adds start-up, spinning workers
+and rounding that depends on the core count.  Imported before numpy, as by
+the ``pmmkit`` script and ``python -m pmmkit.cli``, this module sets
+OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, MKL_NUM_THREADS, BLIS_NUM_THREADS
+and VECLIB_MAXIMUM_THREADS to 1 unless one of them is already set; export
+any of them to choose otherwise.  Imported after numpy, it changes nothing.
 """
 
 from __future__ import annotations
@@ -15,6 +23,14 @@ import logging
 import os
 import sys
 from pathlib import Path
+
+# Before numpy loads, so that its BLAS reads the pin; see the docstring.
+_THREAD_ENV = (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+)
+if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_ENV):
+    os.environ.update(dict.fromkeys(_THREAD_ENV, "1"))
 
 import numpy as np
 
@@ -64,18 +80,24 @@ def _atomic_write(path: Path, write_fn) -> None:
     log.info("wrote %s", path)
 
 
-def _parse_grid(text: str) -> list[int]:
-    """Comma-separated integers; a:b expands to the inclusive range."""
+def _parse_grid(flag: str, text: str) -> list[int]:
+    """Comma-separated integers; a:b expands to the inclusive range.
+    Errors name ``flag`` and the bad text."""
     values: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if ":" in part:
-            lo, hi = part.split(":", 1)
-            values.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            values.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if ":" in part:
+                lo, hi = part.split(":", 1)
+                values.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                values.append(int(part))
+    except ValueError:
+        raise ValueError(
+            f"{flag} needs comma-separated integers or a:b ranges, got {text!r}"
+        ) from None
     if not values:
-        raise ValueError(f"empty grid: {text!r}")
+        raise ValueError(f"{flag} is an empty grid: {text!r}")
     return values
 
 
@@ -96,9 +118,9 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, allow_nan=False))
 
 
-def _require_positive_n(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"--n must be >= 1, got {n}")
+def _require_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
 def _load_fitted(args) -> FittedModel:
@@ -113,7 +135,9 @@ def _load_fitted(args) -> FittedModel:
 
 
 def cmd_simulate(args) -> int:
+    _require_at_least("--n", args.n, 2)  # the summary's lag-one covariances
     traj = sample(load_params(args.params), args.n, args.seed)
+    covariances = empirical_covariances(traj.x, traj.y).to_dict()
     _atomic_write(Path(args.output), lambda fh: trajectory_to_csv(traj, fh))
     _print_json(
         {
@@ -122,7 +146,7 @@ def cmd_simulate(args) -> int:
             "seed": args.seed,
             "rng": traj.rng,
             "backend": backend_name(),
-            "empirical_covariances": empirical_covariances(traj.x, traj.y).to_dict(),
+            "empirical_covariances": covariances,
         }
     )
     return 0
@@ -142,9 +166,9 @@ def cmd_theoretical_mse(args) -> int:
         n_values = [1]
         k_values = [0]
     if args.n_grid:
-        n_values = _parse_grid(args.n_grid)
+        n_values = _parse_grid("--n-grid", args.n_grid)
     if args.k_grid:
-        k_values = _parse_grid(args.k_grid)
+        k_values = _parse_grid("--k-grid", args.k_grid)
     curves = mse_sweep(p_true, p_hmm, n_values, k_values)
     _atomic_write(Path(args.output), lambda fh: curves_to_csv(curves, fh))
     _print_json(
@@ -166,7 +190,12 @@ def cmd_fit(args) -> int:
         detrend_model = fit_detrend(y, _parse_periods(args.periods))
         y = detrend(y, detrend_model)
     if args.window:
-        lo, hi = (int(v) for v in args.window.split(":", 1))
+        try:
+            lo, hi = (int(v) for v in args.window.split(":", 1))
+        except ValueError:
+            raise ValueError(
+                f"--window needs start:end row indices, got {args.window!r}"
+            ) from None
         if not (0 <= lo < hi <= x.size):
             raise ValueError(f"--window {args.window} out of range for {x.size} rows")
         window = (lo, hi)
@@ -194,7 +223,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    _require_positive_n(args.n)
+    _require_at_least("--n", args.n, 1)
+    # A negative index would anchor the seasonal phase before the series.
+    _require_at_least("--start-index", args.start_index, 0)
     fitted = _load_fitted(args)
     y = _read_y_column(args.input)
     if args.n > y.size:
@@ -236,12 +267,13 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _require_at_least("--start-index", args.start_index, 0)
     fitted = FittedModel.load(args.model)
     x, y = read_series_csv(args.input)
     if fitted.detrend is not None:
         y = detrend(y, fitted.detrend, start_index=args.start_index)
-    n_values = _parse_grid(args.n_grid)
-    k_values = _parse_grid(args.k_grid)
+    n_values = _parse_grid("--n-grid", args.n_grid)
+    k_values = _parse_grid("--k-grid", args.k_grid)
     # The fitted model first, so that inadmissible parameters are reported
     # by markov_form's gate rather than by the restriction's |a| < 1 check.
     mse_pmm = evaluate_grid(fitted, x, y, n_values, k_values)
@@ -296,7 +328,7 @@ def cmd_monte_carlo(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _require_positive_n(args.n)
+    _require_at_least("--n", args.n, 1)
     params = load_params(args.params)
     y = _read_y_column(args.input)[: args.n]
     if y.size < args.n:

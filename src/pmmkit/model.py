@@ -242,12 +242,15 @@ def validate(p: PmmParams) -> ValidationReport:
     """Full admissibility report: 4x4 PD, noise PSD, spectral radius < 1."""
     gamma_min = float(np.linalg.eigvalsh(gamma_from_params(p)).min())
     gamma_pd = gamma_min > PD_TOL
-    if abs(p.b) < 1.0:
+    # A covariance beyond +-1 already makes gamma indefinite, and its
+    # transition form can overflow.
+    if abs(p.b) < 1.0 and max(map(abs, p.astuple())) <= 1.0:
         a_mat, q_mat = _transition(p)
         q_min = float(np.linalg.eigvalsh(q_mat).min())
         radius = float(max(abs(np.linalg.eigvals(a_mat))))
     else:
-        # The marginal is singular; no transition form exists.
+        # The marginal is singular, or gamma is out of range; no transition
+        # form exists.
         q_min = float("nan")
         radius = float("inf")
     return ValidationReport(

@@ -281,7 +281,8 @@ def estimate_params(
 
 def _window_errors(model: FittedModel, x_test, y_test, n_values, k_values):
     """Yield (n, k, squared errors of every sliding (n, k) window) over the
-    grid; the filter means of each n are computed once for all k."""
+    grid; the filter means of each n and the A^k of each k are computed
+    once."""
     x_test = np.asarray(x_test, dtype=float)
     y_test = np.asarray(y_test, dtype=float)
     if x_test.size != y_test.size:
@@ -298,11 +299,12 @@ def _window_errors(model: FittedModel, x_test, y_test, n_values, k_values):
                     f"(n={n}, k={k}) window"
                 )
     m = markov_form(model.params)
+    powers = {k: matrix_power_coeffs(m, k) for k in k_values}
     for n in n_values:
         means = np.correlate(y_std, filter_coefficients(m, n), "valid")
         for k in k_values:
             count = x_test.size - n - k + 1
-            pc = matrix_power_coeffs(m, k)
+            pc = powers[k]
             predictions = pc.xx * means[:count] + pc.xy * y_std[n - 1 : n - 1 + count]
             targets = x_std[n - 1 + k : n - 1 + k + count]
             yield n, k, (targets - predictions) ** 2

@@ -555,6 +555,46 @@ class TestMalformedInput:
         assert detail in err["message"]
         assert not out.exists()
 
+    # Flag values rejected by name, as (subcommand, flag, bad text); each is
+    # appended to an otherwise valid call, and argparse keeps the last value.
+    @pytest.mark.parametrize(
+        "command, flag, text",
+        [
+            ("simulate", "--n", "1"),
+            ("fit", "--window", "5"),
+            ("fit", "--window", "0:x"),
+            ("evaluate", "--n-grid", "1,x"),
+            ("evaluate", "--k-grid", "2:"),
+            ("theoretical-mse", "--n-grid", "1,x"),
+            ("theoretical-mse", "--k-grid", "0:1.5"),
+            ("forecast", "--start-index", "-5"),
+            ("evaluate", "--start-index", "-5"),
+        ],
+    )
+    def test_bad_flag_value_names_flag(
+        self, tmp_path, model_file, capsys, command, flag, text
+    ):
+        t = sample(FIG2_PARAMS, 40, seed=9)
+        data = tmp_path / "obs.csv"
+        write_series_csv(data, t.x, t.y)
+        out = tmp_path / "out"
+        argv = {
+            "simulate": ["simulate", "--params", model_file, "--n", 10, "--output", out],
+            "fit": ["fit", "--input", data, "--output", out],
+            "theoretical-mse": ["theoretical-mse", "--preset", "fig2", "--output", out],
+        }.get(command) or _model_argv(command, model_file, data, out)
+        assert run_cli(*argv) == 0
+        out.unlink()
+        capsys.readouterr()
+        assert run_cli(*argv, flag, text) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ValueError"
+        assert flag in err["message"] and text in err["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["forecast", "evaluate"])
     def test_model_unknown_keys_ignored(self, tmp_path, capsys, command):
         doc = _model_doc(("y_standardize", "note"), "extra")
@@ -662,15 +702,23 @@ class TestOracleSubcommand:
                 assert abs(got - want) <= 1e-12 * want
 
 
+THREAD_ENV = (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+)
+
+
 def _python(argv, cwd, **env):
-    """A fresh interpreter that imports this pmmkit, run in ``cwd``."""
+    """A fresh interpreter that imports this pmmkit, run in ``cwd``.  The
+    thread variables are dropped, so that only those in ``env`` are set."""
     src = str(Path(pmmkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_ENV}
     return subprocess.run(
         [sys.executable, *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path, **env),
+        env=dict(base, PYTHONPATH=path, **env),
         cwd=cwd,
     )
 
@@ -713,3 +761,88 @@ def test_import_leaves_scipy_out(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_package_import_leaves_numpy_out(tmp_path):
+    out = _python(["-c", "import pmmkit, sys; print('numpy' in sys.modules)"], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_lazy_names_are_the_submodule_objects():
+    for name in pmmkit.__all__[1:]:
+        obj = getattr(pmmkit, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    assert set(pmmkit.__all__) <= set(dir(pmmkit))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pmmkit.no_such_name
+
+
+# Imports the CLI in the way each label names, then prints the thread
+# variables and, where /proc exists, the number of threads.
+PIN_PROBE = """
+import json, os, runpy, sys
+how = sys.argv[1]
+if how == "numpy-first":
+    import numpy
+    before = dict(os.environ)
+    import pmmkit.cli
+    assert dict(os.environ) == before
+elif how == "run-module":
+    sys.argv = ["pmmkit", "--version"]
+    try:
+        runpy.run_module("pmmkit.cli", run_name="__main__")
+    except SystemExit:
+        pass
+    print()
+else:
+    from pmmkit.cli import main
+assert "numpy" in sys.modules
+task = "/proc/self/task"
+threads = len(os.listdir(task)) if os.path.isdir(task) else None
+print(json.dumps({"env": {k: os.environ.get(k) for k in %r}, "threads": threads}))
+""" % (THREAD_ENV,)
+
+
+class TestThreadPin:
+    @pytest.mark.parametrize("how", ["run-module", "import-main"])
+    def test_unset_variables_pinned_to_one(self, tmp_path, how):
+        out = _python(["-c", PIN_PROBE, how], tmp_path)
+        assert out.returncode == 0, out.stderr
+        probe = json.loads(out.stdout.splitlines()[-1])
+        assert probe["env"] == dict.fromkeys(THREAD_ENV, "1")
+        assert probe["threads"] in (None, 1)
+
+    def test_user_choice_kept(self, tmp_path):
+        out = _python(["-c", PIN_PROBE, "import-main"], tmp_path, OMP_NUM_THREADS="2")
+        assert out.returncode == 0, out.stderr
+        probe = json.loads(out.stdout.splitlines()[-1])
+        assert probe["env"] == dict.fromkeys(THREAD_ENV) | {"OMP_NUM_THREADS": "2"}
+
+    def test_import_after_numpy_changes_nothing(self, tmp_path):
+        out = _python(["-c", PIN_PROBE, "numpy-first"], tmp_path)
+        assert out.returncode == 0, out.stderr
+        probe = json.loads(out.stdout.splitlines()[-1])
+        assert probe["env"] == dict.fromkeys(THREAD_ENV)
+
+    def test_output_matches_one_openblas_thread(self, tmp_path, fig2_params_file):
+        # 2e4 rows are enough for a threaded BLAS to change the last digits.
+        runs = {}
+        for label, env in (("default", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+            work = tmp_path / label
+            work.mkdir()
+            calls = [
+                ["simulate", "--params", fig2_params_file, "--n", "20000",
+                 "--seed", "3", "--output", "t.csv"],
+                ["fit", "--input", "t.csv", "--output", "m.json"],
+                ["forecast", "--model", "m.json", "--input", "t.csv",
+                 "--n", "20000", "--k", "3", "--output", "f.csv"],
+            ]
+            stdout = []
+            for argv in calls:
+                out = _python(["-m", "pmmkit.cli", *map(str, argv)], work, **env)
+                assert out.returncode == 0, out.stderr
+                stdout.append(out.stdout)
+            files = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
+            runs[label] = (stdout, files)
+        assert runs["default"] == runs["one"]

@@ -213,6 +213,14 @@ class TestValidate:
         assert not report.ok
         assert report.spectral_radius == float("inf")
 
+    # Their transition form would overflow; no warning may escape.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values", [(0.0, 0.0, 0.0, 0.0, 1e154), (1e300, 0.0, 0.0, 0.0, 0.0)])
+    def test_huge_covariances_reported_quietly(self, values):
+        report = validate(PmmParams(*values))
+        assert not report.ok
+        assert report.spectral_radius == float("inf")
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):

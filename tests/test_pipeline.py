@@ -212,8 +212,9 @@ class TestEvaluate:
             x_standardize=StandardizationParams(0.1, 1.3),
             y_standardize=StandardizationParams(-0.2, 0.9),
         )
-        grid = evaluate_grid(model, t.x, t.y, [5, 20, 50, 5], [1, 24, 48])
-        assert list(grid) == [(n, k) for n in (5, 20, 50) for k in (1, 24, 48)]
+        # Each cell's own A^k against the grid's one A^k per k.
+        grid = evaluate_grid(model, t.x, t.y, [5, 20, 50, 5], [0, 1, 24, 48, 24])
+        assert list(grid) == [(n, k) for n in (5, 20, 50) for k in (0, 1, 24, 48)]
         for (n, k), mse in grid.items():
             assert mse == evaluate(model, t.x, t.y, n, k)
 
