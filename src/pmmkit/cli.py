@@ -74,6 +74,10 @@ from .simulate import (
 
 log = logging.getLogger("pmmkit")
 
+# Most integers one --n-grid or --k-grid may hold; the a:b ranges are
+# counted before any is expanded.
+MAX_GRID_POINTS = 10**6
+
 
 def _atomic_write(path: Path, write_fn) -> None:
     atomic_write(path, write_fn)
@@ -82,30 +86,37 @@ def _atomic_write(path: Path, write_fn) -> None:
 
 def _parse_grid(flag: str, text: str) -> list[int]:
     """Comma-separated integers; a:b expands to the inclusive range.
-    Errors name ``flag`` and the bad text."""
-    values: list[int] = []
+    Errors name ``flag`` and the bad text; a grid of more than
+    MAX_GRID_POINTS integers is rejected before it is expanded."""
+    ranges: list[range] = []
     try:
         for part in text.split(","):
-            part = part.strip()
-            if ":" in part:
-                lo, hi = part.split(":", 1)
-                values.extend(range(int(lo), int(hi) + 1))
-            elif part:
-                values.append(int(part))
+            lo, colon, hi = part.strip().partition(":")
+            if lo or colon:
+                ranges.append(range(int(lo), int(hi if colon else lo) + 1))
     except ValueError:
         raise ValueError(
             f"{flag} needs comma-separated integers or a:b ranges, got {text!r}"
         ) from None
-    if not values:
+    # Not len(): a range longer than sys.maxsize has none.
+    size = sum(max(r.stop - r.start, 0) for r in ranges)
+    if not size:
         raise ValueError(f"{flag} is an empty grid: {text!r}")
-    return values
+    if size > MAX_GRID_POINTS:
+        raise ValueError(
+            f"{flag} holds {size} points, more than {MAX_GRID_POINTS}: {text!r}"
+        )
+    return [v for r in ranges for v in r]
 
 
 def _parse_periods(text: str) -> tuple[float, float]:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"--periods needs two comma-separated values, got {text!r}")
-    return parts[0], parts[1]
+    try:
+        p1, p2 = (float(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--periods needs two comma-separated numbers, got {text!r}"
+        ) from None
+    return p1, p2
 
 
 def _read_y_column(path: str) -> np.ndarray:
@@ -237,9 +248,10 @@ def cmd_forecast(args) -> int:
     tail_std = fitted.y_standardize.apply(tail)
     model = markov_form(fitted.params)
     state = run_filter(model, tail_std)
-    path = forecast_path(state, model, args.k)
-    if not args.horizon_path:
-        path = path[-1:]
+    if args.horizon_path:
+        path = forecast_path(state, model, args.k)
+    else:
+        path = [forecast(state, model, args.k)]
     rows = []
     for result in path:
         xs = fitted.x_standardize
@@ -357,8 +369,17 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ValueError, so that ``main`` reports it as
+    one JSON line with exit 1 like every other failure.  Subparsers are
+    built from this class too; --help and --version still exit 0."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pmmkit",
         description=(
             "Filtering, k-step forecasting and MSE analysis for stationary "
@@ -473,9 +494,8 @@ def _log_level() -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         logging.basicConfig(level=_log_level())
         return args.func(args)
     except (PmmError, ValueError, OSError, KeyError) as exc:

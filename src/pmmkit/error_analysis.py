@@ -24,10 +24,13 @@ X_{n+k} = [A^k]_00 X_n + [A^k]_01 Y_n + noise, so
     MSE(n, k) = v^T S_n v + [sum_{j<k} A^j Q A^j^T]_00,
     v = ([A^k]_00 - xx', [A^k]_01 - xy', xx').
 
-The horizon terms are built once up to the largest k; one pass over n
-then yields every grid point, in O(min(max n, settle step) + grid) time
-and O(1) memory in n (the error analysis of suboptimal filters in
-Anderson & Moore, Optimal Filtering, 1979).  The pass stops at the exact
+Both models' horizon terms (the first row of A^k and the noise sum) come
+from one ``forecasting.horizon_terms`` pass each up to the largest k, the
+same k-step map that serves the forecast, the sliding-window evaluation
+and the Monte Carlo.  One pass over n then yields every grid point, in
+O(min(max n, settle step) + grid) time and O(1) memory in n (the error
+analysis of suboptimal filters in Anderson & Moore, Optimal Filtering,
+1979).  The pass stops at the exact
 fixed point: once the forecaster's filter variance, and with it its gain,
 repeats and S_t repeats bit for bit, every later step would return the
 same S_t, so the rest of the n grid takes that value.  On the presets
@@ -50,6 +53,7 @@ import numpy as np
 # filter_coefficients is re-exported here for callers that look it up in
 # this module.
 from .filtering import filter_coefficients, riccati_steps
+from .forecasting import horizon_terms
 from .model import InvalidModelError, PmmParams, TransitionModel, is_hmm, markov_form
 
 __all__ = [
@@ -97,29 +101,6 @@ def observation_covariance(m: TransitionModel, b: float, n: int) -> np.ndarray:
     return lag_cov[np.abs(lags[:, None] - lags[None, :])]
 
 
-def _horizon_terms(
-    m: TransitionModel, m_fc: TransitionModel, k_values: list[int]
-) -> dict[int, tuple[np.ndarray, float]]:
-    """For each k: the error weights v on (X_n, Y_n, e_n) and the variance
-    of the noise that enters after step n."""
-    wanted = set(k_values)
-    out = {}
-    power, fc_power, noise = np.eye(2), np.eye(2), 0.0
-    for k in range(max(k_values) + 1):
-        if k in wanted:
-            v = np.array(
-                [
-                    power[0, 0] - fc_power[0, 0],
-                    power[0, 1] - fc_power[0, 1],
-                    fc_power[0, 0],
-                ]
-            )
-            out[k] = (v, noise)
-        noise += float((power @ m.Q @ power.T)[0, 0])
-        power, fc_power = m.A @ power, m_fc.A @ fc_power
-    return out
-
-
 def forecaster_mse(
     p_true: PmmParams, p_fc: PmmParams, n_values, k_values
 ) -> dict[tuple[int, int], float]:
@@ -140,7 +121,12 @@ def forecaster_mse(
         )
     m = markov_form(p_true)
     m_fc = markov_form(p_fc)
-    horizon = _horizon_terms(m, m_fc, k_values)
+    fc_terms = horizon_terms(m_fc, k_values)
+    # Per k: the error weights v on (X_n, Y_n, e_n) and the noise after n.
+    horizon = {}
+    for k, (xx, xy, noise) in horizon_terms(m, k_values).items():
+        fc_xx, fc_xy, _ = fc_terms[k]
+        horizon[k] = (np.array([xx - fc_xx, xy - fc_xy, fc_xx]), noise)
     b, b_fc = m.b, m_fc.b
     cov = np.array(
         [

@@ -1,12 +1,15 @@
 """k-step-ahead predictive law of the hidden variable.
 
 Conditioning X_{n+k} on the pair (X_n, Y_n) is linear with the first row
-of A^k, and replacing X_n by its filtered mean leaves Y_n untouched because
-Y_n is observed, so the predictive mean is [A^k]_00 m_n + [A^k]_01 Y_n.  The
-predictive variance follows the pair covariance S <- A S A^T + Q for k
-steps from S_0 = [[P_n, 0], [0, 0]] (Y_n is known exactly given Y_1:n).
-``forecast_path`` carries A^k and S from each horizon to the next, so every
-horizon up to k costs one O(k) pass; ``forecast`` is its last entry.
+(xx, xy) of A^k, and replacing X_n by its filtered mean leaves Y_n untouched
+because Y_n is observed, so the predictive mean is xx m_n + xy Y_n.  The
+predictive variance is xx^2 P_n plus the variance
+[sum_{j<k} A^j Q A^j^T]_00 of the noise that enters after step n.
+
+``horizon_terms`` builds (xx, xy, noise) for every wanted k in one pass up
+to the largest k.  It is the package's one k-step map: ``forecast`` and
+``forecast_path`` apply it to a filter state, and ``forecaster_mse``, the
+sliding-window evaluation and the Monte Carlo read their horizons from it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .filtering import FilterState
 from .model import TransitionModel
 
-__all__ = ["ForecastResult", "forecast", "forecast_path"]
+__all__ = ["ForecastResult", "forecast", "forecast_path", "horizon_terms"]
 
 
 @dataclass(frozen=True)
@@ -30,6 +33,35 @@ class ForecastResult:
     variance: float
 
 
+def horizon_terms(
+    m: TransitionModel, k_values
+) -> dict[int, tuple[float, float, float]]:
+    """For each horizon k: the first row (xx, xy) of A^k and the variance
+    [sum_{j<k} A^j Q A^j^T]_00 of the noise that enters after step n, in
+    one pass over k = 0..max(k_values); k = 0 gives (1, 0, 0)."""
+    wanted = set(k_values)
+    if not wanted or min(wanted) < 0:
+        raise ValueError(f"horizons must be a nonempty set of k >= 0, got {k_values!r}")
+    out = {}
+    power, noise = np.eye(2), 0.0
+    for k in range(max(wanted) + 1):
+        if k in wanted:
+            out[k] = (float(power[0, 0]), float(power[0, 1]), noise)
+        noise += float((power @ m.Q @ power.T)[0, 0])
+        power = m.A @ power
+    return out
+
+
+def _predict(s: FilterState, m: TransitionModel, horizons) -> list[ForecastResult]:
+    """The predictive law at each horizon, from one pass."""
+    return [
+        ForecastResult(
+            k, float(xx * s.mean + xy * s.last_y), float(xx * xx * s.variance + noise)
+        )
+        for k, (xx, xy, noise) in horizon_terms(m, horizons).items()
+    ]
+
+
 def forecast_path(
     s: FilterState, m: TransitionModel, k_max: int
 ) -> list[ForecastResult]:
@@ -37,19 +69,13 @@ def forecast_path(
     pass."""
     if k_max < 1:
         raise ValueError(f"forecast horizon must be >= 1, got {k_max}")
-    power = np.eye(2)
-    cov = np.array([[s.variance, 0.0], [0.0, 0.0]])
-    path = []
-    for k in range(1, k_max + 1):
-        power = m.A @ power
-        cov = m.A @ cov @ m.A.T + m.Q
-        mean = power[0, 0] * s.mean + power[0, 1] * s.last_y
-        path.append(
-            ForecastResult(horizon=k, mean=float(mean), variance=float(cov[0, 0]))
-        )
-    return path
+    return _predict(s, m, range(1, k_max + 1))
 
 
 def forecast(s: FilterState, m: TransitionModel, k: int) -> ForecastResult:
-    """Predictive mean and variance of X_{n+k} given Y_1:n."""
-    return forecast_path(s, m, k)[-1]
+    """Predictive mean and variance of X_{n+k} given Y_1:n: entry k of
+    ``forecast_path``, bit for bit, without keeping the other horizons."""
+    if k < 1:
+        raise ValueError(f"forecast horizon must be >= 1, got {k}")
+    [result] = _predict(s, m, [k])
+    return result

@@ -24,7 +24,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -35,13 +34,11 @@ __all__ = [
     "InvalidModelError",
     "PmmParams",
     "TransitionModel",
-    "PowerCoeffs",
     "ValidationReport",
     "gamma_from_params",
     "hmm_params",
     "is_hmm",
     "markov_form",
-    "matrix_power_coeffs",
     "validate",
     "load_params",
     "save_params",
@@ -135,16 +132,6 @@ class TransitionModel:
         return float(self.marginal[0, 1])
 
 
-class PowerCoeffs(NamedTuple):
-    """Entries of A^k: X_{n+k} and Y_{n+k} expressed on (X_n, Y_n)."""
-
-    k: int
-    xx: float
-    xy: float
-    yx: float
-    yy: float
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Admissibility diagnostics for a parameter set."""
@@ -226,16 +213,6 @@ def markov_form(p: PmmParams) -> TransitionModel:
         raise InvalidModelError(f"invalid parameters: {report.summary()}")
     A, Q = _transition(p)
     return TransitionModel(A=A, Q=Q, marginal=np.array([[1.0, p.b], [p.b, 1.0]]))
-
-
-def matrix_power_coeffs(m: TransitionModel, k: int) -> PowerCoeffs:
-    """Entries of A^k by repeated multiplication; k = 0 gives the identity."""
-    if k < 0:
-        raise ValueError(f"horizon must be >= 0, got {k}")
-    power = np.eye(2)
-    for _ in range(k):
-        power = m.A @ power
-    return PowerCoeffs(k, power[0, 0], power[0, 1], power[1, 0], power[1, 1])
 
 
 def validate(p: PmmParams) -> ValidationReport:

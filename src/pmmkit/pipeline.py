@@ -23,14 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .filtering import filter_coefficients
+from .forecasting import horizon_terms
 from .io import atomic_write, read_columns
-from .model import (
-    PmmParams,
-    _finite_float,
-    markov_form,
-    matrix_power_coeffs,
-    validate,
-)
+from .model import PmmParams, _finite_float, markov_form, validate
 from .simulate import empirical_covariances
 
 __all__ = [
@@ -42,7 +37,6 @@ __all__ = [
     "seasonal_values",
     "estimate_params",
     "evaluate",
-    "evaluate_errors",
     "evaluate_grid",
     "read_series_csv",
 ]
@@ -210,8 +204,10 @@ def fit_detrend(y, periods=DEFAULT_PERIODS) -> DetrendModel:
     if y.ndim != 1 or y.size <= 5:
         raise ValueError("need a 1-d series longer than 5 points")
     p1, p2 = float(periods[0]), float(periods[1])
-    if p1 <= 1.0 or p2 <= 1.0:
-        raise ValueError(f"periods must exceed 1 sample, got {periods}")
+    # Written so that nan fails too: a nan period would reach LAPACK as a
+    # nan design matrix.
+    if not (1.0 < p1 < np.inf and 1.0 < p2 < np.inf):
+        raise ValueError(f"periods must be finite and exceed 1 sample, got {periods}")
     design = _design_matrix(0, y.size, (p1, p2))
     theta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < 5:
@@ -281,8 +277,8 @@ def estimate_params(
 
 def _window_errors(model: FittedModel, x_test, y_test, n_values, k_values):
     """Yield (n, k, squared errors of every sliding (n, k) window) over the
-    grid; the filter means of each n and the A^k of each k are computed
-    once."""
+    grid; the filter means of each n are computed once, and every k's
+    horizon coefficients come from one ``horizon_terms`` pass."""
     x_test = np.asarray(x_test, dtype=float)
     y_test = np.asarray(y_test, dtype=float)
     if x_test.size != y_test.size:
@@ -299,40 +295,32 @@ def _window_errors(model: FittedModel, x_test, y_test, n_values, k_values):
                     f"(n={n}, k={k}) window"
                 )
     m = markov_form(model.params)
-    powers = {k: matrix_power_coeffs(m, k) for k in k_values}
+    terms = horizon_terms(m, k_values)
     for n in n_values:
         means = np.correlate(y_std, filter_coefficients(m, n), "valid")
         for k in k_values:
             count = x_test.size - n - k + 1
-            pc = powers[k]
-            predictions = pc.xx * means[:count] + pc.xy * y_std[n - 1 : n - 1 + count]
+            xx, xy, _ = terms[k]
+            predictions = xx * means[:count] + xy * y_std[n - 1 : n - 1 + count]
             targets = x_std[n - 1 + k : n - 1 + k + count]
             yield n, k, (targets - predictions) ** 2
 
 
-def evaluate_errors(
-    model: FittedModel, x_test, y_test, n: int, k: int
-) -> np.ndarray:
-    """Squared forecast errors of every sliding (n, k) window.
-
-    Window i filters the standardized observations y[i:i+n] and predicts
-    the standardized x at offset i+n-1+k; windows slide by one.  Inputs are
-    expected already detrended when the model carries a seasonal fit.
-    """
-    [(_, _, errors)] = _window_errors(model, x_test, y_test, [n], [k])
-    return errors
-
-
 def evaluate(model: FittedModel, x_test, y_test, n: int, k: int) -> float:
-    """Standardized mean squared error over all sliding (n, k) windows."""
-    return float(evaluate_errors(model, x_test, y_test, n, k).mean())
+    """One cell of ``evaluate_grid``."""
+    return evaluate_grid(model, x_test, y_test, [n], [k])[(n, k)]
 
 
 def evaluate_grid(
     model: FittedModel, x_test, y_test, n_values, k_values
 ) -> dict[tuple[int, int], float]:
-    """``evaluate`` for every (n, k) of the grid, sharing each n's filter
-    means across all k."""
+    """Standardized mean squared error over all sliding (n, k) windows, for
+    every (n, k) of the grid, sharing each n's filter means across all k.
+
+    Window i filters the standardized observations y[i:i+n] and predicts
+    the standardized x at offset i+n-1+k; windows slide by one.  Inputs are
+    expected already detrended when the model carries a seasonal fit.
+    """
     n_values = list(dict.fromkeys(int(n) for n in n_values))
     k_values = list(dict.fromkeys(int(k) for k in k_values))
     return {

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import _kernels_py as kernels
 from .filtering import filter_coefficients
-from .model import PmmParams, markov_form, matrix_power_coeffs
+from .forecasting import horizon_terms
+from .model import PmmParams, markov_form
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -128,7 +129,7 @@ def monte_carlo_mse(
     x0 = l011 * e0[:, 0]
     y0 = l021 * e0[:, 0] + l022 * e0[:, 1]
     weights = filter_coefficients(m_fc, n)
-    pc = matrix_power_coeffs(m_fc, k)
+    [(xx, xy, _)] = horizon_terms(m_fc, [k]).values()
     sq_errors = np.empty(reps)
     for lo in range(0, reps, REPLICATE_CHUNK):
         block = slice(lo, min(lo + REPLICATE_CHUNK, reps))
@@ -137,7 +138,7 @@ def monte_carlo_mse(
             a1, a2, a3, a4, lq11, lq21, lq22, x0[block], y0[block], eps
         )
         means = kernels.batch_filter_means(weights, y[:, :n])
-        predictions = pc.xx * means + pc.xy * y[:, n - 1]
+        predictions = xx * means + xy * y[:, n - 1]
         sq_errors[block] = (x[:, n + k - 1] - predictions) ** 2
         del eps, x, y  # so that the next block's arrays do not overlap these
     mse = float(sq_errors.mean())

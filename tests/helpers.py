@@ -15,9 +15,8 @@ import numpy as np
 
 from pmmkit import PmmParams, filter_coefficients, hmm_params, markov_form, validate
 from pmmkit import _kernels_py as kernels
-from pmmkit.error_analysis import _horizon_terms, observation_covariance
+from pmmkit.error_analysis import observation_covariance
 from pmmkit.filtering import batch_filter_means, filter_variance_sequence, riccati_steps
-from pmmkit.model import matrix_power_coeffs
 from pmmkit.simulate import _chol2
 
 
@@ -145,11 +144,12 @@ def reference_forecast(s, m, k: int) -> tuple[float, float]:
     the variance by k steps of S <- A S A^T + Q from diag(P, 0)."""
     if k < 1:
         raise ValueError(f"forecast horizon must be >= 1, got {k}")
-    pc = matrix_power_coeffs(m, k)
+    power = np.eye(2)
     cov = np.array([[s.variance, 0.0], [0.0, 0.0]])
     for _ in range(k):
+        power = m.A @ power
         cov = m.A @ cov @ m.A.T + m.Q
-    return pc.xx * s.mean + pc.xy * s.last_y, float(cov[0, 0])
+    return power[0, 0] * s.mean + power[0, 1] * s.last_y, float(cov[0, 0])
 
 
 def scalar_mse_grid(p: PmmParams, n_values, k_values) -> dict:
@@ -178,9 +178,9 @@ def forecast_coefficients(m, n: int, k: int) -> np.ndarray:
     filter weights scaled by [A^k]_00, plus [A^k]_01 on the last one."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    pc = matrix_power_coeffs(m, k)
-    w = pc.xx * filter_coefficients(m, n)
-    w[-1] += pc.xy
+    xx, xy = np.linalg.matrix_power(m.A, k)[0]
+    w = xx * filter_coefficients(m, n)
+    w[-1] += xy
     return w
 
 
@@ -206,7 +206,16 @@ def loop_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) 
     k_values = sorted({int(k) for k in k_values})
     m = markov_form(p_true)
     m_fc = markov_form(p_fc)
-    horizon = _horizon_terms(m, m_fc, k_values)
+    # The horizon terms by the same left-multiplication loop and noise sum
+    # as the production pass, so that the two agree bit for bit.
+    horizon = {}
+    power, fc_power, noise = np.eye(2), np.eye(2), 0.0
+    for k in range(k_values[-1] + 1):
+        if k in k_values:
+            xx, xy, fc_xx = power[0, 0], power[0, 1], fc_power[0, 0]
+            horizon[k] = (np.array([xx - fc_xx, xy - fc_power[0, 1], fc_xx]), noise)
+        noise += float((power @ m.Q @ power.T)[0, 0])
+        power, fc_power = m.A @ power, m_fc.A @ fc_power
     b, b_fc = m.b, m_fc.b
     cov = np.array(
         [
@@ -256,8 +265,10 @@ def whole_batch_monte_carlo_mse(
     a3, a4 = m_true.A[1]
     x, y = kernels.simulate_block(a1, a2, a3, a4, lq11, lq21, lq22, x0, y0, eps)
     means = batch_filter_means(m_fc, y[:, :n])
-    pc = matrix_power_coeffs(m_fc, k)
-    predictions = pc.xx * means + pc.xy * y[:, n - 1]
+    power = np.eye(2)
+    for _ in range(k):
+        power = m_fc.A @ power
+    predictions = power[0, 0] * means + power[0, 1] * y[:, n - 1]
     sq_errors = (x[:, n + k - 1] - predictions) ** 2
     return float(sq_errors.mean()), float(sq_errors.std(ddof=1) / math.sqrt(reps))
 

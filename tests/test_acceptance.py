@@ -30,8 +30,8 @@ from pmmkit.filtering import filter_init, filter_step
 from pmmkit.oracle import oracle_filter, oracle_forecast
 from pmmkit.pipeline import (
     StandardizationParams,
+    _window_errors,
     detrend,
-    evaluate_errors,
     fit_detrend,
 )
 from pmmkit.presets import get_preset
@@ -175,13 +175,14 @@ def test_criterion_08_pipeline_round_trip():
         y_standardize=fitted.y_standardize,
     )
     test_set = sample(truth, 30_000, seed=801)
-    for n in (5, 20, 50):
-        for k in (10, 24, 48):
-            err_p = evaluate_errors(fitted, test_set.x, test_set.y, n, k)
-            err_h = evaluate_errors(hmm_fitted, test_set.x, test_set.y, n, k)
-            diff = err_h - err_p
-            stderr = diff.std(ddof=1) / np.sqrt(diff.size)
-            assert diff.mean() >= -3 * stderr, (n, k)
+    grid = ([5, 20, 50], [10, 24, 48])
+    for (n, k, err_p), (_, _, err_h) in zip(
+        _window_errors(fitted, test_set.x, test_set.y, *grid),
+        _window_errors(hmm_fitted, test_set.x, test_set.y, *grid),
+    ):
+        diff = err_h - err_p
+        stderr = diff.std(ddof=1) / np.sqrt(diff.size)
+        assert diff.mean() >= -3 * stderr, (n, k)
 
 
 def test_criterion_09_synthetic_table_and_pipeline(tmp_path, capsys):

@@ -15,7 +15,7 @@ from pmmkit import (
     sample,
 )
 from pmmkit._kernels_py import SCAN_BLOCK, simulate_block
-from pmmkit.pipeline import FittedModel, StandardizationParams, evaluate_errors
+from pmmkit.pipeline import FittedModel, StandardizationParams, _window_errors
 from pmmkit.simulate import REPLICATE_CHUNK
 from helpers import (
     quadratic_filter_coefficients,
@@ -101,7 +101,7 @@ def test_run_filter_equals_fold_of_filter_step():
 
 
 @pytest.mark.parametrize("n, k", [(1, 0), (4, 2), (30, 5)])
-def test_evaluate_errors_equal_per_window_filter(n, k):
+def test_window_errors_equal_per_window_filter(n, k):
     p = get_preset("fig4").true_params
     model = FittedModel(
         params=p,
@@ -110,7 +110,7 @@ def test_evaluate_errors_equal_per_window_filter(n, k):
     )
     traj = sample(p, 400, seed=67)
     x_test, y_test = 0.3 + 1.7 * traj.x, -0.2 + 0.8 * traj.y
-    errors = evaluate_errors(model, x_test, y_test, n, k)
+    [(_, _, errors)] = _window_errors(model, x_test, y_test, [n], [k])
     m = markov_form(p)
     a_k = np.linalg.matrix_power(m.A, k)
     x_std, y_std = (x_test - 0.3) / 1.7, (y_test + 0.2) / 0.8

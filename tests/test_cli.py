@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from pmmkit import (
     sample,
     validate,
 )
-from pmmkit.cli import main
+from pmmkit.cli import MAX_GRID_POINTS, _parse_grid, main
 from pmmkit.model import is_hmm, save_params
 from pmmkit.pipeline import DetrendModel, StandardizationParams, evaluate
 from helpers import FIG2_PARAMS, PRESSURE_PARAMS, quadratic_form_mse, scalar_mse_pmm
@@ -609,6 +610,71 @@ class TestMalformedInput:
         assert out.exists()
 
 
+class TestUsageErrors:
+    """argparse's own errors keep the JSON error contract: exit 1 and one
+    {error, message} line on stderr naming the flag."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["fit", "--input", "s.csv"], "--output"),
+            (["simulate", "--params", "p.json", "--n", "abc", "--output", "t.csv"], "--n"),
+            (["fit", "--input", "s.csv", "--output", "m.json", "--window", "-1:0"],
+             "--window"),
+            (["forecast", "--input", "s.csv", "--n", "3", "--k", "1", "--bogus"],
+             "--bogus"),
+            ([], "simulate"),
+        ],
+    )
+    def test_json_error_names_flag(self, capsys, argv, flag):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        err = json.loads(line)
+        assert set(err) == {"error", "message"} and err["error"] == "ValueError"
+        assert flag in err["message"]
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["fit", "--help"]])
+    def test_help_and_version_exit_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert "pmmkit" in capsys.readouterr().out
+
+
+class TestGridBound:
+    def test_huge_grid_fails_before_expanding(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        argv = ["theoretical-mse", "--preset", "fig4", "--n-grid", "1:1000000000"]
+        assert run_cli(*argv, "--output", out) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert "--n-grid" in err["message"] and str(MAX_GRID_POINTS) in err["message"]
+        assert not out.exists()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                _parse_grid("--k-grid", "0:5,1:1000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @pytest.mark.parametrize(
+        "text",
+        [f"1:{MAX_GRID_POINTS},5", f"1:{MAX_GRID_POINTS // 2},0:{MAX_GRID_POINTS // 2}"],
+    )
+    def test_bound_counts_every_part(self, text):
+        with pytest.raises(ValueError, match="--n-grid holds 1000001 points"):
+            _parse_grid("--n-grid", text)
+
+    def test_four_hundred_point_sweep_runs(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        argv = ["theoretical-mse", "--preset", "fig4", "--n-grid", "1:400"]
+        assert run_cli(*argv, "--output", out) == 0
+        assert json.loads(capsys.readouterr().out)["points_per_curve"] == 400
+
+
 class TestMonteCarlo:
     def test_true_forecaster_calibrates(self, tmp_path, fig2_params_file, capsys):
         code = run_cli(
@@ -743,6 +809,29 @@ class TestLogLevel:
         assert out.returncode == 0, out.stderr
         assert "wrote t.csv" in out.stderr
         assert (tmp_path / "t.csv").is_file()
+
+
+@pytest.mark.parametrize(
+    "periods, detail",
+    [("nan,24", "finite"), ("24,inf", "finite"), ("abc,24", "--periods"),
+     ("24", "--periods")],
+)
+def test_bad_periods_one_json_line(tmp_path, periods, detail):
+    # A child process: LAPACK writes its complaints about a nan design to
+    # file descriptor 2, out of reach of redirect_stderr.
+    t = sample(FIG2_PARAMS, 200, seed=11)
+    write_series_csv(tmp_path / "s.csv", t.x, t.y)
+    out = _python(
+        ["-m", "pmmkit.cli", "fit", "--input", "s.csv", "--output", "m.json",
+         "--detrend", "--periods", periods],
+        tmp_path,
+    )
+    assert out.returncode == 1
+    assert out.stdout == ""
+    [line] = out.stderr.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "ValueError" and detail in error["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
 
 
 def test_module_entry_point():

@@ -6,9 +6,9 @@ all finite and with every output file written, or exit 1 with one
 ``{"error", "message"}`` line on stderr, nothing on stdout, no warning and
 no file left behind in its directory.  Half the examples draw every input
 from a strategy that should succeed, so that both exits are exercised.
-Text flags are passed as ``--flag=value``, because argparse reads a
-separate value that starts with ``-`` as an option.  Inputs stay small (at
-most 80 rows, 300 steps or replicates), so the suite takes a few seconds.
+Text flags are passed either as ``--flag=value`` or as two words.  Inputs
+stay small (at most 80 rows, 300 steps or replicates), so the suite takes
+a few seconds.
 """
 
 import io
@@ -141,6 +141,16 @@ def _run(directory, inputs, argv, outputs):
         assert sorted(p.name for p in directory.iterdir()) == sorted(inputs)
 
 
+def _text_flag(flag, value, joined):
+    """``flag`` and its text ``value`` as one ``--flag=value`` word or two;
+    as two words, a value that starts with ``-`` is a usage error."""
+    return [f"{flag}={value}"] if joined else [flag, value]
+
+
+# Whether text flags are passed as one word or two.
+JOINED = (st.booleans(), st.booleans())
+
+
 def _csv(rows, header="x,y"):
     return header + "\n" + "".join(f"{x},{y}\n" for x, y in rows)
 
@@ -178,6 +188,7 @@ def test_simulate(tmp_path_factory, case):
                     lambda p: f"{p[0]!r},{p[1]!r}"
                 ),
                 st.text(alphabet="0123456789,.x", max_size=6),
+                st.sampled_from(["nan,24", "24,inf", "inf,inf", "-inf,24", "nan,nan"]),
             ),
         ),
         window=(
@@ -189,15 +200,22 @@ def test_simulate(tmp_path_factory, case):
                 st.text(alphabet="0123456789:x", max_size=5),
             ),
         ),
+        joined=JOINED,
     )
 )
+# Once argparse's usage text for a separate value starting with "-", and
+# LAPACK's complaint about a nan period.
+@example(case={"rows": [("0.5", "1.5")] * 30, "periods": None, "window": "-1:0",
+               "joined": False})
+@example(case={"rows": [("0.5", "1.5")] * 30, "periods": "nan,24", "window": None,
+               "joined": True})
 def test_fit(tmp_path_factory, case):
     d = tmp_path_factory.mktemp("fit")
     argv = ["fit", "--input", d / "s.csv", "--output", d / "m.json"]
     if case["periods"] is not None:
-        argv += ["--detrend", f"--periods={case['periods']}"]
+        argv += ["--detrend", *_text_flag("--periods", case["periods"], case["joined"])]
     if case["window"] is not None:
-        argv.append(f"--window={case['window']}")
+        argv += _text_flag("--window", case["window"], case["joined"])
     _run(d, {"s.csv": _csv(case["rows"])}, argv, ["m.json"])
 
 
@@ -240,7 +258,23 @@ def test_forecast(tmp_path_factory, case):
         n_grid=(_grid(st.integers(1, 10)), BAD_GRID),
         k_grid=(_grid(st.integers(0, 10)), BAD_GRID),
         start_index=(st.integers(0, 10_000), st.integers(-3, -1)),
+        joined=JOINED,
     )
+)
+@example(
+    case={
+        "model": {
+            "params": dict.fromkeys(KEYS, 0.0),
+            "x_standardize": {"mean": 0.0, "std": 1.0},
+            "y_standardize": {"mean": 0.0, "std": 1.0},
+            "detrend": None,
+        },
+        "rows": [("0.5", "1.5")] * 30,
+        "n_grid": "-:",
+        "k_grid": "1",
+        "start_index": 0,
+        "joined": False,
+    }
 )
 def test_evaluate(tmp_path_factory, case):
     d = tmp_path_factory.mktemp("evaluate")
@@ -248,7 +282,8 @@ def test_evaluate(tmp_path_factory, case):
         d,
         {"m.json": json.dumps(case["model"]), "s.csv": _csv(case["rows"])},
         ["evaluate", "--model", d / "m.json", "--input", d / "s.csv",
-         f"--n-grid={case['n_grid']}", f"--k-grid={case['k_grid']}",
+         *_text_flag("--n-grid", case["n_grid"], case["joined"]),
+         *_text_flag("--k-grid", case["k_grid"], case["joined"]),
          "--start-index", case["start_index"], "--output", d / "table.csv"],
         ["table.csv"],
     )

@@ -19,7 +19,6 @@ from pmmkit import (
 from pmmkit import error_analysis
 from pmmkit.error_analysis import curves_to_csv, observation_covariance
 from pmmkit.filtering import filter_init, filter_step, riccati_steps
-from pmmkit.model import matrix_power_coeffs
 from pmmkit.oracle import build_joint
 from pmmkit.simulate import monte_carlo_mse
 from helpers import (
@@ -102,9 +101,9 @@ class TestForecastCoefficients:
     def test_hmm_last_weight_uncorrected(self):
         m = markov_form(HMM_BASE)
         base = filter_coefficients(m, 5)
-        pc = matrix_power_coeffs(m, 3)
+        xx = np.linalg.matrix_power(m.A, 3)[0, 0]
         np.testing.assert_allclose(
-            forecast_coefficients(m, 5, 3), pc.xx * base, atol=1e-14
+            forecast_coefficients(m, 5, 3), xx * base, atol=1e-14
         )
 
     def test_reproduces_forecast_mean(self):
@@ -112,8 +111,8 @@ class TestForecastCoefficients:
         ys = rng.standard_normal(3)
         coeffs = forecast_coefficients(FIG2_MODEL, 3, 2)
         state = run_filter(FIG2_MODEL, ys)
-        pc = matrix_power_coeffs(FIG2_MODEL, 2)
-        expected = pc.xx * state.mean + pc.xy * state.last_y
+        xx, xy = np.linalg.matrix_power(FIG2_MODEL.A, 2)[0]
+        expected = xx * state.mean + xy * state.last_y
         assert coeffs @ ys == pytest.approx(expected, abs=1e-10)
 
 

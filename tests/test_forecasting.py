@@ -10,9 +10,9 @@ from pmmkit import (
     markov_form,
     run_filter,
 )
-from pmmkit.model import matrix_power_coeffs
+from pmmkit.forecasting import horizon_terms
 from pmmkit.oracle import oracle_forecast
-from helpers import FIG2_PARAMS, random_valid_params, reference_forecast
+from helpers import FIG2_PARAMS, FIG4_PARAMS, random_valid_params, reference_forecast
 
 FIG2_MODEL = markov_form(FIG2_PARAMS)
 
@@ -134,10 +134,9 @@ class TestVarianceProfile:
             m = markov_form(p)
             s = run_filter(m, rng.standard_normal(4))
             j, k = int(rng.integers(1, 8)), int(rng.integers(1, 8))
-            pj = matrix_power_coeffs(m, j)
-            pk = matrix_power_coeffs(m, k)
-            composed_xx = pj.xx * pk.xx + pj.xy * pk.yx
-            composed_xy = pj.xx * pk.xy + pj.xy * pk.yy
+            composed_xx, composed_xy = (
+                np.linalg.matrix_power(m.A, j) @ np.linalg.matrix_power(m.A, k)
+            )[0]
             direct = forecast(s, m, j + k).mean
             assert direct == pytest.approx(
                 composed_xx * s.mean + composed_xy * s.last_y, abs=1e-12
@@ -166,3 +165,78 @@ class TestPath:
         state = run_filter(FIG2_MODEL, [0.5])
         with pytest.raises(ValueError):
             forecast_path(state, FIG2_MODEL, 0)
+
+
+HORIZONS = (0, 1, 2, 17, 200)
+
+
+def _models(seed):
+    rng = np.random.default_rng(seed)
+    return [markov_form(FIG2_PARAMS), markov_form(FIG4_PARAMS)] + [
+        markov_form(random_valid_params(rng)) for _ in range(10)
+    ]
+
+
+class TestHorizonTerms:
+    """The k-step map against np.linalg.matrix_power and an explicit noise
+    sum."""
+
+    def test_matches_matrix_power_and_noise_sum(self):
+        for m in _models(91):
+            terms = horizon_terms(m, HORIZONS)
+            assert list(terms) == sorted(HORIZONS)
+            for k in HORIZONS:
+                powers = [np.linalg.matrix_power(m.A, j) for j in range(k + 1)]
+                noise = sum((p @ m.Q @ p.T)[0, 0] for p in powers[:-1])
+                xx, xy, got_noise = terms[k]
+                np.testing.assert_allclose([xx, xy], powers[k][0], rtol=1e-12, atol=1e-15)
+                assert got_noise == pytest.approx(noise, rel=1e-12, abs=1e-15)
+
+    def test_noise_is_the_stationary_remainder(self):
+        # Stationarity: sum_{j<k} A^j Q A^j^T = M - A^k M A^k^T.
+        for m in _models(92):
+            for k, (xx, xy, noise) in horizon_terms(m, HORIZONS).items():
+                row = np.array([xx, xy])
+                assert noise == pytest.approx(1.0 - row @ m.marginal @ row, abs=1e-12)
+
+    def test_zeroth_horizon_is_identity(self):
+        assert horizon_terms(FIG2_MODEL, [0]) == {0: (1.0, 0.0, 0.0)}
+
+    def test_first_horizon_is_a_and_q(self):
+        m = FIG2_MODEL
+        assert horizon_terms(m, [1]) == {1: (m.A[0, 0], m.A[0, 1], m.Q[0, 0])}
+
+    def test_hmm_closed_form(self):
+        # Under the hidden-Markov constraints X_{n+k} = a^k X_n + noise of
+        # variance 1 - a^{2k}, and Y_n carries no extra information.
+        a, b = 0.7, 0.3
+        terms = horizon_terms(markov_form(hmm_params(a, b)), [1, 2, 5, 17])
+        for k, (xx, xy, noise) in terms.items():
+            assert xx == pytest.approx(a**k, rel=1e-13)
+            assert xy == pytest.approx(0.0, abs=1e-15)
+            assert noise == pytest.approx(1.0 - a ** (2 * k), rel=1e-13)
+
+    def test_composition(self):
+        # Row 0 of A^{j+k} is row 0 of A^j times A^k, and each step adds
+        # r Q r^T to the noise, with r row 0 of the current power.
+        rng = np.random.default_rng(93)
+        for m in _models(94):
+            j, k = (int(v) for v in rng.integers(0, 11, size=2))
+            terms = horizon_terms(m, range(j + k + 1))
+            row_j = np.array(terms[j][:2])
+            np.testing.assert_allclose(
+                row_j @ np.linalg.matrix_power(m.A, k), terms[j + k][:2], atol=1e-12
+            )
+            for i in range(j + k):
+                row = np.array(terms[i][:2])
+                assert terms[i + 1][2] == pytest.approx(
+                    terms[i][2] + row @ m.Q @ row, abs=1e-14
+                )
+
+    def test_repeated_and_unsorted_horizons(self):
+        assert horizon_terms(FIG2_MODEL, [5, 2, 5]) == horizon_terms(FIG2_MODEL, [2, 5])
+
+    @pytest.mark.parametrize("k_values", [[-1], [3, -2], []])
+    def test_negative_or_empty_rejected(self, k_values):
+        with pytest.raises(ValueError):
+            horizon_terms(FIG2_MODEL, k_values)

@@ -11,7 +11,7 @@ from pmmkit import (
     markov_form,
     validate,
 )
-from pmmkit.model import gamma_from_params, is_hmm, matrix_power_coeffs, save_params
+from pmmkit.model import gamma_from_params, is_hmm, save_params
 from helpers import FIG2_PARAMS, FIG4_PARAMS, PRESSURE_PARAMS, random_valid_params
 
 
@@ -130,53 +130,6 @@ class TestMarkovForm:
             np.testing.assert_allclose(
                 cross, [[p.a, p.e], [p.d, p.c]], atol=1e-12
             )
-
-
-class TestMatrixPowerCoeffs:
-    def test_zeroth_power_is_identity(self):
-        m = markov_form(FIG2_PARAMS)
-        assert matrix_power_coeffs(m, 0)[1:] == (1, 0, 0, 1)
-
-    def test_first_power_is_a(self):
-        m = markov_form(FIG2_PARAMS)
-        pc = matrix_power_coeffs(m, 1)
-        np.testing.assert_allclose(
-            [pc.xx, pc.xy, pc.yx, pc.yy], m.A.ravel(), atol=0
-        )
-
-    def test_hmm_square(self):
-        a, b = 0.7, 0.3
-        pc = matrix_power_coeffs(markov_form(hmm_params(a, b)), 2)
-        np.testing.assert_allclose(
-            [pc.xx, pc.xy, pc.yx, pc.yy], [a**2, 0, a**2 * b, 0], atol=1e-14
-        )
-
-    def test_fifth_power_matches_naive_product(self):
-        m = markov_form(FIG2_PARAMS)
-        naive = m.A @ m.A @ m.A @ m.A @ m.A
-        pc = matrix_power_coeffs(m, 5)
-        np.testing.assert_allclose(
-            [[pc.xx, pc.xy], [pc.yx, pc.yy]], naive, atol=1e-14
-        )
-
-    def test_power_composition(self):
-        rng = np.random.default_rng(9)
-        for _ in range(25):
-            m = markov_form(random_valid_params(rng))
-            j, k = rng.integers(0, 11, size=2)
-            pj = matrix_power_coeffs(m, int(j))
-            pk = matrix_power_coeffs(m, int(k))
-            pjk = matrix_power_coeffs(m, int(j + k))
-            left = np.array([[pj.xx, pj.xy], [pj.yx, pj.yy]]) @ np.array(
-                [[pk.xx, pk.xy], [pk.yx, pk.yy]]
-            )
-            np.testing.assert_allclose(
-                left, [[pjk.xx, pjk.xy], [pjk.yx, pjk.yy]], atol=1e-12
-            )
-
-    def test_negative_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            matrix_power_coeffs(markov_form(FIG2_PARAMS), -1)
 
 
 class TestValidate:

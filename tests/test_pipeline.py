@@ -13,8 +13,8 @@ from pmmkit.io import read_columns
 from pmmkit.pipeline import (
     StandardizationParams,
     detrend,
+    _window_errors,
     evaluate,
-    evaluate_errors,
     evaluate_grid,
     fit_detrend,
     read_series_csv,
@@ -65,6 +65,13 @@ class TestFitDetrend:
     def test_sub_sample_period_rejected(self):
         with pytest.raises(ValueError):
             fit_detrend(np.ones(100), periods=(0.5, 8772.0))
+
+    @pytest.mark.parametrize(
+        "periods", [(np.nan, 24.0), (24.0, np.inf), (np.inf, np.inf), (-np.inf, 24.0)]
+    )
+    def test_non_finite_period_rejected(self, periods):
+        with pytest.raises(ValueError, match="finite"):
+            fit_detrend(np.arange(100, dtype=float), periods=periods)
 
 
 class TestDetrend:
@@ -179,7 +186,7 @@ class TestEvaluate:
         n, k = 5, 2
         mse = evaluate(model, t.x, t.y, n, k)
         theory = theoretical_mse_pmm(FIG2_PARAMS, n, k)
-        errors = evaluate_errors(model, t.x, t.y, n, k)
+        [(_, _, errors)] = _window_errors(model, t.x, t.y, [n], [k])
         # overlapping windows correlate; allow a generous multiple of the
         # naive standard error
         naive_se = errors.std(ddof=1) / np.sqrt(errors.size)
@@ -193,8 +200,8 @@ class TestEvaluate:
             params=hmm_params(0.9, -0.2), x_standardize=ident, y_standardize=ident
         )
         for n, k in ((5, 1), (10, 3)):
-            err_p = evaluate_errors(pmm, t.x, t.y, n, k)
-            err_h = evaluate_errors(hmm, t.x, t.y, n, k)
+            [(_, _, err_p)] = _window_errors(pmm, t.x, t.y, [n], [k])
+            [(_, _, err_h)] = _window_errors(hmm, t.x, t.y, [n], [k])
             diff = err_h - err_p
             assert diff.mean() >= -3 * diff.std(ddof=1) / np.sqrt(diff.size)
 
@@ -203,7 +210,8 @@ class TestEvaluate:
         model = FittedModel(params=FIG2_PARAMS, x_standardize=ident, y_standardize=ident)
         x = np.zeros(20)
         y = np.zeros(20)
-        assert evaluate_errors(model, x, y, 5, 2).size == 14
+        [(_, _, errors)] = _window_errors(model, x, y, [5], [2])
+        assert errors.size == 14
 
     def test_grid_bit_identical_to_per_cell_evaluate(self):
         t = sample(FIG2_PARAMS, 5_000, seed=82)
@@ -212,7 +220,7 @@ class TestEvaluate:
             x_standardize=StandardizationParams(0.1, 1.3),
             y_standardize=StandardizationParams(-0.2, 0.9),
         )
-        # Each cell's own A^k against the grid's one A^k per k.
+        # Each cell's one-point grid against the shared grid.
         grid = evaluate_grid(model, t.x, t.y, [5, 20, 50, 5], [0, 1, 24, 48, 24])
         assert list(grid) == [(n, k) for n in (5, 20, 50) for k in (0, 1, 24, 48)]
         for (n, k), mse in grid.items():
