@@ -44,7 +44,7 @@ from .error_analysis import (
 )
 from .filtering import run_filter
 from .forecasting import forecast, forecast_path
-from .io import atomic_write, read_columns
+from .io import atomic_write, read_columns, write_json
 from .model import (
     PmmError,
     hmm_params,
@@ -74,8 +74,10 @@ from .simulate import (
 
 log = logging.getLogger("pmmkit")
 
-# Most integers one --n-grid or --k-grid may hold; the a:b ranges are
-# counted before any is expanded.
+# Most integers one --n-grid or --k-grid may hold (the a:b ranges are
+# counted before any is expanded), and the largest horizon or window that
+# forecast, monte-carlo and a theoretical-mse --k-grid take: each costs
+# time linear in it.
 MAX_GRID_POINTS = 10**6
 
 
@@ -124,14 +126,14 @@ def _read_y_column(path: str) -> np.ndarray:
     return read_columns(path, ("y",))[0]
 
 
-def _print_json(payload: dict) -> None:
-    # Strict JSON: a NaN or infinity raises instead of printing NaN/Infinity.
-    print(json.dumps(payload, indent=2, allow_nan=False))
-
-
 def _require_at_least(flag: str, value: int, low: int) -> None:
     if value < low:
         raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
+def _require_at_most(flag: str, value: int) -> None:
+    if value > MAX_GRID_POINTS:
+        raise ValueError(f"{flag} must be <= {MAX_GRID_POINTS}, got {value}")
 
 
 def _load_fitted(args) -> FittedModel:
@@ -150,7 +152,8 @@ def cmd_simulate(args) -> int:
     traj = sample(load_params(args.params), args.n, args.seed)
     covariances = empirical_covariances(traj.x, traj.y).to_dict()
     _atomic_write(Path(args.output), lambda fh: trajectory_to_csv(traj, fh))
-    _print_json(
+    write_json(
+        sys.stdout,
         {
             "output": str(args.output),
             "n": args.n,
@@ -158,7 +161,7 @@ def cmd_simulate(args) -> int:
             "rng": traj.rng,
             "backend": backend_name(),
             "empirical_covariances": covariances,
-        }
+        },
     )
     return 0
 
@@ -180,16 +183,18 @@ def cmd_theoretical_mse(args) -> int:
         n_values = _parse_grid("--n-grid", args.n_grid)
     if args.k_grid:
         k_values = _parse_grid("--k-grid", args.k_grid)
+        _require_at_most("--k-grid", max(k_values))
     curves = mse_sweep(p_true, p_hmm, n_values, k_values)
     _atomic_write(Path(args.output), lambda fh: curves_to_csv(curves, fh))
-    _print_json(
+    write_json(
+        sys.stdout,
         {
             "output": str(args.output),
             "curves": len(curves),
             "points_per_curve": len(curves[0].points),
             "true_params": p_true.to_dict(),
             "hmm_params": p_hmm.to_dict(),
-        }
+        },
     )
     return 0
 
@@ -218,23 +223,22 @@ def cmd_fit(args) -> int:
         detrend_model=detrend_model,
         fit_window=window,
     )
-    _atomic_write(
-        Path(args.output),
-        lambda fh: fh.write(json.dumps(fitted.to_json_dict(), indent=2) + "\n"),
-    )
-    _print_json(
+    _atomic_write(Path(args.output), lambda fh: write_json(fh, fitted.to_json_dict()))
+    write_json(
+        sys.stdout,
         {
             "output": str(args.output),
             "params": fitted.params.to_dict(),
             "repaired": fitted.repaired,
             "validation": validate(fitted.params).summary(),
-        }
+        },
     )
     return 0
 
 
 def cmd_forecast(args) -> int:
     _require_at_least("--n", args.n, 1)
+    _require_at_most("--k", args.k)
     # A negative index would anchor the seasonal phase before the series.
     _require_at_least("--start-index", args.start_index, 0)
     fitted = _load_fitted(args)
@@ -274,7 +278,7 @@ def cmd_forecast(args) -> int:
                 )
 
         _atomic_write(Path(args.output), write)
-    _print_json({"n": args.n, "filter_mean": state.mean, "forecasts": rows})
+    write_json(sys.stdout, {"n": args.n, "filter_mean": state.mean, "forecasts": rows})
     return 0
 
 
@@ -308,23 +312,27 @@ def cmd_evaluate(args) -> int:
             fh.write(f"{n},{k},{mse_h:.12e},{mse_p:.12e}\n")
 
     _atomic_write(Path(args.output), write)
-    _print_json(
+    write_json(
+        sys.stdout,
         {
             "output": str(args.output),
             "rows": len(rows),
             "hmm_restriction": hmm_restriction.to_dict(),
             "pmm_wins": sum(1 for r in rows if r[3] <= r[2]),
-        }
+        },
     )
     return 0
 
 
 def cmd_monte_carlo(args) -> int:
+    _require_at_most("--n", args.n)
+    _require_at_most("--k", args.k)
     p_true = load_params(args.params)
     p_fc = load_params(args.forecaster_params) if args.forecaster_params else p_true
     mse, stderr = monte_carlo_mse(p_true, p_fc, args.n, args.k, args.reps, args.seed)
     theory = forecaster_mse(p_true, p_fc, [args.n], [args.k])[(args.n, args.k)]
-    _print_json(
+    write_json(
+        sys.stdout,
         {
             "n": args.n,
             "k": args.k,
@@ -334,7 +342,7 @@ def cmd_monte_carlo(args) -> int:
             "mse": mse,
             "stderr": stderr,
             "theoretical_mse": theory,
-        }
+        },
     )
     return 0
 
@@ -357,14 +365,15 @@ def cmd_oracle(args) -> int:
     else:
         res = forecast(state, model, args.k)
         recursive = {"mean": res.mean, "variance": res.variance}
-    _print_json(
+    write_json(
+        sys.stdout,
         {
             "n": args.n,
             "k": args.k,
             "oracle": {"mean": mean, "variance": variance},
             "recursive": recursive,
             "theoretical_mse": theoretical_mse_pmm(params, args.n, args.k),
-        }
+        },
     )
     return 0
 

@@ -1,4 +1,4 @@
-"""The package's file boundary: reading series CSV and writing output files.
+"""The package's file boundary: series CSV, JSON documents and output files.
 
 ``read_columns`` reads named numeric columns from a headed CSV.  The header
 is parsed with the csv module and matched by stripped, lower-cased name;
@@ -14,11 +14,21 @@ there are no comment lines) and a NaN or infinite value.
 a unique temporary file in the target's directory, flushes and fsyncs it,
 and renames it onto the target; on any error the temporary file is removed
 and the target is left as it was.
+
+JSON documents (parameter files, fitted models and the CLI's summaries)
+are read by ``read_json``, which raises a ValueError naming the file for a
+document that does not parse, and written by ``write_json``, which never
+writes NaN or Infinity.  ``finite_number`` is the one rule for a number in
+a document: a finite real number, so not a string, a boolean, null, NaN,
+an infinity or an integer too large for a float.
 """
 
 from __future__ import annotations
 
 import csv
+import json
+import math
+import numbers
 import os
 import tempfile
 from pathlib import Path
@@ -26,7 +36,7 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-__all__ = ["read_columns", "atomic_write"]
+__all__ = ["read_columns", "atomic_write", "read_json", "write_json", "finite_number"]
 
 
 def read_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray, ...]:
@@ -126,3 +136,30 @@ def _umask() -> int:
     mask = os.umask(0o077)
     os.umask(mask)
     return mask
+
+
+def read_json(path: str | Path):
+    """The JSON document in ``path``."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            # RecursionError: a document nested too deeply for the parser.
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def write_json(fh: TextIO, doc) -> None:
+    """Write ``doc`` indented, with a trailing newline; a NaN or an
+    infinity raises ValueError before anything is written."""
+    fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+
+
+def finite_number(value) -> float | None:
+    """``value`` as a float if it is a finite real number, else None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None

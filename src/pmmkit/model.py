@@ -20,14 +20,12 @@ transition model stores Q rather than a particular square root B.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .io import atomic_write
+from .io import atomic_write, finite_number, read_json, write_json
 
 __all__ = [
     "PmmError",
@@ -89,7 +87,7 @@ class PmmParams:
                 f"got {type(data).__name__}"
             )
         keys = ("a", "b", "c", "d", "e")
-        values = {k: _finite_float(data[k]) for k in keys if k in data}
+        values = {k: finite_number(data[k]) for k in keys if k in data}
         missing = [k for k in keys if k not in data]
         bad = [k for k, v in values.items() if v is None]
         if missing or bad:
@@ -100,14 +98,6 @@ class PmmParams:
                 problems.append("not a finite number: " + ", ".join(bad))
             raise ValueError("invalid parameters: " + "; ".join(problems))
         return cls(**values)
-
-
-def _finite_float(value) -> float | None:
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        return None
-    return number if math.isfinite(number) else None
 
 
 @dataclass(frozen=True)
@@ -242,14 +232,13 @@ def validate(p: PmmParams) -> ValidationReport:
 
 
 def save_params(p: PmmParams, path: str | Path) -> None:
-    text = json.dumps(p.to_dict(), indent=2) + "\n"
-    atomic_write(path, lambda fh: fh.write(text))
+    atomic_write(path, lambda fh: write_json(fh, p.to_dict()))
 
 
 def load_params(path: str | Path) -> PmmParams:
     """Read parameters from JSON; accepts a bare {a..e} document or a fitted
     model document with a nested "params" object."""
-    data = json.loads(Path(path).read_text())
+    data = read_json(path)
     if isinstance(data, dict) and isinstance(data.get("params"), dict):
         data = data["params"]
     return PmmParams.from_dict(data)

@@ -16,7 +16,7 @@ with the fitting window's moments (no leakage).
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,8 +24,8 @@ import numpy as np
 
 from .filtering import filter_coefficients
 from .forecasting import horizon_terms
-from .io import atomic_write, read_columns
-from .model import PmmParams, _finite_float, markov_form, validate
+from .io import atomic_write, finite_number, read_columns, read_json, write_json
+from .model import PmmParams, markov_form, validate
 from .simulate import empirical_covariances
 
 __all__ = [
@@ -133,10 +133,11 @@ class FittedModel:
                 sigma=_number(d.get("sigma"), "detrend.sigma"),
             )
         window = doc.get("fit_window")
-        if window and not (
+        # JSON's true and false are Python ints; they are no row index.
+        if window is not None and not (
             isinstance(window, list)
             and len(window) == 2
-            and all(isinstance(v, int) for v in window)
+            and all(type(v) is int for v in window)
         ):
             raise ValueError(f"fitted model: fit_window must be two integers, got {window!r}")
         return cls(
@@ -144,28 +145,27 @@ class FittedModel:
             x_standardize=_moments(doc, "x_standardize"),
             y_standardize=_moments(doc, "y_standardize"),
             detrend=det,
-            fit_window=tuple(window) if window else None,
+            fit_window=None if window is None else tuple(window),
             repaired=bool(doc.get("repaired", False)),
         )
 
     def save(self, path: str | Path) -> None:
-        text = json.dumps(self.to_json_dict(), indent=2) + "\n"
-        atomic_write(path, lambda fh: fh.write(text))
+        atomic_write(path, lambda fh: write_json(fh, self.to_json_dict()))
 
     @classmethod
     def load(cls, path: str | Path) -> "FittedModel":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return cls.from_json_dict(read_json(path))
 
 
 def _number(value, name: str) -> float:
-    number = _finite_float(value)
+    number = finite_number(value)
     if number is None:
         raise ValueError(f"fitted model: {name} must be a finite number, got {value!r}")
     return number
 
 
 def _numbers(value, name: str, count: int) -> list[float]:
-    numbers = [_finite_float(v) for v in value] if isinstance(value, list) else []
+    numbers = [finite_number(v) for v in value] if isinstance(value, list) else []
     if len(numbers) != count or None in numbers:
         raise ValueError(
             f"fitted model: {name} must be {count} finite numbers, got {value!r}"
@@ -208,6 +208,12 @@ def fit_detrend(y, periods=DEFAULT_PERIODS) -> DetrendModel:
     # nan design matrix.
     if not (1.0 < p1 < np.inf and 1.0 < p2 < np.inf):
         raise ValueError(f"periods must be finite and exceed 1 sample, got {periods}")
+    # Quietly, as in _standardization: a series past the float range is
+    # rejected here, before it reaches LAPACK.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = float(np.var(y, ddof=1))
+    if not math.isfinite(sigma):
+        raise ValueError(f"series y: variance {sigma} is not finite; rescale it")
     design = _design_matrix(0, y.size, (p1, p2))
     theta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < 5:
@@ -215,7 +221,7 @@ def fit_detrend(y, periods=DEFAULT_PERIODS) -> DetrendModel:
             f"rank-deficient harmonic design (rank {rank}); "
             "periods alias each other or the sampling grid"
         )
-    return DetrendModel(theta=theta, periods=(p1, p2), sigma=float(np.var(y, ddof=1)))
+    return DetrendModel(theta=theta, periods=(p1, p2), sigma=sigma)
 
 
 def seasonal_values(d: DetrendModel, start_index: int, count: int) -> np.ndarray:
@@ -250,10 +256,8 @@ def estimate_params(
         raise ValueError("series lengths differ")
     if x.size < 30:
         raise ValueError(f"need at least 30 points to estimate, got {x.size}")
-    x_stats = StandardizationParams(float(x.mean()), float(x.std(ddof=1)))
-    y_stats = StandardizationParams(float(y.mean()), float(y.std(ddof=1)))
-    if x_stats.std <= 0.0 or y_stats.std <= 0.0:
-        raise ValueError("zero-variance series cannot be standardized")
+    x_stats = _standardization(x, "x")
+    y_stats = _standardization(y, "y")
     raw = empirical_covariances(x_stats.apply(x), y_stats.apply(y))
     params, repaired = raw, False
     if not validate(raw).ok:
@@ -273,6 +277,22 @@ def estimate_params(
         fit_window=fit_window,
         repaired=repaired,
     )
+
+
+def _standardization(values: np.ndarray, name: str) -> StandardizationParams:
+    """The mean and sample standard deviation of the series called ``name``."""
+    # A sum or a square past the float range gives inf or nan, rejected
+    # below, rather than a RuntimeWarning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = float(values.mean()), float(values.std(ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise ValueError(
+            f"series {name}: mean {mean} or standard deviation {std} is not finite; "
+            "rescale it"
+        )
+    if std <= 0.0:
+        raise ValueError(f"series {name}: zero-variance series cannot be standardized")
+    return StandardizationParams(mean, std)
 
 
 def _window_errors(model: FittedModel, x_test, y_test, n_values, k_values):

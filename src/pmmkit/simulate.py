@@ -5,9 +5,9 @@ correlation b; later pairs follow Z_{t+1} = A Z_t + B W_{t+1}, with B the
 lower Cholesky factor of Q (any square root would do; the lower factor is
 fixed for reproducibility).  All randomness comes from numpy's default
 PCG64 generator, so a (params, length, seed) triple pins the trajectory
-bit for bit.  Monte Carlo advances REPLICATE_CHUNK replicates at a time
-and keeps only their squared errors, so its memory is
-O(reps + REPLICATE_CHUNK * (n + k)) whatever the number of replicates.
+bit for bit.  Monte Carlo advances at most REPLICATE_CHUNK replicates,
+and at most BLOCK_STEPS replicate-steps, at a time and keeps only their
+squared errors, so its memory is O(reps + n + k + BLOCK_STEPS).
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ RNG_ALGORITHM = "numpy-pcg64"
 # Replicates simulated and filtered together in monte_carlo_mse: a block's
 # noise and trajectories take under 2 MB at 50 steps, so they stay in cache.
 REPLICATE_CHUNK = 1024
+# Most replicates times steps in one block: 32 bytes each for the noise and
+# both trajectories, so about 32 MB at any n + k.
+BLOCK_STEPS = 2**20
 # Rows formatted by one string operation in trajectory_to_csv.
 WRITE_ROWS = 4096
 
@@ -109,10 +112,10 @@ def monte_carlo_mse(
     error over replicates.
 
     The first pairs of all replicates are drawn up front; each block of
-    REPLICATE_CHUNK replicates then draws its own noise, is simulated and
-    filtered, and leaves only its squared errors.  Consecutive draws equal
-    one large draw bit for bit, so the result does not depend on the block
-    size.
+    replicates (REPLICATE_CHUNK, or fewer when n + k is long) then draws
+    its own noise, is simulated and filtered, and leaves only its squared
+    errors.  Consecutive draws equal one large draw bit for bit, so the
+    result does not depend on the block size.
     """
     if reps < 100:
         raise ValueError(f"need reps >= 100, got {reps}")
@@ -130,9 +133,10 @@ def monte_carlo_mse(
     y0 = l021 * e0[:, 0] + l022 * e0[:, 1]
     weights = filter_coefficients(m_fc, n)
     [(xx, xy, _)] = horizon_terms(m_fc, [k]).values()
+    chunk = max(1, min(REPLICATE_CHUNK, BLOCK_STEPS // (n + k)))
     sq_errors = np.empty(reps)
-    for lo in range(0, reps, REPLICATE_CHUNK):
-        block = slice(lo, min(lo + REPLICATE_CHUNK, reps))
+    for lo in range(0, reps, chunk):
+        block = slice(lo, min(lo + chunk, reps))
         eps = rng.standard_normal((block.stop - lo, n + k - 1, 2))
         x, y = kernels.simulate_block(
             a1, a2, a3, a4, lq11, lq21, lq22, x0[block], y0[block], eps

@@ -610,6 +610,61 @@ class TestMalformedInput:
         assert out.exists()
 
 
+TRUNCATED = object()
+# Parameter and fitted-model files the JSON boundary rejects, as (file
+# kind, key path, new value or TRUNCATED, text the message must contain).
+# Each edits a valid document; TRUNCATED cuts its text in half instead,
+# and the message must then start with the file's path.
+BAD_JSON_FILES = {
+    "params_string_number": ("params", ("a",), "0.9", "not a finite number: a"),
+    "params_boolean": ("params", ("b",), False, "not a finite number: b"),
+    "params_401_digits": ("params", ("c",), 10**400, "not a finite number: c"),
+    "params_nan": ("params", ("d",), float("nan"), "not a finite number: d"),
+    "params_truncated": ("params", (), TRUNCATED, None),
+    "model_string_number": ("model", ("y_standardize", "std"), "1.0", "y_standardize.std"),
+    "model_boolean": ("model", ("x_standardize", "mean"), True, "x_standardize.mean"),
+    "model_401_digits": ("model", ("detrend", "sigma"), 10**400, "detrend.sigma"),
+    "model_nan": ("model", ("params", "e"), float("nan"), "not a finite number: e"),
+    "model_truncated": ("model", (), TRUNCATED, None),
+    "model_boolean_fit_window": ("model", ("fit_window",), [True, False], "fit_window"),
+}
+
+
+class TestJsonBoundary:
+    @pytest.mark.parametrize("case", sorted(BAD_JSON_FILES))
+    def test_one_json_error_line(self, tmp_path, capsys, case):
+        kind, path, value, detail = BAD_JSON_FILES[case]
+        if kind == "params":
+            doc = FIG2_PARAMS.to_dict()
+            if value is not TRUNCATED:
+                doc[path[0]] = value
+        elif value is TRUNCATED:
+            doc = _model_doc(("repaired",), False)
+        else:
+            doc = _model_doc(path, value)
+        text = json.dumps(doc, indent=2)
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text(text[: len(text) // 2] if value is TRUNCATED else text)
+        data = tmp_path / "obs.csv"
+        write_series_csv(data, np.zeros(8), np.linspace(-1.0, 1.0, 8))
+        out = tmp_path / "out.csv"
+        argv = {
+            "params": ["monte-carlo", "--params", bad, "--n", 2, "--k", 1, "--reps", 100],
+            "model": _model_argv("forecast", bad, data, out),
+        }[kind]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ValueError"
+        if detail is None:
+            assert err["message"].startswith(f"{bad}: ")
+        else:
+            assert detail in err["message"]
+        assert not out.exists()
+
+
 class TestUsageErrors:
     """argparse's own errors keep the JSON error contract: exit 1 and one
     {error, message} line on stderr naming the flag."""
@@ -667,6 +722,45 @@ class TestGridBound:
     def test_bound_counts_every_part(self, text):
         with pytest.raises(ValueError, match="--n-grid holds 1000001 points"):
             _parse_grid("--n-grid", text)
+
+    # One past the bound on each single horizon or window length; a valid
+    # call otherwise, so only the named flag can fail it.
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("forecast", "--k"), ("monte-carlo", "--n"), ("monte-carlo", "--k"),
+         ("theoretical-mse", "--k-grid")],
+    )
+    def test_horizon_above_bound_names_flag(
+        self, tmp_path, fig2_params_file, capsys, command, flag
+    ):
+        data = tmp_path / "obs.csv"
+        write_series_csv(data, np.zeros(8), np.linspace(-1.0, 1.0, 8))
+        out = tmp_path / "out.csv"
+        argv = {
+            "forecast": [
+                "forecast", "--params", fig2_params_file, "--input", data,
+                "--n", 4, "--k", 1, "--output", out,
+            ],
+            "monte-carlo": [
+                "monte-carlo", "--params", fig2_params_file,
+                "--n", 2, "--k", 1, "--reps", 100,
+            ],
+            "theoretical-mse": [
+                "theoretical-mse", "--preset", "fig2", "--output", out,
+            ],
+        }[command]
+        assert run_cli(*argv) == 0
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        too_long = MAX_GRID_POINTS + 1
+        assert run_cli(*argv, flag, too_long) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "ValueError"
+        assert err["message"] == f"{flag} must be <= {MAX_GRID_POINTS}, got {too_long}"
+        assert not out.exists()
 
     def test_four_hundred_point_sweep_runs(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -831,6 +925,29 @@ def test_bad_periods_one_json_line(tmp_path, periods, detail):
     [line] = out.stderr.splitlines()
     error = json.loads(line)
     assert error["error"] == "ValueError" and detail in error["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+
+@pytest.mark.parametrize(
+    "column, flags", [("x", []), ("y", []), ("y", ["--detrend"])],
+)
+def test_fit_rejects_series_past_float_range(tmp_path, column, flags):
+    # A child process, so that a numpy RuntimeWarning would show on stderr.
+    t = sample(FIG2_PARAMS, 200, seed=12)
+    series = {"x": t.x, "y": t.y}
+    series[column] = 1e200 * series[column]  # squared deviations overflow
+    write_series_csv(tmp_path / "s.csv", series["x"], series["y"])
+    out = _python(
+        ["-m", "pmmkit.cli", "fit", "--input", "s.csv", "--output", "m.json", *flags],
+        tmp_path,
+    )
+    assert out.returncode == 1
+    assert out.stdout == ""
+    [line] = out.stderr.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "ValueError"
+    assert error["message"].startswith(f"series {column}: ")
+    assert "not finite" in error["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
 
 

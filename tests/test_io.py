@@ -1,12 +1,15 @@
+import io
 import os
 import stat
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import pmmkit.model
 import pmmkit.pipeline
 from pmmkit import FittedModel, estimate_params, load_params, sample
-from pmmkit.io import atomic_write
+from pmmkit.io import atomic_write, finite_number, read_json, write_json
 from pmmkit.model import save_params
 from helpers import FIG2_PARAMS
 
@@ -58,6 +61,67 @@ class TestAtomicWrite:
     def test_missing_directory_is_an_os_error(self, tmp_path):
         with pytest.raises(OSError):
             atomic_write(tmp_path / "absent" / "out.csv", lambda fh: fh.write("x"))
+
+
+class TestJson:
+    def test_write_is_indented_with_trailing_newline(self):
+        fh = io.StringIO()
+        write_json(fh, {"a": [1, 0.5], "b": None})
+        assert fh.getvalue() == '{\n  "a": [\n    1,\n    0.5\n  ],\n  "b": null\n}\n'
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_write_rejects_non_finite_before_writing(self, value):
+        fh = io.StringIO()
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(fh, {"ok": 1.0, "bad": [value]})
+        assert fh.getvalue() == ""
+
+    def test_read_round_trips_write(self, tmp_path):
+        doc = {"a": [1, -0.0, 1e-300, 0.1 + 0.2], "b": {"c": True, "d": None}}
+        path = tmp_path / "doc.json"
+        atomic_write(path, lambda fh: write_json(fh, doc))
+        assert read_json(path) == doc
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"a": 0.9, "b": -0.2,\n', "", "[1, 2", '{"a": 1} trailing', "[" * 100_000],
+    )
+    def test_unparseable_document_names_the_file(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_json(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_missing_file_is_an_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            read_json(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize(
+        "value, want",
+        [
+            (0, 0.0),
+            (-3, -3.0),
+            (0.25, 0.25),
+            (np.float32(0.5), 0.5),
+            (np.int64(7), 7.0),
+            (Fraction(1, 4), 0.25),
+            (10**308, 1e308),
+        ],
+    )
+    def test_finite_number_accepts(self, value, want):
+        got = finite_number(value)
+        assert type(got) is float and got == want
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "0.9", "nan", True, False, np.bool_(True), None, [0.5], {"v": 0.5},
+            float("nan"), float("inf"), -float("inf"), 10**400, -(10**400),
+        ],
+    )
+    def test_finite_number_rejects(self, value):
+        assert finite_number(value) is None
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmmkit import (
     FittedModel,
@@ -257,6 +259,43 @@ class TestSerialization:
         loaded = FittedModel.load(path)
         assert loaded.detrend is None
         assert loaded.params == fitted.params
+
+    # Series of any scale: past about 1e154 the squared deviations overflow
+    # and estimation must refuse the series rather than save an infinity.
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        pairs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                       min_size=30, max_size=60),
+        x_exp=st.integers(-300, 300),
+        y_exp=st.integers(-300, 300),
+        detrended=st.booleans(),
+    )
+    def test_every_estimate_survives_save_and_load(
+        self, tmp_path_factory, pairs, x_exp, y_exp, detrended
+    ):
+        x = 10.0**x_exp * np.array([v for v, _ in pairs])
+        y = 10.0**y_exp * np.array([v for _, v in pairs])
+        try:
+            d = fit_detrend(y, (5.0, 12.0)) if detrended else None
+            fitted = estimate_params(
+                x, y if d is None else detrend(y, d), detrend_model=d,
+                fit_window=(0, x.size),
+            )
+        except ValueError as exc:
+            assert "not finite" in str(exc) or "zero-variance" in str(exc)
+            return
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        fitted.save(path)
+        loaded = FittedModel.load(path)
+        assert loaded.params == fitted.params
+        assert loaded.x_standardize == fitted.x_standardize
+        assert loaded.y_standardize == fitted.y_standardize
+        assert (loaded.fit_window, loaded.repaired) == (fitted.fit_window, fitted.repaired)
+        if d is None:
+            assert loaded.detrend is None
+        else:
+            assert np.array_equal(loaded.detrend.theta, d.theta)
+            assert (loaded.detrend.periods, loaded.detrend.sigma) == (d.periods, d.sigma)
 
 
 def _seeded_rows(seed: int, count: int):

@@ -115,6 +115,23 @@ class TestMonteCarloMse:
         # take about 650 MB here.
         assert peak < 32_000_000
 
+    # n + k = 5000 makes a block of 2**20 // 5000 = 209 replicates.
+    def test_long_replicates_equal_whole_batch(self):
+        fig = get_preset("fig4")
+        args = (fig.true_params, fig.hmm_reference, 4995, 5, 300, 25)
+        assert monte_carlo_mse(*args) == whole_batch_monte_carlo_mse(*args)
+
+    def test_memory_bounded_in_replicate_length(self):
+        fig = get_preset("fig4")
+        tracemalloc.start()
+        try:
+            monte_carlo_mse(fig.true_params, fig.hmm_reference, 4995, 5, 1024, seed=26)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A block of REPLICATE_CHUNK replicates would take about 164 MB here.
+        assert peak < 40_000_000
+
 
 class TestCsv:
     def test_header_and_rows(self):
