@@ -507,11 +507,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         logging.basicConfig(level=_log_level())
         return args.func(args)
-    except (PmmError, ValueError, OSError, KeyError) as exc:
-        json.dump(
-            {"error": type(exc).__name__, "message": str(exc)},
-            sys.stderr,
-        )
+    except (PmmError, ValueError, OSError, KeyError, MemoryError) as exc:
+        # numpy raises a private MemoryError subclass; report the public name.
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        json.dump({"error": name, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
 

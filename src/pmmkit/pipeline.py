@@ -112,16 +112,18 @@ class FittedModel:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FittedModel":
         """The model a ``to_json_dict`` document describes; a missing,
-        non-numeric or out-of-range field raises ValueError naming it."""
+        non-numeric or out-of-range field, a ``detrend`` that is neither an
+        object nor null, or a ``repaired`` that is not a boolean raises
+        ValueError naming it."""
         if not isinstance(doc, dict):
             raise ValueError(
                 f"fitted model must be a JSON object, got {type(doc).__name__}"
             )
         det = None
-        if doc.get("detrend"):
-            d = doc["detrend"]
+        d = doc.get("detrend")
+        if d is not None:
             if not isinstance(d, dict):
-                raise ValueError("fitted model: detrend must be an object or null")
+                raise ValueError(f"fitted model: detrend must be an object or null, got {d!r}")
             periods = _numbers(d.get("periods"), "detrend.periods", 2)
             if min(periods) <= 1.0:
                 raise ValueError(
@@ -140,13 +142,16 @@ class FittedModel:
             and all(type(v) is int for v in window)
         ):
             raise ValueError(f"fitted model: fit_window must be two integers, got {window!r}")
+        repaired = doc.get("repaired", False)
+        if not isinstance(repaired, bool):
+            raise ValueError(f"fitted model: repaired must be true or false, got {repaired!r}")
         return cls(
             params=PmmParams.from_dict(doc.get("params")),
             x_standardize=_moments(doc, "x_standardize"),
             y_standardize=_moments(doc, "y_standardize"),
             detrend=det,
             fit_window=None if window is None else tuple(window),
-            repaired=bool(doc.get("repaired", False)),
+            repaired=repaired,
         )
 
     def save(self, path: str | Path) -> None:

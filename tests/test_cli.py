@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -20,7 +21,13 @@ from pmmkit import (
 from pmmkit.cli import MAX_GRID_POINTS, _parse_grid, main
 from pmmkit.model import is_hmm, save_params
 from pmmkit.pipeline import DetrendModel, StandardizationParams, evaluate
-from helpers import FIG2_PARAMS, PRESSURE_PARAMS, quadratic_form_mse, scalar_mse_pmm
+from helpers import (
+    FIG2_PARAMS,
+    PRESSURE_PARAMS,
+    quadratic_form_mse,
+    rowwise_trajectory_to_csv,
+    scalar_mse_pmm,
+)
 
 
 @pytest.fixture
@@ -61,6 +68,35 @@ class TestSimulate:
         est = summary["empirical_covariances"]
         assert est["a"] == pytest.approx(0.9, abs=0.05)
         assert summary["rng"] == "numpy-pcg64"
+
+    def test_output_equals_rowwise_writer(self, tmp_path, fig2_params_file):
+        out = tmp_path / "t.csv"
+        proc = _python(
+            ["-m", "pmmkit.cli", "simulate", "--params", str(fig2_params_file),
+             "--n", "20000", "--seed", "5", "--output", str(out)],
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        want = io.StringIO()
+        rowwise_trajectory_to_csv(sample(FIG2_PARAMS, 20_000, seed=5), want)
+        assert out.read_bytes() == want.getvalue().encode("ascii")
+
+    def test_memory_error_is_one_json_line(self, tmp_path, fig2_params_file):
+        # 1e13 steps ask numpy for 146 TiB of noise, more than a 47-bit
+        # address space holds, so the allocation fails at once.
+        out = tmp_path / "t.csv"
+        proc = _python(
+            ["-m", "pmmkit.cli", "simulate", "--params", str(fig2_params_file),
+             "--n", "10000000000000", "--output", str(out)],
+            tmp_path,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "MemoryError"
+        assert "146" in err["message"]
+        assert list(tmp_path.iterdir()) == [fig2_params_file]
 
     def test_negative_seed_names_it(self, tmp_path, fig2_params_file, capsys):
         out = tmp_path / "t.csv"
@@ -465,6 +501,11 @@ MALFORMED_MODELS = {
     "string_theta": (("detrend", "theta"), [1.0] * 4 + ["x"], "detrend.theta"),
     "unit_period": (("detrend", "periods"), [1.0, 8772.0], "detrend.periods"),
     "scalar_fit_window": (("fit_window",), 5, "fit_window"),
+    "empty_detrend": (("detrend",), {}, "detrend.periods"),
+    "zero_detrend": (("detrend",), 0, "detrend must be an object or null"),
+    "false_detrend": (("detrend",), False, "detrend must be an object or null"),
+    "string_repaired": (("repaired",), "no", "repaired must be true or false"),
+    "integer_repaired": (("repaired",), 0, "repaired must be true or false"),
 }
 
 

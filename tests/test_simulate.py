@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmmkit import PmmParams, get_preset, hmm_params, sample, monte_carlo_mse
 from pmmkit.simulate import (
@@ -13,6 +15,30 @@ from pmmkit.simulate import (
     trajectory_to_csv,
 )
 from helpers import FIG2_PARAMS, rowwise_trajectory_to_csv, whole_batch_monte_carlo_mse
+
+# Values whose formatting numpy cannot settle alone, as runs written into
+# a simulated path: a decade carry, an exact or near tie of the 13th digit,
+# a zero, a subnormal, a three-digit exponent, a non-finite value.
+EDGE_VALUES = {
+    "decade_round_up": [9.9999999999995, 9.99999999999949e-5, -9.9999999999995e-5,
+                        99999.9999999995, 9.999999999999e-99],
+    "exact_ties": [1234567890123.5, 10000000000005.0, -1234567890123.5, 2.5, 0.5],
+    # The scaled product lands 0.499 from the wrong integer.
+    "near_ties": [8.2013660427185e-94, -8.5299699025685e-94, 7.7611610324125e-94],
+    "signed_zeros": [0.0, -0.0, 1.0, -1.0],
+    "subnormal": [5e-324, -2.2250738585072e-310],
+    "three_digit_exponent_large": [1e100, 9.99999999999999e99, -1.5e300],
+    "three_digit_exponent_small": [-1.5e-100, 9.99999999999999e-100, 1e-99],
+    "infinities": [float("inf"), -float("inf"), 1.0],
+    "nan": [float("nan"), 1.0],
+}
+ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# The magnitudes that numpy formats; the sign is drawn separately.
+TWO_DIGIT_EXP = st.builds(
+    lambda negative, mag: -mag if negative else mag,
+    st.booleans(),
+    st.floats(min_value=1e-99, max_value=1e99, exclude_max=True),
+)
 
 
 class TestReproducibility:
@@ -145,21 +171,48 @@ class TestCsv:
         assert first[0] == "1"
         assert float(first[1]) == pytest.approx(t.x[0], rel=1e-11)
 
+    # 10 and 100_001 rows take t from 9 to 10 and from 99 999 to 100 000.
     @pytest.mark.parametrize(
-        "n_steps", [1, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1, 10_000]
+        "n_steps", [1, 10, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1, 10_000, 100_001]
     )
     def test_batched_rows_equal_rowwise(self, n_steps):
-        t = sample(FIG2_PARAMS, n_steps, seed=12)
-        got, want = io.StringIO(), io.StringIO()
-        trajectory_to_csv(t, got)
-        rowwise_trajectory_to_csv(t, want)
-        assert got.getvalue() == want.getvalue()
+        assert_csv_equals_rowwise(sample(FIG2_PARAMS, n_steps, seed=12))
 
     def test_extreme_values_equal_rowwise(self):
         values = np.array([0.0, -0.0, 5e-324, 1e-300, -1.5e300, 123456.789])
-        t = Trajectory(x=values, y=values[::-1].copy(), seed=0)
-        got, want = io.StringIO(), io.StringIO()
-        trajectory_to_csv(t, got)
-        rowwise_trajectory_to_csv(t, want)
-        assert got.getvalue() == want.getvalue()
-        assert "-0.000000000000e+00" in got.getvalue()
+        text = assert_csv_equals_rowwise(
+            Trajectory(x=values, y=values[::-1].copy(), seed=0)
+        )
+        assert "-0.000000000000e+00" in text
+
+    @pytest.mark.parametrize("values", EDGE_VALUES.values(), ids=EDGE_VALUES.keys())
+    def test_edge_values_equal_rowwise(self, values):
+        """Edge values in the middle block of three, after and before
+        blocks of simulated rows."""
+        base = sample(FIG2_PARAMS, 2 * WRITE_ROWS + 5, seed=13)
+        x, y = base.x.copy(), base.y.copy()
+        at = WRITE_ROWS + 3
+        x[at : at + len(values)] = values
+        y[at : at + len(values)] = values[::-1]
+        assert_csv_equals_rowwise(Trajectory(x=x, y=y, seed=0))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.tuples(ANY_FINITE, ANY_FINITE), min_size=1, max_size=40),
+            st.lists(st.tuples(TWO_DIGIT_EXP, TWO_DIGIT_EXP), min_size=1, max_size=40),
+        )
+    )
+    def test_arbitrary_doubles_equal_rowwise(self, rows):
+        x, y = np.array(rows).T
+        assert_csv_equals_rowwise(Trajectory(x=x.copy(), y=y.copy(), seed=0))
+
+
+def assert_csv_equals_rowwise(traj) -> str:
+    """The batched CSV of ``traj``, asserted byte-identical to the
+    row-by-row f-string one."""
+    got, want = io.StringIO(), io.StringIO()
+    trajectory_to_csv(traj, got)
+    rowwise_trajectory_to_csv(traj, want)
+    assert got.getvalue() == want.getvalue()
+    return got.getvalue()
