@@ -4,6 +4,11 @@ Neither simulation recursion runs one Python iteration per step of a long
 series: replicate trajectories advance together, one time step per
 iteration, and a single trajectory runs as a blocked scan.  Neither bounds
 its own memory: the caller sizes the replicate block or the trajectory.
+
+``simulate_pairs`` serves ``simulate.sample``.  ``simulate_block`` and
+``batch_filter_means`` have no caller in the package since Monte Carlo
+weights its draws directly; they are kept only because the benchmark's
+tracer wraps them and the tests' simulate-and-filter reference uses them.
 """
 
 from __future__ import annotations

@@ -24,9 +24,10 @@ X_{n+k} = [A^k]_00 X_n + [A^k]_01 Y_n + noise, so
     MSE(n, k) = v^T S_n v + [sum_{j<k} A^j Q A^j^T]_00,
     v = ([A^k]_00 - xx', [A^k]_01 - xy', xx').
 
-Both models' horizon terms (the first row of A^k and the noise sum) come
-from one ``forecasting.horizon_terms`` pass each up to the largest k, the
-same k-step map that serves the forecast, the sliding-window evaluation
+The first row of A^k and the noise sum come from one
+``forecasting.horizon_terms`` pass up to the largest k, the same k-step
+map that serves the forecast; the forecaster's first rows come from the
+same powers without the noise sum, as in the sliding-window evaluation
 and the Monte Carlo.  One pass over n then yields every grid point, in
 O(min(max n, settle step) + grid) time and O(1) memory in n (the error
 analysis of suboptimal filters in Anderson & Moore, Optimal Filtering,
@@ -53,7 +54,7 @@ import numpy as np
 # filter_coefficients is re-exported here for callers that look it up in
 # this module.
 from .filtering import filter_coefficients, riccati_steps
-from .forecasting import horizon_terms
+from .forecasting import _horizon_rows, horizon_terms
 from .model import InvalidModelError, PmmParams, TransitionModel, is_hmm, markov_form
 
 __all__ = [
@@ -121,11 +122,11 @@ def forecaster_mse(
         )
     m = markov_form(p_true)
     m_fc = markov_form(p_fc)
-    fc_terms = horizon_terms(m_fc, k_values)
+    fc_rows = _horizon_rows(m_fc, k_values)
     # Per k: the error weights v on (X_n, Y_n, e_n) and the noise after n.
     horizon = {}
     for k, (xx, xy, noise) in horizon_terms(m, k_values).items():
-        fc_xx, fc_xy, _ = fc_terms[k]
+        fc_xx, fc_xy = fc_rows[k]
         horizon[k] = (np.array([xx - fc_xx, xy - fc_xy, fc_xx]), noise)
     b, b_fc = m.b, m_fc.b
     cov = np.array(

@@ -8,8 +8,11 @@ predictive variance is xx^2 P_n plus the variance
 
 ``horizon_terms`` builds (xx, xy, noise) for every wanted k in one pass up
 to the largest k.  It is the package's one k-step map: ``forecast`` and
-``forecast_path`` apply it to a filter state, and ``forecaster_mse``, the
-sliding-window evaluation and the Monte Carlo read their horizons from it.
+``forecast_path`` apply it to a filter state, and ``forecaster_mse`` reads
+the true model's horizons from it.  A forecaster scored on data it did not
+generate needs only (xx, xy): ``_horizon_rows`` returns them from the same
+powers of A, bit for bit, without the noise sum, for ``forecaster_mse``,
+the sliding-window evaluation and the Monte Carlo.
 """
 
 from __future__ import annotations
@@ -33,6 +36,18 @@ class ForecastResult:
     variance: float
 
 
+def _powers(m: TransitionModel, wanted: set):
+    """A^k for k = 0..max(wanted), one left multiplication per k, after
+    checking the set of horizons."""
+    if not wanted or min(wanted) < 0:
+        raise ValueError(f"horizons must be a nonempty set of k >= 0, got {sorted(wanted)}")
+    power = np.eye(2)
+    for _ in range(max(wanted)):
+        yield power
+        power = m.A @ power
+    yield power
+
+
 def horizon_terms(
     m: TransitionModel, k_values
 ) -> dict[int, tuple[float, float, float]]:
@@ -40,16 +55,24 @@ def horizon_terms(
     [sum_{j<k} A^j Q A^j^T]_00 of the noise that enters after step n, in
     one pass over k = 0..max(k_values); k = 0 gives (1, 0, 0)."""
     wanted = set(k_values)
-    if not wanted or min(wanted) < 0:
-        raise ValueError(f"horizons must be a nonempty set of k >= 0, got {k_values!r}")
     out = {}
-    power, noise = np.eye(2), 0.0
-    for k in range(max(wanted) + 1):
+    noise = 0.0
+    for k, power in enumerate(_powers(m, wanted)):
         if k in wanted:
             out[k] = (float(power[0, 0]), float(power[0, 1]), noise)
         noise += float((power @ m.Q @ power.T)[0, 0])
-        power = m.A @ power
     return out
+
+
+def _horizon_rows(m: TransitionModel, k_values) -> dict[int, tuple[float, float]]:
+    """The (xx, xy) of ``horizon_terms``, bit for bit, without the noise
+    sum: all that a forecaster scored under another model needs."""
+    wanted = set(k_values)
+    return {
+        k: (float(power[0, 0]), float(power[0, 1]))
+        for k, power in enumerate(_powers(m, wanted))
+        if k in wanted
+    }
 
 
 def _predict(s: FilterState, m: TransitionModel, horizons) -> list[ForecastResult]:

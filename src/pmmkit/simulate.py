@@ -5,9 +5,15 @@ correlation b; later pairs follow Z_{t+1} = A Z_t + B W_{t+1}, with B the
 lower Cholesky factor of Q (any square root would do; the lower factor is
 fixed for reproducibility).  All randomness comes from numpy's default
 PCG64 generator, so a (params, length, seed) triple pins the trajectory
-bit for bit.  Monte Carlo advances at most REPLICATE_CHUNK replicates,
-and at most BLOCK_STEPS replicate-steps, at a time and keeps only their
-squared errors, so its memory is O(reps + n + k + BLOCK_STEPS).
+bit for bit.
+
+Monte Carlo builds no trajectory.  Every forecaster here is linear in the
+observations and every observation is linear in the normal draws, so a
+replicate's forecast error is one fixed weight vector dotted with its own
+draws; one backward pass through the true model gives those weights in
+O(n + k).  The draws come at most REPLICATE_CHUNK replicates, and at most
+BLOCK_STEPS replicate-steps, at a time, and only their errors are kept, so
+the memory is O(reps + n + k + BLOCK_STEPS).
 
 ``trajectory_to_csv`` writes the bytes of ``f"{t},{x:.12e},{y:.12e}\\n"``
 for every row, but formats WRITE_ROWS rows at a time with numpy.  For each
@@ -35,8 +41,8 @@ import numpy as np
 
 from . import _kernels_py as kernels
 from .filtering import filter_coefficients
-from .forecasting import horizon_terms
-from .model import PmmParams, markov_form
+from .forecasting import _horizon_rows
+from .model import PmmParams, TransitionModel, markov_form
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -48,11 +54,11 @@ __all__ = [
 ]
 
 RNG_ALGORITHM = "numpy-pcg64"
-# Replicates simulated and filtered together in monte_carlo_mse: a block's
-# noise and trajectories take under 2 MB at 50 steps, so they stay in cache.
+# Replicates drawn together in monte_carlo_mse: a block's noise takes under
+# 1 MB at 50 steps, so it stays in cache.
 REPLICATE_CHUNK = 1024
-# Most replicates times steps in one block: 32 bytes each for the noise and
-# both trajectories, so about 32 MB at any n + k.
+# Most replicates times steps in one block: 16 bytes each for the noise, so
+# about 16 MB at any n + k.
 BLOCK_STEPS = 2**20
 # Rows formatted together in trajectory_to_csv; a block's arrays take
 # about 1.5 MB.
@@ -112,6 +118,40 @@ def sample(p: PmmParams, n_steps: int, seed: int) -> Trajectory:
     return Trajectory(x=x, y=y, seed=seed)
 
 
+def _error_weights(
+    m_true: TransitionModel, m_fc: TransitionModel, n: int, k: int
+) -> np.ndarray:
+    """The forecast error of one replicate as a linear form in its draws,
+    shape (n + k, 2): row 0 weighs the two normals of the first pair Z_1,
+    row t the two that enter Z_{t+1}.
+
+    The forecaster predicts X_{n+k} by v . Y_1:n: its filter weights times
+    xx, plus xy on Y_n, with (xx, xy) the first row of its own A^k.  Since
+    Z_t = A Z_{t-1} + B W_t, a form lam . Z_t equals lam A . Z_{t-1} plus
+    lam B . W_t, so one backward pass carries lam from (1, 0) on Z_{n+k}
+    down to Z_1, taking -v_t on the y of each Z_t with t <= n: the impulse
+    response of a suboptimal filter's error (Anderson & Moore, Optimal
+    Filtering, 1979).  O(n + k) time, over Python floats.
+    """
+    [(xx, xy)] = _horizon_rows(m_fc, [k]).values()
+    v = (xx * filter_coefficients(m_fc, n)).tolist()
+    v[-1] += xy
+    l011, l021, l022 = _chol2(m_true.marginal)
+    lq11, lq21, lq22 = _chol2(m_true.Q)
+    (a1, a2), (a3, a4) = m_true.A.tolist()
+    # Z_t is numbered from t = 0 here, so Y_1:n are the y of t = 0..n-1.
+    rows = []
+    lam_x, lam_y = 1.0, 0.0
+    for t in range(n + k - 1, 0, -1):
+        if t < n:
+            lam_y -= v[t]
+        rows.append((lam_x * lq11 + lam_y * lq21, lam_y * lq22))
+        lam_x, lam_y = lam_x * a1 + lam_y * a3, lam_x * a2 + lam_y * a4
+    lam_y -= v[0]
+    rows.append((lam_x * l011 + lam_y * l021, lam_y * l022))
+    return np.array(rows[::-1])
+
+
 def monte_carlo_mse(
     p_true: PmmParams,
     forecaster_params: PmmParams,
@@ -127,40 +167,32 @@ def monte_carlo_mse(
     and predicts X_{n+k}.  Returns the mean squared error and its standard
     error over replicates.
 
-    The first pairs of all replicates are drawn up front; each block of
-    replicates (REPLICATE_CHUNK, or fewer when n + k is long) then draws
-    its own noise, is simulated and filtered, and leaves only its squared
-    errors.  Consecutive draws equal one large draw bit for bit, so the
-    result does not depend on the block size.
+    The draws are those of simulating every replicate: the first pairs of
+    all replicates up front, then each block of replicates
+    (REPLICATE_CHUNK, or fewer when n + k is long) draws its own noise.  No
+    trajectory is built: a block's errors are its noise times the weights
+    of ``_error_weights``, reduced row by row with ``np.einsum``, which
+    gives every row the same bits at any block size.  Consecutive draws
+    equal one large draw bit for bit, so the result does not depend on the
+    block size.
     """
     if reps < 100:
         raise ValueError(f"need reps >= 100, got {reps}")
     if n < 1 or k < 0:
         raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
-    m_true = markov_form(p_true)
-    m_fc = markov_form(forecaster_params)
+    weights = _error_weights(markov_form(p_true), markov_form(forecaster_params), n, k)
     rng = _rng(seed)
-    l011, l021, l022 = _chol2(m_true.marginal)
-    lq11, lq21, lq22 = _chol2(m_true.Q)
-    a1, a2 = m_true.A[0]
-    a3, a4 = m_true.A[1]
     e0 = rng.standard_normal((reps, 2))
-    x0 = l011 * e0[:, 0]
-    y0 = l021 * e0[:, 0] + l022 * e0[:, 1]
-    weights = filter_coefficients(m_fc, n)
-    [(xx, xy, _)] = horizon_terms(m_fc, [k]).values()
+    errors = weights[0, 0] * e0[:, 0] + weights[0, 1] * e0[:, 1]
+    del e0
+    step_weights = weights[1:].ravel()
     chunk = max(1, min(REPLICATE_CHUNK, BLOCK_STEPS // (n + k)))
-    sq_errors = np.empty(reps)
     for lo in range(0, reps, chunk):
-        block = slice(lo, min(lo + chunk, reps))
-        eps = rng.standard_normal((block.stop - lo, n + k - 1, 2))
-        x, y = kernels.simulate_block(
-            a1, a2, a3, a4, lq11, lq21, lq22, x0[block], y0[block], eps
-        )
-        means = kernels.batch_filter_means(weights, y[:, :n])
-        predictions = xx * means + xy * y[:, n - 1]
-        sq_errors[block] = (x[:, n + k - 1] - predictions) ** 2
-        del eps, x, y  # so that the next block's arrays do not overlap these
+        rows = min(chunk, reps - lo)
+        noise = rng.standard_normal((rows, n + k - 1, 2)).reshape(rows, -1)
+        errors[lo : lo + rows] += np.einsum("ij,j->i", noise, step_weights)
+        del noise  # so that the next block's draw does not overlap this one
+    sq_errors = errors * errors
     mse = float(sq_errors.mean())
     stderr = float(sq_errors.std(ddof=1) / math.sqrt(reps))
     return mse, stderr

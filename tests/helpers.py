@@ -3,8 +3,8 @@ Kalman reference for the hidden-Markov special case, and the step-by-step
 loops, the per-horizon forecast and variance recursions, the forecast
 coefficients, the n x n quadratic form, the row-by-row CSV reader and
 writer, the exact-MSE pass without its fixed-point exit and the
-whole-batch Monte Carlo that the production paths replaced, kept as
-references."""
+simulate-and-filter Monte Carlo that the production paths replaced, kept
+as references; and the blockless form of the production Monte Carlo."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from pmmkit import PmmParams, filter_coefficients, hmm_params, markov_form, vali
 from pmmkit import _kernels_py as kernels
 from pmmkit.error_analysis import observation_covariance
 from pmmkit.filtering import batch_filter_means, filter_variance_sequence, riccati_steps
-from pmmkit.simulate import _chol2
+from pmmkit.simulate import _chol2, _error_weights
 
 
 def random_valid_params(rng, max_spectral_radius: float = 0.999) -> PmmParams:
@@ -246,21 +246,18 @@ def loop_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) 
     return out
 
 
-def whole_batch_monte_carlo_mse(
-    p_true: PmmParams, p_fc: PmmParams, n: int, k: int, reps: int, seed: int
-) -> tuple[float, float]:
-    """``monte_carlo_mse`` with the noise of every replicate drawn at once,
-    one ``simulate_block`` over all replicates and one
-    ``batch_filter_means``: O(reps * (n + k)) memory."""
+def simulated_errors(
+    p_true: PmmParams, p_fc: PmmParams, n: int, k: int, e0: np.ndarray, eps: np.ndarray
+) -> np.ndarray:
+    """Forecast errors of replicates simulated from the draws ``e0`` (reps,
+    2) and ``eps`` (reps, n + k - 1, 2) by ``simulate_block`` and filtered by
+    ``batch_filter_means``: the path that ``monte_carlo_mse`` replaced."""
     m_true = markov_form(p_true)
     m_fc = markov_form(p_fc)
-    rng = np.random.default_rng(seed)
     l011, l021, l022 = _chol2(m_true.marginal)
     lq11, lq21, lq22 = _chol2(m_true.Q)
-    e0 = rng.standard_normal((reps, 2))
     x0 = l011 * e0[:, 0]
     y0 = l021 * e0[:, 0] + l022 * e0[:, 1]
-    eps = rng.standard_normal((reps, n + k - 1, 2))
     a1, a2 = m_true.A[0]
     a3, a4 = m_true.A[1]
     x, y = kernels.simulate_block(a1, a2, a3, a4, lq11, lq21, lq22, x0, y0, eps)
@@ -269,7 +266,34 @@ def whole_batch_monte_carlo_mse(
     for _ in range(k):
         power = m_fc.A @ power
     predictions = power[0, 0] * means + power[0, 1] * y[:, n - 1]
-    sq_errors = (x[:, n + k - 1] - predictions) ** 2
+    return x[:, n + k - 1] - predictions
+
+
+def whole_batch_monte_carlo_mse(
+    p_true: PmmParams, p_fc: PmmParams, n: int, k: int, reps: int, seed: int
+) -> tuple[float, float]:
+    """``monte_carlo_mse`` by simulating and filtering every replicate, with
+    the noise of every replicate drawn at once: O(reps * (n + k)) memory."""
+    rng = np.random.default_rng(seed)
+    e0 = rng.standard_normal((reps, 2))
+    eps = rng.standard_normal((reps, n + k - 1, 2))
+    sq_errors = simulated_errors(p_true, p_fc, n, k, e0, eps) ** 2
+    return float(sq_errors.mean()), float(sq_errors.std(ddof=1) / math.sqrt(reps))
+
+
+def whole_batch_weighted_mse(
+    p_true: PmmParams, p_fc: PmmParams, n: int, k: int, reps: int, seed: int
+) -> tuple[float, float]:
+    """``monte_carlo_mse`` with the noise of every replicate drawn at once
+    and weighted by one ``np.einsum``: the production arithmetic without
+    the blocks, O(reps * (n + k)) memory."""
+    weights = _error_weights(markov_form(p_true), markov_form(p_fc), n, k)
+    rng = np.random.default_rng(seed)
+    e0 = rng.standard_normal((reps, 2))
+    eps = rng.standard_normal((reps, n + k - 1, 2)).reshape(reps, -1)
+    errors = weights[0, 0] * e0[:, 0] + weights[0, 1] * e0[:, 1]
+    errors += np.einsum("ij,j->i", eps, weights[1:].ravel())
+    sq_errors = errors * errors
     return float(sq_errors.mean()), float(sq_errors.std(ddof=1) / math.sqrt(reps))
 
 

@@ -10,7 +10,7 @@ from pmmkit import (
     markov_form,
     run_filter,
 )
-from pmmkit.forecasting import horizon_terms
+from pmmkit.forecasting import _horizon_rows, horizon_terms
 from pmmkit.oracle import oracle_forecast
 from helpers import FIG2_PARAMS, FIG4_PARAMS, random_valid_params, reference_forecast
 
@@ -236,7 +236,14 @@ class TestHorizonTerms:
     def test_repeated_and_unsorted_horizons(self):
         assert horizon_terms(FIG2_MODEL, [5, 2, 5]) == horizon_terms(FIG2_MODEL, [2, 5])
 
+    def test_rows_are_the_terms_without_noise(self):
+        for m in _models(95):
+            rows = _horizon_rows(m, [5, 0, 17, 5])
+            assert rows == {k: terms[:2] for k, terms in horizon_terms(m, [0, 5, 17]).items()}
+
     @pytest.mark.parametrize("k_values", [[-1], [3, -2], []])
     def test_negative_or_empty_rejected(self, k_values):
         with pytest.raises(ValueError):
             horizon_terms(FIG2_MODEL, k_values)
+        with pytest.raises(ValueError):
+            _horizon_rows(FIG2_MODEL, k_values)

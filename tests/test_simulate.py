@@ -6,15 +6,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmmkit import PmmParams, get_preset, hmm_params, sample, monte_carlo_mse
+from pmmkit import (
+    PmmParams,
+    forecaster_mse,
+    get_preset,
+    hmm_params,
+    markov_form,
+    monte_carlo_mse,
+    sample,
+)
+from pmmkit import simulate
 from pmmkit.simulate import (
     REPLICATE_CHUNK,
     WRITE_ROWS,
     Trajectory,
+    _error_weights,
     empirical_covariances,
     trajectory_to_csv,
 )
-from helpers import FIG2_PARAMS, rowwise_trajectory_to_csv, whole_batch_monte_carlo_mse
+from helpers import (
+    FIG2_PARAMS,
+    FIG4_PARAMS,
+    PRESSURE_PARAMS,
+    SOIL_PARAMS,
+    rowwise_trajectory_to_csv,
+    simulated_errors,
+    whole_batch_monte_carlo_mse,
+    whole_batch_weighted_mse,
+)
 
 # Values whose formatting numpy cannot settle alone, as runs written into
 # a simulated path: a decade carry, an exact or near tie of the 13th digit,
@@ -32,6 +51,22 @@ EDGE_VALUES = {
     "infinities": [float("inf"), -float("inf"), 1.0],
     "nan": [float("nan"), 1.0],
 }
+# The true models of the Monte Carlo checks: both preset parameter sets and
+# the two fitted fixtures, whose a = 0.996 makes the errors weigh far back.
+TRUE_PARAMS = {
+    "fig2": FIG2_PARAMS,
+    "fig4": FIG4_PARAMS,
+    "pressure": PRESSURE_PARAMS,
+    "soil": SOIL_PARAMS,
+}
+# The truth, its hidden-Markov restriction, and one fixed pairwise model
+# that is neither.
+FORECASTERS = {
+    "true": lambda p: p,
+    "hmm": lambda p: hmm_params(p.a, p.b),
+    "general": lambda p: PmmParams(0.9, -0.2, 0.036, -0.3, -0.58),
+}
+MC_GRID = [(1, 0), (1, 3), (5, 0), (50, 5), (400, 20)]
 ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # The magnitudes that numpy formats; the sign is drawn separately.
 TWO_DIGIT_EXP = st.builds(
@@ -127,7 +162,29 @@ class TestMonteCarloMse:
         fig = get_preset(preset)
         p_fc = fig.true_params if which == "true" else fig.hmm_reference
         args = (fig.true_params, p_fc, n, k, reps, 23)
-        assert monte_carlo_mse(*args) == whole_batch_monte_carlo_mse(*args)
+        assert monte_carlo_mse(*args) == whole_batch_weighted_mse(*args)
+
+    # Every block holds one replicate, where a matrix-vector product would
+    # take another path than on a full block.
+    @pytest.mark.parametrize("reps", [100, REPLICATE_CHUNK + 1])
+    @pytest.mark.parametrize("n, k", [(1, 0), (1, 3), (50, 5)])
+    def test_one_replicate_blocks_equal_whole_batch(self, monkeypatch, reps, n, k):
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", 1)
+        fig = get_preset("fig4")
+        args = (fig.true_params, fig.hmm_reference, n, k, reps, 27)
+        assert monte_carlo_mse(*args) == whole_batch_weighted_mse(*args)
+
+    @pytest.mark.parametrize("n, k", MC_GRID)
+    @pytest.mark.parametrize("which", FORECASTERS)
+    @pytest.mark.parametrize("truth", TRUE_PARAMS)
+    def test_matches_simulate_and_filter(self, truth, which, n, k):
+        """The weighted draws against simulating and filtering the same
+        draws: the arithmetic differs, the numbers agree to rounding."""
+        p_true = TRUE_PARAMS[truth]
+        args = (p_true, FORECASTERS[which](p_true), n, k, 500, 28)
+        np.testing.assert_allclose(
+            monte_carlo_mse(*args), whole_batch_monte_carlo_mse(*args), rtol=1e-13
+        )
 
     def test_memory_bounded_in_replicates(self):
         fig = get_preset("fig4")
@@ -137,15 +194,15 @@ class TestMonteCarloMse:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # Noise and both trajectories for every replicate at once would
-        # take about 650 MB here.
-        assert peak < 32_000_000
+        # The noise of every replicate at once would take about 650 MB
+        # here, and a block's noise with both its trajectories about 18 MB.
+        assert peak < 16_000_000
 
     # n + k = 5000 makes a block of 2**20 // 5000 = 209 replicates.
     def test_long_replicates_equal_whole_batch(self):
         fig = get_preset("fig4")
         args = (fig.true_params, fig.hmm_reference, 4995, 5, 300, 25)
-        assert monte_carlo_mse(*args) == whole_batch_monte_carlo_mse(*args)
+        assert monte_carlo_mse(*args) == whole_batch_weighted_mse(*args)
 
     def test_memory_bounded_in_replicate_length(self):
         fig = get_preset("fig4")
@@ -155,8 +212,45 @@ class TestMonteCarloMse:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # A block of REPLICATE_CHUNK replicates would take about 164 MB here.
-        assert peak < 40_000_000
+        # A block of REPLICATE_CHUNK replicates would take about 82 MB here,
+        # and a block's noise with both its trajectories about 34 MB.
+        assert peak < 24_000_000
+
+
+class TestErrorWeights:
+    """The weights of the forecast error on the draws, tied to the exact
+    MSE theory and to the simulate-and-filter path."""
+
+    @pytest.mark.parametrize("n, k", MC_GRID)
+    @pytest.mark.parametrize("which", FORECASTERS)
+    @pytest.mark.parametrize("truth", TRUE_PARAMS)
+    def test_squared_weights_sum_to_exact_mse(self, truth, which, n, k):
+        # The draws are independent standard normals, so the error variance
+        # is the squared norm of its weights.
+        p_true = TRUE_PARAMS[truth]
+        p_fc = FORECASTERS[which](p_true)
+        weights = _error_weights(markov_form(p_true), markov_form(p_fc), n, k)
+        assert weights.shape == (n + k, 2)
+        exact = forecaster_mse(p_true, p_fc, [n], [k])[(n, k)]
+        assert float(np.sum(weights * weights)) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("n, k", MC_GRID)
+    @pytest.mark.parametrize("which", FORECASTERS)
+    @pytest.mark.parametrize("truth", TRUE_PARAMS)
+    def test_weights_are_simulated_errors_of_unit_draws(self, truth, which, n, k):
+        # Replicate i draws the i-th unit vector of all 2 (n + k) normals.
+        p_true = TRUE_PARAMS[truth]
+        p_fc = FORECASTERS[which](p_true)
+        unit = np.eye(2 * (n + k))
+        eps = unit[:, 2:].reshape(2 * (n + k), n + k - 1, 2)
+        errors = simulated_errors(p_true, p_fc, n, k, unit[:, :2], eps)
+        weights = _error_weights(markov_form(p_true), markov_form(p_fc), n, k)
+        # The old path gets a small weight as the difference of a simulated
+        # X and its prediction, so each entry is held to 1e-13 of the
+        # error's standard deviation as well as of itself.
+        np.testing.assert_allclose(
+            weights.ravel(), errors, rtol=1e-13, atol=1e-13 * np.linalg.norm(errors)
+        )
 
 
 class TestCsv:
