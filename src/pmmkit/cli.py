@@ -2,9 +2,11 @@
 
 Subcommands: simulate, theoretical-mse, fit, forecast, evaluate (plus a
 hidden oracle subcommand for debugging).  Every subcommand is deterministic
-given its flags, writes output files atomically, exits 0 only when all
-outputs were written, and reports failures as machine-readable JSON on
-stderr.  Set PMM_LOG=DEBUG|INFO|WARNING for log verbosity.
+given its flags, writes output files atomically and returns its JSON
+summary; ``main`` alone writes stdout, the summary of a subcommand that
+succeeded, and exits 0 only then.  Failures are reported as one
+machine-readable JSON line on stderr with exit 1.  Set
+PMM_LOG=DEBUG|INFO|WARNING for log verbosity.
 
 Numpy's BLAS gets one thread: every call works on 2x2/3x3 recursions and
 single vectors, where a thread pool only adds start-up, spinning workers
@@ -18,6 +20,7 @@ any of them to choose otherwise.  Imported after numpy, it changes nothing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -76,14 +79,30 @@ log = logging.getLogger("pmmkit")
 
 # Most integers one --n-grid or --k-grid may hold (the a:b ranges are
 # counted before any is expanded), and the largest horizon or window that
-# forecast, monte-carlo and a theoretical-mse --k-grid take: each costs
-# time linear in it.
+# forecast, monte-carlo and a theoretical-mse --n-grid or --k-grid take:
+# each costs time linear in it (the exact MSE's fixed-point exit need not
+# fire before n).
 MAX_GRID_POINTS = 10**6
 
 
 def _atomic_write(path: Path, write_fn) -> None:
     atomic_write(path, write_fn)
     log.info("wrote %s", path)
+
+
+def _write_table(path: str, columns: tuple[str, ...], rows) -> None:
+    """A CSV table: the header ``columns``, then one line per row, with
+    ints printed by ``str`` and floats as ``.12e``."""
+
+    def write(fh):
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(
+                ",".join(str(v) if isinstance(v, int) else f"{v:.12e}" for v in row)
+                + "\n"
+            )
+
+    _atomic_write(Path(path), write)
 
 
 def _parse_grid(flag: str, text: str) -> list[int]:
@@ -137,37 +156,35 @@ def _require_at_most(flag: str, value: int) -> None:
 
 
 def _load_fitted(args) -> FittedModel:
-    if getattr(args, "model", None):
+    if args.model is not None:
         return FittedModel.load(args.model)
-    if not getattr(args, "params", None):
-        raise ValueError("need --model or --params")
     # Bare parameters: identity standardization, no seasonal component.
     params = load_params(args.params)
     ident = StandardizationParams(0.0, 1.0)
     return FittedModel(params=params, x_standardize=ident, y_standardize=ident)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     _require_at_least("--n", args.n, 2)  # the summary's lag-one covariances
     traj = sample(load_params(args.params), args.n, args.seed)
     covariances = empirical_covariances(traj.x, traj.y).to_dict()
     _atomic_write(Path(args.output), lambda fh: trajectory_to_csv(traj, fh))
-    write_json(
-        sys.stdout,
-        {
-            "output": str(args.output),
-            "n": args.n,
-            "seed": args.seed,
-            "rng": traj.rng,
-            "backend": backend_name(),
-            "empirical_covariances": covariances,
-        },
-    )
-    return 0
+    return {
+        "output": str(args.output),
+        "n": args.n,
+        "seed": args.seed,
+        "rng": traj.rng,
+        "backend": backend_name(),
+        "empirical_covariances": covariances,
+    }
 
 
-def cmd_theoretical_mse(args) -> int:
+def cmd_theoretical_mse(args) -> dict:
     if args.preset:
+        # A preset fixes both models; a parameter file beside it would be ignored.
+        for flag, value in (("--params", args.params), ("--hmm-params", args.hmm_params)):
+            if value is not None:
+                raise ValueError(f"argument {flag}: not allowed with argument --preset")
         preset = get_preset(args.preset)
         p_true, p_hmm = preset.true_params, preset.hmm_reference
         n_values: list[int] = list(preset.n_values)
@@ -181,25 +198,22 @@ def cmd_theoretical_mse(args) -> int:
         k_values = [0]
     if args.n_grid:
         n_values = _parse_grid("--n-grid", args.n_grid)
+        _require_at_most("--n-grid", max(n_values))
     if args.k_grid:
         k_values = _parse_grid("--k-grid", args.k_grid)
         _require_at_most("--k-grid", max(k_values))
     curves = mse_sweep(p_true, p_hmm, n_values, k_values)
     _atomic_write(Path(args.output), lambda fh: curves_to_csv(curves, fh))
-    write_json(
-        sys.stdout,
-        {
-            "output": str(args.output),
-            "curves": len(curves),
-            "points_per_curve": len(curves[0].points),
-            "true_params": p_true.to_dict(),
-            "hmm_params": p_hmm.to_dict(),
-        },
-    )
-    return 0
+    return {
+        "output": str(args.output),
+        "curves": len(curves),
+        "points_per_curve": len(curves[0].points),
+        "true_params": p_true.to_dict(),
+        "hmm_params": p_hmm.to_dict(),
+    }
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args) -> dict:
     x, y = read_series_csv(args.input)
     detrend_model = None
     if args.detrend:
@@ -224,19 +238,15 @@ def cmd_fit(args) -> int:
         fit_window=window,
     )
     _atomic_write(Path(args.output), lambda fh: write_json(fh, fitted.to_json_dict()))
-    write_json(
-        sys.stdout,
-        {
-            "output": str(args.output),
-            "params": fitted.params.to_dict(),
-            "repaired": fitted.repaired,
-            "validation": validate(fitted.params).summary(),
-        },
-    )
-    return 0
+    return {
+        "output": str(args.output),
+        "params": fitted.params.to_dict(),
+        "repaired": fitted.repaired,
+        "validation": validate(fitted.params).summary(),
+    }
 
 
-def cmd_forecast(args) -> int:
+def cmd_forecast(args) -> dict:
     _require_at_least("--n", args.n, 1)
     _require_at_most("--k", args.k)
     # A negative index would anchor the seasonal phase before the series.
@@ -256,33 +266,25 @@ def cmd_forecast(args) -> int:
         path = forecast_path(state, model, args.k)
     else:
         path = [forecast(state, model, args.k)]
-    rows = []
-    for result in path:
-        xs = fitted.x_standardize
-        rows.append(
-            {
-                "k": result.horizon,
-                "mean": result.mean,
-                "variance": result.variance,
-                "mean_original": float(xs.invert(np.array(result.mean))),
-                "variance_original": result.variance * xs.std**2,
-            }
+    xs = fitted.x_standardize
+    columns = ("k", "mean", "variance", "mean_original", "variance_original")
+    rows = [
+        (
+            r.horizon,
+            r.mean,
+            r.variance,
+            float(xs.invert(np.array(r.mean))),
+            r.variance * xs.std**2,
         )
+        for r in path
+    ]
     if args.output:
-        def write(fh):
-            fh.write("k,mean,variance,mean_original,variance_original\n")
-            for r in rows:
-                fh.write(
-                    f"{r['k']},{r['mean']:.12e},{r['variance']:.12e},"
-                    f"{r['mean_original']:.12e},{r['variance_original']:.12e}\n"
-                )
-
-        _atomic_write(Path(args.output), write)
-    write_json(sys.stdout, {"n": args.n, "filter_mean": state.mean, "forecasts": rows})
-    return 0
+        _write_table(args.output, columns, rows)
+    forecasts = [dict(zip(columns, row)) for row in rows]
+    return {"n": args.n, "filter_mean": state.mean, "forecasts": forecasts}
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> dict:
     _require_at_least("--start-index", args.start_index, 0)
     fitted = FittedModel.load(args.model)
     x, y = read_series_csv(args.input)
@@ -294,88 +296,60 @@ def cmd_evaluate(args) -> int:
     # by markov_form's gate rather than by the restriction's |a| < 1 check.
     mse_pmm = evaluate_grid(fitted, x, y, n_values, k_values)
     hmm_restriction = hmm_params(fitted.params.a, fitted.params.b)
-    hmm_fitted = FittedModel(
-        params=hmm_restriction,
-        x_standardize=fitted.x_standardize,
-        y_standardize=fitted.y_standardize,
-        detrend=fitted.detrend,
-        fit_window=fitted.fit_window,
-    )
+    hmm_fitted = dataclasses.replace(fitted, params=hmm_restriction)
     mse_hmm = evaluate_grid(hmm_fitted, x, y, n_values, k_values)
     rows = [
         (n, k, mse_hmm[(n, k)], mse_pmm[(n, k)]) for n in n_values for k in k_values
     ]
-
-    def write(fh):
-        fh.write("n,k,mse_hmm,mse_pmm\n")
-        for n, k, mse_h, mse_p in rows:
-            fh.write(f"{n},{k},{mse_h:.12e},{mse_p:.12e}\n")
-
-    _atomic_write(Path(args.output), write)
-    write_json(
-        sys.stdout,
-        {
-            "output": str(args.output),
-            "rows": len(rows),
-            "hmm_restriction": hmm_restriction.to_dict(),
-            "pmm_wins": sum(1 for r in rows if r[3] <= r[2]),
-        },
-    )
-    return 0
+    _write_table(args.output, ("n", "k", "mse_hmm", "mse_pmm"), rows)
+    return {
+        "output": str(args.output),
+        "rows": len(rows),
+        "hmm_restriction": hmm_restriction.to_dict(),
+        "pmm_wins": sum(1 for r in rows if r[3] <= r[2]),
+    }
 
 
-def cmd_monte_carlo(args) -> int:
+def cmd_monte_carlo(args) -> dict:
     _require_at_most("--n", args.n)
     _require_at_most("--k", args.k)
     p_true = load_params(args.params)
     p_fc = load_params(args.forecaster_params) if args.forecaster_params else p_true
     mse, stderr = monte_carlo_mse(p_true, p_fc, args.n, args.k, args.reps, args.seed)
     theory = forecaster_mse(p_true, p_fc, [args.n], [args.k])[(args.n, args.k)]
-    write_json(
-        sys.stdout,
-        {
-            "n": args.n,
-            "k": args.k,
-            "reps": args.reps,
-            "seed": args.seed,
-            "rng": RNG_ALGORITHM,
-            "mse": mse,
-            "stderr": stderr,
-            "theoretical_mse": theory,
-        },
-    )
-    return 0
+    return {
+        "n": args.n,
+        "k": args.k,
+        "reps": args.reps,
+        "seed": args.seed,
+        "rng": RNG_ALGORITHM,
+        "mse": mse,
+        "stderr": stderr,
+        "theoretical_mse": theory,
+    }
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> dict:
     _require_at_least("--n", args.n, 1)
     params = load_params(args.params)
     y = _read_y_column(args.input)[: args.n]
     if y.size < args.n:
         raise ValueError(f"input has fewer than {args.n} observations")
+    # The filter state or the k-step forecast, both with mean and variance.
     if args.k == 0:
         mean, variance = oracle_filter(params, y)
+        recursive = run_filter(markov_form(params), y)
     else:
         mean, variance = oracle_forecast(params, y, args.k)
-    recursive = None
-    model = markov_form(params)
-    state = run_filter(model, y)
-    if args.k == 0:
-        recursive = {"mean": state.mean, "variance": state.variance}
-    else:
-        res = forecast(state, model, args.k)
-        recursive = {"mean": res.mean, "variance": res.variance}
-    write_json(
-        sys.stdout,
-        {
-            "n": args.n,
-            "k": args.k,
-            "oracle": {"mean": mean, "variance": variance},
-            "recursive": recursive,
-            "theoretical_mse": theoretical_mse_pmm(params, args.n, args.k),
-        },
-    )
-    return 0
+        model = markov_form(params)
+        recursive = forecast(run_filter(model, y), model, args.k)
+    return {
+        "n": args.n,
+        "k": args.k,
+        "oracle": {"mean": mean, "variance": variance},
+        "recursive": {"mean": recursive.mean, "variance": recursive.variance},
+        "theoretical_mse": theoretical_mse_pmm(params, args.n, args.k),
+    }
 
 
 class _Parser(argparse.ArgumentParser):
@@ -436,8 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("forecast", help="forecast from the last n observations")
-    p.add_argument("--model", help="fitted-model JSON")
-    p.add_argument("--params", help="bare parameter JSON (no standardization)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", help="fitted-model JSON")
+    source.add_argument("--params", help="bare parameter JSON (no standardization)")
     p.add_argument("--input", required=True, help="CSV with a y column")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -506,7 +481,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         logging.basicConfig(level=_log_level())
-        return args.func(args)
+        write_json(sys.stdout, args.func(args))
+        return 0
     except (PmmError, ValueError, OSError, KeyError, MemoryError) as exc:
         # numpy raises a private MemoryError subclass; report the public name.
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__

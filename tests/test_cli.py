@@ -707,8 +707,9 @@ class TestJsonBoundary:
 
 
 class TestUsageErrors:
-    """argparse's own errors keep the JSON error contract: exit 1 and one
-    {error, message} line on stderr naming the flag."""
+    """argparse's own errors, and flags that conflict, keep the JSON error
+    contract: exit 1, one {error, message} line on stderr naming the flag
+    (a conflict names both) and no file written."""
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -717,12 +718,23 @@ class TestUsageErrors:
             (["simulate", "--params", "p.json", "--n", "abc", "--output", "t.csv"], "--n"),
             (["fit", "--input", "s.csv", "--output", "m.json", "--window", "-1:0"],
              "--window"),
-            (["forecast", "--input", "s.csv", "--n", "3", "--k", "1", "--bogus"],
-             "--bogus"),
+            (["forecast", "--params", "p.json", "--input", "s.csv", "--n", "3", "--k", "1",
+              "--bogus"], "--bogus"),
             ([], "simulate"),
+            (["forecast", "--input", "s.csv", "--n", "3", "--k", "1"], "--model --params"),
+            (["forecast", "--model", "m.json", "--params", "p.json", "--input", "s.csv",
+              "--n", "3", "--k", "1", "--output", "f.csv"],
+             "--params: not allowed with argument --model"),
+            (["theoretical-mse", "--preset", "fig2", "--params", "t.json",
+              "--hmm-params", "h.json", "--output", "c.csv"],
+             "--params: not allowed with argument --preset"),
+            (["theoretical-mse", "--preset", "fig2", "--hmm-params", "h.json",
+              "--output", "c.csv"],
+             "--hmm-params: not allowed with argument --preset"),
         ],
     )
-    def test_json_error_names_flag(self, capsys, argv, flag):
+    def test_json_error_names_flag(self, tmp_path, monkeypatch, capsys, argv, flag):
+        monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -730,6 +742,7 @@ class TestUsageErrors:
         err = json.loads(line)
         assert set(err) == {"error", "message"} and err["error"] == "ValueError"
         assert flag in err["message"]
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["fit", "--help"]])
     def test_help_and_version_exit_zero(self, capsys, argv):
@@ -769,7 +782,7 @@ class TestGridBound:
     @pytest.mark.parametrize(
         "command, flag",
         [("forecast", "--k"), ("monte-carlo", "--n"), ("monte-carlo", "--k"),
-         ("theoretical-mse", "--k-grid")],
+         ("theoretical-mse", "--n-grid"), ("theoretical-mse", "--k-grid")],
     )
     def test_horizon_above_bound_names_flag(
         self, tmp_path, fig2_params_file, capsys, command, flag

@@ -1,10 +1,15 @@
-"""The README's library example runs, and its API text matches the package."""
+"""The README's library example runs, and its API and command-line text
+matches the package."""
 
+import argparse
 import importlib
+import json
 import re
 from pathlib import Path
 
 import pmmkit
+from pmmkit.cli import build_parser, main
+from pmmkit.model import save_params
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -39,3 +44,33 @@ def test_submodule_table_names_importable():
         for name in re.findall(r"`(\w+)`", cell):
             assert hasattr(module, name), f"{module_name} has no {name}"
             assert name not in pmmkit.__all__
+
+
+def test_summary_table_matches_cli(tmp_path, capsys):
+    row = r"^\| `([\w-]+)` \| (`\w+`(?:, `\w+`)*) \|$"
+    table = dict(re.findall(row, _section("Command line"), re.M))
+    [subcommands] = (
+        a.choices for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    assert list(table) == list(subcommands)
+    params, traj, model = tmp_path / "p.json", tmp_path / "t.csv", tmp_path / "m.json"
+    save_params(pmmkit.get_preset("fig2").true_params, params)
+    # One tiny run of each subcommand, in the table's order: simulate
+    # writes the series that the later ones read, and fit their model.
+    runs = {
+        "simulate": ["--params", params, "--n", 40, "--output", traj],
+        "theoretical-mse": ["--preset", "fig2", "--n-grid", "1:3",
+                            "--output", tmp_path / "c.csv"],
+        "fit": ["--input", traj, "--output", model],
+        "forecast": ["--model", model, "--input", traj, "--n", 5, "--k", 2],
+        "evaluate": ["--model", model, "--input", traj, "--n-grid", "2", "--k-grid", "1",
+                     "--output", tmp_path / "e.csv"],
+        "monte-carlo": ["--params", params, "--n", 2, "--k", 1, "--reps", 100],
+        "oracle": ["--params", params, "--input", traj, "--n", 4, "--k", 1],
+    }
+    assert list(runs) == list(table)
+    for command, argv in runs.items():
+        assert main([command, *map(str, argv)]) == 0, capsys.readouterr().err
+        summary = json.loads(capsys.readouterr().out)
+        assert list(summary) == re.findall(r"`(\w+)`", table[command]), command
