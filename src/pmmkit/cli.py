@@ -1,10 +1,10 @@
 """Command-line entry point tying the modules into end-to-end workflows.
 
-Subcommands: simulate, theoretical-mse, fit, forecast, evaluate (plus a
-hidden oracle subcommand for debugging).  Every subcommand is deterministic
-given its flags, writes output files atomically and returns its JSON
-summary; ``main`` alone writes stdout, the summary of a subcommand that
-succeeded, and exits 0 only then.  Failures are reported as one
+Subcommands: simulate, theoretical-mse, fit, forecast, evaluate,
+monte-carlo (plus a hidden oracle subcommand for debugging).  Every
+subcommand is deterministic given its flags, writes output files atomically
+and returns its JSON summary; ``main`` alone writes stdout, the summary of
+a subcommand that succeeded, and exits 0 only then.  Failures are reported as one
 machine-readable JSON line on stderr with exit 1.  Set
 PMM_LOG=DEBUG|INFO|WARNING for log verbosity.
 
@@ -38,7 +38,6 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_ENV):
 import numpy as np
 
 from . import __version__
-from ._backend import backend_name
 from .error_analysis import (
     curves_to_csv,
     forecaster_mse,
@@ -174,7 +173,6 @@ def cmd_simulate(args) -> dict:
         "n": args.n,
         "seed": args.seed,
         "rng": traj.rng,
-        "backend": backend_name(),
         "empirical_covariances": covariances,
     }
 
@@ -214,10 +212,13 @@ def cmd_theoretical_mse(args) -> dict:
 
 
 def cmd_fit(args) -> dict:
+    if args.periods is not None and not args.detrend:
+        raise ValueError("argument --periods: not allowed without argument --detrend")
     x, y = read_series_csv(args.input)
     detrend_model = None
     if args.detrend:
-        detrend_model = fit_detrend(y, _parse_periods(args.periods))
+        periods = DEFAULT_PERIODS if args.periods is None else _parse_periods(args.periods)
+        detrend_model = fit_detrend(y, periods)
         y = detrend(y, detrend_model)
     if args.window:
         try:
@@ -403,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detrend", action="store_true", help="remove harmonic seasonality from y")
     p.add_argument(
         "--periods",
-        default=f"{DEFAULT_PERIODS[0]:g},{DEFAULT_PERIODS[1]:g}",
-        help="two harmonic periods in samples",
+        help="two harmonic periods in samples, with --detrend (default "
+        f"{DEFAULT_PERIODS[0]:g},{DEFAULT_PERIODS[1]:g})",
     )
     p.add_argument("--window", help="fit window start:end (row indices, end exclusive)")
     p.set_defaults(func=cmd_fit)

@@ -24,17 +24,15 @@ X_{n+k} = [A^k]_00 X_n + [A^k]_01 Y_n + noise, so
     MSE(n, k) = v^T S_n v + [sum_{j<k} A^j Q A^j^T]_00,
     v = ([A^k]_00 - xx', [A^k]_01 - xy', xx').
 
-The first row of A^k and the noise sum come from one
-``forecasting.horizon_terms`` pass up to the largest k, the same k-step
-map that serves the forecast; the forecaster's first rows come from the
-same powers without the noise sum, as in the sliding-window evaluation
-and the Monte Carlo.  One pass over n then yields every grid point, in
-O(min(max n, settle step) + grid) time and O(1) memory in n (the error
-analysis of suboptimal filters in Anderson & Moore, Optimal Filtering,
-1979).  The pass stops at the exact
-fixed point: once the forecaster's filter variance, and with it its gain,
-repeats and S_t repeats bit for bit, every later step would return the
-same S_t, so the rest of the n grid takes that value.  On the presets
+The first rows of A^k and A'^k and the noise sum come from
+``forecasting.horizon_terms`` passes up to the largest k, the same k-step
+map that serves the forecast.  One pass over n then yields every grid
+point, in O(min(max n, settle step) + grid) time and O(1) memory in n (the
+error analysis of suboptimal filters in Anderson & Moore, Optimal
+Filtering, 1979).  The pass stops at the exact fixed point: once the
+forecaster's filter variance, and with it its gain, repeats and S_t
+repeats bit for bit, every later step would return the same S_t, so the
+rest of the n grid takes that value.  On the presets
 this happens within a few hundred steps.  Carrying the error e_t rather
 than the mean m_t avoids cancelling two O(1) covariances to get a small
 MSE.  When p_fc is the truth, da = 0, e_t decouples, S_n's last entry is
@@ -54,7 +52,7 @@ import numpy as np
 # filter_coefficients is re-exported here for callers that look it up in
 # this module.
 from .filtering import filter_coefficients, riccati_steps
-from .forecasting import _horizon_rows, horizon_terms
+from .forecasting import horizon_terms
 from .model import InvalidModelError, PmmParams, TransitionModel, is_hmm, markov_form
 
 __all__ = [
@@ -122,11 +120,11 @@ def forecaster_mse(
         )
     m = markov_form(p_true)
     m_fc = markov_form(p_fc)
-    fc_rows = _horizon_rows(m_fc, k_values)
+    fc_terms = horizon_terms(m_fc, k_values)
     # Per k: the error weights v on (X_n, Y_n, e_n) and the noise after n.
     horizon = {}
     for k, (xx, xy, noise) in horizon_terms(m, k_values).items():
-        fc_xx, fc_xy = fc_rows[k]
+        fc_xx, fc_xy, _ = fc_terms[k]
         horizon[k] = (np.array([xx - fc_xx, xy - fc_xy, fc_xx]), noise)
     b, b_fc = m.b, m_fc.b
     cov = np.array(

@@ -8,18 +8,14 @@ predictive variance is xx^2 P_n plus the variance
 
 ``horizon_terms`` builds (xx, xy, noise) for every wanted k in one pass up
 to the largest k.  It is the package's one k-step map: ``forecast`` and
-``forecast_path`` apply it to a filter state, and ``forecaster_mse`` reads
-the true model's horizons from it.  A forecaster scored on data it did not
-generate needs only (xx, xy): ``_horizon_rows`` returns them from the same
-powers of A, bit for bit, without the noise sum, for ``forecaster_mse``,
-the sliding-window evaluation and the Monte Carlo.
+``forecast_path`` apply it to a filter state, ``forecaster_mse`` reads both
+the true model's and the forecaster's horizons from it, and the
+sliding-window evaluation and the Monte Carlo read the forecaster's (xx, xy).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .filtering import FilterState
 from .model import TransitionModel
@@ -36,43 +32,28 @@ class ForecastResult:
     variance: float
 
 
-def _powers(m: TransitionModel, wanted: set):
-    """A^k for k = 0..max(wanted), one left multiplication per k, after
-    checking the set of horizons."""
-    if not wanted or min(wanted) < 0:
-        raise ValueError(f"horizons must be a nonempty set of k >= 0, got {sorted(wanted)}")
-    power = np.eye(2)
-    for _ in range(max(wanted)):
-        yield power
-        power = m.A @ power
-    yield power
-
-
 def horizon_terms(
     m: TransitionModel, k_values
 ) -> dict[int, tuple[float, float, float]]:
     """For each horizon k: the first row (xx, xy) of A^k and the variance
     [sum_{j<k} A^j Q A^j^T]_00 of the noise that enters after step n, in
-    one pass over k = 0..max(k_values); k = 0 gives (1, 0, 0)."""
+    one pass over k = 0..max(k_values); k = 0 gives (1, 0, 0).
+
+    Both depend on the first row r of A^j alone: r <- r A, and the noise
+    gains r Q r^T, over Python floats."""
     wanted = set(k_values)
+    if not wanted or min(wanted) < 0:
+        raise ValueError(f"horizons must be a nonempty set of k >= 0, got {sorted(wanted)}")
+    (a1, a2), (a3, a4) = m.A.tolist()
+    (q11, q12), (_, q22) = m.Q.tolist()
+    xx, xy, noise = 1.0, 0.0, 0.0
     out = {}
-    noise = 0.0
-    for k, power in enumerate(_powers(m, wanted)):
+    for k in range(max(wanted) + 1):
         if k in wanted:
-            out[k] = (float(power[0, 0]), float(power[0, 1]), noise)
-        noise += float((power @ m.Q @ power.T)[0, 0])
+            out[k] = (xx, xy, noise)
+        noise += q11 * xx * xx + 2.0 * q12 * xx * xy + q22 * xy * xy
+        xx, xy = xx * a1 + xy * a3, xx * a2 + xy * a4
     return out
-
-
-def _horizon_rows(m: TransitionModel, k_values) -> dict[int, tuple[float, float]]:
-    """The (xx, xy) of ``horizon_terms``, bit for bit, without the noise
-    sum: all that a forecaster scored under another model needs."""
-    wanted = set(k_values)
-    return {
-        k: (float(power[0, 0]), float(power[0, 1]))
-        for k, power in enumerate(_powers(m, wanted))
-        if k in wanted
-    }
 
 
 def _predict(s: FilterState, m: TransitionModel, horizons) -> list[ForecastResult]:

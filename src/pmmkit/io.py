@@ -6,9 +6,10 @@ other columns, such as a timestamp, are ignored.  The data rows are parsed
 by one ``np.loadtxt`` call restricted to the named columns, which accepts
 quoted numbers, CRLF line endings and blank lines.  Everything else is
 rejected with a ValueError that names the file: a missing header or column,
-no data rows, and, by column and data row (1-based, counting the rows that
-hold data), a short row, an empty or non-numeric field (``#`` included:
-there are no comment lines) and a NaN or infinite value.
+a named column that the header holds twice, no data rows, and, by column
+and data row (1-based, counting the rows that hold data), a short row, an
+empty or non-numeric field (``#`` included: there are no comment lines)
+and a NaN or infinite value.
 
 ``atomic_write`` makes an output file appear whole or not at all: it writes
 a unique temporary file in the target's directory, flushes and fsyncs it,
@@ -46,11 +47,17 @@ def read_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray, ..
         header = next(csv.reader([fh.readline()]), None)
         if not header:
             raise ValueError(f"{path}: missing CSV header")
-        index = {name.strip().lower(): i for i, name in enumerate(header)}
+        keys = [name.strip().lower() for name in header]
+        index = {key: i for i, key in enumerate(keys)}
         missing = [name for name in names if name not in index]
         if missing:
             raise ValueError(
                 f"{path}: need column(s) {', '.join(missing)}, found {header}"
+            )
+        repeated = [name for name in names if keys.count(name) > 1]
+        if repeated:
+            raise ValueError(
+                f"{path}: column {repeated[0]} is named more than once in {header}"
             )
         # np.loadtxt warns rather than raises on an empty body, so look for
         # a data row first; it skips only empty lines, as this check does.

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .filtering import filter_coefficients
-from .forecasting import _horizon_rows
+from .forecasting import horizon_terms
 from .io import atomic_write, finite_number, read_columns, read_json, write_json
 from .model import PmmParams, markov_form, validate
 from .simulate import empirical_covariances
@@ -303,7 +303,7 @@ def _standardization(values: np.ndarray, name: str) -> StandardizationParams:
 def _window_errors(model: FittedModel, x_test, y_test, n_values, k_values):
     """Yield (n, k, squared errors of every sliding (n, k) window) over the
     grid; the filter means of each n are computed once, and every k's
-    horizon coefficients come from one ``_horizon_rows`` pass."""
+    horizon coefficients come from one ``horizon_terms`` pass."""
     x_test = np.asarray(x_test, dtype=float)
     y_test = np.asarray(y_test, dtype=float)
     if x_test.size != y_test.size:
@@ -320,12 +320,12 @@ def _window_errors(model: FittedModel, x_test, y_test, n_values, k_values):
                     f"(n={n}, k={k}) window"
                 )
     m = markov_form(model.params)
-    rows = _horizon_rows(m, k_values)
+    terms = horizon_terms(m, k_values)
     for n in n_values:
         means = np.correlate(y_std, filter_coefficients(m, n), "valid")
         for k in k_values:
             count = x_test.size - n - k + 1
-            xx, xy = rows[k]
+            xx, xy, _ = terms[k]
             predictions = xx * means[:count] + xy * y_std[n - 1 : n - 1 + count]
             targets = x_std[n - 1 + k : n - 1 + k + count]
             yield n, k, (targets - predictions) ** 2

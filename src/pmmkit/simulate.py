@@ -41,7 +41,7 @@ import numpy as np
 
 from . import _kernels_py as kernels
 from .filtering import filter_coefficients
-from .forecasting import _horizon_rows
+from .forecasting import horizon_terms
 from .model import PmmParams, TransitionModel, markov_form
 
 __all__ = [
@@ -133,7 +133,7 @@ def _error_weights(
     response of a suboptimal filter's error (Anderson & Moore, Optimal
     Filtering, 1979).  O(n + k) time, over Python floats.
     """
-    [(xx, xy)] = _horizon_rows(m_fc, [k]).values()
+    [(xx, xy, _)] = horizon_terms(m_fc, [k]).values()
     v = (xx * filter_coefficients(m_fc, n)).tolist()
     v[-1] += xy
     l011, l021, l022 = _chol2(m_true.marginal)

@@ -1,10 +1,11 @@
 """Shared test utilities: random admissible models, an independent scalar
 Kalman reference for the hidden-Markov special case, and the step-by-step
-loops, the per-horizon forecast and variance recursions, the forecast
-coefficients, the n x n quadratic form, the row-by-row CSV reader and
-writer, the exact-MSE pass without its fixed-point exit and the
-simulate-and-filter Monte Carlo that the production paths replaced, kept
-as references; and the blockless form of the production Monte Carlo."""
+loops, the left-multiplication k-step map, the per-horizon forecast and
+variance recursions, the forecast coefficients, the n x n quadratic form,
+the row-by-row CSV reader and writer, the exact-MSE pass without its
+fixed-point exit and the simulate-and-filter Monte Carlo that the
+production paths replaced, kept as references; and the blockless form of
+the production Monte Carlo."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from pmmkit import PmmParams, filter_coefficients, hmm_params, markov_form, vali
 from pmmkit import _kernels_py as kernels
 from pmmkit.error_analysis import observation_covariance
 from pmmkit.filtering import batch_filter_means, filter_variance_sequence, riccati_steps
+from pmmkit.forecasting import horizon_terms
 from pmmkit.simulate import _chol2, _error_weights
 
 
@@ -138,6 +140,19 @@ def quadratic_filter_coefficients(m, n: int) -> np.ndarray:
     return w
 
 
+def left_multiplication_powers(m, k_max: int) -> list[tuple[np.ndarray, float]]:
+    """(A^k, [sum_{j<k} A^j Q A^j^T]_00) for k = 0..k_max, one left
+    multiplication A @ A^k per step and the noise summed from the full
+    matrix product: the k-step map that ``horizon_terms`` replaced."""
+    out = []
+    power, noise = np.eye(2), 0.0
+    for _ in range(k_max + 1):
+        out.append((power, noise))
+        noise += float((power @ m.Q @ power.T)[0, 0])
+        power = m.A @ power
+    return out
+
+
 def reference_forecast(s, m, k: int) -> tuple[float, float]:
     """Predictive mean and variance at horizon k >= 1 from a filter state,
     each horizon rebuilt from scratch: the mean from the entries of A^k,
@@ -206,16 +221,13 @@ def loop_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) 
     k_values = sorted({int(k) for k in k_values})
     m = markov_form(p_true)
     m_fc = markov_form(p_fc)
-    # The horizon terms by the same left-multiplication loop and noise sum
-    # as the production pass, so that the two agree bit for bit.
+    # The horizon terms from the production k-step map, so that the two
+    # agree bit for bit and only the pass over n differs.
+    fc_terms = horizon_terms(m_fc, k_values)
     horizon = {}
-    power, fc_power, noise = np.eye(2), np.eye(2), 0.0
-    for k in range(k_values[-1] + 1):
-        if k in k_values:
-            xx, xy, fc_xx = power[0, 0], power[0, 1], fc_power[0, 0]
-            horizon[k] = (np.array([xx - fc_xx, xy - fc_power[0, 1], fc_xx]), noise)
-        noise += float((power @ m.Q @ power.T)[0, 0])
-        power, fc_power = m.A @ power, m_fc.A @ fc_power
+    for k, (xx, xy, noise) in horizon_terms(m, k_values).items():
+        fc_xx, fc_xy, _ = fc_terms[k]
+        horizon[k] = (np.array([xx - fc_xx, xy - fc_xy, fc_xx]), noise)
     b, b_fc = m.b, m_fc.b
     cov = np.array(
         [

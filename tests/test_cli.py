@@ -482,6 +482,7 @@ MALFORMED_INPUTS = {
     "minus_inf": ("t,x,y\n1,1.0,2.0\n2,3.0,-inf\n", "column y at data row 2"),
     "header_only": ("t,x,y\n", "no data rows"),
     "empty_file": ("", "missing CSV header"),
+    "repeated_column": ("t,x,y,Y\n1,1.0,2.0,3.0\n", "column y is named more than once"),
 }
 
 
@@ -731,6 +732,8 @@ class TestUsageErrors:
             (["theoretical-mse", "--preset", "fig2", "--hmm-params", "h.json",
               "--output", "c.csv"],
              "--hmm-params: not allowed with argument --preset"),
+            (["fit", "--input", "s.csv", "--output", "m.json", "--periods", "24,8772"],
+             "--periods: not allowed without argument --detrend"),
         ],
     )
     def test_json_error_names_flag(self, tmp_path, monkeypatch, capsys, argv, flag):

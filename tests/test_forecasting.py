@@ -10,9 +10,16 @@ from pmmkit import (
     markov_form,
     run_filter,
 )
-from pmmkit.forecasting import _horizon_rows, horizon_terms
+from pmmkit.forecasting import horizon_terms
 from pmmkit.oracle import oracle_forecast
-from helpers import FIG2_PARAMS, FIG4_PARAMS, random_valid_params, reference_forecast
+from pmmkit.presets import PRESET_NAMES, get_preset
+from helpers import (
+    FIG2_PARAMS,
+    FIG4_PARAMS,
+    left_multiplication_powers,
+    random_valid_params,
+    reference_forecast,
+)
 
 FIG2_MODEL = markov_form(FIG2_PARAMS)
 
@@ -236,14 +243,36 @@ class TestHorizonTerms:
     def test_repeated_and_unsorted_horizons(self):
         assert horizon_terms(FIG2_MODEL, [5, 2, 5]) == horizon_terms(FIG2_MODEL, [2, 5])
 
-    def test_rows_are_the_terms_without_noise(self):
-        for m in _models(95):
-            rows = _horizon_rows(m, [5, 0, 17, 5])
-            assert rows == {k: terms[:2] for k, terms in horizon_terms(m, [0, 5, 17]).items()}
-
     @pytest.mark.parametrize("k_values", [[-1], [3, -2], []])
     def test_negative_or_empty_rejected(self, k_values):
         with pytest.raises(ValueError):
             horizon_terms(FIG2_MODEL, k_values)
-        with pytest.raises(ValueError):
-            _horizon_rows(FIG2_MODEL, k_values)
+
+
+class TestAgainstLeftMultiplication:
+    """The row recurrence against the map it replaced, for k <= 2000: rows
+    within 1e-12 max|A^k| and noise within 1e-14 relative.  Once A^k decays
+    below the smallest normal float, spacing is absolute, so the scale is
+    floored there."""
+
+    K_MAX = 2000
+
+    def _check(self, m):
+        got = np.array(list(horizon_terms(m, range(self.K_MAX + 1)).values()))
+        powers, noise = zip(*left_multiplication_powers(m, self.K_MAX))
+        powers, noise = np.array(powers), np.array(noise)
+        scale = np.maximum(np.abs(powers).max(axis=(1, 2)), np.finfo(float).tiny)
+        row_error = np.abs(got[:, :2] - powers[:, 0]).max(axis=1)
+        assert np.all(row_error <= 1e-12 * scale)
+        assert np.all(np.abs(got[:, 2] - noise) <= 1e-14 * noise)
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_presets(self, preset):
+        fig = get_preset(preset)
+        for p in (fig.true_params, fig.hmm_reference):
+            self._check(markov_form(p))
+
+    def test_random_models(self):
+        rng = np.random.default_rng(96)
+        for _ in range(200):
+            self._check(markov_form(random_valid_params(rng)))

@@ -347,6 +347,10 @@ REJECTED_INPUTS = {
     "blank_lines_only": ("t,x,y\n\n\n", "no data rows"),
     "empty_file": ("", "missing CSV header"),
     "missing_column": ("t,x,z\n1,1.0,2.0\n", "need column(s) y"),
+    "repeated_column": ("t,x,y,Y\n1,1.0,2.0,3.0\n", "column y is named more than once"),
+    "repeated_column_spaced": (
+        "t, X ,y,x\n1,1.0,2.0,3.0\n", "column x is named more than once"
+    ),
 }
 
 
@@ -359,6 +363,13 @@ class TestCsvReader:
         x, y = read_series_csv(path)
         np.testing.assert_array_equal(x, [1.5, 2.5])
         np.testing.assert_array_equal(y, [-0.5, 0.5])
+
+    def test_repeated_unread_column_ignored(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("t,T,x,y\n1,a,1.5,-0.5\n")
+        x, y = read_series_csv(path)
+        np.testing.assert_array_equal(x, [1.5])
+        np.testing.assert_array_equal(y, [-0.5])
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
