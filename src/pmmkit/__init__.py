@@ -7,8 +7,10 @@ pipeline for real univariate series.  The names below are the package
 surface; helpers such as the oracle, the detrending steps and the
 validation report stay importable from their submodules.
 
-The import is lazy: a name loads its submodule, and numpy, on first
-access, so that ``pmmkit.cli`` can pin numpy's thread pool before it loads.
+The import is lazy: a name loads its submodule on first access, so that
+``pmmkit.cli`` can pin numpy's thread pool before numpy loads.  The model,
+the presets, the forecasting map and the exact MSE are Python floats and
+load no numpy; the filtering, pipeline, simulation and oracle modules do.
 """
 
 import importlib

@@ -8,6 +8,11 @@ a subcommand that succeeded, and exits 0 only then.  Failures are reported as on
 machine-readable JSON line on stderr with exit 1.  Set
 PMM_LOG=DEBUG|INFO|WARNING for log verbosity.
 
+``theoretical-mse`` and ``--version`` load no numpy: the model, the
+Riccati recursion, the k-step map and the exact MSE are Python floats, and
+this module imports the numpy-backed modules (pipeline, simulate, oracle,
+filtering) inside the subcommands that use them.
+
 Numpy's BLAS gets one thread: every call works on 2x2/3x3 recursions and
 single vectors, where a thread pool only adds start-up, spinning workers
 and rounding that depends on the core count.  Imported before numpy, as by
@@ -26,6 +31,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 # Before numpy loads, so that its BLAS reads the pin; see the docstring.
 _THREAD_ENV = (
@@ -35,8 +41,6 @@ _THREAD_ENV = (
 if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_ENV):
     os.environ.update(dict.fromkeys(_THREAD_ENV, "1"))
 
-import numpy as np
-
 from . import __version__
 from .error_analysis import (
     curves_to_csv,
@@ -44,7 +48,6 @@ from .error_analysis import (
     mse_sweep,
     theoretical_mse_pmm,
 )
-from .filtering import run_filter
 from .forecasting import forecast, forecast_path
 from .io import atomic_write, read_columns, write_json
 from .model import (
@@ -54,25 +57,12 @@ from .model import (
     markov_form,
     validate,
 )
-from .oracle import oracle_filter, oracle_forecast
-from .pipeline import (
-    DEFAULT_PERIODS,
-    FittedModel,
-    StandardizationParams,
-    detrend,
-    estimate_params,
-    evaluate_grid,
-    fit_detrend,
-    read_series_csv,
-)
 from .presets import PRESET_NAMES, get_preset
-from .simulate import (
-    RNG_ALGORITHM,
-    empirical_covariances,
-    monte_carlo_mse,
-    sample,
-    trajectory_to_csv,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .pipeline import FittedModel
 
 log = logging.getLogger("pmmkit")
 
@@ -155,6 +145,8 @@ def _require_at_most(flag: str, value: int) -> None:
 
 
 def _load_fitted(args) -> FittedModel:
+    from .pipeline import FittedModel, StandardizationParams
+
     if args.model is not None:
         return FittedModel.load(args.model)
     # Bare parameters: identity standardization, no seasonal component.
@@ -164,6 +156,8 @@ def _load_fitted(args) -> FittedModel:
 
 
 def cmd_simulate(args) -> dict:
+    from .simulate import empirical_covariances, sample, trajectory_to_csv
+
     _require_at_least("--n", args.n, 2)  # the summary's lag-one covariances
     traj = sample(load_params(args.params), args.n, args.seed)
     covariances = empirical_covariances(traj.x, traj.y).to_dict()
@@ -212,6 +206,10 @@ def cmd_theoretical_mse(args) -> dict:
 
 
 def cmd_fit(args) -> dict:
+    from .pipeline import (
+        DEFAULT_PERIODS, detrend, estimate_params, fit_detrend, read_series_csv,
+    )
+
     if args.periods is not None and not args.detrend:
         raise ValueError("argument --periods: not allowed without argument --detrend")
     x, y = read_series_csv(args.input)
@@ -248,6 +246,9 @@ def cmd_fit(args) -> dict:
 
 
 def cmd_forecast(args) -> dict:
+    from .filtering import run_filter
+    from .pipeline import detrend
+
     _require_at_least("--n", args.n, 1)
     _require_at_most("--k", args.k)
     # A negative index would anchor the seasonal phase before the series.
@@ -274,7 +275,7 @@ def cmd_forecast(args) -> dict:
             r.horizon,
             r.mean,
             r.variance,
-            float(xs.invert(np.array(r.mean))),
+            r.mean * xs.std + xs.mean,
             r.variance * xs.std**2,
         )
         for r in path
@@ -286,6 +287,8 @@ def cmd_forecast(args) -> dict:
 
 
 def cmd_evaluate(args) -> dict:
+    from .pipeline import FittedModel, detrend, evaluate_grid, read_series_csv
+
     _require_at_least("--start-index", args.start_index, 0)
     fitted = FittedModel.load(args.model)
     x, y = read_series_csv(args.input)
@@ -312,6 +315,8 @@ def cmd_evaluate(args) -> dict:
 
 
 def cmd_monte_carlo(args) -> dict:
+    from .simulate import RNG_ALGORITHM, monte_carlo_mse
+
     _require_at_most("--n", args.n)
     _require_at_most("--k", args.k)
     p_true = load_params(args.params)
@@ -331,6 +336,9 @@ def cmd_monte_carlo(args) -> dict:
 
 
 def cmd_oracle(args) -> dict:
+    from .filtering import run_filter
+    from .oracle import oracle_filter, oracle_forecast
+
     _require_at_least("--n", args.n, 1)
     params = load_params(args.params)
     y = _read_y_column(args.input)[: args.n]
@@ -404,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detrend", action="store_true", help="remove harmonic seasonality from y")
     p.add_argument(
         "--periods",
-        help="two harmonic periods in samples, with --detrend (default "
-        f"{DEFAULT_PERIODS[0]:g},{DEFAULT_PERIODS[1]:g})",
+        # pipeline.DEFAULT_PERIODS, spelled out: pipeline loads numpy.
+        help="two harmonic periods in samples, with --detrend (default 24,8772)",
     )
     p.add_argument("--window", help="fit window start:end (row indices, end exclusive)")
     p.set_defaults(func=cmd_fit)
@@ -484,7 +492,8 @@ def main(argv=None) -> int:
         logging.basicConfig(level=_log_level())
         write_json(sys.stdout, args.func(args))
         return 0
-    except (PmmError, ValueError, OSError, KeyError, MemoryError) as exc:
+    # ImportError: a subcommand that needs numpy, on an install without it.
+    except (PmmError, ValueError, OSError, KeyError, MemoryError, ImportError) as exc:
         # numpy raises a private MemoryError subclass; report the public name.
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         json.dump({"error": name, "message": str(exc)}, sys.stderr)

@@ -2,17 +2,13 @@
 
 The pair (X_n, Y_n) is the Markov state, so the one-step predict uses both
 the current conditional mean of X_n and the last observation.  With
-A = [[a1, a2], [a3, a4]], Q = [[q11, q12], [., q22]] and P the current
-conditional variance, the update gain is
+A = [[a1, a2], [a3, a4]] and G the gain of the variance recursion in
+``riccati`` (re-exported here), one step reads
 
-    G = (a1*a3*P + q12) / (a3^2*P + q22)
+    m' = a1*m + a2*y_n + G*(y_{n+1} - a3*m - a4*y_n).
 
-and one step reads
-
-    m' = a1*m + a2*y_n + G*(y_{n+1} - a3*m - a4*y_n)
-    P' = a1^2*P + q11 - G^2*(a3^2*P + q22).
-
-P depends on the model only, never on the observed values.
+The variance, and with it every gain, depends on the model only, never on
+the observed values.
 """
 
 from __future__ import annotations
@@ -22,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels_py as kernels
-from .model import InvalidModelError, PmmParams, TransitionModel
+from .model import PmmParams, TransitionModel
+from .riccati import _riccati_step, riccati_steps
 
 __all__ = [
     "FilterState",
@@ -34,11 +31,6 @@ __all__ = [
     "riccati_steps",
     "batch_filter_means",
 ]
-
-# Below this, Y_{n+1} is numerically deterministic given (X_n, Y_n) and the
-# update gain is ill-posed.  Only a hand-built TransitionModel gets here:
-# for one from markov_form the denominator is at least min eig Q > PD_TOL.
-DEGENERATE_DENOMINATOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -56,25 +48,9 @@ def filter_init(p: PmmParams, y1: float) -> FilterState:
     return FilterState(n=1, mean=p.b * y1, variance=1.0 - p.b * p.b, last_y=y1)
 
 
-def _riccati_step(m: TransitionModel, p: float) -> tuple[float, float]:
-    """The gain that absorbs the next observation, and the filter variance
-    after it, from the current filter variance ``p``."""
-    a1, a3 = m.A[0, 0], m.A[1, 0]
-    q11, q12 = m.Q[0]
-    denom = a3 * a3 * p + m.Q[1, 1]
-    if denom <= DEGENERATE_DENOMINATOR:
-        raise InvalidModelError(
-            f"degenerate observation channel (innovation variance {denom:g})"
-        )
-    gain = (a1 * a3 * p + q12) / denom
-    # The clamp guards roundoff at near-degenerate models.
-    return gain, max(a1 * a1 * p + q11 - gain * gain * denom, 0.0)
-
-
 def filter_step(s: FilterState, m: TransitionModel, y_next: float) -> FilterState:
     """Absorb one more observation."""
-    a1, a2 = m.A[0]
-    a3, a4 = m.A[1]
+    (a1, a2), (a3, a4) = m.A
     gain, variance = _riccati_step(m, s.variance)
     mean = a1 * s.mean + a2 * s.last_y + gain * (y_next - a3 * s.mean - a4 * s.last_y)
     return FilterState(n=s.n + 1, mean=mean, variance=variance, last_y=y_next)
@@ -97,19 +73,6 @@ def run_filter(m: TransitionModel, ys) -> FilterState:
         variance=float(variances[-1]),
         last_y=float(ys[-1]),
     )
-
-
-def riccati_steps(m: TransitionModel):
-    """Yield (G, P) for steps t = 2, 3, ...: the gain that absorbs Y_t and
-    the filter variance V[X_t | Y_1:t] after it; P_1 = 1 - b^2.
-
-    Lazy, so a caller that folds the steps into its own recursion keeps
-    O(1) memory in n.
-    """
-    p = 1.0 - m.b * m.b
-    while True:
-        g, p = _riccati_step(m, p)
-        yield g, p
 
 
 def _variance_and_gains(m: TransitionModel, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,8 +105,7 @@ def _weights(m: TransitionModel, gains: np.ndarray) -> np.ndarray:
     # observation t-1 and gives observation t the weight G_t (b for the
     # first).  So observation j < n ends with (w_j*c_{j+1} + d_{j+1}) times
     # the suffix product c_{j+2}...c_n.
-    a1, a2 = m.A[0]
-    a3, a4 = m.A[1]
+    (a1, a2), (a3, a4) = m.A
     entry = np.concatenate(([m.b], gains))
     c = a1 - a3 * gains
     d = a2 - a4 * gains

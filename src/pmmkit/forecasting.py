@@ -16,9 +16,12 @@ sliding-window evaluation and the Monte Carlo read the forecaster's (xx, xy).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .filtering import FilterState
 from .model import TransitionModel
+
+if TYPE_CHECKING:  # filtering loads numpy; this module does not
+    from .filtering import FilterState
 
 __all__ = ["ForecastResult", "forecast", "forecast_path", "horizon_terms"]
 
@@ -44,8 +47,8 @@ def horizon_terms(
     wanted = set(k_values)
     if not wanted or min(wanted) < 0:
         raise ValueError(f"horizons must be a nonempty set of k >= 0, got {sorted(wanted)}")
-    (a1, a2), (a3, a4) = m.A.tolist()
-    (q11, q12), (_, q22) = m.Q.tolist()
+    (a1, a2), (a3, a4) = m.A
+    (q11, q12), (_, q22) = m.Q
     xx, xy, noise = 1.0, 0.0, 0.0
     out = {}
     for k in range(max(wanted) + 1):

@@ -33,9 +33,10 @@ import numbers
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["read_columns", "atomic_write", "read_json", "write_json", "finite_number"]
 
@@ -43,6 +44,8 @@ __all__ = ["read_columns", "atomic_write", "read_json", "write_json", "finite_nu
 def read_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray, ...]:
     """The columns called ``names`` (lower-case; the header is matched
     case-insensitively) as float arrays, in the order given."""
+    import numpy as np  # here, so that the rest of the package's I/O loads none
+
     with open(path) as fh:
         header = next(csv.reader([fh.readline()]), None)
         if not header:

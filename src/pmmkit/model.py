@@ -16,14 +16,19 @@ where A = C M^{-1}, Q = B B^T = M - C M^{-1} C^T, with M = [[1, b], [b, 1]]
 the marginal pair covariance and C = [[a, e], [d, c]] the lag-one cross
 covariance Cov[Z_{n+1}, Z_n].  Only Q matters outside of sampling, so the
 transition model stores Q rather than a particular square root B.
+
+Everything here is 2x2 and 4x4 algebra over Python floats, so this module,
+and the exact theory built on it, loads no numpy.  The admissibility gate
+finds the smallest eigenvalue of Q and the spectral radius of A in closed
+form, and the smallest eigenvalue of the 4x4 stationary covariance by
+cyclic Jacobi rotations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .io import atomic_write, finite_number, read_json, write_json
 
@@ -100,26 +105,27 @@ class PmmParams:
         return cls(**values)
 
 
+# A 2x2 matrix as its two rows of floats.
+Matrix2 = tuple[tuple[float, float], tuple[float, float]]
+
+
 @dataclass(frozen=True)
 class TransitionModel:
-    """Markov form of a pairwise model: Z_{n+1} = A Z_n + noise with Cov Q.
+    """Markov form of a pairwise model: Z_{n+1} = A Z_n + noise with Cov Q,
+    each matrix an immutable pair of rows of floats.
 
     ``marginal`` is the stationary pair covariance [[1, b], [b, 1]]; the
     stationarity fixed point A marginal A^T + Q = marginal holds for every
     admissible model.
     """
 
-    A: np.ndarray
-    Q: np.ndarray
-    marginal: np.ndarray
-
-    def __post_init__(self) -> None:
-        for m in (self.A, self.Q, self.marginal):
-            m.setflags(write=False)
+    A: Matrix2
+    Q: Matrix2
+    marginal: Matrix2
 
     @property
     def b(self) -> float:
-        return float(self.marginal[0, 1])
+        return self.marginal[0][1]
 
 
 @dataclass(frozen=True)
@@ -148,16 +154,14 @@ class ValidationReport:
         return "; ".join(flags)
 
 
-def gamma_from_params(p: PmmParams) -> np.ndarray:
-    """The 4x4 stationary covariance of (X_1, Y_1, X_2, Y_2)."""
+def gamma_from_params(p: PmmParams) -> tuple[tuple[float, ...], ...]:
+    """The 4x4 stationary covariance of (X_1, Y_1, X_2, Y_2), by rows."""
     a, b, c, d, e = p.astuple()
-    return np.array(
-        [
-            [1.0, b, a, d],
-            [b, 1.0, e, c],
-            [a, e, 1.0, b],
-            [d, c, b, 1.0],
-        ]
+    return (
+        (1.0, b, a, d),
+        (b, 1.0, e, c),
+        (a, e, 1.0, b),
+        (d, c, b, 1.0),
     )
 
 
@@ -180,14 +184,81 @@ def is_hmm(p: PmmParams, tol: float = 1e-9) -> bool:
     )
 
 
-def _transition(p: PmmParams) -> tuple[np.ndarray, np.ndarray]:
+def _transition(p: PmmParams) -> tuple[Matrix2, Matrix2]:
     """A and the symmetrized Q, unvalidated; needs |b| < 1."""
-    a, b, c, d, e = p.astuple()
-    cross = np.array([[a, e], [d, c]])  # Cov[Z_{n+1}, Z_n]
-    # Closed-form inverse of the marginal [[1, b], [b, 1]] for exactness.
-    A = cross @ (np.array([[1.0, -b], [-b, 1.0]]) / (1.0 - b * b))
-    Q = np.array([[1.0, b], [b, 1.0]]) - A @ cross.T
-    return A, 0.5 * (Q + Q.T)
+    a, b, c, d, e = map(float, p.astuple())
+    # A = C M^{-1} with the closed-form inverse of the marginal M, whose
+    # rows are (1, -b) and (-b, 1) over 1 - b^2; C = [[a, e], [d, c]].
+    diag, off = 1.0 / (1.0 - b * b), -b / (1.0 - b * b)
+    a1, a2 = a * diag + e * off, a * off + e * diag
+    a3, a4 = d * diag + c * off, d * off + c * diag
+    # Q = M - A C^T; its off-diagonal is the mean of the two products.
+    q12 = 0.5 * ((b - (a1 * d + a2 * c)) + (b - (a3 * a + a4 * e)))
+    Q = ((1.0 - (a1 * a + a2 * e), q12), (q12, 1.0 - (a3 * d + a4 * c)))
+    return ((a1, a2), (a3, a4)), Q
+
+
+def _min_eigenvalue(rows) -> float:
+    """Smallest eigenvalue of a small symmetric matrix by cyclic Jacobi.
+
+    Each rotation zeroes one off-diagonal entry.  The matrix is first scaled
+    by a power of two into [-1, 1], exactly, so that no product overflows.
+    Sweeps stop when the off-diagonal sum of squares is zero or no longer
+    falls; a float cannot fall forever, so no sweep count is needed."""
+    size = len(rows)
+    entries = [abs(v) for row in rows for v in row]
+    if not all(map(math.isfinite, entries)):
+        return math.nan
+    top = max(entries)
+    if not top:
+        return 0.0
+    shift = math.frexp(top)[1]
+    s = [[math.ldexp(v, -shift) for v in row] for row in rows]
+    pairs = [(p, q) for p in range(size) for q in range(p + 1, size)]
+    off = math.inf
+    while 0.0 < (rest := math.fsum(s[p][q] * s[p][q] for p, q in pairs)) < off:
+        off = rest
+        for p, q in pairs:
+            spq = s[p][q]
+            if spq == 0.0:
+                continue
+            h = s[q][q] - s[p][p]
+            if abs(h) + abs(spq) == abs(h):
+                # spq is below h's last digit: tan ~ spq / h, and squaring
+                # h / spq could overflow.
+                t = spq / h
+            else:
+                theta = 0.5 * h / spq
+                t = math.copysign(1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta)), theta)
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            sn = t * c
+            s[p][p] -= t * spq
+            s[q][q] += t * spq
+            s[p][q] = s[q][p] = 0.0
+            for r in range(size):
+                if r != p and r != q:
+                    srp, srq = s[r][p], s[r][q]
+                    s[r][p] = s[p][r] = c * srp - sn * srq
+                    s[r][q] = s[q][r] = sn * srp + c * srq
+    return math.ldexp(min(s[i][i] for i in range(size)), shift)
+
+
+def _spectral_radius(m: Matrix2) -> float:
+    """Largest eigenvalue modulus of a 2x2 matrix, in closed form."""
+    (a1, a2), (a3, a4) = m
+    half_trace, half_gap = 0.5 * (a1 + a4), 0.5 * (a1 - a4)
+    # The discriminant (trace/2)^2 - det, without cancelling the squares.
+    disc = half_gap * half_gap + a2 * a3
+    if disc >= 0.0:
+        return abs(half_trace) + math.sqrt(disc)
+    # A complex pair, trace/2 +- i sqrt(-disc).
+    return math.hypot(half_trace, math.sqrt(-disc))
+
+
+def _min_eigenvalue_2x2(m: Matrix2) -> float:
+    """Smallest eigenvalue of a symmetric 2x2 matrix, in closed form."""
+    (m11, m12), (_, m22) = m
+    return 0.5 * (m11 + m22) - math.hypot(0.5 * (m11 - m22), m12)
 
 
 def markov_form(p: PmmParams) -> TransitionModel:
@@ -202,19 +273,20 @@ def markov_form(p: PmmParams) -> TransitionModel:
     if not report.ok:
         raise InvalidModelError(f"invalid parameters: {report.summary()}")
     A, Q = _transition(p)
-    return TransitionModel(A=A, Q=Q, marginal=np.array([[1.0, p.b], [p.b, 1.0]]))
+    b = float(p.b)
+    return TransitionModel(A=A, Q=Q, marginal=((1.0, b), (b, 1.0)))
 
 
 def validate(p: PmmParams) -> ValidationReport:
     """Full admissibility report: 4x4 PD, noise PSD, spectral radius < 1."""
-    gamma_min = float(np.linalg.eigvalsh(gamma_from_params(p)).min())
+    gamma_min = _min_eigenvalue(gamma_from_params(p))
     gamma_pd = gamma_min > PD_TOL
     # A covariance beyond +-1 already makes gamma indefinite, and its
     # transition form can overflow.
     if abs(p.b) < 1.0 and max(map(abs, p.astuple())) <= 1.0:
         a_mat, q_mat = _transition(p)
-        q_min = float(np.linalg.eigvalsh(q_mat).min())
-        radius = float(max(abs(np.linalg.eigvals(a_mat))))
+        q_min = _min_eigenvalue_2x2(q_mat)
+        radius = _spectral_radius(a_mat)
     else:
         # The marginal is singular, or gamma is out of range; no transition
         # form exists.
@@ -224,9 +296,9 @@ def validate(p: PmmParams) -> ValidationReport:
         gamma_min_eigenvalue=gamma_min,
         gamma_pd=gamma_pd,
         q_min_eigenvalue=q_min,
-        q_psd=bool(q_min >= -PD_TOL),
+        q_psd=q_min >= -PD_TOL,
         spectral_radius=radius,
-        spectral_ok=bool(radius < 1.0 - SPECTRAL_TOL),
+        spectral_ok=radius < 1.0 - SPECTRAL_TOL,
         is_hmm=is_hmm(p),
     )
 

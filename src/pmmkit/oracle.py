@@ -63,9 +63,10 @@ def build_joint(p: PmmParams, n: int, k: int, cap: int = DEFAULT_CAP) -> JointCo
     m = markov_form(p)
     total = n + k
     # lags[j] = Cov[Z_{t+j}, Z_t] = A^j M
+    A = np.array(m.A)
     lags = [np.array(m.marginal)]
     for _ in range(total - 1):
-        lags.append(m.A @ lags[-1])
+        lags.append(A @ lags[-1])
 
     def cov(s: int, t: int, row: int, col: int) -> float:
         # Cov[component row of Z_s, component col of Z_t]

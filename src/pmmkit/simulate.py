@@ -42,7 +42,7 @@ import numpy as np
 from . import _kernels_py as kernels
 from .filtering import filter_coefficients
 from .forecasting import horizon_terms
-from .model import PmmParams, TransitionModel, markov_form
+from .model import Matrix2, PmmParams, TransitionModel, markov_form
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -84,12 +84,13 @@ class Trajectory:
         return self.x.size
 
 
-def _chol2(mat: np.ndarray) -> tuple[float, float, float]:
+def _chol2(mat: Matrix2) -> tuple[float, float, float]:
     """Lower Cholesky factor (l11, l21, l22) of a 2x2 positive definite
     matrix; ``markov_form`` makes both the marginal and Q one."""
-    l11 = math.sqrt(float(mat[0, 0]))
-    l21 = float(mat[0, 1]) / l11
-    return l11, l21, math.sqrt(float(mat[1, 1]) - l21 * l21)
+    (m11, m12), (_, m22) = mat
+    l11 = math.sqrt(m11)
+    l21 = m12 / l11
+    return l11, l21, math.sqrt(m22 - l21 * l21)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -112,8 +113,7 @@ def sample(p: PmmParams, n_steps: int, seed: int) -> Trajectory:
     if n_steps == 1:
         return Trajectory(x=np.array([x0]), y=np.array([y0]), seed=seed)
     eps = rng.standard_normal((n_steps - 1, 2))
-    a1, a2 = m.A[0]
-    a3, a4 = m.A[1]
+    (a1, a2), (a3, a4) = m.A
     x, y = kernels.simulate_pairs(a1, a2, a3, a4, lq11, lq21, lq22, x0, y0, eps)
     return Trajectory(x=x, y=y, seed=seed)
 
@@ -138,7 +138,7 @@ def _error_weights(
     v[-1] += xy
     l011, l021, l022 = _chol2(m_true.marginal)
     lq11, lq21, lq22 = _chol2(m_true.Q)
-    (a1, a2), (a3, a4) = m_true.A.tolist()
+    (a1, a2), (a3, a4) = m_true.A
     # Z_t is numbered from t = 0 here, so Y_1:n are the y of t = 0..n-1.
     rows = []
     lam_x, lam_y = 1.0, 0.0

@@ -2,10 +2,11 @@
 Kalman reference for the hidden-Markov special case, and the step-by-step
 loops, the left-multiplication k-step map, the per-horizon forecast and
 variance recursions, the forecast coefficients, the n x n quadratic form,
-the row-by-row CSV reader and writer, the exact-MSE pass without its
-fixed-point exit and the simulate-and-filter Monte Carlo that the
-production paths replaced, kept as references; and the blockless form of
-the production Monte Carlo."""
+the row-by-row CSV reader and writer, the exact-MSE pass as one numpy
+matrix product per step and the simulate-and-filter Monte Carlo that the
+production paths replaced, kept as references; the production exact-MSE
+step run to every n without its cycle exit; and the blockless form of the
+production Monte Carlo."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from pmmkit import PmmParams, filter_coefficients, hmm_params, markov_form, validate
 from pmmkit import _kernels_py as kernels
-from pmmkit.error_analysis import observation_covariance
+from pmmkit.error_analysis import _augmented_recursion, observation_covariance
 from pmmkit.filtering import batch_filter_means, filter_variance_sequence, riccati_steps
 from pmmkit.forecasting import horizon_terms
 from pmmkit.simulate import _chol2, _error_weights
@@ -159,11 +160,12 @@ def reference_forecast(s, m, k: int) -> tuple[float, float]:
     the variance by k steps of S <- A S A^T + Q from diag(P, 0)."""
     if k < 1:
         raise ValueError(f"forecast horizon must be >= 1, got {k}")
+    A, Q = np.array(m.A), np.array(m.Q)
     power = np.eye(2)
     cov = np.array([[s.variance, 0.0], [0.0, 0.0]])
     for _ in range(k):
-        power = m.A @ power
-        cov = m.A @ cov @ m.A.T + m.Q
+        power = A @ power
+        cov = A @ cov @ A.T + Q
     return power[0, 0] * s.mean + power[0, 1] * s.last_y, float(cov[0, 0])
 
 
@@ -172,6 +174,7 @@ def scalar_mse_grid(p: PmmParams, n_values, k_values) -> dict:
     of the grid by the scalar recursions: the filter variance P_n, then k
     steps of S <- A S A^T + Q from diag(P_n, 0), run for all n at once."""
     m = markov_form(p)
+    A, Q = np.array(m.A), np.array(m.Q)
     n_values = np.array(sorted(set(n_values)))
     cov = np.zeros((n_values.size, 2, 2))
     cov[:, 0, 0] = filter_variance_sequence(m, n_values[-1])[n_values - 1]
@@ -179,7 +182,7 @@ def scalar_mse_grid(p: PmmParams, n_values, k_values) -> dict:
     for k in range(max(k_values) + 1):
         if k in k_values:
             out.update(((int(n), k), float(v)) for n, v in zip(n_values, cov[:, 0, 0]))
-        cov = m.A @ cov @ m.A.T + m.Q
+        cov = A @ cov @ A.T + Q
     return out
 
 
@@ -214,20 +217,65 @@ def quadratic_form_mse(p_true: PmmParams, p_fc: PmmParams, n: int, k: int) -> fl
     return scalar_mse_pmm(p_true, n, k) + float(delta @ sigma @ delta)
 
 
-def loop_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) -> dict:
-    """``forecaster_mse`` with one augmented-state covariance step per t up
-    to the largest n, and no fixed-point exit."""
-    n_values = sorted({int(n) for n in n_values})
-    k_values = sorted({int(k) for k in k_values})
-    m = markov_form(p_true)
-    m_fc = markov_form(p_fc)
-    # The horizon terms from the production k-step map, so that the two
-    # agree bit for bit and only the pass over n differs.
+def _horizon_weights(m, m_fc, k_values) -> dict:
+    """Per k: the error weights (v1, v2, v3) on (X_n, Y_n, e_n) and the
+    noise after n, from the production k-step map, so that a pass over n
+    is all that differs from ``forecaster_mse``."""
     fc_terms = horizon_terms(m_fc, k_values)
     horizon = {}
     for k, (xx, xy, noise) in horizon_terms(m, k_values).items():
         fc_xx, fc_xy, _ = fc_terms[k]
-        horizon[k] = (np.array([xx - fc_xx, xy - fc_xy, fc_xx]), noise)
+        horizon[k] = (xx - fc_xx, xy - fc_xy, fc_xx, noise)
+    return horizon
+
+
+def loop_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) -> dict:
+    """``forecaster_mse`` with the production step taken once per t up to
+    the largest n: no cycle exit."""
+    n_values = sorted({int(n) for n in n_values})
+    k_values = sorted({int(k) for k in k_values})
+    m = markov_form(p_true)
+    m_fc = markov_form(p_fc)
+    weights = _horizon_weights(m, m_fc, k_values)
+    state, step = _augmented_recursion(m, m_fc)
+    out = {}
+    t = 1
+    for n in n_values:
+        for _ in range(n - t):
+            state = step(state)
+        t = n
+        _, s11, s12, s13, s22, s23, s33 = state
+        for k, (v1, v2, v3, noise) in weights.items():
+            w1 = v1 * s11 + v2 * s12 + v3 * s13
+            w2 = v1 * s12 + v2 * s22 + v3 * s23
+            w3 = v1 * s13 + v2 * s23 + v3 * s33
+            out[(n, k)] = w1 * v1 + w2 * v2 + w3 * v3 + noise
+    return out
+
+
+def cycle_entry_and_period(p_true: PmmParams, p_fc: PmmParams) -> tuple[int, int]:
+    """(mu, lambda) of the exact-MSE pass: the state of step t >= mu equals
+    that of step t + lambda, and mu is the first such step (t = 1 is the
+    start).  Every state is kept in a dict, so the memory is O(mu + lambda)."""
+    state, step = _augmented_recursion(markov_form(p_true), markov_form(p_fc))
+    seen = {}
+    t = 1
+    while state not in seen:
+        seen[state] = t
+        state = step(state)
+        t += 1
+    return seen[state], t - seen[state]
+
+
+def lift_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) -> dict:
+    """``forecaster_mse`` with each augmented-state covariance step taken
+    as one numpy product [F H] diag(S, Q) [F H]^T, up to the largest n."""
+    n_values = sorted({int(n) for n in n_values})
+    k_values = sorted({int(k) for k in k_values})
+    m = markov_form(p_true)
+    m_fc = markov_form(p_fc)
+    horizon = _horizon_weights(m, m_fc, k_values)
+    A, A_fc = np.array(m.A), np.array(m_fc.A)
     b, b_fc = m.b, m_fc.b
     cov = np.array(
         [
@@ -236,10 +284,10 @@ def loop_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) 
             [1.0 - b_fc * b, b - b_fc, 1.0 - 2.0 * b_fc * b + b_fc * b_fc],
         ]
     )
-    (da1, da2), (da3, da4) = m.A - m_fc.A
-    a1f, a3f = m_fc.A[:, 0]
+    (da1, da2), (da3, da4) = A - A_fc
+    a1f, a3f = A_fc[:, 0]
     lift = np.zeros((3, 5))
-    lift[:2, :2] = m.A
+    lift[:2, :2] = A
     lift[:2, 3:] = np.eye(2)
     blocks = np.zeros((5, 5))
     blocks[3:, 3:] = m.Q
@@ -253,7 +301,8 @@ def loop_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) 
             blocks[:3, :3] = cov
             cov = lift @ blocks @ lift.T
         t = n
-        for k, (v, noise) in horizon.items():
+        for k, (*v, noise) in horizon.items():
+            v = np.array(v)
             out[(n, k)] = float(v @ cov @ v) + noise
     return out
 
@@ -323,4 +372,7 @@ def rowwise_trajectory_to_csv(traj, fh) -> None:
 FIG2_PARAMS = PmmParams(0.9, -0.2, 0.036, -0.18, -0.58)
 FIG4_PARAMS = PmmParams(0.9, -0.2, 0.036, -0.38, -0.58)
 PRESSURE_PARAMS = PmmParams(0.996, -0.6, 0.986, -0.599, -0.602)
+# An admissible model whose exact-MSE pass never reaches a fixed point, with
+# itself or with its hidden-Markov restriction as forecaster: it cycles.
+FOUND_PARAMS = PmmParams(-0.6487, 0.7264, 0.0829, -0.4006, -0.1546)
 SOIL_PARAMS = PmmParams(0.996, 0.543, 0.986, 0.545, 0.542)

@@ -245,9 +245,8 @@ def test_criterion_10_invariant_suite():
     # stationarity fixed point (150)
     for _ in range(150):
         m = markov_form(random_valid_params(rng))
-        np.testing.assert_allclose(
-            m.A @ m.marginal @ m.A.T + m.Q, m.marginal, atol=1e-10
-        )
+        A, marginal = np.array(m.A), np.array(m.marginal)
+        np.testing.assert_allclose(A @ marginal @ A.T + m.Q, marginal, atol=1e-10)
         cases += 1
 
     # lag-one observation covariance equals c (150)

@@ -45,7 +45,7 @@ def test_sample_matches_sequential_loop(preset, n_steps):
     eps = rng.standard_normal((n_steps - 1, 2))
     (l11, _), (l21, l22) = np.linalg.cholesky(m.Q)
     x_ref, y_ref = sequential_simulate_pairs(
-        *m.A.ravel(), l11, l21, l22, x0, y0, eps
+        *np.ravel(m.A), l11, l21, l22, x0, y0, eps
     )
     traj = sample(p, n_steps, seed=31)
     np.testing.assert_allclose(traj.x, x_ref, rtol=0, atol=1e-12)

@@ -20,7 +20,7 @@ from pmmkit import (
 )
 from pmmkit.cli import MAX_GRID_POINTS, _parse_grid, main
 from pmmkit.model import is_hmm, save_params
-from pmmkit.pipeline import DetrendModel, StandardizationParams, evaluate
+from pmmkit.pipeline import DEFAULT_PERIODS, DetrendModel, StandardizationParams, evaluate
 from helpers import (
     FIG2_PARAMS,
     PRESSURE_PARAMS,
@@ -1032,6 +1032,55 @@ def test_package_import_leaves_numpy_out(tmp_path):
     assert out.stdout.strip() == "False"
 
 
+def test_periods_help_names_the_pipeline_default(capsys):
+    # The help spells the default out, so that building the parser loads no
+    # numpy; it must follow pipeline.DEFAULT_PERIODS.
+    with pytest.raises(SystemExit):
+        main(["fit", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"(default {DEFAULT_PERIODS[0]:g},{DEFAULT_PERIODS[1]:g})" in text
+
+
+# pmmkit.cli.main on the arguments, in an interpreter where numpy cannot
+# be imported.
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from pmmkit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_theory_and_version_run_without_numpy(tmp_path):
+    (tmp_path / "p.json").write_text(json.dumps(FIG2_PARAMS.to_dict()))
+    (tmp_path / "h.json").write_text(json.dumps(hmm_params(0.9, -0.2).to_dict()))
+    calls = [["--version"]] + [
+        ["theoretical-mse", "--preset", fig, "--output", f"{fig}.csv"]
+        for fig in ("fig2", "fig3", "fig4", "fig5")
+    ] + [
+        ["theoretical-mse", "--params", "../p.json", "--hmm-params", "../h.json",
+         "--n-grid", "1:40,500", "--k-grid", "0:3", "--output", "own.csv"],
+    ]
+    for label, prefix in (("blocked", ["-c", WITHOUT_NUMPY]), ("plain", ["-m", "pmmkit.cli"])):
+        (tmp_path / label).mkdir()
+        for argv in calls:
+            out = _python([*prefix, *argv], tmp_path / label)
+            assert out.returncode == 0, out.stderr
+            (tmp_path / label / f"{argv[-1]}.stdout").write_text(out.stdout)
+    blocked, plain = (sorted((tmp_path / label).iterdir()) for label in ("blocked", "plain"))
+    assert [p.name for p in blocked] == [p.name for p in plain]
+    assert len(blocked) == 2 * len(calls) - 1
+    for ours, theirs in zip(blocked, plain):
+        assert ours.read_bytes() == theirs.read_bytes(), ours.name
+    assert (tmp_path / "blocked" / "--version.stdout").read_text() == "pmmkit 0.1.0\n"
+    # A subcommand that needs numpy says so in the one JSON error line.
+    out = _python(["-c", WITHOUT_NUMPY, "simulate", "--params", "../p.json", "--n", "5",
+                   "--output", "t.csv"], tmp_path / "blocked")
+    assert out.returncode == 1
+    error = json.loads(out.stderr)
+    assert error["error"] == "ModuleNotFoundError" and "numpy" in error["message"]
+
+
 def test_lazy_names_are_the_submodule_objects():
     for name in pmmkit.__all__[1:]:
         obj = getattr(pmmkit, name)
@@ -1041,8 +1090,9 @@ def test_lazy_names_are_the_submodule_objects():
         pmmkit.no_such_name
 
 
-# Imports the CLI in the way each label names, then prints the thread
-# variables and, where /proc exists, the number of threads.
+# Imports the CLI in the way each label names, which loads no numpy, then
+# imports numpy and prints the thread variables and, where /proc exists,
+# the number of threads.
 PIN_PROBE = """
 import json, os, runpy, sys
 how = sys.argv[1]
@@ -1060,7 +1110,8 @@ elif how == "run-module":
     print()
 else:
     from pmmkit.cli import main
-assert "numpy" in sys.modules
+assert how == "numpy-first" or "numpy" not in sys.modules
+import numpy
 task = "/proc/self/task"
 threads = len(os.listdir(task)) if os.path.isdir(task) else None
 print(json.dumps({"env": {k: os.environ.get(k) for k in %r}, "threads": threads}))

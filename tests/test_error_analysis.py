@@ -18,12 +18,17 @@ from pmmkit import (
 )
 from pmmkit import error_analysis
 from pmmkit.error_analysis import curves_to_csv, observation_covariance
-from pmmkit.filtering import filter_init, filter_step, riccati_steps
+from pmmkit.filtering import filter_init, filter_step
+from pmmkit.forecasting import horizon_terms
+from pmmkit.riccati import _riccati_step
 from pmmkit.oracle import build_joint
 from pmmkit.simulate import monte_carlo_mse
 from helpers import (
     FIG2_PARAMS,
+    FOUND_PARAMS,
+    cycle_entry_and_period,
     forecast_coefficients,
+    lift_forecaster_mse,
     loop_forecaster_mse,
     quadratic_form_mse,
     random_hmm,
@@ -292,13 +297,13 @@ class TestForecasterMse:
 
     @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4", "fig5"])
     @pytest.mark.parametrize("which", ["true", "hmm"])
-    def test_fixed_point_exit_equals_full_loop_on_presets(self, preset, which):
+    def test_cycle_exit_equals_full_loop_on_presets(self, preset, which):
         fig = get_preset(preset)
         p_fc = fig.true_params if which == "true" else fig.hmm_reference
         args = (fig.true_params, p_fc, self.FIXED_POINT_N, self.FIXED_POINT_K)
         assert forecaster_mse(*args) == loop_forecaster_mse(*args)
 
-    def test_fixed_point_exit_equals_full_loop_on_random_pairs(self):
+    def test_cycle_exit_equals_full_loop_on_random_pairs(self):
         rng = np.random.default_rng(71)
         for _ in range(40):
             args = (
@@ -309,15 +314,50 @@ class TestForecasterMse:
             )
             assert forecaster_mse(*args) == loop_forecaster_mse(*args)
 
+    def test_cycle_exit_equals_full_loop_at_every_n_of_cycling_pairs(self):
+        # Pairs whose state never settles to a fixed point but cycles with a
+        # period above 1: every n up to 5000 takes its value from the cycle.
+        rng = np.random.default_rng(5)
+        checked = 0
+        while checked < 12:
+            p_true = random_valid_params(rng)
+            # The truth and its restriction as forecasters, in turn.
+            p_fc = hmm_params(p_true.a, p_true.b) if checked % 2 else p_true
+            if cycle_entry_and_period(p_true, p_fc)[1] > 1:
+                args = (p_true, p_fc, range(1, 5001), [0, 2])
+                assert forecaster_mse(*args) == loop_forecaster_mse(*args)
+                checked += 1
+
+    @pytest.mark.parametrize("which", ["true", "hmm"])
+    def test_cycle_exit_bounds_the_steps(self, monkeypatch, which):
+        # Brent's method takes fewer than 2 max(mu, lambda) + 2 lambda steps,
+        # so fewer than 4 (mu + lambda), however large n is.
+        p_fc = FOUND_PARAMS if which == "true" else hmm_params(FOUND_PARAMS.a, FOUND_PARAMS.b)
+        entry, period = cycle_entry_and_period(FOUND_PARAMS, p_fc)
+        assert period > 1
+        drawn = []
+
+        def counted_step(m, variance):
+            drawn.append(variance)
+            return _riccati_step(m, variance)
+
+        monkeypatch.setattr(error_analysis, "_riccati_step", counted_step)
+        mse = forecaster_mse(FOUND_PARAMS, p_fc, [10**6], [0, 3])
+        assert len(drawn) < 4 * (entry + period)
+        monkeypatch.undo()
+        # The cycle serves n = 10^6 with the state a full loop would reach.
+        n = entry + (10**6 - entry) % period
+        want = loop_forecaster_mse(FOUND_PARAMS, p_fc, [n], [0, 3])
+        assert [mse[(10**6, k)] for k in (0, 3)] == [want[(n, k)] for k in (0, 3)]
+
     def test_pass_stops_at_fixed_point(self, monkeypatch):
         drawn = []
 
-        def counted_steps(m):
-            for step in riccati_steps(m):
-                drawn.append(step)
-                yield step
+        def counted_step(m, variance):
+            drawn.append(variance)
+            return _riccati_step(m, variance)
 
-        monkeypatch.setattr(error_analysis, "riccati_steps", counted_steps)
+        monkeypatch.setattr(error_analysis, "_riccati_step", counted_step)
         fig = get_preset("fig4")
         for p_fc in (fig.true_params, fig.hmm_reference):
             drawn.clear()
@@ -326,6 +366,23 @@ class TestForecasterMse:
             # fig4 settles by step 216; the full pass would draw 19 999.
             assert len(drawn) < 1000
             assert mse == loop_forecaster_mse(*args)
+
+    def test_float_pass_matches_numpy_lift(self):
+        # The written-out step against one numpy product [F H] diag(S, Q)
+        # [F H]^T per step: the two round differently.
+        pairs = []
+        for preset in ("fig2", "fig3", "fig4", "fig5"):
+            fig = get_preset(preset)
+            pairs += [(fig.true_params, fig.true_params), (fig.true_params, fig.hmm_reference)]
+        rng = np.random.default_rng(73)
+        for _ in range(20):
+            p_true = random_valid_params(rng)
+            pairs += [(p_true, random_valid_params(rng)), (p_true, hmm_params(p_true.a, p_true.b))]
+        for p_true, p_fc in pairs:
+            args = (p_true, p_fc, [1, 2, 9, 60, 400], [0, 1, 5, 20])
+            want = lift_forecaster_mse(*args)
+            for key, mse in forecaster_mse(*args).items():
+                assert abs(mse - want[key]) <= 1e-12 * want[key]
 
     @pytest.mark.parametrize(
         "n_values, k_values", [([0, 3], [0]), ([3], [-1]), ([], [0])]
@@ -365,6 +422,27 @@ class TestSweep:
             "PMM(n=1)", "HMM(n=1)", "PMM(n=5)", "HMM(n=5)", "PMM(n=10)", "HMM(n=10)",
         }
         assert all(c.sweep_variable == "k" for c in curves)
+
+    @pytest.mark.parametrize("hmm_truth", [False, True])
+    def test_one_horizon_pass_per_distinct_model(self, monkeypatch, hmm_truth):
+        p_true = HMM_BASE if hmm_truth else FIG2_PARAMS
+        passes = []
+
+        def spy(m, k_values):
+            passes.append(m)
+            return horizon_terms(m, k_values)
+
+        monkeypatch.setattr(error_analysis, "horizon_terms", spy)
+        n_values, k_values = [1, 5, 10], range(0, 30)
+        curves = mse_sweep(p_true, HMM_BASE, n_values, k_values)
+        assert len(passes) == (1 if hmm_truth else 2)
+        # The values of one forecaster_mse call per forecaster, bit for bit.
+        for label, p_fc in (("PMM", p_true), ("HMM", HMM_BASE)):
+            want = forecaster_mse(p_true, p_fc, n_values, k_values)
+            for curve in curves:
+                if curve.model_label == label:
+                    n = curve.fixed["n"]
+                    assert list(curve.points) == [(k, want[(n, k)]) for k in k_values]
 
     def test_single_point_grid(self):
         curves = mse_sweep(FIG2_PARAMS, HMM_BASE, [4], [0])

@@ -211,7 +211,7 @@ class TestHorizonTerms:
 
     def test_first_horizon_is_a_and_q(self):
         m = FIG2_MODEL
-        assert horizon_terms(m, [1]) == {1: (m.A[0, 0], m.A[0, 1], m.Q[0, 0])}
+        assert horizon_terms(m, [1]) == {1: (m.A[0][0], m.A[0][1], m.Q[0][0])}
 
     def test_hmm_closed_form(self):
         # Under the hidden-Markov constraints X_{n+k} = a^k X_n + noise of

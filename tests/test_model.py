@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,15 @@ from pmmkit import (
     markov_form,
     validate,
 )
-from pmmkit.model import gamma_from_params, is_hmm, save_params
+from pmmkit.model import (
+    PD_TOL,
+    SPECTRAL_TOL,
+    _min_eigenvalue,
+    _transition,
+    gamma_from_params,
+    is_hmm,
+    save_params,
+)
 from helpers import FIG2_PARAMS, FIG4_PARAMS, PRESSURE_PARAMS, random_valid_params
 
 
@@ -22,20 +31,20 @@ class TestGamma:
         )
 
     def test_hmm_base_entries(self):
-        g = gamma_from_params(hmm_params(0.9, -0.2))
+        g = np.array(gamma_from_params(hmm_params(0.9, -0.2)))
         assert g[0, 2] == 0.9
         assert g[0, 1] == -0.2
         assert g[1, 3] == pytest.approx(0.036, abs=1e-15)
 
     def test_perturbed_cross_covariance_entry(self):
-        g = gamma_from_params(FIG2_PARAMS)
+        g = np.array(gamma_from_params(FIG2_PARAMS))
         assert g[2, 1] == -0.58
 
     def test_stationary_block_structure(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             p = random_valid_params(rng)
-            g = gamma_from_params(p)
+            g = np.array(gamma_from_params(p))
             np.testing.assert_allclose(g, g.T, atol=0)
             np.testing.assert_array_equal(np.diag(g), np.ones(4))
             assert g[0, 1] == g[2, 3] == p.b
@@ -117,16 +126,15 @@ class TestMarkovForm:
         rng = np.random.default_rng(7)
         for _ in range(50):
             m = markov_form(random_valid_params(rng))
-            np.testing.assert_allclose(
-                m.A @ m.marginal @ m.A.T + m.Q, m.marginal, atol=1e-10
-            )
+            A, marginal = np.array(m.A), np.array(m.marginal)
+            np.testing.assert_allclose(A @ marginal @ A.T + m.Q, marginal, atol=1e-10)
 
     def test_one_step_covariances_round_trip(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             p = random_valid_params(rng)
             m = markov_form(p)
-            cross = m.A @ m.marginal  # Cov[Z_{n+1}, Z_n]
+            cross = np.array(m.A) @ m.marginal  # Cov[Z_{n+1}, Z_n]
             np.testing.assert_allclose(
                 cross, [[p.a, p.e], [p.d, p.c]], atol=1e-12
             )
@@ -173,6 +181,54 @@ class TestValidate:
         report = validate(PmmParams(*values))
         assert not report.ok
         assert report.spectral_radius == float("inf")
+
+
+class TestValidateAgainstLapack:
+    """The float gate against numpy's LAPACK eigenvalue routines."""
+
+    @staticmethod
+    def lapack_report(p: PmmParams) -> tuple[float, float, float, bool]:
+        gamma_min = float(np.linalg.eigvalsh(np.array(gamma_from_params(p))).min())
+        if not (abs(p.b) < 1.0 and max(map(abs, p.astuple())) <= 1.0):
+            return gamma_min, float("nan"), float("inf"), False
+        a_mat, q_mat = (np.array(m) for m in _transition(p))
+        q_min = float(np.linalg.eigvalsh(q_mat).min())
+        radius = float(np.abs(np.linalg.eigvals(a_mat)).max())
+        ok = gamma_min > PD_TOL and q_min >= -PD_TOL and radius < 1.0 - SPECTRAL_TOL
+        return gamma_min, q_min, radius, ok
+
+    def test_random_and_boundary_scaled_sets(self):
+        rng = np.random.default_rng(17)
+        sets = []
+        for _ in range(700):
+            p = PmmParams(*map(float, rng.uniform(-1.0, 1.0, size=5)))
+            # gamma(f) = I + f (gamma - I) for the set scaled by f, so its
+            # smallest eigenvalue is linear in f: it meets PD_TOL at f = edge.
+            # The scaled sets lie 1e-6 and 1e-3 (relative) to either side.
+            lowest = np.linalg.eigvalsh(np.array(gamma_from_params(p)) - np.eye(4)).min()
+            edge = (1.0 - PD_TOL) / -lowest
+            sets += [p] + [p.scaled(edge * (1.0 + s)) for s in (-1e-3, -1e-6, 1e-6, 1e-3)]
+        admissible = 0
+        for p in sets:
+            gamma_min, q_min, radius, ok = self.lapack_report(p)
+            report = validate(p)
+            assert abs(report.gamma_min_eigenvalue - gamma_min) <= 1e-14
+            if math.isfinite(radius):
+                q_scale = max(1.0, np.abs(_transition(p)[1]).max())
+                assert abs(report.q_min_eigenvalue - q_min) <= 1e-14 * q_scale
+                assert report.spectral_radius == pytest.approx(radius, rel=1e-12)
+            assert report.ok == ok
+            admissible += ok
+        assert len(sets) >= 3000
+        # Both verdicts occur, on both sides of the boundary.
+        assert 500 < admissible < len(sets) - 500
+
+    def test_jacobi_rotation_with_a_tiny_off_diagonal_entry(self):
+        # theta = (a_qq - a_pp) / (2 a_pq) would overflow when squared.
+        rows = ((1.0, 1e-170, 0.0), (1e-170, 0.5, 1e-300), (0.0, 1e-300, 0.25))
+        assert _min_eigenvalue(rows) == 0.25
+        rows = ((2.0, 1e-200), (1e-200, 2.0))
+        assert _min_eigenvalue(rows) == 2.0
 
 
 class TestSerialization:
