@@ -8,10 +8,12 @@ a subcommand that succeeded, and exits 0 only then.  Failures are reported as on
 machine-readable JSON line on stderr with exit 1.  Set
 PMM_LOG=DEBUG|INFO|WARNING for log verbosity.
 
-``theoretical-mse`` and ``--version`` load no numpy: the model, the
-Riccati recursion, the k-step map and the exact MSE are Python floats, and
-this module imports the numpy-backed modules (pipeline, simulate, oracle,
-filtering) inside the subcommands that use them.
+``theoretical-mse`` and ``--version`` load none of numpy, dataclasses,
+inspect, logging and csv: the model, the Riccati recursion, the k-step map
+and the exact MSE are Python floats in named tuples, and this module
+imports the numpy-backed modules (pipeline, simulate, oracle, filtering)
+in the subcommands that use them; logging loads when PMM_LOG is set or
+when the process has loaded it already.
 
 Numpy's BLAS gets one thread: every call works on 2x2/3x3 recursions and
 single vectors, where a thread pool only adds start-up, spinning workers
@@ -25,9 +27,7 @@ any of them to choose otherwise.  Imported after numpy, it changes nothing.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -64,8 +64,6 @@ if TYPE_CHECKING:
 
     from .pipeline import FittedModel
 
-log = logging.getLogger("pmmkit")
-
 # Most integers one --n-grid or --k-grid may hold (the a:b ranges are
 # counted before any is expanded), and the largest horizon or window that
 # forecast, monte-carlo and a theoretical-mse --n-grid or --k-grid take:
@@ -76,7 +74,9 @@ MAX_GRID_POINTS = 10**6
 
 def _atomic_write(path: Path, write_fn) -> None:
     atomic_write(path, write_fn)
-    log.info("wrote %s", path)
+    # Only a process that loaded logging can have a handler for this line.
+    if logging := sys.modules.get("logging"):
+        logging.getLogger("pmmkit").info("wrote %s", path)
 
 
 def _write_table(path: str, columns: tuple[str, ...], rows) -> None:
@@ -95,8 +95,8 @@ def _write_table(path: str, columns: tuple[str, ...], rows) -> None:
 
 
 def _parse_grid(flag: str, text: str) -> list[int]:
-    """Comma-separated integers; a:b expands to the inclusive range.
-    Errors name ``flag`` and the bad text; a grid of more than
+    """Distinct comma-separated integers; a:b expands to the inclusive
+    range.  Errors name ``flag`` and the bad text; a grid of more than
     MAX_GRID_POINTS integers is rejected before it is expanded."""
     ranges: list[range] = []
     try:
@@ -116,7 +116,13 @@ def _parse_grid(flag: str, text: str) -> list[int]:
         raise ValueError(
             f"{flag} holds {size} points, more than {MAX_GRID_POINTS}: {text!r}"
         )
-    return [v for r in ranges for v in r]
+    values = [v for r in ranges for v in r]
+    seen: set[int] = set()
+    for v in values:
+        if v in seen:
+            raise ValueError(f"{flag} repeats the value {v}: {text!r}")
+        seen.add(v)
+    return values
 
 
 def _parse_periods(text: str) -> tuple[float, float]:
@@ -287,6 +293,8 @@ def cmd_forecast(args) -> dict:
 
 
 def cmd_evaluate(args) -> dict:
+    import dataclasses
+
     from .pipeline import FittedModel, detrend, evaluate_grid, read_series_csv
 
     _require_at_least("--start-index", args.start_index, 0)
@@ -473,8 +481,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _log_level() -> int:
-    """The level named by PMM_LOG, in any case; WARNING when unset."""
+def _configure_logging() -> None:
+    """Log at the level named by PMM_LOG, in any case; WARNING when unset.
+    Without PMM_LOG, logging stays unloaded unless the process loaded it."""
+    if "PMM_LOG" not in os.environ and "logging" not in sys.modules:
+        return
+    import logging
+
     name = os.environ.get("PMM_LOG", "WARNING")
     # Maps a level name to its number and anything else to a string.
     level = logging.getLevelName(name.upper())
@@ -483,13 +496,13 @@ def _log_level() -> int:
             f"PMM_LOG={name!r} is not a log level; "
             "use DEBUG, INFO, WARNING, ERROR or CRITICAL"
         )
-    return level
+    logging.basicConfig(level=level)
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        logging.basicConfig(level=_log_level())
+        _configure_logging()
         write_json(sys.stdout, args.func(args))
         return 0
     # ImportError: a subcommand that needs numpy, on an install without it.

@@ -47,8 +47,8 @@ exact up to floating point; no simulation is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .forecasting import horizon_terms
 from .model import InvalidModelError, PmmParams, TransitionModel, is_hmm, markov_form
@@ -69,14 +69,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MseCurve:
+class MseCurve(NamedTuple):
     """One theoretical-MSE curve over a sweep of n or k."""
 
     model_label: str  # "PMM" or "HMM"
     sweep_variable: str  # "n" or "k"
     points: tuple[tuple[int, float], ...]
-    fixed: dict[str, int] = field(default_factory=dict)
+    fixed: Mapping[str, int] = MappingProxyType({})  # read-only: the default is shared
 
     @property
     def csv_label(self) -> str:
@@ -282,10 +281,8 @@ def mse_sweep(
     """
     n_values = [int(n) for n in n_values]
     k_values = [int(k) for k in k_values]
-    if not n_values or not k_values:
-        raise ValueError("n_values and k_values must be nonempty")
-    _require_hmm(p_hmm)
     n_grid, k_grid = _grid(n_values, k_values)
+    _require_hmm(p_hmm)
     # The truth's horizon pass serves both forecasters.
     horizons = _horizons((p_true, p_hmm), k_grid)
     mse = {
@@ -306,7 +303,7 @@ def mse_sweep(
         ]
     k = k_values[0]
     return [
-        MseCurve(label, "n", tuple((n, mse[label][(n, k)]) for n in n_values))
+        MseCurve(label, "n", tuple((n, mse[label][(n, k)]) for n in n_values), {})
         for label in ("PMM", "HMM")
     ]
 

@@ -15,8 +15,7 @@ sliding-window evaluation and the Monte Carlo read the forecaster's (xx, xy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import TransitionModel
 
@@ -26,8 +25,7 @@ if TYPE_CHECKING:  # filtering loads numpy; this module does not
 __all__ = ["ForecastResult", "forecast", "forecast_path", "horizon_terms"]
 
 
-@dataclass(frozen=True)
-class ForecastResult:
+class ForecastResult(NamedTuple):
     """Predictive law of X at horizon k past the last observation."""
 
     horizon: int

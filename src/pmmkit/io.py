@@ -26,7 +26,6 @@ an infinity or an integer too large for a float.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -44,7 +43,8 @@ __all__ = ["read_columns", "atomic_write", "read_json", "write_json", "finite_nu
 def read_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray, ...]:
     """The columns called ``names`` (lower-case; the header is matched
     case-insensitively) as float arrays, in the order given."""
-    import numpy as np  # here, so that the rest of the package's I/O loads none
+    import csv  # here, like numpy, so that the rest of the package's I/O loads neither
+    import numpy as np
 
     with open(path) as fh:
         header = next(csv.reader([fh.readline()]), None)
@@ -94,6 +94,7 @@ def read_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray, ..
 def _bad_field(lines, index: dict[str, int], names: Sequence[str]) -> str | None:
     """Where np.loadtxt failed, by this reader's count: the first short row
     or unparseable field in the named columns, with its 1-based data row."""
+    import csv
     row = 0
     for line in lines:
         if line == "\n":

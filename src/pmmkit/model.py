@@ -27,8 +27,8 @@ cyclic Jacobi rotations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .io import atomic_write, finite_number, read_json, write_json
 
@@ -62,8 +62,7 @@ class InvalidModelError(PmmError, ValueError):
     """Parameters do not define an admissible stationary model."""
 
 
-@dataclass(frozen=True)
-class PmmParams:
+class PmmParams(NamedTuple):
     """The five stationary covariances defining a pairwise model."""
 
     a: float
@@ -73,7 +72,7 @@ class PmmParams:
     e: float
 
     def astuple(self) -> tuple[float, float, float, float, float]:
-        return (self.a, self.b, self.c, self.d, self.e)
+        return tuple(self)
 
     def scaled(self, factor: float) -> "PmmParams":
         """All five covariances shrunk toward the independent model."""
@@ -109,8 +108,7 @@ class PmmParams:
 Matrix2 = tuple[tuple[float, float], tuple[float, float]]
 
 
-@dataclass(frozen=True)
-class TransitionModel:
+class TransitionModel(NamedTuple):
     """Markov form of a pairwise model: Z_{n+1} = A Z_n + noise with Cov Q,
     each matrix an immutable pair of rows of floats.
 
@@ -128,8 +126,7 @@ class TransitionModel:
         return self.marginal[0][1]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Admissibility diagnostics for a parameter set."""
 
     gamma_min_eigenvalue: float

@@ -8,7 +8,7 @@ move d to a*b - 0.2.  fig2/fig4 sweep the number of observations at k = 0
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import PmmParams, hmm_params
 
@@ -18,8 +18,7 @@ BASE_A = 0.90
 BASE_B = -0.20
 
 
-@dataclass(frozen=True)
-class SweepPreset:
+class SweepPreset(NamedTuple):
     name: str
     true_params: PmmParams
     hmm_reference: PmmParams
@@ -27,15 +26,10 @@ class SweepPreset:
     k_values: tuple[int, ...]
 
 
-def _true_params(d_shift: float, e_shift: float) -> PmmParams:
-    base = hmm_params(BASE_A, BASE_B)
-    return PmmParams(base.a, base.b, base.c, base.d + d_shift, base.e + e_shift)
-
-
 def _build() -> dict[str, SweepPreset]:
     hmm = hmm_params(BASE_A, BASE_B)
-    batch1 = _true_params(0.0, -0.4)
-    batch2 = _true_params(-0.2, -0.4)
+    batch1 = hmm._replace(e=hmm.e - 0.4)
+    batch2 = hmm._replace(d=hmm.d - 0.2, e=hmm.e - 0.4)
     n_filter = tuple(range(1, 101))
     n_filter_long = tuple(range(1, 201))
     k_sweep = tuple(range(1, 101))

@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import pmmkit
+import pmmkit.io
 from pmmkit import (
     FittedModel,
     PmmParams,
@@ -819,6 +821,36 @@ class TestGridBound:
         assert err["message"] == f"{flag} must be <= {MAX_GRID_POINTS}, got {too_long}"
         assert not out.exists()
 
+    # A repeated value would write its curves or table rows twice.
+    @pytest.mark.parametrize(
+        "flag, text, value", [("--n-grid", "5,5", 5), ("--k-grid", "1:3,2", 2)]
+    )
+    def test_repeated_value_rejected(self, tmp_path, capsys, flag, text, value):
+        out = tmp_path / "t.csv"
+        argv = ["theoretical-mse", "--preset", "fig3", flag, text, "--output", out]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError", "message": f"{flag} repeats the value {value}: {text!r}",
+        }
+        assert not out.exists()
+
+    def test_evaluate_rejects_repeated_value(self, tmp_path, capsys):
+        ident = StandardizationParams(0.0, 1.0)
+        FittedModel(FIG2_PARAMS, ident, ident).save(tmp_path / "m.json")
+        write_series_csv(tmp_path / "s.csv", np.zeros(60), np.linspace(-1.0, 1.0, 60))
+        out = tmp_path / "table.csv"
+        argv = ["evaluate", "--model", tmp_path / "m.json", "--input", tmp_path / "s.csv",
+                "--k-grid", "1", "--output", out]
+        assert run_cli(*argv, "--n-grid", "5,6") == 0
+        out.unlink()
+        capsys.readouterr()
+        assert run_cli(*argv, "--n-grid", "5,5") == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == "--n-grid repeats the value 5: '5,5'"
+        assert not out.exists()
+
     def test_four_hundred_point_sweep_runs(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         argv = ["theoretical-mse", "--preset", "fig4", "--n-grid", "1:400"]
@@ -961,6 +993,13 @@ class TestLogLevel:
         assert "wrote t.csv" in out.stderr
         assert (tmp_path / "t.csv").is_file()
 
+    def test_process_that_loaded_logging_gets_the_wrote_line(self, tmp_path, caplog, capsys):
+        # Without PMM_LOG, the line still reaches a handler the process set up.
+        caplog.set_level(logging.INFO, logger="pmmkit")
+        out = tmp_path / "t.csv"
+        assert run_cli("theoretical-mse", "--preset", "fig2", "--output", out) == 0
+        assert f"wrote {out}" in caplog.messages
+
 
 @pytest.mark.parametrize(
     "periods, detail",
@@ -1079,6 +1118,88 @@ def test_theory_and_version_run_without_numpy(tmp_path):
     assert out.returncode == 1
     error = json.loads(out.stderr)
     assert error["error"] == "ModuleNotFoundError" and "numpy" in error["message"]
+
+
+# pmmkit.cli.main on the arguments, then, as the last line of standard
+# output, the modules the run added to those loaded before pmmkit.
+ADDED_MODULES = """
+import sys
+before = set(sys.modules)
+try:
+    from pmmkit.cli import main
+    code = main(sys.argv[1:])
+finally:
+    print(*sorted(set(sys.modules) - before))
+sys.exit(code)
+"""
+# numpy, and the stdlib modules whose import dominates a numpy-free run's
+# start-up; dataclasses loads inspect.
+LEAN_PATH_EXCLUDES = {"numpy", "dataclasses", "inspect", "logging", "csv"}
+
+
+def test_theory_and_version_load_a_lean_import_set(tmp_path):
+    (tmp_path / "p.json").write_text(json.dumps(FIG2_PARAMS.to_dict()))
+    (tmp_path / "h.json").write_text(json.dumps(hmm_params(0.9, -0.2).to_dict()))
+    calls = [
+        ["--version"],
+        ["theoretical-mse", "--preset", "fig3", "--output", "fig3.csv"],
+        ["theoretical-mse", "--params", "p.json", "--hmm-params", "h.json",
+         "--n-grid", "1:40", "--k-grid", "0:3", "--output", "own.csv"],
+    ]
+    for argv in calls:
+        out = _python(["-c", ADDED_MODULES, *argv], tmp_path)
+        assert out.returncode == 0, out.stderr
+        added = set(out.stdout.splitlines()[-1].split())
+        assert "pmmkit.cli" in added
+        assert not added & LEAN_PATH_EXCLUDES, (argv, added & LEAN_PATH_EXCLUDES)
+    # PMM_LOG loads logging, and the line it asks for is written.
+    out = _python(["-c", ADDED_MODULES, *calls[1]], tmp_path, PMM_LOG="info")
+    assert out.returncode == 0, out.stderr
+    assert "logging" in out.stdout.splitlines()[-1].split()
+    assert "wrote fig3.csv" in out.stderr
+
+
+def test_no_value_type_reaches_write_json(tmp_path, fig2_params_file, monkeypatch, capsys):
+    # A named tuple would be written silently as a JSON array; summaries and
+    # documents go through to_dict() and summary() instead.
+    hmm_file = tmp_path / "h.json"
+    save_params(hmm_params(0.9, -0.2), hmm_file)
+    docs = []
+
+    def checked(fh, doc):
+        docs.append(doc)
+        pmmkit.io.write_json(fh, doc)
+
+    for module in (pmmkit.cli, pmmkit.model, pmmkit.pipeline):
+        monkeypatch.setattr(module, "write_json", checked)
+    p, d = fig2_params_file, tmp_path
+    calls = [
+        ["simulate", "--params", p, "--n", 400, "--output", d / "s.csv"],
+        ["fit", "--input", d / "s.csv", "--output", d / "m.json"],
+        ["forecast", "--model", d / "m.json", "--input", d / "s.csv", "--n", 50, "--k", 2,
+         "--horizon-path", "--output", d / "f.csv"],
+        ["evaluate", "--model", d / "m.json", "--input", d / "s.csv", "--n-grid", "5",
+         "--k-grid", "1,2", "--output", d / "table.csv"],
+        ["theoretical-mse", "--preset", "fig3", "--output", d / "c.csv"],
+        ["theoretical-mse", "--params", p, "--hmm-params", hmm_file, "--output", d / "o.csv"],
+        ["monte-carlo", "--params", p, "--n", 3, "--k", 1, "--reps", 100],
+        ["oracle", "--params", p, "--input", d / "s.csv", "--n", 4, "--k", 1],
+    ]
+    for argv in calls:
+        assert run_cli(*argv) == 0, capsys.readouterr().err
+    # One summary per call, and the fitted model.
+    assert len(docs) == len(calls) + 1
+
+    def walk(doc):
+        assert not isinstance(doc, tuple), doc
+        if isinstance(doc, dict):
+            doc = list(doc.values())
+        if isinstance(doc, list):
+            for item in doc:
+                walk(item)
+
+    for doc in docs:
+        walk(doc)
 
 
 def test_lazy_names_are_the_submodule_objects():

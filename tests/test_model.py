@@ -12,15 +12,21 @@ from pmmkit import (
     markov_form,
     validate,
 )
+from pmmkit import error_analysis
+from pmmkit.error_analysis import MseCurve
+from pmmkit.forecasting import ForecastResult
 from pmmkit.model import (
     PD_TOL,
     SPECTRAL_TOL,
+    TransitionModel,
+    ValidationReport,
     _min_eigenvalue,
     _transition,
     gamma_from_params,
     is_hmm,
     save_params,
 )
+from pmmkit.presets import SweepPreset
 from helpers import FIG2_PARAMS, FIG4_PARAMS, PRESSURE_PARAMS, random_valid_params
 
 
@@ -258,3 +264,107 @@ class TestSerialization:
             PmmParams.from_dict(doc)
         for text in named:
             assert text in str(info.value)
+
+
+# One instance of each value type on the numpy-free path, built twice by
+# its factory, and its repr.
+VALUE_TYPES = {
+    "PmmParams": (
+        lambda: PmmParams(0.5, -0.25, 0.125, -0.0625, 0.0),
+        "PmmParams(a=0.5, b=-0.25, c=0.125, d=-0.0625, e=0.0)",
+    ),
+    "TransitionModel": (
+        lambda: TransitionModel(((0.5, 0.25), (0.0, 0.75)), ((1.0, 0.0), (0.0, 1.0)),
+                                ((1.0, -0.25), (-0.25, 1.0))),
+        "TransitionModel(A=((0.5, 0.25), (0.0, 0.75)), Q=((1.0, 0.0), (0.0, 1.0)), "
+        "marginal=((1.0, -0.25), (-0.25, 1.0)))",
+    ),
+    "ValidationReport": (
+        lambda: ValidationReport(0.5, True, 0.25, True, 0.75, True, False),
+        "ValidationReport(gamma_min_eigenvalue=0.5, gamma_pd=True, q_min_eigenvalue=0.25, "
+        "q_psd=True, spectral_radius=0.75, spectral_ok=True, is_hmm=False)",
+    ),
+    "MseCurve": (
+        lambda: MseCurve("PMM", "k", ((1, 0.5), (2, 0.75)), {"n": 5}),
+        "MseCurve(model_label='PMM', sweep_variable='k', points=((1, 0.5), (2, 0.75)), "
+        "fixed={'n': 5})",
+    ),
+    "ForecastResult": (
+        lambda: ForecastResult(3, 0.25, 0.5),
+        "ForecastResult(horizon=3, mean=0.25, variance=0.5)",
+    ),
+    "SweepPreset": (
+        lambda: SweepPreset("x", PmmParams(0, 0, 0, 0, 0), PmmParams(0, 0, 0, 0, 0), (1,), (0,)),
+        "SweepPreset(name='x', true_params=PmmParams(a=0, b=0, c=0, d=0, e=0), "
+        "hmm_reference=PmmParams(a=0, b=0, c=0, d=0, e=0), n_values=(1,), k_values=(0,))",
+    ),
+}
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_repr(self, name):
+        make, text = VALUE_TYPES[name]
+        assert repr(make()) == text
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_fields_are_read_only(self, name):
+        value = VALUE_TYPES[name][0]()
+        for field in type(value)._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, 1.0)
+        with pytest.raises(AttributeError):
+            value.not_a_field = 1.0
+        assert value == VALUE_TYPES[name][0]()
+
+    @pytest.mark.parametrize("name", VALUE_TYPES)
+    def test_equal_values_are_equal_and_hash_alike(self, name):
+        first, second = VALUE_TYPES[name][0](), VALUE_TYPES[name][0]()
+        assert first is not second and first == second
+        if name == "MseCurve":
+            # ``fixed`` is a mapping, so a curve is unhashable, as it was
+            # as a dataclass.
+            with pytest.raises(TypeError):
+                hash(first)
+        else:
+            assert hash(first) == hash(second)
+
+    def test_equal_params_share_one_horizon_pass(self):
+        copy = PmmParams.from_dict(FIG2_PARAMS.to_dict())
+        assert copy is not FIG2_PARAMS
+        assert len(error_analysis._horizons((FIG2_PARAMS, copy), [0, 1])) == 1
+
+    def test_params_methods(self):
+        p = PmmParams(0.5, -0.25, 0.125, -0.0625, 0.0)
+        assert p.astuple() == (0.5, -0.25, 0.125, -0.0625, 0.0)
+        assert type(p.astuple()) is tuple
+        assert p.to_dict() == {"a": 0.5, "b": -0.25, "c": 0.125, "d": -0.0625, "e": 0.0}
+        assert type(p.to_dict()) is dict
+        assert PmmParams.from_dict(p.to_dict()) == p
+        assert p.scaled(0.5) == PmmParams(0.25, -0.125, 0.0625, -0.03125, 0.0)
+        assert type(p.scaled(0.5)) is PmmParams
+
+    def test_report_ok_and_summary(self):
+        report = VALUE_TYPES["ValidationReport"][0]()
+        assert report.ok is True
+        assert report.summary() == (
+            "gamma_pd=True (min eig 5.000e-01); q_psd=True (min eig 2.500e-01); "
+            "spectral_ok=True (radius 0.750000); is_hmm=False"
+        )
+        for flag in ("gamma_pd", "q_psd", "spectral_ok"):
+            assert report._replace(**{flag: False}).ok is False
+        assert validate(FIG2_PARAMS).ok and not validate(FIG2_PARAMS.scaled(2.0)).ok
+
+    def test_transition_model_b(self):
+        assert VALUE_TYPES["TransitionModel"][0]().b == -0.25
+        assert markov_form(FIG2_PARAMS).b == FIG2_PARAMS.b
+
+    def test_curve_label_and_read_only_default(self):
+        assert VALUE_TYPES["MseCurve"][0]().csv_label == "PMM(n=5)"
+        assert MseCurve("HMM", "k", (), {"n": 5, "k": 1}).csv_label == "HMM(k=1;n=5)"
+        plain = MseCurve("HMM", "n", ())
+        assert plain.csv_label == "HMM" and not plain.fixed
+        # The default is shared by every curve built without one.
+        with pytest.raises(TypeError):
+            plain.fixed["n"] = 1
+        assert MseCurve("PMM", "n", ()).csv_label == "PMM"
