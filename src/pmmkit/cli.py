@@ -3,6 +3,7 @@
 Subcommands: simulate, theoretical-mse, fit, forecast, evaluate,
 monte-carlo (plus a hidden oracle subcommand for debugging).  Every
 subcommand is deterministic given its flags, writes output files atomically
+through ``pmmkit.io`` (whose writers print every CSV number by one rule)
 and returns its JSON summary; ``main`` alone writes stdout, the summary of
 a subcommand that succeeded, and exits 0 only then.  Failures are reported as one
 machine-readable JSON line on stderr with exit 1.  Set
@@ -43,13 +44,14 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_ENV):
 
 from . import __version__
 from .error_analysis import (
+    _first_repeat,
     curves_to_csv,
     forecaster_mse,
     mse_sweep,
     theoretical_mse_pmm,
 )
 from .forecasting import forecast, forecast_path
-from .io import atomic_write, read_columns, write_json
+from .io import atomic_write, read_columns, write_json, write_rows
 from .model import (
     PmmError,
     hmm_params,
@@ -79,21 +81,6 @@ def _atomic_write(path: Path, write_fn) -> None:
         logging.getLogger("pmmkit").info("wrote %s", path)
 
 
-def _write_table(path: str, columns: tuple[str, ...], rows) -> None:
-    """A CSV table: the header ``columns``, then one line per row, with
-    ints printed by ``str`` and floats as ``.12e``."""
-
-    def write(fh):
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(str(v) if isinstance(v, int) else f"{v:.12e}" for v in row)
-                + "\n"
-            )
-
-    _atomic_write(Path(path), write)
-
-
 def _parse_grid(flag: str, text: str) -> list[int]:
     """Distinct comma-separated integers; a:b expands to the inclusive
     range.  Errors name ``flag`` and the bad text; a grid of more than
@@ -117,11 +104,8 @@ def _parse_grid(flag: str, text: str) -> list[int]:
             f"{flag} holds {size} points, more than {MAX_GRID_POINTS}: {text!r}"
         )
     values = [v for r in ranges for v in r]
-    seen: set[int] = set()
-    for v in values:
-        if v in seen:
-            raise ValueError(f"{flag} repeats the value {v}: {text!r}")
-        seen.add(v)
+    if (repeat := _first_repeat(values)) is not None:
+        raise ValueError(f"{flag} repeats the value {repeat}: {text!r}")
     return values
 
 
@@ -277,17 +261,11 @@ def cmd_forecast(args) -> dict:
     xs = fitted.x_standardize
     columns = ("k", "mean", "variance", "mean_original", "variance_original")
     rows = [
-        (
-            r.horizon,
-            r.mean,
-            r.variance,
-            r.mean * xs.std + xs.mean,
-            r.variance * xs.std**2,
-        )
+        (r.horizon, r.mean, r.variance, xs.invert(r.mean), r.variance * xs.std**2)
         for r in path
     ]
     if args.output:
-        _write_table(args.output, columns, rows)
+        _atomic_write(Path(args.output), lambda fh: write_rows(fh, columns, rows))
     forecasts = [dict(zip(columns, row)) for row in rows]
     return {"n": args.n, "filter_mean": state.mean, "forecasts": forecasts}
 
@@ -313,7 +291,8 @@ def cmd_evaluate(args) -> dict:
     rows = [
         (n, k, mse_hmm[(n, k)], mse_pmm[(n, k)]) for n in n_values for k in k_values
     ]
-    _write_table(args.output, ("n", "k", "mse_hmm", "mse_pmm"), rows)
+    columns = ("n", "k", "mse_hmm", "mse_pmm")
+    _atomic_write(Path(args.output), lambda fh: write_rows(fh, columns, rows))
     return {
         "output": str(args.output),
         "rows": len(rows),
@@ -345,21 +324,20 @@ def cmd_monte_carlo(args) -> dict:
 
 def cmd_oracle(args) -> dict:
     from .filtering import run_filter
-    from .oracle import oracle_filter, oracle_forecast
+    from .oracle import oracle_forecast
 
     _require_at_least("--n", args.n, 1)
     params = load_params(args.params)
     y = _read_y_column(args.input)[: args.n]
     if y.size < args.n:
         raise ValueError(f"input has fewer than {args.n} observations")
-    # The filter state or the k-step forecast, both with mean and variance.
-    if args.k == 0:
-        mean, variance = oracle_filter(params, y)
-        recursive = run_filter(markov_form(params), y)
-    else:
-        mean, variance = oracle_forecast(params, y, args.k)
-        model = markov_form(params)
-        recursive = forecast(run_filter(model, y), model, args.k)
+    # The filter state (the forecast at k = 0) or the k-step forecast, both
+    # with mean and variance.
+    mean, variance = oracle_forecast(params, y, args.k)
+    model = markov_form(params)
+    recursive = run_filter(model, y)
+    if args.k:
+        recursive = forecast(recursive, model, args.k)
     return {
         "n": args.n,
         "k": args.k,

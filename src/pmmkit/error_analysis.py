@@ -51,6 +51,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .forecasting import horizon_terms
+from .io import write_rows
 from .model import InvalidModelError, PmmParams, TransitionModel, is_hmm, markov_form
 from .riccati import _riccati_step
 
@@ -125,6 +126,12 @@ def _grid(n_values, k_values) -> tuple[list[int], list[int]]:
             f"need n >= 1 and k >= 0, got n={n_values[0]}, k={k_values[0]}"
         )
     return n_values, k_values
+
+
+def _first_repeat(values):
+    """The first value that ``values`` holds a second time, or None."""
+    seen = set()
+    return next((v for v in values if v in seen or seen.add(v)), None)
 
 
 def _horizons(params, k_values) -> dict:
@@ -277,10 +284,14 @@ def mse_sweep(
     """Theoretical MSE of both forecasters over a grid.
 
     Sweeps over k when the k grid has more than one value (one curve pair
-    per n), otherwise over n (one curve pair per k).
+    per n), otherwise over n (one curve pair per k).  A value repeated in
+    either grid raises ValueError.
     """
     n_values = [int(n) for n in n_values]
     k_values = [int(k) for k in k_values]
+    for name, values in (("n_values", n_values), ("k_values", k_values)):
+        if (repeat := _first_repeat(values)) is not None:
+            raise ValueError(f"{name} repeats the value {repeat}")
     n_grid, k_grid = _grid(n_values, k_values)
     _require_hmm(p_hmm)
     # The truth's horizon pass serves both forecasters.
@@ -310,7 +321,8 @@ def mse_sweep(
 
 def curves_to_csv(curves, fh) -> None:
     """Write sweep curves as ``model,sweep,index,mse`` rows."""
-    fh.write("model,sweep,index,mse\n")
-    for curve in curves:
-        for index, mse in curve.points:
-            fh.write(f"{curve.csv_label},{curve.sweep_variable},{index},{mse:.12e}\n")
+    write_rows(fh, ("model", "sweep", "index", "mse"), (
+        (label, curve.sweep_variable, index, mse)
+        for curve, label in zip(curves, [c.csv_label for c in curves])
+        for index, mse in curve.points
+    ))

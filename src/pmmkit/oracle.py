@@ -108,14 +108,9 @@ def conditional(
 
 
 def oracle_filter(p: PmmParams, ys) -> tuple[float, float]:
-    """Exact E[X_n | Y_1:n] and V[X_n | Y_1:n] by joint conditioning."""
-    ys = np.asarray(ys, dtype=float)
-    n = ys.size
-    joint = build_joint(p, n, 0)
-    w, var = conditional(
-        joint, joint.x_index(n), [joint.y_index(t) for t in range(1, n + 1)]
-    )
-    return float(w @ ys), var
+    """Exact E[X_n | Y_1:n] and V[X_n | Y_1:n] by joint conditioning: the
+    forecast at k = 0."""
+    return oracle_forecast(p, ys, 0)
 
 
 def oracle_forecast(p: PmmParams, ys, k: int) -> tuple[float, float]:

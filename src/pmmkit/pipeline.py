@@ -17,7 +17,7 @@ with the fitting window's moments (no leakage).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,14 +89,8 @@ class FittedModel:
         doc: dict = {
             "params": self.params.to_dict(),
             "detrend": None,
-            "x_standardize": {
-                "mean": self.x_standardize.mean,
-                "std": self.x_standardize.std,
-            },
-            "y_standardize": {
-                "mean": self.y_standardize.mean,
-                "std": self.y_standardize.std,
-            },
+            "x_standardize": asdict(self.x_standardize),
+            "y_standardize": asdict(self.y_standardize),
             "repaired": self.repaired,
         }
         if self.detrend is not None:

@@ -14,34 +14,19 @@ draws; one backward pass through the true model gives those weights in
 O(n + k).  The draws come at most REPLICATE_CHUNK replicates, and at most
 BLOCK_STEPS replicate-steps, at a time, and only their errors are kept, so
 the memory is O(reps + n + k + BLOCK_STEPS).
-
-``trajectory_to_csv`` writes the bytes of ``f"{t},{x:.12e},{y:.12e}\\n"``
-for every row, but formats WRITE_ROWS rows at a time with numpy.  For each
-value v it takes e = floor(log10|v|), s = |v| * 10**(12 - e) with a
-correctly rounded power of ten, and the 13 digits of M = rint(s).  Two
-roundings of relative error at most 2**-53 each keep s within 2.3e-3 of
-the exact decimal value while s < 1e13.  So wherever |frac(s) - 0.5| >
-0.005 and 1e12 <= M < 1e13, M is the correctly rounded mantissa and e the
-printed exponent; a wrong e, or a carry into the next decade, puts M
-outside that range.  The values that fail this rule (ties and near-ties,
-decade carries, zeros: about 1% of a simulated path) are formatted by
-Python's ``%.12e`` and copied into their places.  A block holding a
-non-finite value, or a nonzero one outside 1e-99 <= |v| < 1e99, whose
-exponent could take three digits, is formatted by Python's ``%`` alone.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import _kernels_py as kernels
 from .filtering import filter_coefficients
 from .forecasting import horizon_terms
+from .io import write_numbered_floats
 from .model import Matrix2, PmmParams, TransitionModel, markov_form
 
 __all__ = [
@@ -60,9 +45,6 @@ REPLICATE_CHUNK = 1024
 # Most replicates times steps in one block: 16 bytes each for the noise, so
 # about 16 MB at any n + k.
 BLOCK_STEPS = 2**20
-# Rows formatted together in trajectory_to_csv; a block's arrays take
-# about 1.5 MB.
-WRITE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -221,109 +203,6 @@ def empirical_covariances(x, y) -> PmmParams:
 
 
 def trajectory_to_csv(traj: Trajectory, fh) -> None:
-    """Write a trajectory as ``t,x,y`` rows, t starting at 1.
-
-    The bytes are those of ``f"{t},{x:.12e},{y:.12e}\\n"`` for every row.
-    Each block of WRITE_ROWS rows is laid out in a byte array and written
-    by one ``fh.write``.  Numpy formats every value that meets the
-    exactness rule of the module docstring, Python's ``%.12e`` the rest,
-    and Python's ``%`` alone a block with a non-finite value or a possible
-    three-digit exponent.
-    """
-    fh.write("t,x,y\n")
-    n = len(traj)
-    width = len(str(n))
-    rows = min(n, WRITE_ROWS)
-    # A row is t right-aligned in width bytes, the words of x and of y, and
-    # "\n".  Spaces stand for the absent leading digits of t and the absent
-    # signs, and are removed before the block is written.
-    lines = np.empty((rows, width + 41), np.uint8)
-    lines[:, -1] = ord("\n")
-    words = np.empty((2 * rows, 5), np.uint32)
-    for lo in range(0, n, WRITE_ROWS):
-        x = traj.x[lo : lo + WRITE_ROWS]
-        y = traj.y[lo : lo + WRITE_ROWS]
-        r = x.size
-        with np.errstate(all="ignore"):
-            formatted = _fill_words(words[: 2 * r], np.stack([x, y], axis=1).ravel())
-        if not formatted:
-            fh.write(_percent_rows(lo + 1, x, y))
-            continue
-        block = lines[:r]
-        block[:, width:-1] = words[: 2 * r].view(np.uint8).reshape(r, 40)
-        t = np.arange(lo + 1, lo + 1 + r, dtype=np.min_scalar_type(n))
-        for j in range(width - 1, -1, -1):
-            quotient = t // 10
-            block[:, j] = t - quotient * 10 + ord("0")
-            t = quotient
-        for j in range(width - 1):
-            # The rows whose t is below 10**(width - 1 - j) come first.
-            block[: max(0, 10 ** (width - 1 - j) - lo - 1), j] = ord(" ")
-        fh.write(block.tobytes().replace(b" ", b"").decode("ascii"))
-
-
-@functools.cache
-def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The read-only tables of ``_fill_words``, built on first use, so that
-    a command that writes no trajectory does not build them:
-
-    - 10**k correctly rounded for k = -87..111, where entry 99 - e scales a
-      value with decimal exponent e, |e| <= 99, to 13 integer digits;
-    - the head word of a value: ",", its sign (a space when there is
-      none), its lead digit d and "."; entry d for a positive value and
-      10 + d for a negative one;
-    - the word of f"{i:04d}" at entry i, i < 10 000;
-    - the exponent word: "e", the exponent's sign and two digits; entry
-      e + 99.
-    """
-    pow10 = np.array([float(f"1e{k}") for k in range(-87, 112)])
-    head = _ascii_words(f",{sign}{d}." for sign in " -" for d in range(10))
-    digits = np.frombuffer(b"0123456789", np.uint8)
-    quad = np.stack(np.meshgrid(*[digits] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
-    exp = _ascii_words(f"e{e:+03d}" for e in range(-99, 100))
-    pow10.flags.writeable = quad.flags.writeable = False
-    return pow10, head, quad, exp
-
-
-def _ascii_words(strings) -> np.ndarray:
-    """4-character ASCII strings as the uint32 words of their bytes."""
-    return np.frombuffer("".join(strings).encode("ascii"), np.uint32)
-
-
-def _fill_words(words: np.ndarray, values: np.ndarray) -> bool:
-    """Write ``f",{v:.12e}"`` of each value into its row of ``words``, five
-    words of four bytes with a space for an absent sign, and return True;
-    or return False, writing nothing, when a value is non-finite or its
-    exponent may take three digits."""
-    mag = np.abs(values)
-    if not np.all((mag < 1e99) & ((mag >= 1e-99) | (mag == 0))):
-        return False
-    pow10, head, quad, exp_words = _format_tables()
-    exp = np.clip(np.floor(np.log10(mag)), -99, 99).astype(np.intp)
-    scaled = mag * pow10[99 - exp]
-    mantissa = np.rint(scaled)
-    # The exactness rule: |frac(scaled) - 0.5| > 0.005 and 13 digits.
-    exact = (np.abs(scaled - mantissa) < 0.495) & (mantissa >= 1e12) & (mantissa < 1e13)
-    mantissa[~exact] = 1e12  # keeps the table indices below in range
-    lead = np.floor(mantissa / 1e12)
-    rest = mantissa - lead * 1e12
-    high = np.floor(rest / 1e8)
-    rest -= high * 1e8
-    mid = np.floor(rest / 1e4)
-    rest -= mid * 1e4
-    words[:, 0] = head[(lead + 10 * np.signbit(values)).astype(np.intp)]
-    words[:, 1] = quad[high.astype(np.intp)]
-    words[:, 2] = quad[mid.astype(np.intp)]
-    words[:, 3] = quad[rest.astype(np.intp)]
-    words[:, 4] = exp_words[exp + 99]
-    inexact = np.flatnonzero(~exact)
-    if inexact.size:
-        text = ",%19.12e" * inexact.size % tuple(values[inexact].tolist())
-        words[inexact] = np.frombuffer(text.encode("ascii"), np.uint32).reshape(-1, 5)
-    return True
-
-
-def _percent_rows(t0: int, x: np.ndarray, y: np.ndarray) -> str:
-    """Rows t0, t0 + 1, ... by one ``%`` operation on a flat tuple."""
-    rows = zip(range(t0, t0 + x.size), x.tolist(), y.tolist())
-    return "%d,%.12e,%.12e\n" * x.size % tuple(chain.from_iterable(rows))
+    """Write a trajectory as ``t,x,y`` rows, t starting at 1, by
+    ``io.write_numbered_floats``."""
+    write_numbered_floats(fh, ("t", "x", "y"), traj.x, traj.y)

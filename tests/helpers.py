@@ -2,7 +2,7 @@
 Kalman reference for the hidden-Markov special case, and the step-by-step
 loops, the left-multiplication k-step map, the per-horizon forecast and
 variance recursions, the forecast coefficients, the n x n quadratic form,
-the row-by-row CSV reader and writer, the exact-MSE pass as one numpy
+the row-by-row CSV reader and writers, the exact-MSE pass as one numpy
 matrix product per step and the simulate-and-filter Monte Carlo that the
 production paths replaced, kept as references; the production exact-MSE
 step run to every n without its cycle exit; and the blockless form of the
@@ -363,6 +363,22 @@ def rowwise_trajectory_to_csv(traj, fh) -> None:
     fh.write("t,x,y\n")
     for t, (xv, yv) in enumerate(zip(traj.x, traj.y), start=1):
         fh.write(f"{t},{xv:.12e},{yv:.12e}\n")
+
+
+def rowwise_table(fh, columns, rows) -> None:
+    """The CLI's table writer before ``io.write_rows``: one line per row,
+    ints printed by ``str`` and everything else as ``.12e``."""
+    fh.write(",".join(columns) + "\n")
+    for row in rows:
+        fh.write(",".join(str(v) if isinstance(v, int) else f"{v:.12e}" for v in row) + "\n")
+
+
+def rowwise_curves_to_csv(curves, fh) -> None:
+    """``curves_to_csv`` with one f-string per row."""
+    fh.write("model,sweep,index,mse\n")
+    for curve in curves:
+        for index, mse in curve.points:
+            fh.write(f"{curve.csv_label},{curve.sweep_variable},{index},{mse:.12e}\n")
 
 
 # Reference parameter sets.  fig2/fig4 perturb the cross covariances of the

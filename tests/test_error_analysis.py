@@ -444,6 +444,20 @@ class TestSweep:
                     n = curve.fixed["n"]
                     assert list(curve.points) == [(k, want[(n, k)]) for k in k_values]
 
+    @pytest.mark.parametrize(
+        "n_values, k_values, name, value",
+        [([5, 5], [1, 2], "n_values", 5), ([5, 6], [1, 1], "k_values", 1)],
+    )
+    def test_repeated_value_rejected(self, n_values, k_values, name, value):
+        fig3 = get_preset("fig3")
+        with pytest.raises(ValueError, match=f"^{name} repeats the value {value}$"):
+            mse_sweep(fig3.true_params, fig3.hmm_reference, n_values, k_values)
+
+    def test_forecaster_mse_accepts_repeats(self):
+        fig3 = get_preset("fig3")
+        got = forecaster_mse(fig3.true_params, fig3.hmm_reference, [5, 5], [1, 1, 2])
+        assert got == forecaster_mse(fig3.true_params, fig3.hmm_reference, [5], [1, 2])
+
     def test_single_point_grid(self):
         curves = mse_sweep(FIG2_PARAMS, HMM_BASE, [4], [0])
         assert len(curves) == 2

@@ -9,9 +9,16 @@ import pytest
 import pmmkit.model
 import pmmkit.pipeline
 from pmmkit import FittedModel, estimate_params, load_params, sample
-from pmmkit.io import atomic_write, finite_number, read_json, write_json
+from pmmkit.error_analysis import MseCurve, curves_to_csv
+from pmmkit.io import WRITE_ROWS, atomic_write, finite_number, read_json, write_json, write_rows
 from pmmkit.model import save_params
-from helpers import FIG2_PARAMS
+from pmmkit.simulate import Trajectory, trajectory_to_csv
+from helpers import (
+    FIG2_PARAMS,
+    rowwise_curves_to_csv,
+    rowwise_table,
+    rowwise_trajectory_to_csv,
+)
 
 
 class TestAtomicWrite:
@@ -155,3 +162,60 @@ def test_fitted_model_save_round_trips_through_atomic_write(tmp_path, write_spy)
     assert write_spy == [path]
     assert FittedModel.load(path) == fitted
     assert os.listdir(tmp_path) == ["model.json"]
+
+
+# Zeros of both signs, the smallest subnormal, the largest double and a
+# value whose 13th digit carries into the next decade.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 9.9999999999995e-05]
+EDGE_INTS = [0, -7, 10**6]
+
+
+def _text(write) -> str:
+    """What ``write`` writes to a text buffer."""
+    buf = io.StringIO()
+    write(buf)
+    return buf.getvalue()
+
+
+class TestCsvWriters:
+    """The one number rule against the row-wise writers it replaced."""
+
+    def test_rows_equal_rowwise_table(self):
+        columns = ("i", "v", "neg")
+        rows = [(i, v, -v) for i in EDGE_INTS for v in EDGE_FLOATS]
+        text = _text(lambda fh: write_rows(fh, columns, rows))
+        assert text == _text(lambda fh: rowwise_table(fh, columns, rows))
+        assert "-7,1.000000000000e-04,-1.000000000000e-04\n" in text
+        assert "1000000,-0.000000000000e+00,0.000000000000e+00\n" in text
+
+    def test_rows_of_mixed_types_equal_rowwise_table(self):
+        # numpy scalars are no Python int, so they print as %.12e.
+        rows = [(1, 2.5), (2.5, 1), (np.int64(3), np.float64(0.1)), (True,)]
+        want = _text(lambda fh: rowwise_table(fh, ("a", "b"), rows))
+        assert _text(lambda fh: write_rows(fh, ("a", "b"), rows)) == want
+
+    def test_blocks_equal_rowwise_table(self):
+        rows = [(i, i / 7.0) for i in range(2 * WRITE_ROWS + 3)]
+        want = _text(lambda fh: rowwise_table(fh, ("i", "v"), rows))
+        assert _text(lambda fh: write_rows(fh, ("i", "v"), iter(rows))) == want
+
+    def test_curves_equal_rowwise(self):
+        points = tuple(zip([*EDGE_INTS, 4, 5], EDGE_FLOATS))
+        curves = [MseCurve("PMM", "k", points, {"n": 5}), MseCurve("HMM", "n", points)]
+        text = _text(lambda fh: curves_to_csv(curves, fh))
+        assert text == _text(lambda fh: rowwise_curves_to_csv(curves, fh))
+        assert "PMM(n=5),k,-7,-0.000000000000e+00\n" in text
+
+    def test_nonfinite_block_equals_rowwise_trajectory(self):
+        """A block with nan, inf and a three-digit exponent, between two
+        blocks that numpy formats."""
+        base = sample(FIG2_PARAMS, 3 * WRITE_ROWS, seed=2)
+        x, y = base.x.copy(), base.y.copy()
+        at = WRITE_ROWS + 10
+        x[at : at + 3] = [np.nan, np.inf, 1e100]
+        y[at : at + 3] = [-np.inf, 1e100, np.nan]
+        traj = Trajectory(x=x, y=y, seed=0)
+        text = _text(lambda fh: trajectory_to_csv(traj, fh))
+        assert text == _text(lambda fh: rowwise_trajectory_to_csv(traj, fh))
+        assert f"{at + 1},nan,-inf\n" in text
+        assert f"{at + 3},1.000000000000e+100,nan\n" in text

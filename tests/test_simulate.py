@@ -16,9 +16,9 @@ from pmmkit import (
     sample,
 )
 from pmmkit import simulate
+from pmmkit.io import WRITE_ROWS
 from pmmkit.simulate import (
     REPLICATE_CHUNK,
-    WRITE_ROWS,
     Trajectory,
     _error_weights,
     empirical_covariances,
