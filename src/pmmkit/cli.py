@@ -69,8 +69,8 @@ if TYPE_CHECKING:
 # Most integers one --n-grid or --k-grid may hold (the a:b ranges are
 # counted before any is expanded), and the largest horizon or window that
 # forecast, monte-carlo and a theoretical-mse --n-grid or --k-grid take:
-# each costs time linear in it (the exact MSE's fixed-point exit need not
-# fire before n).
+# each can cost time linear in it (the k-step map always; the Riccati
+# passes over n when their state has not repeated exactly by step n).
 MAX_GRID_POINTS = 10**6
 
 

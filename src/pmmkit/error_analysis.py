@@ -32,13 +32,13 @@ filters in Anderson & Moore, Optimal Filtering, 1979).  Its whole state
 is (P_t, S_t): the next gain is a function of the forecaster's filter
 variance P_t alone, and S_{t+1} of that gain and S_t.  In floating point
 the state settles into an exact cycle, of entry mu and period lambda (a
-fixed point is lambda = 1), and Brent's cycle detection finds it with O(1)
-memory (Brent, BIT 20, 1980).  The lambda states of the cycle then serve
-every later n, bit for bit the values of stepping all the way to n, so
-the pass costs O(min(max n, mu + lambda) + grid) time.  Carrying the error
-e_t rather than the mean m_t avoids cancelling two O(1) covariances to get
-a small MSE.  When p_fc is the truth, da = 0, e_t decouples, S_n's last entry is
-the filter variance P_n and the MSE is the optimal one,
+fixed point is lambda = 1), which ``riccati.orbit`` finds in O(1) memory.
+The lambda states of the cycle then serve every later n, bit for bit the
+values of stepping all the way to n, so the pass costs O(min(max n, mu +
+lambda) + grid) time.  Carrying the error e_t rather than the mean m_t
+avoids cancelling two O(1) covariances to get a small MSE.  When p_fc is
+the truth, da = 0, e_t decouples, S_n's last entry is the filter variance
+P_n and the MSE is the optimal one,
 V[X_{n+k} | Y_1:n]; so ``theoretical_mse_pmm`` is a one-point call with
 p_fc = p_true, and ``theoretical_mse_hmm_under_pmm`` and ``mse_sweep``
 call the same pass with a hidden-Markov forecaster.  Everything here is
@@ -47,13 +47,14 @@ exact up to floating point; no simulation is involved.
 
 from __future__ import annotations
 
+from itertools import islice
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .forecasting import horizon_terms
 from .io import write_rows
 from .model import InvalidModelError, PmmParams, TransitionModel, is_hmm, markov_form
-from .riccati import _riccati_step
+from .riccati import _riccati_step, orbit
 
 if TYPE_CHECKING:
     import numpy as np
@@ -191,34 +192,6 @@ def _augmented_recursion(m: TransitionModel, m_fc: TransitionModel):
     return start, step
 
 
-def _error_covariances(m: TransitionModel, m_fc: TransitionModel, n_values):
-    """Yield S_n as its six entries (s11, s12, s13, s22, s23, s33), for
-    each n of the sorted grid.
-
-    Brent's method finds the cycle: the state of each step t = 2^j is kept,
-    and the states of steps 2^j + 1 .. 2^(j+1) are compared with it.  A
-    match at step t gives the period lambda = t - 2^j; the lambda states
-    from step t on are computed once, and every later n reads its S_n from
-    them.  So fewer than 2 max(mu, lambda) + 2 lambda, which is less than
-    4 (mu + lambda), steps are taken however large n is.
-    """
-    state, step = _augmented_recursion(m, m_fc)
-    t = kept_at = 1
-    kept = state
-    cycle = None  # the states of steps start, start + 1, ... once found
-    for n in n_values:
-        while cycle is None and t < n:
-            state = step(state)
-            t += 1
-            if state == kept:
-                start, cycle = t, [state]
-                for _ in range(t - kept_at - 1):
-                    cycle.append(step(cycle[-1]))
-            elif t & (t - 1) == 0:
-                kept, kept_at = state, t
-        yield (state if cycle is None else cycle[(n - start) % len(cycle)])[1:]
-
-
 def _mse_grid(model, forecaster, n_values, k_values) -> dict[tuple[int, int], float]:
     """MSE(n, k) = v^T S_n v + noise over the sorted grid; ``model`` and
     ``forecaster`` are (Markov form, horizon terms) pairs."""
@@ -231,9 +204,16 @@ def _mse_grid(model, forecaster, n_values, k_values) -> dict[tuple[int, int], fl
         fc_xx, fc_xy, _ = fc_terms[k]
         weights.append((k, xx - fc_xx, xy - fc_xy, fc_xx, noise))
     out = {}
-    for n, (s11, s12, s13, s22, s23, s33) in zip(
-        n_values, _error_covariances(m, m_fc, n_values)
-    ):
+    states = orbit(*_augmented_recursion(m, m_fc))
+    t, cycle = 0, []
+    for n in n_values:
+        for state, period in islice(states, n - t):
+            t += 1
+            if period:
+                cycle.append(state)
+        if t < n:  # the orbit ended on its cycle, which serves n
+            state = cycle[(n - t - 1) % len(cycle)]
+        _, s11, s12, s13, s22, s23, s33 = state
         for k, v1, v2, v3, noise in weights:
             w1 = v1 * s11 + v2 * s12 + v3 * s13
             w2 = v1 * s12 + v2 * s22 + v3 * s23

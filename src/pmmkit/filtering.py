@@ -3,12 +3,14 @@
 The pair (X_n, Y_n) is the Markov state, so the one-step predict uses both
 the current conditional mean of X_n and the last observation.  With
 A = [[a1, a2], [a3, a4]] and G the gain of the variance recursion in
-``riccati`` (re-exported here), one step reads
+``riccati``, one step reads
 
     m' = a1*m + a2*y_n + G*(y_{n+1} - a3*m - a4*y_n).
 
 The variance, and with it every gain, depends on the model only, never on
-the observed values.
+the observed values.  Their pass stops where the pair (G_t, P_t) repeats
+(``riccati.orbit``), and the rest tile its cycle: O(mu + lambda) Python
+steps, for a cycle of entry mu and period lambda, plus an O(n) fill.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import _kernels_py as kernels
 from .model import PmmParams, TransitionModel
-from .riccati import _riccati_step, riccati_steps
+from .riccati import _riccati_step, orbit
 
 __all__ = [
     "FilterState",
@@ -28,7 +30,6 @@ __all__ = [
     "filter_step",
     "run_filter",
     "filter_variance_sequence",
-    "riccati_steps",
     "batch_filter_means",
 ]
 
@@ -78,20 +79,22 @@ def run_filter(m: TransitionModel, ys) -> FilterState:
 def _variance_and_gains(m: TransitionModel, n: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    # Entry i holds step i + 1's (G, P); step 1's G is None, a NaN dropped.
+    gains = np.empty(n)
     variances = np.empty(n)
-    gains = np.empty(n - 1)
-    variances[0] = 1.0 - m.b * m.b
-    # range comes first so that zip stops before asking for a gain past n.
-    for t, (g, p) in zip(range(1, n), riccati_steps(m)):
-        gains[t - 1] = g
-        variances[t] = p
-        if p == variances[t - 1]:
-            # Each step is a function of the previous variance alone, so
-            # once it repeats exactly every later (G, P) is this one.
-            gains[t:] = g
-            variances[t + 1 :] = p
-            break
-    return variances, gains
+    states = orbit((None, 1.0 - m.b * m.b), lambda state: _riccati_step(m, state[1]))
+    for i, ((g, p), period) in zip(range(n), states):
+        gains[i] = g
+        variances[i] = p
+    if i + 1 < n:
+        # The orbit ended on its cycle: repeat it in rows, then a short tail.
+        start = i + 1 - period
+        whole = (n - start) // period * period
+        for values in (gains, variances):
+            cycle = values[start : i + 1]
+            values[start : start + whole].reshape(-1, period)[1:] = cycle
+            values[start + whole :] = cycle[: n - start - whole]
+    return variances, gains[1:]
 
 
 def filter_variance_sequence(m: TransitionModel, n: int) -> np.ndarray:

@@ -1,10 +1,11 @@
 """The package's file boundary: series CSV, JSON documents and output files.
 
-``read_columns`` reads named numeric columns from a headed CSV.  The header
-is parsed with the csv module and matched by stripped, lower-cased name;
-other columns, such as a timestamp, are ignored.  The data rows are parsed
-by one ``np.loadtxt`` call restricted to the named columns, which accepts
-quoted numbers, CRLF line endings and blank lines.  Everything else is
+``read_columns`` reads named numeric columns from a headed CSV, as UTF-8
+with any leading byte-order mark ignored.  The header is parsed with the
+csv module and matched by stripped, lower-cased name; other columns, such
+as a timestamp, are ignored.  The data rows are parsed by one
+``np.loadtxt`` call restricted to the named columns, which accepts quoted
+numbers, CRLF line endings and blank lines.  Everything else is
 rejected with a ValueError that names the file: a missing header or column,
 a named column that the header holds twice, no data rows, and, by column
 and data row (1-based, counting the rows that hold data), a short row, an
@@ -69,7 +70,7 @@ def read_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray, ..
     import csv  # here, like numpy, so that the rest of the package's I/O loads neither
     import numpy as np
 
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         header = next(csv.reader([fh.readline()]), None)
         if not header:
             raise ValueError(f"{path}: missing CSV header")

@@ -1,4 +1,4 @@
-"""The filter's variance recursion, over Python floats.
+"""The filter's variance recursion over Python floats, and its exact exit.
 
 With A = [[a1, a2], [a3, a4]], Q = [[q11, q12], [., q22]] and P the
 current conditional variance V[X_t | Y_1:t], the gain that absorbs the
@@ -7,16 +7,17 @@ next observation and the variance after it are
     G = (a1*a3*P + q12) / (a3^2*P + q22)
     P' = a1^2*P + q11 - G^2*(a3^2*P + q22).
 
-P depends on the model only, never on the observed values.  ``filtering``
-builds the filter from these steps and re-exports them; the exact MSE in
-``error_analysis`` folds them into its own pass, without loading numpy.
+P depends on the model only, never on the observed values.  ``orbit``
+gives every exact pass over it one exit: the filter's gains and variances
+in ``filtering``, and the exact MSE's augmented covariance in
+``error_analysis``, which loads no numpy.
 """
 
 from __future__ import annotations
 
 from .model import InvalidModelError, TransitionModel
 
-__all__ = ["riccati_steps"]
+__all__: list[str] = []
 
 # Below this, Y_{n+1} is numerically deterministic given (X_n, Y_n) and the
 # update gain is ill-posed.  Only a hand-built TransitionModel gets here:
@@ -39,14 +40,28 @@ def _riccati_step(m: TransitionModel, p: float) -> tuple[float, float]:
     return gain, max(a1 * a1 * p + q11 - gain * gain * denom, 0.0)
 
 
-def riccati_steps(m: TransitionModel):
-    """Yield (G, P) for steps t = 2, 3, ...: the gain that absorbs Y_t and
-    the filter variance V[X_t | Y_1:t] after it; P_1 = 1 - b^2.
+def orbit(state, step):
+    """Yield (x_t, period) for t = 1, 2, ..., with x_1 = ``state`` and
+    x_{t+1} = step(x_t), a function of x_t alone.
 
-    Lazy, so a caller that folds the steps into its own recursion keeps
-    O(1) memory in n.
+    Once x_t equals x_{t-lambda}, every later state repeats x_t, ...,
+    x_{t+lambda-1}: these lambda states are yielded with period lambda, and
+    the orbit ends; every state before them has period 0.  Brent's method
+    (BIT 20, 1980) finds the repeat in O(1) memory: it keeps the state of
+    each step t = 2^j and compares it with those of steps 2^j + 1 ..
+    2^(j+1), so a cycle entered at step mu costs fewer than 4 (mu + lambda)
+    steps however far the orbit is read.
     """
-    p = 1.0 - m.b * m.b
+    kept, kept_at, t = state, 1, 1
     while True:
-        g, p = _riccati_step(m, p)
-        yield g, p
+        yield state, 0
+        state = step(state)
+        t += 1
+        if state == kept:
+            break
+        if t & (t - 1) == 0:
+            kept, kept_at = state, t
+    for _ in range(t - kept_at - 1):
+        yield state, t - kept_at
+        state = step(state)
+    yield state, t - kept_at

@@ -18,8 +18,9 @@ import numpy as np
 from pmmkit import PmmParams, filter_coefficients, hmm_params, markov_form, validate
 from pmmkit import _kernels_py as kernels
 from pmmkit.error_analysis import _augmented_recursion, observation_covariance
-from pmmkit.filtering import batch_filter_means, filter_variance_sequence, riccati_steps
+from pmmkit.filtering import batch_filter_means, filter_variance_sequence
 from pmmkit.forecasting import horizon_terms
+from pmmkit.riccati import _riccati_step
 from pmmkit.simulate import _chol2, _error_weights
 
 
@@ -117,9 +118,9 @@ def loop_variance_and_gains(m, n: int) -> tuple[np.ndarray, np.ndarray]:
     per t with no early exit."""
     variances = np.empty(n)
     gains = np.empty(n - 1)
-    variances[0] = 1.0 - m.b * m.b
-    for t, (g, p) in zip(range(1, n), riccati_steps(m)):
-        gains[t - 1] = g
+    p = variances[0] = 1.0 - m.b * m.b
+    for t in range(1, n):
+        gains[t - 1], p = _riccati_step(m, p)
         variances[t] = p
     return variances, gains
 
@@ -254,10 +255,21 @@ def loop_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) 
 
 
 def cycle_entry_and_period(p_true: PmmParams, p_fc: PmmParams) -> tuple[int, int]:
-    """(mu, lambda) of the exact-MSE pass: the state of step t >= mu equals
-    that of step t + lambda, and mu is the first such step (t = 1 is the
-    start).  Every state is kept in a dict, so the memory is O(mu + lambda)."""
-    state, step = _augmented_recursion(markov_form(p_true), markov_form(p_fc))
+    """(mu, lambda) of the exact-MSE pass over the state (P, S)."""
+    return entry_and_period(*_augmented_recursion(markov_form(p_true), markov_form(p_fc)))
+
+
+def filter_entry_and_period(m) -> tuple[int, int]:
+    """(mu, lambda) of the filter's pass over the state (G_t, P_t), from
+    (None, P_1)."""
+    return entry_and_period((None, 1.0 - m.b * m.b), lambda state: _riccati_step(m, state[1]))
+
+
+def entry_and_period(state, step) -> tuple[int, int]:
+    """(mu, lambda) of the orbit of ``state`` under ``step``: the state of
+    step t >= mu equals that of step t + lambda, and mu is the first such
+    step (t = 1 is the start).  Every state is kept in a dict, so the memory
+    is O(mu + lambda)."""
     seen = {}
     t = 1
     while state not in seen:
@@ -291,12 +303,12 @@ def lift_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) 
     lift[:2, 3:] = np.eye(2)
     blocks = np.zeros((5, 5))
     blocks[3:, 3:] = m.Q
-    gains = riccati_steps(m_fc)
+    variance = 1.0 - b_fc * b_fc
     out = {}
     t = 1
     for n in n_values:
         for _ in range(n - t):
-            g, _ = next(gains)
+            g, variance = _riccati_step(m_fc, variance)
             lift[2] = (da1 - g * da3, da2 - g * da4, a1f - g * a3f, 1.0, -g)
             blocks[:3, :3] = cov
             cov = lift @ blocks @ lift.T

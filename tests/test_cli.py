@@ -546,6 +546,30 @@ def _model_argv(command, model, data, out):
     }[command]
 
 
+class TestByteOrderMark:
+    # A spreadsheet's "CSV UTF-8" export starts with a byte-order mark.
+    @pytest.mark.parametrize("command", ["fit", "forecast", "evaluate"])
+    def test_outputs_equal_those_of_the_plain_file(self, tmp_path, capsys, command):
+        t = sample(FIG2_PARAMS, 400, seed=5)
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_series_csv(plain, t.x, t.y)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        model = tmp_path / "model.json"
+        assert run_cli("fit", "--input", plain, "--output", model) == 0
+        out = tmp_path / "out"
+        outputs = []
+        for data in (plain, bom):
+            argv = (
+                ["fit", "--input", data, "--output", out]
+                if command == "fit"
+                else _model_argv(command, model, data, out)
+            )
+            capsys.readouterr()
+            assert run_cli(*argv) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+
 class TestMalformedInput:
     @pytest.fixture
     def model_file(self, tmp_path):
@@ -556,12 +580,13 @@ class TestMalformedInput:
         )
         return path
 
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
     @pytest.mark.parametrize("command", ["fit", "forecast", "evaluate"])
-    def test_json_error_names_file(self, tmp_path, model_file, capsys, command, case):
+    def test_json_error_names_file(self, tmp_path, model_file, capsys, command, case, bom):
         text, detail = MALFORMED_INPUTS[case]
         data = tmp_path / "bad.csv"
-        data.write_text(text)
+        data.write_text(bom + text, encoding="utf-8")
         out = tmp_path / "out"
         argv = {
             "fit": ["fit", "--input", data, "--output", out],

@@ -11,6 +11,7 @@ from pmmkit import (
     markov_form,
     run_filter,
 )
+from pmmkit import filtering
 from pmmkit.filtering import (
     _variance_and_gains,
     batch_filter_means,
@@ -19,8 +20,11 @@ from pmmkit.filtering import (
 from pmmkit.model import _transition
 from pmmkit.oracle import oracle_filter
 from pmmkit.presets import PRESET_NAMES, get_preset
+from pmmkit.riccati import _riccati_step
 from helpers import (
     FIG2_PARAMS,
+    FOUND_PARAMS,
+    filter_entry_and_period,
     loop_variance_and_gains,
     random_valid_params,
     scalar_hmm_kalman,
@@ -158,6 +162,51 @@ class TestRiccatiFixedPoint:
         for m in _fixed_point_models()[: 2 * len(PRESET_NAMES)]:
             variances = filter_variance_sequence(m, 5000)
             assert np.count_nonzero(np.diff(variances)) < 1000
+
+
+def _cycling_models():
+    # FOUND_PARAMS, its restriction, and random models whose (G, P) never
+    # reaches a fixed point but cycles with a period above 1.
+    models = [markov_form(p) for p in (FOUND_PARAMS, hmm_params(FOUND_PARAMS.a, FOUND_PARAMS.b))]
+    rng = np.random.default_rng(5)
+    while len(models) < 6:
+        m = markov_form(random_valid_params(rng))
+        if filter_entry_and_period(m)[1] > 1:
+            models.append(m)
+    return models
+
+
+class TestRiccatiCycle:
+    def test_bit_identical_to_plain_loop_at_every_n(self):
+        for m in _cycling_models():
+            want_variances, want_gains = loop_variance_and_gains(m, 5000)
+            for n in range(1, 5001):
+                variances, gains = _variance_and_gains(m, n)
+                assert np.array_equal(variances, want_variances[:n])
+                assert np.array_equal(gains, want_gains[: n - 1])
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_cycle_exit_bounds_the_steps(self, monkeypatch, restricted):
+        p = hmm_params(FOUND_PARAMS.a, FOUND_PARAMS.b) if restricted else FOUND_PARAMS
+        m = markov_form(p)
+        entry, period = filter_entry_and_period(m)
+        assert period > 1
+        drawn = []
+
+        def counted_step(m, variance):
+            drawn.append(variance)
+            return _riccati_step(m, variance)
+
+        monkeypatch.setattr(filtering, "_riccati_step", counted_step)
+        variances, gains = _variance_and_gains(m, 10**6)
+        # No exit comes before step mu + lambda, and Brent's method takes
+        # fewer than 4 (mu + lambda) steps however large n is.
+        assert entry + period - 1 <= len(drawn) < 4 * (entry + period)
+        monkeypatch.undo()
+        # The cycle serves n = 10^6 with the values a full loop would reach.
+        n = entry + (10**6 - entry) % period
+        want_variances, want_gains = loop_variance_and_gains(m, n)
+        assert (variances[-1], gains[-1]) == (want_variances[-1], want_gains[-1])
 
 
 class TestHmmReduction:
