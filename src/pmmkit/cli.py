@@ -13,8 +13,8 @@ PMM_LOG=DEBUG|INFO|WARNING for log verbosity.
 inspect, logging and csv: the model, the Riccati recursion, the k-step map
 and the exact MSE are Python floats in named tuples, and this module
 imports the numpy-backed modules (pipeline, simulate, oracle, filtering)
-in the subcommands that use them; logging loads when PMM_LOG is set or
-when the process has loaded it already.
+in the subcommands that use them; logging loads only when PMM_LOG is set
+or the process has loaded it already, and is configured only for PMM_LOG.
 
 Numpy's BLAS gets one thread: every call works on 2x2/3x3 recursions and
 single vectors, where a thread pool only adds start-up, spinning workers
@@ -82,15 +82,14 @@ def _atomic_write(path: Path, write_fn) -> None:
 
 
 def _parse_grid(flag: str, text: str) -> list[int]:
-    """Distinct comma-separated integers; a:b expands to the inclusive
-    range.  Errors name ``flag`` and the bad text; a grid of more than
-    MAX_GRID_POINTS integers is rejected before it is expanded."""
+    """Distinct comma-separated integers, no part empty; a:b expands to the
+    inclusive range.  Errors name ``flag`` and the bad text; a grid of more
+    than MAX_GRID_POINTS integers is rejected before it is expanded."""
     ranges: list[range] = []
     try:
         for part in text.split(","):
             lo, colon, hi = part.strip().partition(":")
-            if lo or colon:
-                ranges.append(range(int(lo), int(hi if colon else lo) + 1))
+            ranges.append(range(int(lo), int(hi if colon else lo) + 1))
     except ValueError:
         raise ValueError(
             f"{flag} needs comma-separated integers or a:b ranges, got {text!r}"
@@ -132,6 +131,15 @@ def _require_at_least(flag: str, value: int, low: int) -> None:
 def _require_at_most(flag: str, value: int) -> None:
     if value > MAX_GRID_POINTS:
         raise ValueError(f"{flag} must be <= {MAX_GRID_POINTS}, got {value}")
+
+
+def _require_grid_points(n_name: str, n_values, k_name: str, k_values) -> None:
+    points = len(n_values) * len(k_values)
+    if points > MAX_GRID_POINTS:
+        raise ValueError(
+            f"{n_name} ({len(n_values)} values) by {k_name} ({len(k_values)} values) "
+            f"makes {points} (n, k) points, more than {MAX_GRID_POINTS}"
+        )
 
 
 def _load_fitted(args) -> FittedModel:
@@ -184,6 +192,11 @@ def cmd_theoretical_mse(args) -> dict:
     if args.k_grid:
         k_values = _parse_grid("--k-grid", args.k_grid)
         _require_at_most("--k-grid", max(k_values))
+    default = f"the {args.preset} preset's" if args.preset else "the default"
+    _require_grid_points(
+        "--n-grid" if args.n_grid else f"{default} n grid", n_values,
+        "--k-grid" if args.k_grid else f"{default} k grid", k_values,
+    )
     curves = mse_sweep(p_true, p_hmm, n_values, k_values)
     _atomic_write(Path(args.output), lambda fh: curves_to_csv(curves, fh))
     return {
@@ -276,12 +289,13 @@ def cmd_evaluate(args) -> dict:
     from .pipeline import FittedModel, detrend, evaluate_grid, read_series_csv
 
     _require_at_least("--start-index", args.start_index, 0)
+    n_values = _parse_grid("--n-grid", args.n_grid)
+    k_values = _parse_grid("--k-grid", args.k_grid)
+    _require_grid_points("--n-grid", n_values, "--k-grid", k_values)
     fitted = FittedModel.load(args.model)
     x, y = read_series_csv(args.input)
     if fitted.detrend is not None:
         y = detrend(y, fitted.detrend, start_index=args.start_index)
-    n_values = _parse_grid("--n-grid", args.n_grid)
-    k_values = _parse_grid("--k-grid", args.k_grid)
     # The fitted model first, so that inadmissible parameters are reported
     # by markov_form's gate rather than by the restriction's |a| < 1 check.
     mse_pmm = evaluate_grid(fitted, x, y, n_values, k_values)
@@ -460,13 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_logging() -> None:
-    """Log at the level named by PMM_LOG, in any case; WARNING when unset.
-    Without PMM_LOG, logging stays unloaded unless the process loaded it."""
-    if "PMM_LOG" not in os.environ and "logging" not in sys.modules:
+    """Log at the level named by PMM_LOG, in any case.  Without PMM_LOG
+    nothing is configured: a host process keeps its own handlers, and
+    logging stays unloaded unless the process loaded it."""
+    name = os.environ.get("PMM_LOG")
+    if name is None:
         return
     import logging
 
-    name = os.environ.get("PMM_LOG", "WARNING")
     # Maps a level name to its number and anything else to a string.
     level = logging.getLevelName(name.upper())
     if not isinstance(level, int):

@@ -24,21 +24,23 @@ X_{n+k} = [A^k]_00 X_n + [A^k]_01 Y_n + noise, so
     MSE(n, k) = v^T S_n v + [sum_{j<k} A^j Q A^j^T]_00,
     v = ([A^k]_00 - xx', [A^k]_01 - xy', xx').
 
-The first rows of A^k and A'^k and the noise sum come from
-``forecasting.horizon_terms``, the same k-step map that serves the
-forecast, with one pass up to the largest k per distinct model.  One pass
-over n then yields every grid point (the error analysis of suboptimal
-filters in Anderson & Moore, Optimal Filtering, 1979).  Its whole state
-is (P_t, S_t): the next gain is a function of the forecaster's filter
-variance P_t alone, and S_{t+1} of that gain and S_t.  In floating point
-the state settles into an exact cycle, of entry mu and period lambda (a
-fixed point is lambda = 1), which ``riccati.orbit`` finds in O(1) memory.
-The lambda states of the cycle then serve every later n, bit for bit the
-values of stepping all the way to n, so the pass costs O(min(max n, mu +
-lambda) + grid) time.  Carrying the error e_t rather than the mean m_t
-avoids cancelling two O(1) covariances to get a small MSE.  When p_fc is
-the truth, da = 0, e_t decouples, S_n's last entry is the filter variance
-P_n and the MSE is the optimal one,
+S_t's (X_t, Y_t) block is the stationary marginal M = [[1, b], [b, 1]]
+at every t, so the pass carries (P_t, s13, s23, s33): the forecaster's
+filter variance, which fixes the next gain, and e_t's covariances with
+X_t, Y_t and itself.  The MSE is then (v1^2 + 2b v1 v2 + v2^2 + noise) +
+v3 (2 (v1 s13 + v2 s23) + v3 s33), its first part summed once per k.
+The first rows of A^k and A'^k and the noise come from
+``forecasting.horizon_terms``, one pass up to the largest k per distinct
+model; one pass over n then yields every grid point (the error analysis
+of suboptimal filters in Anderson & Moore, Optimal Filtering, 1979).  In
+floating point the state settles into an exact cycle, of entry mu and
+period lambda (a fixed point is lambda = 1), which ``riccati.orbit``
+finds in O(1) memory.  The lambda states of the cycle then serve every
+later n, bit for bit the values of stepping all the way to n, so the
+pass costs O(min(max n, mu + lambda) + grid) time.  Carrying the error
+e_t rather than the mean m_t avoids cancelling two O(1) covariances to
+get a small MSE.  When p_fc is the truth, da = 0, e_t decouples, s33 is
+the filter variance P_n and the MSE is the optimal one,
 V[X_{n+k} | Y_1:n]; so ``theoretical_mse_pmm`` is a one-point call with
 p_fc = p_true, and ``theoretical_mse_hmm_under_pmm`` and ``mse_sweep``
 call the same pass with a hidden-Markov forecaster.  Everything here is
@@ -147,48 +149,41 @@ def _horizons(params, k_values) -> dict:
 
 
 def _augmented_recursion(m: TransitionModel, m_fc: TransitionModel):
-    """The state (P_1, S_1) of the pass over n, and the step that maps
-    (P_t, S_t) to (P_{t+1}, S_{t+1}).
+    """The state of the pass over n at t = 1, and the step from t to t + 1.
 
-    A state is the tuple (P, s11, s12, s13, s22, s23, s33): the
-    forecaster's filter variance and the six entries of S.  The step is a
-    function of the state alone, so equal states have equal successors.
+    A state is the tuple (P, s13, s23, s33): the forecaster's filter
+    variance and the entries of S in e's row; S's (X, Y) block is M.  The
+    step is a function of the state alone, so equal states have equal
+    successors.
     """
     (a1, a2), (a3, a4) = m.A
     (q11, q12), (_, q22) = m.Q
     (a1f, a2f), (a3f, a4f) = m_fc.A
     da1, da2, da3, da4 = a1 - a1f, a2 - a2f, a3 - a3f, a4 - a4f
+    b, b_fc = m.b, m_fc.b
+    # The rows of A M.
+    x1, x2 = a1 + a2 * b, a1 * b + a2
+    y1, y2 = a3 + a4 * b, a3 * b + a4
 
     def step(state):
-        # F S F^T + H Q H^T, written out: F's first two rows are A's, its
-        # last (f1, f2, f3); H's rows are (1, 0), (0, 1) and (1, -g).
-        variance, s11, s12, s13, s22, s23, s33 = state
+        # e's row of F S F^T + H Q H^T, written out: F's first two rows are
+        # A's, its last (f1, f2, f3); H's rows are (1, 0), (0, 1), (1, -g).
+        variance, s13, s23, s33 = state
         g, next_variance = _riccati_step(m_fc, variance)
         f1, f2, f3 = da1 - g * da3, da2 - g * da4, a1f - g * a3f
-        x1, x2 = a1 * s11 + a2 * s12, a1 * s12 + a2 * s22
-        y1, y2 = a3 * s11 + a4 * s12, a3 * s12 + a4 * s22
-        e1 = f1 * s11 + f2 * s12 + f3 * s13
-        e2 = f1 * s12 + f2 * s22 + f3 * s23
+        e1 = f1 + f2 * b + f3 * s13
+        e2 = f1 * b + f2 + f3 * s23
         e3 = f1 * s13 + f2 * s23 + f3 * s33
         hq1, hq2 = q11 - g * q12, q12 - g * q22
         return (
             next_variance,
-            x1 * a1 + x2 * a2 + q11,
-            x1 * a3 + x2 * a4 + q12,
             x1 * f1 + x2 * f2 + (a1 * s13 + a2 * s23) * f3 + hq1,
-            y1 * a3 + y2 * a4 + q22,
             y1 * f1 + y2 * f2 + (a3 * s13 + a4 * s23) * f3 + hq2,
             e1 * f1 + e2 * f2 + e3 * f3 + hq1 - g * hq2,
         )
 
     # X_1, Y_1 standard with correlation b, e_1 = X_1 - b' Y_1.
-    b, b_fc = m.b, m_fc.b
-    start = (
-        1.0 - b_fc * b_fc,
-        1.0, b, 1.0 - b_fc * b,
-        1.0, b - b_fc,
-        1.0 - 2.0 * b_fc * b + b_fc * b_fc,
-    )
+    start = (1.0 - b_fc * b_fc, 1.0 - b_fc * b, b - b_fc, 1.0 - 2.0 * b_fc * b + b_fc * b_fc)
     return start, step
 
 
@@ -197,12 +192,14 @@ def _mse_grid(model, forecaster, n_values, k_values) -> dict[tuple[int, int], fl
     ``forecaster`` are (Markov form, horizon terms) pairs."""
     m, terms = model
     m_fc, fc_terms = forecaster
-    # Per k: the error weights v on (X_n, Y_n, e_n) and the noise after n.
+    # Per k: the error weights v on (X_n, Y_n, e_n), and the noise after n
+    # plus v's (X, Y) part, which M fixes.
     weights = []
     for k in k_values:
         xx, xy, noise = terms[k]
         fc_xx, fc_xy, _ = fc_terms[k]
-        weights.append((k, xx - fc_xx, xy - fc_xy, fc_xx, noise))
+        v1, v2 = xx - fc_xx, xy - fc_xy
+        weights.append((k, v1, v2, fc_xx, v1 * v1 + 2.0 * m.b * v1 * v2 + v2 * v2 + noise))
     out = {}
     states = orbit(*_augmented_recursion(m, m_fc))
     t, cycle = 0, []
@@ -213,12 +210,9 @@ def _mse_grid(model, forecaster, n_values, k_values) -> dict[tuple[int, int], fl
                 cycle.append(state)
         if t < n:  # the orbit ended on its cycle, which serves n
             state = cycle[(n - t - 1) % len(cycle)]
-        _, s11, s12, s13, s22, s23, s33 = state
-        for k, v1, v2, v3, noise in weights:
-            w1 = v1 * s11 + v2 * s12 + v3 * s13
-            w2 = v1 * s12 + v2 * s22 + v3 * s23
-            w3 = v1 * s13 + v2 * s23 + v3 * s33
-            out[(n, k)] = w1 * v1 + w2 * v2 + w3 * v3 + noise
+        _, s13, s23, s33 = state
+        for k, v1, v2, v3, fixed in weights:
+            out[(n, k)] = fixed + v3 * (2.0 * (v1 * s13 + v2 * s23) + v3 * s33)
     return out
 
 

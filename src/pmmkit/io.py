@@ -18,11 +18,12 @@ and renames it onto the target; on any error the temporary file is removed
 and the target is left as it was.
 
 JSON documents (parameter files, fitted models and the CLI's summaries)
-are read by ``read_json``, which raises a ValueError naming the file for a
-document that does not parse, and written by ``write_json``, which never
-writes NaN or Infinity.  ``finite_number`` is the one rule for a number in
-a document: a finite real number, so not a string, a boolean, null, NaN,
-an infinity or an integer too large for a float.
+are read by ``read_json``, as UTF-8 with any leading byte-order mark
+ignored, which raises a ValueError naming the file for a document that
+does not parse, and written by ``write_json``, which never writes NaN or
+Infinity.  ``finite_number`` is the one rule for a number in a document:
+a finite real number, so not a string, a boolean, null, NaN, an infinity
+or an integer too large for a float.
 
 Every CSV the package writes goes through this module, so one rule prints
 its numbers: an int or a str as ``str`` prints it, anything else as
@@ -174,8 +175,8 @@ def _umask() -> int:
 
 
 def read_json(path: str | Path):
-    """The JSON document in ``path``."""
-    with open(path) as fh:
+    """The JSON document in ``path``, UTF-8 with any byte-order mark."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:

@@ -304,15 +304,16 @@ def _window_errors(model: FittedModel, x_test, y_test, n_values, k_values):
         raise ValueError("series lengths differ")
     x_std = model.x_standardize.apply(x_test)
     y_std = model.y_standardize.apply(y_test)
-    for n in n_values:
-        for k in k_values:
-            if n < 1 or k < 0:
-                raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
-            if x_test.size - n - k + 1 < 1:
-                raise ValueError(
-                    f"test series of length {x_test.size} has no complete "
-                    f"(n={n}, k={k}) window"
-                )
+    if n_values and k_values:
+        # The smallest n and k, then the longest window, stand for the grid.
+        n, k = min(n_values), min(k_values)
+        if n < 1 or k < 0:
+            raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
+        n, k = max(n_values), max(k_values)
+        if x_test.size - n - k + 1 < 1:
+            raise ValueError(
+                f"test series of length {x_test.size} has no complete (n={n}, k={k}) window"
+            )
     m = markov_form(model.params)
     terms = horizon_terms(m, k_values)
     for n in n_values:

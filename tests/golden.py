@@ -47,6 +47,9 @@ COMMANDS = [
         (fig, ["theoretical-mse", "--preset", fig, "--output", f"{fig}.csv"])
         for fig in ("fig2", "fig3", "fig4", "fig5")
     ),
+    # The benchmark's theory sweep.
+    ("fig4-n400", ["theoretical-mse", "--preset", "fig4", "--n-grid", "1:400",
+                   "--output", "fig4-n400.csv"]),
     # series.csv is also the input of the commands after it.
     ("simulate", ["simulate", "--params", "true.json", "--n", "2000", "--seed", "7",
                   "--output", "series.csv"]),

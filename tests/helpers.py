@@ -5,8 +5,8 @@ variance recursions, the forecast coefficients, the n x n quadratic form,
 the row-by-row CSV reader and writers, the exact-MSE pass as one numpy
 matrix product per step and the simulate-and-filter Monte Carlo that the
 production paths replaced, kept as references; the production exact-MSE
-step run to every n without its cycle exit; and the blockless form of the
-production Monte Carlo."""
+step, and the 7-entry one it replaced, run to every n without a cycle
+exit; and the blockless form of the production Monte Carlo."""
 
 from __future__ import annotations
 
@@ -230,32 +230,94 @@ def _horizon_weights(m, m_fc, k_values) -> dict:
     return horizon
 
 
-def loop_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) -> dict:
-    """``forecaster_mse`` with the production step taken once per t up to
-    the largest n: no cycle exit."""
+def seven_entry_recursion(m, m_fc):
+    """The exact-MSE pass's start and step over the state (P, s11, s12, s13,
+    s22, s23, s33), S's (X, Y) block recomputed at every step: the step
+    that ``error_analysis._augmented_recursion`` replaced."""
+    (a1, a2), (a3, a4) = m.A
+    (q11, q12), (_, q22) = m.Q
+    (a1f, a2f), (a3f, a4f) = m_fc.A
+    da1, da2, da3, da4 = a1 - a1f, a2 - a2f, a3 - a3f, a4 - a4f
+
+    def step(state):
+        variance, s11, s12, s13, s22, s23, s33 = state
+        g, next_variance = _riccati_step(m_fc, variance)
+        f1, f2, f3 = da1 - g * da3, da2 - g * da4, a1f - g * a3f
+        x1, x2 = a1 * s11 + a2 * s12, a1 * s12 + a2 * s22
+        y1, y2 = a3 * s11 + a4 * s12, a3 * s12 + a4 * s22
+        e1 = f1 * s11 + f2 * s12 + f3 * s13
+        e2 = f1 * s12 + f2 * s22 + f3 * s23
+        e3 = f1 * s13 + f2 * s23 + f3 * s33
+        hq1, hq2 = q11 - g * q12, q12 - g * q22
+        return (
+            next_variance,
+            x1 * a1 + x2 * a2 + q11,
+            x1 * a3 + x2 * a4 + q12,
+            x1 * f1 + x2 * f2 + (a1 * s13 + a2 * s23) * f3 + hq1,
+            y1 * a3 + y2 * a4 + q22,
+            y1 * f1 + y2 * f2 + (a3 * s13 + a4 * s23) * f3 + hq2,
+            e1 * f1 + e2 * f2 + e3 * f3 + hq1 - g * hq2,
+        )
+
+    b, b_fc = m.b, m_fc.b
+    start = (
+        1.0 - b_fc * b_fc,
+        1.0, b, 1.0 - b_fc * b,
+        1.0, b - b_fc,
+        1.0 - 2.0 * b_fc * b + b_fc * b_fc,
+    )
+    return start, step
+
+
+def _seven_entry_mse(m, state, v1, v2, v3, noise) -> float:
+    _, s11, s12, s13, s22, s23, s33 = state
+    w1 = v1 * s11 + v2 * s12 + v3 * s13
+    w2 = v1 * s12 + v2 * s22 + v3 * s23
+    w3 = v1 * s13 + v2 * s23 + v3 * s33
+    return w1 * v1 + w2 * v2 + w3 * v3 + noise
+
+
+def _four_entry_mse(m, state, v1, v2, v3, noise) -> float:
+    # As in error_analysis._mse_grid, operation for operation.
+    _, s13, s23, s33 = state
+    fixed = v1 * v1 + 2.0 * m.b * v1 * v2 + v2 * v2 + noise
+    return fixed + v3 * (2.0 * (v1 * s13 + v2 * s23) + v3 * s33)
+
+
+def _stepped_mse(recursion, mse, p_true, p_fc, n_values, k_values) -> dict:
+    """``forecaster_mse`` with ``recursion``'s step taken once per t up to
+    the largest n, and ``mse`` of each state and k's weights."""
     n_values = sorted({int(n) for n in n_values})
     k_values = sorted({int(k) for k in k_values})
     m = markov_form(p_true)
     m_fc = markov_form(p_fc)
     weights = _horizon_weights(m, m_fc, k_values)
-    state, step = _augmented_recursion(m, m_fc)
+    state, step = recursion(m, m_fc)
     out = {}
     t = 1
     for n in n_values:
         for _ in range(n - t):
             state = step(state)
         t = n
-        _, s11, s12, s13, s22, s23, s33 = state
-        for k, (v1, v2, v3, noise) in weights.items():
-            w1 = v1 * s11 + v2 * s12 + v3 * s13
-            w2 = v1 * s12 + v2 * s22 + v3 * s23
-            w3 = v1 * s13 + v2 * s23 + v3 * s33
-            out[(n, k)] = w1 * v1 + w2 * v2 + w3 * v3 + noise
+        for k, v in weights.items():
+            out[(n, k)] = mse(m, state, *v)
     return out
 
 
+def loop_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) -> dict:
+    """``forecaster_mse`` with the production step taken once per t up to
+    the largest n: no cycle exit."""
+    return _stepped_mse(_augmented_recursion, _four_entry_mse, p_true, p_fc, n_values, k_values)
+
+
+def seven_entry_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) -> dict:
+    """``forecaster_mse`` over the 7-entry state and its full quadratic
+    form, stepped to every n: the pass that the 4-entry one replaced."""
+    return _stepped_mse(seven_entry_recursion, _seven_entry_mse, p_true, p_fc, n_values, k_values)
+
+
 def cycle_entry_and_period(p_true: PmmParams, p_fc: PmmParams) -> tuple[int, int]:
-    """(mu, lambda) of the exact-MSE pass over the state (P, S)."""
+    """(mu, lambda) of the exact-MSE pass over the state (P, s13, s23, s33)."""
     return entry_and_period(*_augmented_recursion(markov_form(p_true), markov_form(p_fc)))
 
 

@@ -569,6 +569,35 @@ class TestByteOrderMark:
             outputs.append((out.read_bytes(), capsys.readouterr().out))
         assert outputs[0] == outputs[1]
 
+    # As Windows Notepad saves UTF-8: a parameter file or a fitted model.
+    @pytest.mark.parametrize("command", ["theoretical-mse", "monte-carlo", "forecast", "evaluate"])
+    def test_json_inputs_equal_those_of_the_plain_file(self, tmp_path, capsys, command):
+        t = sample(FIG2_PARAMS, 400, seed=5)
+        data, hmm = tmp_path / "s.csv", tmp_path / "hmm.json"
+        write_series_csv(data, t.x, t.y)
+        save_params(hmm_params(0.9, -0.2), hmm)
+        plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+        if command in ("forecast", "evaluate"):
+            assert run_cli("fit", "--input", data, "--output", plain) == 0
+        else:
+            save_params(FIG2_PARAMS, plain)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        out = tmp_path / "out"
+        outputs = []
+        for doc in (plain, bom):
+            argv = {
+                "theoretical-mse": [
+                    "theoretical-mse", "--params", doc, "--hmm-params", hmm,
+                    "--n-grid", "1:5", "--k-grid", "0:2", "--output", out,
+                ],
+                "monte-carlo": ["monte-carlo", "--params", doc, "--n", 3, "--k", 1, "--reps", 200],
+            }.get(command) or _model_argv(command, doc, data, out)
+            out.unlink(missing_ok=True)
+            capsys.readouterr()
+            assert run_cli(*argv) == 0
+            outputs.append((out.exists() and out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
 
 class TestMalformedInput:
     @pytest.fixture
@@ -783,6 +812,41 @@ class TestUsageErrors:
 
 
 class TestGridBound:
+    # Each ran for more than 15 s, or for ever, before the bound on points.
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["theoretical-mse", "--preset", "fig3", "--n-grid", "1:100000",
+              "--k-grid", "1:100000"], "--n-grid (100000 values) by --k-grid (100000 values)"),
+            (["theoretical-mse", "--preset", "fig3", "--n-grid", "1:20000"],
+             "--n-grid (20000 values) by the fig3 preset's k grid (100 values)"),
+            (["evaluate", "--model", "model.json", "--input", "s.csv", "--n-grid",
+              "1:100000", "--k-grid", "1:100000"],
+             "--n-grid (100000 values) by --k-grid (100000 values)"),
+        ],
+        ids=["theory", "theory-preset-k", "evaluate"],
+    )
+    def test_grid_of_too_many_points_fails_at_once(self, tmp_path, argv, names):
+        ident = StandardizationParams(0.0, 1.0)
+        FittedModel(FIG2_PARAMS, ident, ident).save(tmp_path / "model.json")
+        (tmp_path / "s.csv").write_text("x,y\n" + "0.5,1.5\n" * 150_000)
+        out = _python(["-m", "pmmkit.cli", *argv, "--output", "t.csv"], tmp_path, timeout=10)
+        assert out.returncode == 1 and out.stdout == ""
+        message = json.loads(out.stderr)["message"]
+        assert message.startswith(names) and f"more than {MAX_GRID_POINTS}" in message
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("text", ["1,,2", "1,", ",1", " ,3:4"])
+    def test_empty_part_rejected(self, tmp_path, capsys, text):
+        out = tmp_path / "t.csv"
+        argv = ["theoretical-mse", "--preset", "fig3", "--n-grid", text, "--output", out]
+        assert run_cli(*argv) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": f"--n-grid needs comma-separated integers or a:b ranges, got {text!r}",
+        }
+        assert not out.exists()
+
     def test_huge_grid_fails_before_expanding(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
         argv = ["theoretical-mse", "--preset", "fig4", "--n-grid", "1:1000000000"]
@@ -975,6 +1039,16 @@ class TestOracleSubcommand:
                 want = scalar_mse_pmm(p, n, k)
                 assert abs(got - want) <= 1e-12 * want
 
+    def test_n_beyond_the_rows_is_a_json_error(self, tmp_path, fig2_params_file, capsys):
+        data = tmp_path / "obs.csv"
+        write_series_csv(data, np.zeros(3), [0.3, -1.1, 0.7])
+        assert run_cli("oracle", "--params", fig2_params_file, "--input", data, "--n", 4) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError", "message": "input has fewer than 4 observations",
+        }
+
 
 THREAD_ENV = (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -982,9 +1056,10 @@ THREAD_ENV = (
 )
 
 
-def _python(argv, cwd, **env):
-    """A fresh interpreter that imports this pmmkit, run in ``cwd``.  The
-    thread variables are dropped, so that only those in ``env`` are set."""
+def _python(argv, cwd, timeout=None, **env):
+    """A fresh interpreter that imports this pmmkit, run in ``cwd`` for at
+    most ``timeout`` seconds.  The thread variables are dropped, so that
+    only those in ``env`` are set."""
     src = str(Path(pmmkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     base = {k: v for k, v in os.environ.items() if k not in THREAD_ENV}
@@ -994,6 +1069,7 @@ def _python(argv, cwd, **env):
         text=True,
         env=dict(base, PYTHONPATH=path, **env),
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -1017,6 +1093,21 @@ class TestLogLevel:
         assert out.returncode == 0, out.stderr
         assert "wrote t.csv" in out.stderr
         assert (tmp_path / "t.csv").is_file()
+
+    def test_host_root_logger_left_alone(self, tmp_path):
+        # A host that imported logging but configured nothing keeps its root
+        # logger as it was: without PMM_LOG, pmmkit configures nothing.
+        probe = (
+            "import logging, sys\n"
+            "from pmmkit.cli import main\n"
+            "root = logging.getLogger()\n"
+            "before = (list(root.handlers), root.level)\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(before == (list(root.handlers), root.level), before)\n"
+        )
+        out = _python(["-c", probe, *self.ARGV[2:]], tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "True ([], 30)"
 
     def test_process_that_loaded_logging_gets_the_wrote_line(self, tmp_path, caplog, capsys):
         # Without PMM_LOG, the line still reaches a handler the process set up.

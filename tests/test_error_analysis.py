@@ -36,6 +36,8 @@ from helpers import (
     scalar_hmm_filter_coefficients,
     scalar_mse_grid,
     scalar_mse_pmm,
+    seven_entry_forecaster_mse,
+    seven_entry_recursion,
 )
 
 FIG2_MODEL = markov_form(FIG2_PARAMS)
@@ -383,6 +385,36 @@ class TestForecasterMse:
             want = lift_forecaster_mse(*args)
             for key, mse in forecaster_mse(*args).items():
                 assert abs(mse - want[key]) <= 1e-12 * want[key]
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4", "fig5"])
+    def test_xy_block_stays_the_marginal(self, preset):
+        # What lets the pass drop S's (X, Y) block: stepped in full, it
+        # stays the stationary marginal M up to rounding.
+        fig = get_preset(preset)
+        m, m_fc = markov_form(fig.true_params), markov_form(fig.hmm_reference)
+        state, step = seven_entry_recursion(m, m_fc)
+        for _ in range(1000):
+            _, s11, s12, _, s22, _, _ = state = step(state)
+            assert max(abs(s11 - 1.0), abs(s12 - m.b), abs(s22 - 1.0)) <= 1e-15
+        start, step = error_analysis._augmented_recursion(m, m_fc)
+        assert len(start) == len(step(start)) == 4
+
+    def test_four_entry_pass_matches_seven_entry_pass(self):
+        # The 4-entry state against the 7-entry one it replaced; the two
+        # round differently (2.4e-15 relative at most here).
+        rng = np.random.default_rng(5)
+        n_values, k_values = [*range(1, 301), 1000, 5000], [0, 1, 2, 5, 20]
+        for i in range(300):
+            p_true = random_valid_params(rng)
+            # The truth, its restriction and a second random model, in turn.
+            if i % 3 == 2:
+                p_fc = random_valid_params(rng)
+            else:
+                p_fc = hmm_params(p_true.a, p_true.b) if i % 3 else p_true
+            args = (p_true, p_fc, n_values, k_values)
+            want = seven_entry_forecaster_mse(*args)
+            for key, mse in forecaster_mse(*args).items():
+                assert abs(mse - want[key]) <= 1e-14 * want[key], (i, key)
 
     @pytest.mark.parametrize(
         "n_values, k_values", [([0, 3], [0]), ([3], [-1]), ([], [0])]

@@ -11,8 +11,10 @@ from pmmkit import (
     theoretical_mse_pmm,
     validate,
 )
+from pmmkit import pipeline
 from pmmkit.io import read_columns
 from pmmkit.pipeline import (
+    REPAIR_TOL,
     StandardizationParams,
     detrend,
     _window_errors,
@@ -154,6 +156,20 @@ class TestEstimate:
         assert fitted.repaired
         assert validate(fitted.params).ok
 
+    def test_repair_takes_the_largest_admissible_factor(self, monkeypatch):
+        # Admissible below a factor of about 0.6236 only, so the bisection
+        # shrinks its upper end too (the alternating pair above never does).
+        raw = FIG2_PARAMS._replace(e=1.2)
+        monkeypatch.setattr(pipeline, "empirical_covariances", lambda x, y: raw)
+        rng = np.random.default_rng(86)
+        fitted = estimate_params(rng.standard_normal(100), rng.standard_normal(100))
+        assert fitted.repaired
+        assert validate(fitted.params).ok
+        factor = fitted.params.e / raw.e
+        assert factor == pytest.approx(0.6236, abs=5e-5)
+        assert fitted.params == pytest.approx(raw.scaled(factor), rel=1e-15)
+        assert not validate(raw.scaled(factor + 2 * REPAIR_TOL)).ok
+
     def test_near_unit_root_input_stays_usable(self):
         # Random-walk-like data with a nearly deterministic channel pushes
         # the estimate toward the admissibility boundary; the fitted model
@@ -227,6 +243,23 @@ class TestEvaluate:
         assert list(grid) == [(n, k) for n in (5, 20, 50) for k in (0, 1, 24, 48)]
         for (n, k), mse in grid.items():
             assert mse == evaluate(model, t.x, t.y, n, k)
+
+    def test_grid_checked_once_per_axis(self):
+        # The smallest n and k and the longest window stand for every cell:
+        # O(|n| + |k|) checks, not one per cell.
+        class Counted(list):
+            passes = 0
+
+            def __iter__(self):
+                Counted.passes += 1
+                return super().__iter__()
+
+        ident = StandardizationParams(0.0, 1.0)
+        model = FittedModel(params=FIG2_PARAMS, x_standardize=ident, y_standardize=ident)
+        n_values, k_values = Counted(range(1, 201)), Counted(range(201))
+        with pytest.raises(ValueError, match=r"length 300 has no complete \(n=200, k=200\)"):
+            next(_window_errors(model, np.zeros(300), np.zeros(300), n_values, k_values))
+        assert Counted.passes <= 4
 
     def test_insufficient_data_rejected(self):
         ident = StandardizationParams(0.0, 1.0)
