@@ -53,7 +53,7 @@ from itertools import islice
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .forecasting import horizon_terms
+from .forecasting import check_grid, horizon_terms
 from .io import write_rows
 from .model import InvalidModelError, PmmParams, TransitionModel, is_hmm, markov_form
 from .riccati import _riccati_step, orbit
@@ -118,25 +118,6 @@ def observation_covariance(m: TransitionModel, b: float, n: int) -> np.ndarray:
     return lag_cov[np.abs(lags[:, None] - lags[None, :])]
 
 
-def _grid(n_values, k_values) -> tuple[list[int], list[int]]:
-    """The distinct n and k, sorted; n >= 1 and k >= 0."""
-    n_values = sorted({int(n) for n in n_values})
-    k_values = sorted({int(k) for k in k_values})
-    if not n_values or not k_values:
-        raise ValueError("n_values and k_values must be nonempty")
-    if n_values[0] < 1 or k_values[0] < 0:
-        raise ValueError(
-            f"need n >= 1 and k >= 0, got n={n_values[0]}, k={k_values[0]}"
-        )
-    return n_values, k_values
-
-
-def _first_repeat(values):
-    """The first value that ``values`` holds a second time, or None."""
-    seen = set()
-    return next((v for v in values if v in seen or seen.add(v)), None)
-
-
 def _horizons(params, k_values) -> dict:
     """Markov form and horizon terms per distinct model of ``params``: one
     ``horizon_terms`` pass each."""
@@ -188,8 +169,8 @@ def _augmented_recursion(m: TransitionModel, m_fc: TransitionModel):
 
 
 def _mse_grid(model, forecaster, n_values, k_values) -> dict[tuple[int, int], float]:
-    """MSE(n, k) = v^T S_n v + noise over the sorted grid; ``model`` and
-    ``forecaster`` are (Markov form, horizon terms) pairs."""
+    """MSE(n, k) = v^T S_n v + noise over the grid, keyed in increasing n;
+    ``model`` and ``forecaster`` are (Markov form, horizon terms) pairs."""
     m, terms = model
     m_fc, fc_terms = forecaster
     # Per k: the error weights v on (X_n, Y_n, e_n), and the noise after n
@@ -203,7 +184,7 @@ def _mse_grid(model, forecaster, n_values, k_values) -> dict[tuple[int, int], fl
     out = {}
     states = orbit(*_augmented_recursion(m, m_fc))
     t, cycle = 0, []
-    for n in n_values:
+    for n in sorted(n_values):
         for state, period in islice(states, n - t):
             t += 1
             if period:
@@ -226,7 +207,7 @@ def forecaster_mse(
     The forecaster may be any admissible model: the true one, its
     hidden-Markov restriction or anything else.
     """
-    n_values, k_values = _grid(n_values, k_values)
+    n_values, k_values = check_grid(n_values, k_values)
     horizons = _horizons((p_true, p_fc), k_values)
     return _mse_grid(horizons[p_true], horizons[p_fc], n_values, k_values)
 
@@ -258,20 +239,14 @@ def mse_sweep(
     """Theoretical MSE of both forecasters over a grid.
 
     Sweeps over k when the k grid has more than one value (one curve pair
-    per n), otherwise over n (one curve pair per k).  A value repeated in
-    either grid raises ValueError.
+    per n), otherwise over n (one curve pair per k).
     """
-    n_values = [int(n) for n in n_values]
-    k_values = [int(k) for k in k_values]
-    for name, values in (("n_values", n_values), ("k_values", k_values)):
-        if (repeat := _first_repeat(values)) is not None:
-            raise ValueError(f"{name} repeats the value {repeat}")
-    n_grid, k_grid = _grid(n_values, k_values)
+    n_values, k_values = check_grid(n_values, k_values)
     _require_hmm(p_hmm)
     # The truth's horizon pass serves both forecasters.
-    horizons = _horizons((p_true, p_hmm), k_grid)
+    horizons = _horizons((p_true, p_hmm), k_values)
     mse = {
-        label: _mse_grid(horizons[p_true], horizons[p], n_grid, k_grid)
+        label: _mse_grid(horizons[p_true], horizons[p], n_values, k_values)
         for label, p in (("PMM", p_true), ("HMM", p_hmm))
     }
     if len(k_values) > 1:

@@ -22,7 +22,12 @@ from .model import TransitionModel
 if TYPE_CHECKING:  # filtering loads numpy; this module does not
     from .filtering import FilterState
 
-__all__ = ["ForecastResult", "forecast", "forecast_path", "horizon_terms"]
+__all__ = ["MAX_GRID_POINTS", "ForecastResult", "check_grid", "forecast",
+           "forecast_path", "horizon_terms"]
+
+# The largest n or k, and the most (n, k) points, of a grid: each can cost
+# time linear in it (the k-step map; the Riccati passes until they cycle).
+MAX_GRID_POINTS = 10**6
 
 
 class ForecastResult(NamedTuple):
@@ -31,6 +36,38 @@ class ForecastResult(NamedTuple):
     horizon: int
     mean: float
     variance: float
+
+
+def _check_values(values, name: str, low: int) -> list[int]:
+    """``values`` as ints in the order given; ValueError naming ``name`` if
+    they are none, repeat one or hold one outside low..MAX_GRID_POINTS."""
+    values = [int(v) for v in values]
+    if not values:
+        raise ValueError(f"{name} is an empty grid")
+    seen: set[int] = set()
+    if (repeat := next((v for v in values if v in seen or seen.add(v)), None)) is not None:
+        raise ValueError(f"{name} repeats the value {repeat}")
+    if (lo := min(values)) < low:
+        raise ValueError(f"{name} must be >= {low}, got {lo}")
+    if (hi := max(values)) > MAX_GRID_POINTS:
+        raise ValueError(f"{name} must be <= {MAX_GRID_POINTS}, got {hi}")
+    return values
+
+
+def check_grid(n_values, k_values, names=("n_values", "k_values")) -> tuple[list, list]:
+    """The n and k grids as lists of ints, in the order given: the one rule
+    for a grid.  ValueError names, by ``names``, a grid that is empty,
+    repeats a value or holds one outside 1..MAX_GRID_POINTS (n) or
+    0..MAX_GRID_POINTS (k), or both past MAX_GRID_POINTS (n, k) points."""
+    n_name, k_name = names
+    n_values = _check_values(n_values, n_name, 1)
+    k_values = _check_values(k_values, k_name, 0)
+    if (points := len(n_values) * len(k_values)) > MAX_GRID_POINTS:
+        raise ValueError(
+            f"{n_name} ({len(n_values)} values) by {k_name} ({len(k_values)} values) "
+            f"makes {points} (n, k) points, more than {MAX_GRID_POINTS}"
+        )
+    return n_values, k_values
 
 
 def horizon_terms(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .forecasting import check_grid
 from .model import InvalidModelError, PmmParams, markov_form
 
 __all__ = [
@@ -56,8 +57,7 @@ class JointCovariance:
 
 def build_joint(p: PmmParams, n: int, k: int, cap: int = DEFAULT_CAP) -> JointCovariance:
     """Joint covariance of (X_1..X_{n+k}, Y_1..Y_n) under the model."""
-    if n < 1 or k < 0:
-        raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
+    check_grid([n], [k], ("n", "k"))
     if n + k > cap:
         raise ValueError(f"n + k = {n + k} exceeds the oracle cap {cap}")
     m = markov_form(p)

@@ -11,7 +11,10 @@ fit by least squares.  The textbook weighting matrix (1/sigma) * I cancels
 out of the normal equations, so ordinary least squares is solved and sigma
 is stored only as metadata.  Model parameters are the empirical lag-0 and
 lag-1 covariances of the standardized series; test data are standardized
-with the fitting window's moments (no leakage).
+with the fitting window's moments.  ``fit --window`` cuts that window only
+after fitting the seasonal component on every row of the file, so rows
+outside it, such as those a later ``evaluate`` scores, leak into the model
+through the seasonal coefficients.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .filtering import filter_coefficients
-from .forecasting import horizon_terms
+from .forecasting import check_grid, horizon_terms
 from .io import atomic_write, finite_number, read_columns, read_json, write_json
 from .model import PmmParams, markov_form, validate
 from .simulate import empirical_covariances
@@ -304,16 +307,12 @@ def _window_errors(model: FittedModel, x_test, y_test, n_values, k_values):
         raise ValueError("series lengths differ")
     x_std = model.x_standardize.apply(x_test)
     y_std = model.y_standardize.apply(y_test)
-    if n_values and k_values:
-        # The smallest n and k, then the longest window, stand for the grid.
-        n, k = min(n_values), min(k_values)
-        if n < 1 or k < 0:
-            raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
-        n, k = max(n_values), max(k_values)
-        if x_test.size - n - k + 1 < 1:
-            raise ValueError(
-                f"test series of length {x_test.size} has no complete (n={n}, k={k}) window"
-            )
+    # The longest window stands for the grid.
+    n, k = max(n_values), max(k_values)
+    if x_test.size - n - k + 1 < 1:
+        raise ValueError(
+            f"test series of length {x_test.size} has no complete (n={n}, k={k}) window"
+        )
     m = markov_form(model.params)
     terms = horizon_terms(m, k_values)
     for n in n_values:
@@ -341,8 +340,7 @@ def evaluate_grid(
     the standardized x at offset i+n-1+k; windows slide by one.  Inputs are
     expected already detrended when the model carries a seasonal fit.
     """
-    n_values = list(dict.fromkeys(int(n) for n in n_values))
-    k_values = list(dict.fromkeys(int(k) for k in k_values))
+    n_values, k_values = check_grid(n_values, k_values)
     return {
         (n, k): float(errors.mean())
         for n, k, errors in _window_errors(model, x_test, y_test, n_values, k_values)

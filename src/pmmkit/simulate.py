@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels_py as kernels
 from .filtering import filter_coefficients
-from .forecasting import horizon_terms
+from .forecasting import check_grid, horizon_terms
 from .io import write_numbered_floats
 from .model import Matrix2, PmmParams, TransitionModel, markov_form
 
@@ -160,8 +160,7 @@ def monte_carlo_mse(
     """
     if reps < 100:
         raise ValueError(f"need reps >= 100, got {reps}")
-    if n < 1 or k < 0:
-        raise ValueError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
+    check_grid([n], [k], ("n", "k"))
     weights = _error_weights(markov_form(p_true), markov_form(forecaster_params), n, k)
     rng = _rng(seed)
     e0 = rng.standard_normal((reps, 2))

@@ -836,8 +836,13 @@ class TestGridBound:
         assert message.startswith(names) and f"more than {MAX_GRID_POINTS}" in message
         assert not (tmp_path / "t.csv").exists()
 
-    @pytest.mark.parametrize("text", ["1,,2", "1,", ",1", " ,3:4"])
-    def test_empty_part_rejected(self, tmp_path, capsys, text):
+    # An empty part; a backwards range, which was dropped; 1_0, which int()
+    # read as 10; and non-ASCII digits, which int() read as their values.
+    @pytest.mark.parametrize(
+        "text",
+        ["1,,2", "1,", ",1", " ,3:4", "1,10:5", "5:3", "1_0", "1:1_0", "\u0661", "1,\uff12:4"],
+    )
+    def test_malformed_grid_rejected(self, tmp_path, capsys, text):
         out = tmp_path / "t.csv"
         argv = ["theoretical-mse", "--preset", "fig3", "--n-grid", text, "--output", out]
         assert run_cli(*argv) == 1
@@ -846,6 +851,37 @@ class TestGridBound:
             "message": f"--n-grid needs comma-separated integers or a:b ranges, got {text!r}",
         }
         assert not out.exists()
+
+    # The point bound caps the grid, not the work: each cell scores every
+    # window of the series.
+    def test_evaluate_work_bound(self, tmp_path, capsys, monkeypatch):
+        ident = StandardizationParams(0.0, 1.0)
+        FittedModel(FIG2_PARAMS, ident, ident).save(tmp_path / "m.json")
+        write_series_csv(tmp_path / "s.csv", np.zeros(60), np.linspace(-1.0, 1.0, 60))
+        out = tmp_path / "table.csv"
+        argv = ["evaluate", "--model", tmp_path / "m.json", "--input", tmp_path / "s.csv",
+                "--n-grid", "5,20", "--k-grid", "1,3", "--output", out]
+        # Filter means 5*56 + 20*41, errors 55 + 53 + 40 + 38 windows.
+        work = 5 * 56 + 20 * 41 + 55 + 53 + 40 + 38
+        monkeypatch.setattr(pmmkit.cli, "MAX_EVALUATE_WORK", work)
+        assert run_cli(*argv) == 0
+        out.unlink()
+        capsys.readouterr()
+        monkeypatch.setattr(pmmkit.cli, "MAX_EVALUATE_WORK", work - 1)
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError",
+            "message": f"--n-grid (2 values) by --k-grid (2 values) on 60 rows takes {work} "
+                       f"steps, more than {work - 1}",
+        }
+        assert not out.exists()
+
+    def test_work_bound_admits_the_benchmark_grid(self):
+        pmmkit.cli._require_evaluate_work([5, 20, 50], [1, 24, 48], 150_000)
+        with pytest.raises(ValueError, match="on 150000 rows takes 3021297340 steps"):
+            pmmkit.cli._require_evaluate_work(range(1, 21), range(1, 1001), 150_000)
 
     def test_huge_grid_fails_before_expanding(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -921,7 +957,7 @@ class TestGridBound:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err) == {
-            "error": "ValueError", "message": f"{flag} repeats the value {value}: {text!r}",
+            "error": "ValueError", "message": f"{flag} repeats the value {value}",
         }
         assert not out.exists()
 
@@ -937,7 +973,7 @@ class TestGridBound:
         capsys.readouterr()
         assert run_cli(*argv, "--n-grid", "5,5") == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["message"] == "--n-grid repeats the value 5: '5,5'"
+        assert err["message"] == "--n-grid repeats the value 5"
         assert not out.exists()
 
     def test_four_hundred_point_sweep_runs(self, tmp_path, capsys):

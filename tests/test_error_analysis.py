@@ -270,7 +270,7 @@ class TestForecasterMse:
     def test_grid_points_equal_single_points(self):
         rng = np.random.default_rng(60)
         p_true, p_fc = random_valid_params(rng), random_valid_params(rng)
-        grid = forecaster_mse(p_true, p_fc, [9, 2, 30, 2], [4, 0])
+        grid = forecaster_mse(p_true, p_fc, [9, 2, 30], [4, 0])
         assert sorted(grid) == [(n, k) for n in (2, 9, 30) for k in (0, 4)]
         for (n, k), mse in grid.items():
             assert mse == forecaster_mse(p_true, p_fc, [n], [k])[(n, k)]
@@ -476,19 +476,16 @@ class TestSweep:
                     n = curve.fixed["n"]
                     assert list(curve.points) == [(k, want[(n, k)]) for k in k_values]
 
+    # One rule for both: a repeated value would give a curve or a key twice.
+    @pytest.mark.parametrize("function", [mse_sweep, forecaster_mse])
     @pytest.mark.parametrize(
         "n_values, k_values, name, value",
         [([5, 5], [1, 2], "n_values", 5), ([5, 6], [1, 1], "k_values", 1)],
     )
-    def test_repeated_value_rejected(self, n_values, k_values, name, value):
+    def test_repeated_value_rejected(self, function, n_values, k_values, name, value):
         fig3 = get_preset("fig3")
         with pytest.raises(ValueError, match=f"^{name} repeats the value {value}$"):
-            mse_sweep(fig3.true_params, fig3.hmm_reference, n_values, k_values)
-
-    def test_forecaster_mse_accepts_repeats(self):
-        fig3 = get_preset("fig3")
-        got = forecaster_mse(fig3.true_params, fig3.hmm_reference, [5, 5], [1, 1, 2])
-        assert got == forecaster_mse(fig3.true_params, fig3.hmm_reference, [5], [1, 2])
+            function(fig3.true_params, fig3.hmm_reference, n_values, k_values)
 
     def test_single_point_grid(self):
         curves = mse_sweep(FIG2_PARAMS, HMM_BASE, [4], [0])

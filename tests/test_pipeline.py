@@ -239,7 +239,7 @@ class TestEvaluate:
             y_standardize=StandardizationParams(-0.2, 0.9),
         )
         # Each cell's one-point grid against the shared grid.
-        grid = evaluate_grid(model, t.x, t.y, [5, 20, 50, 5], [0, 1, 24, 48, 24])
+        grid = evaluate_grid(model, t.x, t.y, [5, 20, 50], [0, 1, 24, 48])
         assert list(grid) == [(n, k) for n in (5, 20, 50) for k in (0, 1, 24, 48)]
         for (n, k), mse in grid.items():
             assert mse == evaluate(model, t.x, t.y, n, k)
