@@ -49,7 +49,10 @@ from .error_analysis import (
     mse_sweep,
     theoretical_mse_pmm,
 )
-from .forecasting import MAX_GRID_POINTS, _check_values, check_grid, forecast, forecast_path
+from .forecasting import (
+    MAX_GRID_POINTS, MAX_INDEX, MAX_REPLICATES, MAX_SIMULATE_STEPS,
+    check_grid, check_int, forecast, forecast_path,
+)
 from .io import atomic_write, read_columns, write_json, write_rows
 from .model import (
     PmmError,
@@ -65,11 +68,15 @@ if TYPE_CHECKING:
 
     from .pipeline import FittedModel
 
-# Most steps one evaluate pass (one per forecaster) may take, from the row
-# count: filter means sum_n n (rows - n + 1) plus squared errors
-# sum_{n,k} (rows - n - k + 1) = sum_n |k| (rows - n + 1) - |n| sum_k k.
-# Both passes take about 9 ns a step on a 2-vCPU Xeon VM, 18 s at the bound.
-MAX_EVALUATE_WORK = 2 * 10**9
+
+def __getattr__(name):
+    # The evaluate work bound lives beside the pass it counts, in pipeline,
+    # which loads numpy; so on first access only.
+    if name == "MAX_EVALUATE_WORK":
+        from .pipeline import MAX_EVALUATE_WORK
+
+        return MAX_EVALUATE_WORK
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _atomic_write(path: Path, write_fn) -> None:
@@ -79,19 +86,26 @@ def _atomic_write(path: Path, write_fn) -> None:
         logging.getLogger("pmmkit").info("wrote %s", path)
 
 
-def _parse_grid(flag: str, text: str) -> list[int]:
-    """Comma-separated integers, no part empty; a:b expands to the
-    inclusive range, and needs b >= a.  An integer is ASCII digits with an
-    optional sign, as a CSV field is (int() alone also takes 1_0 and other
-    scripts' digits).  Errors name ``flag`` and the bad text; a grid of
-    more than MAX_GRID_POINTS integers is rejected before it is expanded,
-    and ``check_grid`` rules on the rest."""
+def _parse_int(text: str) -> int:
+    """ASCII digits with an optional sign, as in a CSV field, as an int (int()
+    alone also takes 1_0 and other scripts' digits); ValueError otherwise."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return int(text)
+
+
+def _parse_grid(flag: str, text: str, low: int) -> list[int]:
+    """Comma-separated integers by ``_parse_int``, no part empty; a:b
+    expands to the inclusive range, and needs b >= a.  Errors name ``flag``
+    and the bad text.  A grid of more than MAX_GRID_POINTS integers, or a
+    part with an end that ``check_int`` rejects in low..MAX_GRID_POINTS, is
+    rejected before it is expanded; ``check_grid`` rules on the rest."""
     ranges: list[range] = []
     try:
         for part in text.split(","):
-            lo, colon, hi = part.strip().partition(":")
-            ranges.append(range(int(lo), int(hi if colon else lo) + 1))
-            if not (ranges[-1] and part.isascii() and "_" not in part):
+            lo, colon, hi = part.partition(":")
+            ranges.append(range(_parse_int(lo), _parse_int(hi if colon else lo) + 1))
+            if not ranges[-1]:
                 raise ValueError
     except ValueError:
         raise ValueError(
@@ -103,6 +117,9 @@ def _parse_grid(flag: str, text: str) -> list[int]:
         raise ValueError(
             f"{flag} holds {size} points, more than {MAX_GRID_POINTS}: {text!r}"
         )
+    for r in ranges:
+        check_int(r.start, flag, low, MAX_GRID_POINTS)
+        check_int(r.stop - 1, flag, low, MAX_GRID_POINTS)
     return [v for r in ranges for v in r]
 
 
@@ -121,21 +138,6 @@ def _read_y_column(path: str) -> np.ndarray:
     return read_columns(path, ("y",))[0]
 
 
-def _require_at_least(flag: str, value: int, low: int) -> None:
-    if value < low:
-        raise ValueError(f"{flag} must be >= {low}, got {value}")
-
-
-def _require_evaluate_work(n_values, k_values, rows: int) -> None:
-    work = sum((n + len(k_values)) * (rows - n + 1) for n in n_values)
-    work -= len(n_values) * sum(k_values)
-    if work > MAX_EVALUATE_WORK:
-        raise ValueError(
-            f"--n-grid ({len(n_values)} values) by --k-grid ({len(k_values)} values) "
-            f"on {rows} rows takes {work} steps, more than {MAX_EVALUATE_WORK}"
-        )
-
-
 def _load_fitted(args) -> FittedModel:
     from .pipeline import FittedModel, StandardizationParams
 
@@ -150,7 +152,6 @@ def _load_fitted(args) -> FittedModel:
 def cmd_simulate(args) -> dict:
     from .simulate import empirical_covariances, sample, trajectory_to_csv
 
-    _require_at_least("--n", args.n, 2)  # the summary's lag-one covariances
     traj = sample(load_params(args.params), args.n, args.seed)
     covariances = empirical_covariances(traj.x, traj.y).to_dict()
     _atomic_write(Path(args.output), lambda fh: trajectory_to_csv(traj, fh))
@@ -181,8 +182,8 @@ def cmd_theoretical_mse(args) -> dict:
     default = f"the {args.preset} preset's" if args.preset else "the default"
     # An empty --n-grid= is a malformed grid, not the default one.
     n_values, k_values = check_grid(
-        n_values if args.n_grid is None else _parse_grid("--n-grid", args.n_grid),
-        k_values if args.k_grid is None else _parse_grid("--k-grid", args.k_grid),
+        n_values if args.n_grid is None else _parse_grid("--n-grid", args.n_grid, 1),
+        k_values if args.k_grid is None else _parse_grid("--k-grid", args.k_grid, 0),
         (f"{default} n grid" if args.n_grid is None else "--n-grid",
          f"{default} k grid" if args.k_grid is None else "--k-grid"),
     )
@@ -210,24 +211,9 @@ def cmd_fit(args) -> dict:
         periods = DEFAULT_PERIODS if args.periods is None else _parse_periods(args.periods)
         detrend_model = fit_detrend(y, periods)
         y = detrend(y, detrend_model)
-    if args.window:
-        try:
-            lo, hi = (int(v) for v in args.window.split(":", 1))
-        except ValueError:
-            raise ValueError(
-                f"--window needs start:end row indices, got {args.window!r}"
-            ) from None
-        if not (0 <= lo < hi <= x.size):
-            raise ValueError(f"--window {args.window} out of range for {x.size} rows")
-        window = (lo, hi)
-    else:
-        window = (0, int(x.size))
-    fitted = estimate_params(
-        x[window[0] : window[1]],
-        y[window[0] : window[1]],
-        detrend_model=detrend_model,
-        fit_window=window,
-    )
+    lo, hi = args.window or (0, x.size)
+    check_int(hi, "--window end", lo + 1, x.size)
+    fitted = estimate_params(x[lo:hi], y[lo:hi], detrend_model=detrend_model, fit_window=(lo, hi))
     _atomic_write(Path(args.output), lambda fh: write_json(fh, fitted.to_json_dict()))
     return {
         "output": str(args.output),
@@ -241,14 +227,9 @@ def cmd_forecast(args) -> dict:
     from .filtering import run_filter
     from .pipeline import detrend
 
-    _require_at_least("--n", args.n, 1)
-    _check_values([args.k], "--k", 1)
-    # A negative index would anchor the seasonal phase before the series.
-    _require_at_least("--start-index", args.start_index, 0)
     fitted = _load_fitted(args)
     y = _read_y_column(args.input)
-    if args.n > y.size:
-        raise ValueError(f"--n {args.n} exceeds the {y.size} available observations")
+    check_int(args.n, "--n", 1, y.size)
     tail = y[-args.n :]
     if fitted.detrend is not None:
         offset = args.start_index + (y.size - args.n)
@@ -277,25 +258,19 @@ def cmd_evaluate(args) -> dict:
 
     from .pipeline import FittedModel, detrend, evaluate_grid, read_series_csv
 
-    _require_at_least("--start-index", args.start_index, 0)
-    n_values, k_values = check_grid(
-        _parse_grid("--n-grid", args.n_grid), _parse_grid("--k-grid", args.k_grid),
-        ("--n-grid", "--k-grid"),
-    )
+    names = ("--n-grid", "--k-grid")
+    grids = _parse_grid(names[0], args.n_grid, 1), _parse_grid(names[1], args.k_grid, 0)
     fitted = FittedModel.load(args.model)
     x, y = read_series_csv(args.input)
-    _require_evaluate_work(n_values, k_values, x.size)
     if fitted.detrend is not None:
         y = detrend(y, fitted.detrend, start_index=args.start_index)
     # The fitted model first, so that inadmissible parameters are reported
     # by markov_form's gate rather than by the restriction's |a| < 1 check.
-    mse_pmm = evaluate_grid(fitted, x, y, n_values, k_values)
+    mse_pmm = evaluate_grid(fitted, x, y, *grids, names)
     hmm_restriction = hmm_params(fitted.params.a, fitted.params.b)
     hmm_fitted = dataclasses.replace(fitted, params=hmm_restriction)
-    mse_hmm = evaluate_grid(hmm_fitted, x, y, n_values, k_values)
-    rows = [
-        (n, k, mse_hmm[(n, k)], mse_pmm[(n, k)]) for n in n_values for k in k_values
-    ]
+    mse_hmm = evaluate_grid(hmm_fitted, x, y, *grids, names)
+    rows = [(n, k, mse_hmm[(n, k)], mse_pmm[(n, k)]) for n, k in mse_pmm]
     columns = ("n", "k", "mse_hmm", "mse_pmm")
     _atomic_write(Path(args.output), lambda fh: write_rows(fh, columns, rows))
     return {
@@ -309,7 +284,6 @@ def cmd_evaluate(args) -> dict:
 def cmd_monte_carlo(args) -> dict:
     from .simulate import RNG_ALGORITHM, monte_carlo_mse
 
-    check_grid([args.n], [args.k], ("--n", "--k"))
     p_true = load_params(args.params)
     p_fc = load_params(args.forecaster_params) if args.forecaster_params else p_true
     mse, stderr = monte_carlo_mse(p_true, p_fc, args.n, args.k, args.reps, args.seed)
@@ -330,7 +304,6 @@ def cmd_oracle(args) -> dict:
     from .filtering import run_filter
     from .oracle import oracle_forecast
 
-    _require_at_least("--n", args.n, 1)
     params = load_params(args.params)
     y = _read_y_column(args.input)[: args.n]
     if y.size < args.n:
@@ -349,6 +322,35 @@ def cmd_oracle(args) -> dict:
         "recursive": {"mean": recursive.mean, "variance": recursive.variance},
         "theoretical_mse": theoretical_mse_pmm(params, args.n, args.k),
     }
+
+
+class _Integer(argparse.Action):
+    """An integer flag by ``_parse_int``, in low..high by ``check_int``; its
+    errors name the flag and reach ``main`` as they are, not as usage text."""
+
+    def __init__(self, *args, low: int = 0, high: int | None = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.low, self.high = low, high
+
+    def __call__(self, parser, namespace, text, flag=None):
+        try:
+            value = _parse_int(text)
+        except ValueError:
+            raise ValueError(f"{flag} must be an integer, got {text!r}") from None
+        setattr(namespace, self.dest, check_int(value, flag, self.low, self.high))
+
+
+class _Window(_Integer):
+    """``start:end``, each end by ``_Integer``'s rule, with low <= start < end."""
+
+    def __call__(self, parser, namespace, text, flag=None):
+        lo, _, hi = text.partition(":")
+        try:
+            lo, hi = _parse_int(lo), _parse_int(hi)
+        except ValueError:
+            raise ValueError(f"{flag} needs start:end row indices, got {text!r}") from None
+        lo = check_int(lo, f"{flag} start", self.low)
+        setattr(namespace, self.dest, (lo, check_int(hi, f"{flag} end", lo + 1)))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -379,8 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample a trajectory to CSV (t,x,y)")
     p.add_argument("--params", required=True, help="parameter JSON file")
-    p.add_argument("--n", type=int, required=True, help="number of steps")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", action=_Integer, low=2, high=MAX_SIMULATE_STEPS, required=True,
+                   help="number of steps, at least 2 for the lag-one covariances")
+    p.add_argument("--seed", action=_Integer, default=0)
     p.add_argument("--output", required=True, help="trajectory CSV path")
     p.set_defaults(func=cmd_simulate)
 
@@ -405,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         # pipeline.DEFAULT_PERIODS, spelled out: pipeline loads numpy.
         help="two harmonic periods in samples, with --detrend (default 24,8772)",
     )
-    p.add_argument("--window", help="fit window start:end (row indices, end exclusive)")
+    p.add_argument("--window", action=_Window, help="fit window start:end (rows, end exclusive)")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("forecast", help="forecast from the last n observations")
@@ -413,15 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--model", help="fitted-model JSON")
     source.add_argument("--params", help="bare parameter JSON (no standardization)")
     p.add_argument("--input", required=True, help="CSV with a y column")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", action=_Integer, low=1, required=True)
+    p.add_argument("--k", action=_Integer, low=1, high=MAX_GRID_POINTS, required=True)
     p.add_argument("--horizon-path", action="store_true", help="emit horizons 1..k")
-    p.add_argument(
-        "--start-index",
-        type=int,
-        default=0,
-        help="absolute index of the input's first row (anchors the seasonal phase)",
-    )
+    # A negative index would anchor the seasonal phase before the series.
+    p.add_argument("--start-index", action=_Integer, high=MAX_INDEX, default=0,
+                   help="absolute index of the input's first row (anchors the seasonal phase)")
     p.add_argument("--output", help="optional CSV output")
     p.set_defaults(func=cmd_forecast)
 
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="test CSV with x,y columns")
     p.add_argument("--n-grid", required=True)
     p.add_argument("--k-grid", required=True)
-    p.add_argument("--start-index", type=int, default=0)
+    p.add_argument("--start-index", action=_Integer, high=MAX_INDEX, default=0)
     p.add_argument("--output", required=True, help="table CSV (n,k,mse_hmm,mse_pmm)")
     p.set_defaults(func=cmd_evaluate)
 
@@ -445,10 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--forecaster-params",
         help="forecaster parameter JSON (defaults to the true model)",
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--reps", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", action=_Integer, low=1, high=MAX_GRID_POINTS, required=True)
+    p.add_argument("--k", action=_Integer, high=MAX_GRID_POINTS, required=True)
+    p.add_argument("--reps", action=_Integer, low=100, high=MAX_REPLICATES, default=10_000)
+    p.add_argument("--seed", action=_Integer, default=0)
     p.set_defaults(func=cmd_monte_carlo)
 
     # Debugging aid, hidden from usage: exact joint-covariance conditioning
@@ -456,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle")
     p.add_argument("--params", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--n", action=_Integer, low=1, high=MAX_GRID_POINTS, required=True)
+    p.add_argument("--k", action=_Integer, high=MAX_GRID_POINTS, default=0)
     p.set_defaults(func=cmd_oracle)
 
     return parser

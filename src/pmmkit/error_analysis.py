@@ -53,7 +53,7 @@ from itertools import islice
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .forecasting import check_grid, horizon_terms
+from .forecasting import check_grid, check_int, horizon_terms
 from .io import write_rows
 from .model import InvalidModelError, PmmParams, TransitionModel, is_hmm, markov_form
 from .riccati import _riccati_step, orbit
@@ -106,8 +106,7 @@ def observation_covariance(m: TransitionModel, b: float, n: int) -> np.ndarray:
     """
     import numpy as np
 
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = check_int(n, "n", 1)
     A = np.array(m.A)
     lag_cov = np.empty(n)
     power = np.eye(2)

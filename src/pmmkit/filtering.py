@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels_py as kernels
+from .forecasting import check_int
 from .model import PmmParams, TransitionModel
 from .riccati import _riccati_step, orbit
 
@@ -77,8 +78,7 @@ def run_filter(m: TransitionModel, ys) -> FilterState:
 
 
 def _variance_and_gains(m: TransitionModel, n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = check_int(n, "n", 1)
     # Entry i holds step i + 1's (G, P); step 1's G is None, a NaN dropped.
     gains = np.empty(n)
     variances = np.empty(n)

@@ -15,6 +15,8 @@ sliding-window evaluation and the Monte Carlo read the forecaster's (xx, xy).
 
 from __future__ import annotations
 
+import numbers
+import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .model import TransitionModel
@@ -22,12 +24,22 @@ from .model import TransitionModel
 if TYPE_CHECKING:  # filtering loads numpy; this module does not
     from .filtering import FilterState
 
-__all__ = ["MAX_GRID_POINTS", "ForecastResult", "check_grid", "forecast",
-           "forecast_path", "horizon_terms"]
+__all__ = ["MAX_GRID_POINTS", "MAX_INDEX", "MAX_REPLICATES", "MAX_SIMULATE_STEPS",
+           "ForecastResult", "check_grid", "check_int", "forecast", "forecast_path",
+           "horizon_terms"]
 
 # The largest n or k, and the most (n, k) points, of a grid: each can cost
 # time linear in it (the k-step map; the Riccati passes until they cycle).
 MAX_GRID_POINTS = 10**6
+# The most steps of one simulated trajectory: 3.3 s and an 878 MB peak for
+# ``simulate`` at 10^7 on a 2-vCPU Xeon VM, linear in the steps.
+MAX_SIMULATE_STEPS = 10**7
+# The most Monte Carlo replicates: 14 s and a 341 MB peak for
+# ``monte-carlo --n 50 --k 5`` at 10^7 on the same VM, linear in reps.
+MAX_REPLICATES = 10**7
+# The largest 1-based sample index of a seasonal phase: every integer up to
+# 2^53 is a float, and past it neighbouring indices round to one float.
+MAX_INDEX = 2**53
 
 
 class ForecastResult(NamedTuple):
@@ -38,30 +50,35 @@ class ForecastResult(NamedTuple):
     variance: float
 
 
-def _check_values(values, name: str, low: int) -> list[int]:
-    """``values`` as ints in the order given; ValueError naming ``name`` if
-    they are none, repeat one or hold one outside low..MAX_GRID_POINTS."""
-    values = [int(v) for v in values]
-    if not values:
-        raise ValueError(f"{name} is an empty grid")
-    seen: set[int] = set()
-    if (repeat := next((v for v in values if v in seen or seen.add(v)), None)) is not None:
-        raise ValueError(f"{name} repeats the value {repeat}")
-    if (lo := min(values)) < low:
-        raise ValueError(f"{name} must be >= {low}, got {lo}")
-    if (hi := max(values)) > MAX_GRID_POINTS:
-        raise ValueError(f"{name} must be <= {MAX_GRID_POINTS}, got {hi}")
-    return values
+def check_int(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int by ``operator.index``, the one rule for a count:
+    an int (tested first; the ABC check is slow) or a numpy integer.  A bool,
+    float or other value, or one outside low..high, raises ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    value = operator.index(value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
+    return value
 
 
 def check_grid(n_values, k_values, names=("n_values", "k_values")) -> tuple[list, list]:
     """The n and k grids as lists of ints, in the order given: the one rule
     for a grid.  ValueError names, by ``names``, a grid that is empty,
-    repeats a value or holds one outside 1..MAX_GRID_POINTS (n) or
-    0..MAX_GRID_POINTS (k), or both past MAX_GRID_POINTS (n, k) points."""
-    n_name, k_name = names
-    n_values = _check_values(n_values, n_name, 1)
-    k_values = _check_values(k_values, k_name, 0)
+    repeats a value or holds one ``check_int`` rejects in 1..MAX_GRID_POINTS
+    (n) or 0..MAX_GRID_POINTS (k), or both past MAX_GRID_POINTS (n, k) points."""
+    grids = []
+    for values, name, low in zip((n_values, k_values), names, (1, 0)):
+        values = [check_int(v, name, low, MAX_GRID_POINTS) for v in values]
+        if not values:
+            raise ValueError(f"{name} is an empty grid")
+        seen: set[int] = set()
+        if (repeat := next((v for v in values if v in seen or seen.add(v)), None)) is not None:
+            raise ValueError(f"{name} repeats the value {repeat}")
+        grids.append(values)
+    (n_name, k_name), (n_values, k_values) = names, grids
     if (points := len(n_values) * len(k_values)) > MAX_GRID_POINTS:
         raise ValueError(
             f"{n_name} ({len(n_values)} values) by {k_name} ({len(k_values)} values) "
@@ -109,15 +126,12 @@ def forecast_path(
 ) -> list[ForecastResult]:
     """The predictive law at every horizon k = 1..k_max, in one O(k_max)
     pass."""
-    if k_max < 1:
-        raise ValueError(f"forecast horizon must be >= 1, got {k_max}")
+    k_max = check_int(k_max, "k_max", 1, MAX_GRID_POINTS)
     return _predict(s, m, range(1, k_max + 1))
 
 
 def forecast(s: FilterState, m: TransitionModel, k: int) -> ForecastResult:
     """Predictive mean and variance of X_{n+k} given Y_1:n: entry k of
     ``forecast_path``, bit for bit, without keeping the other horizons."""
-    if k < 1:
-        raise ValueError(f"forecast horizon must be >= 1, got {k}")
-    [result] = _predict(s, m, [k])
+    [result] = _predict(s, m, [check_int(k, "k", 1, MAX_GRID_POINTS)])
     return result

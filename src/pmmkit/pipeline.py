@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .filtering import filter_coefficients
-from .forecasting import check_grid, horizon_terms
+from .forecasting import MAX_INDEX, check_grid, check_int, horizon_terms
 from .io import atomic_write, finite_number, read_columns, read_json, write_json
 from .model import PmmParams, markov_form, validate
 from .simulate import empirical_covariances
@@ -49,6 +49,12 @@ DEFAULT_PERIODS = (24.0, 8772.0)
 # Bisection tolerance for the shrink factor used to repair an inadmissible
 # empirical estimate.
 REPAIR_TOL = 1e-6
+
+# Most steps one evaluate_grid pass may take, from the row count: filter
+# means sum_n n (rows - n + 1) plus squared errors
+# sum_{n,k} (rows - n - k + 1) = sum_n |k| (rows - n + 1) - |n| sum_k k.
+# Both passes take about 9 ns a step on a 2-vCPU Xeon VM, 18 s at the bound.
+MAX_EVALUATE_WORK = 2 * 10**9
 
 
 @dataclass(frozen=True)
@@ -132,13 +138,10 @@ class FittedModel:
                 sigma=_number(d.get("sigma"), "detrend.sigma"),
             )
         window = doc.get("fit_window")
-        # JSON's true and false are Python ints; they are no row index.
-        if window is not None and not (
-            isinstance(window, list)
-            and len(window) == 2
-            and all(type(v) is int for v in window)
-        ):
-            raise ValueError(f"fitted model: fit_window must be two integers, got {window!r}")
+        if window is not None:
+            if not (isinstance(window, list) and len(window) == 2):
+                raise ValueError(f"fitted model: fit_window must be two integers, got {window!r}")
+            window = tuple(check_int(v, "fitted model: fit_window", 0) for v in window)
         repaired = doc.get("repaired", False)
         if not isinstance(repaired, bool):
             raise ValueError(f"fitted model: repaired must be true or false, got {repaired!r}")
@@ -147,7 +150,7 @@ class FittedModel:
             x_standardize=_moments(doc, "x_standardize"),
             y_standardize=_moments(doc, "y_standardize"),
             detrend=det,
-            fit_window=None if window is None else tuple(window),
+            fit_window=window,
             repaired=repaired,
         )
 
@@ -187,6 +190,9 @@ def _moments(doc: dict, key: str) -> StandardizationParams:
 
 
 def _design_matrix(start_index: int, count: int, periods) -> np.ndarray:
+    # The last row's 1-based index must be a float exactly; see MAX_INDEX.
+    last = check_int(start_index, "start_index", 0) + count
+    check_int(last, "start_index + rows", 0, MAX_INDEX)
     i = np.arange(start_index + 1, start_index + count + 1, dtype=float)
     p1, p2 = periods
     return np.column_stack(
@@ -330,8 +336,20 @@ def evaluate(model: FittedModel, x_test, y_test, n: int, k: int) -> float:
     return evaluate_grid(model, x_test, y_test, [n], [k])[(n, k)]
 
 
+def _require_work(n_values, k_values, rows: int, names) -> None:
+    """ValueError naming both grids and the row count if the steps
+    ``_window_errors`` takes exceed MAX_EVALUATE_WORK."""
+    work = sum((n + len(k_values)) * (rows - n + 1) for n in n_values)
+    work -= len(n_values) * sum(k_values)
+    if work > MAX_EVALUATE_WORK:
+        raise ValueError(
+            f"{names[0]} ({len(n_values)} values) by {names[1]} ({len(k_values)} values) "
+            f"on {rows} rows takes {work} steps, more than {MAX_EVALUATE_WORK}"
+        )
+
+
 def evaluate_grid(
-    model: FittedModel, x_test, y_test, n_values, k_values
+    model: FittedModel, x_test, y_test, n_values, k_values, names=("n_values", "k_values")
 ) -> dict[tuple[int, int], float]:
     """Standardized mean squared error over all sliding (n, k) windows, for
     every (n, k) of the grid, sharing each n's filter means across all k.
@@ -339,8 +357,12 @@ def evaluate_grid(
     Window i filters the standardized observations y[i:i+n] and predicts
     the standardized x at offset i+n-1+k; windows slide by one.  Inputs are
     expected already detrended when the model carries a seasonal fit.
+    Before any filter work, the grid goes through ``check_grid`` and its
+    steps, counted from the row count, through MAX_EVALUATE_WORK; errors
+    name the grids by ``names``.
     """
-    n_values, k_values = check_grid(n_values, k_values)
+    n_values, k_values = check_grid(n_values, k_values, names)
+    _require_work(n_values, k_values, np.size(x_test), names)
     return {
         (n, k): float(errors.mean())
         for n, k, errors in _window_errors(model, x_test, y_test, n_values, k_values)

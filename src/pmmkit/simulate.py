@@ -25,7 +25,9 @@ import numpy as np
 
 from . import _kernels_py as kernels
 from .filtering import filter_coefficients
-from .forecasting import check_grid, horizon_terms
+from .forecasting import (
+    MAX_REPLICATES, MAX_SIMULATE_STEPS, check_grid, check_int, horizon_terms,
+)
 from .io import write_numbered_floats
 from .model import Matrix2, PmmParams, TransitionModel, markov_form
 
@@ -76,15 +78,13 @@ def _chol2(mat: Matrix2) -> tuple[float, float, float]:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise ValueError(f"need seed >= 0, got seed={seed}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(check_int(seed, "seed", 0))
 
 
 def sample(p: PmmParams, n_steps: int, seed: int) -> Trajectory:
-    """Simulate ``n_steps`` pairs; deterministic given (p, n_steps, seed)."""
-    if n_steps < 1:
-        raise ValueError(f"need n_steps >= 1, got {n_steps}")
+    """Simulate ``n_steps`` pairs, 1..MAX_SIMULATE_STEPS; deterministic
+    given (p, n_steps, seed)."""
+    n_steps = check_int(n_steps, "n_steps", 1, MAX_SIMULATE_STEPS)
     m = markov_form(p)
     l011, l021, l022 = _chol2(m.marginal)
     lq11, lq21, lq22 = _chol2(m.Q)
@@ -147,7 +147,7 @@ def monte_carlo_mse(
     Each replicate is an independent trajectory of length n + k; the
     forecaster filters the first n observations under its own parameters
     and predicts X_{n+k}.  Returns the mean squared error and its standard
-    error over replicates.
+    error over ``reps`` replicates, 100..MAX_REPLICATES.
 
     The draws are those of simulating every replicate: the first pairs of
     all replicates up front, then each block of replicates
@@ -158,8 +158,7 @@ def monte_carlo_mse(
     equal one large draw bit for bit, so the result does not depend on the
     block size.
     """
-    if reps < 100:
-        raise ValueError(f"need reps >= 100, got {reps}")
+    reps = check_int(reps, "reps", 100, MAX_REPLICATES)
     check_grid([n], [k], ("n", "k"))
     weights = _error_weights(markov_form(p_true), markov_form(forecaster_params), n, k)
     rng = _rng(seed)

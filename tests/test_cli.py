@@ -83,21 +83,22 @@ class TestSimulate:
         rowwise_trajectory_to_csv(sample(FIG2_PARAMS, 20_000, seed=5), want)
         assert out.read_bytes() == want.getvalue().encode("ascii")
 
-    def test_memory_error_is_one_json_line(self, tmp_path, fig2_params_file):
-        # 1e13 steps ask numpy for 146 TiB of noise, more than a 47-bit
-        # address space holds, so the allocation fails at once.
+    def test_memory_error_is_one_json_line(
+        self, tmp_path, fig2_params_file, capsys, monkeypatch
+    ):
+        # --n is bounded below what numpy fails to allocate, so the draw
+        # asks for 2^57 floats (1 EiB), more than a 47-bit address space
+        # holds: numpy's own MemoryError subclass, raised at once.
+        monkeypatch.setattr(pmmkit.simulate, "sample", lambda *args: np.empty(2**57))
         out = tmp_path / "t.csv"
-        proc = _python(
-            ["-m", "pmmkit.cli", "simulate", "--params", str(fig2_params_file),
-             "--n", "10000000000000", "--output", str(out)],
-            tmp_path,
-        )
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        [line] = proc.stderr.splitlines()
+        argv = ["simulate", "--params", fig2_params_file, "--n", 10, "--output", out]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
         err = json.loads(line)
         assert err["error"] == "MemoryError"
-        assert "146" in err["message"]
+        assert "1.00 EiB" in err["message"]
         assert list(tmp_path.iterdir()) == [fig2_params_file]
 
     def test_negative_seed_names_it(self, tmp_path, fig2_params_file, capsys):
@@ -111,7 +112,7 @@ class TestSimulate:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["error"] == "ValueError"
-        assert "seed=-3" in err["message"]
+        assert err["message"] == "--seed must be >= 0, got -3"
         assert list(tmp_path.iterdir()) == [fig2_params_file]
 
     def test_missing_key_names_it(self, tmp_path, capsys):
@@ -863,11 +864,11 @@ class TestGridBound:
                 "--n-grid", "5,20", "--k-grid", "1,3", "--output", out]
         # Filter means 5*56 + 20*41, errors 55 + 53 + 40 + 38 windows.
         work = 5 * 56 + 20 * 41 + 55 + 53 + 40 + 38
-        monkeypatch.setattr(pmmkit.cli, "MAX_EVALUATE_WORK", work)
+        monkeypatch.setattr(pmmkit.pipeline, "MAX_EVALUATE_WORK", work)
         assert run_cli(*argv) == 0
         out.unlink()
         capsys.readouterr()
-        monkeypatch.setattr(pmmkit.cli, "MAX_EVALUATE_WORK", work - 1)
+        monkeypatch.setattr(pmmkit.pipeline, "MAX_EVALUATE_WORK", work - 1)
         assert run_cli(*argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -879,9 +880,10 @@ class TestGridBound:
         assert not out.exists()
 
     def test_work_bound_admits_the_benchmark_grid(self):
-        pmmkit.cli._require_evaluate_work([5, 20, 50], [1, 24, 48], 150_000)
+        names = ("n_values", "k_values")
+        pmmkit.pipeline._require_work([5, 20, 50], [1, 24, 48], 150_000, names)
         with pytest.raises(ValueError, match="on 150000 rows takes 3021297340 steps"):
-            pmmkit.cli._require_evaluate_work(range(1, 21), range(1, 1001), 150_000)
+            pmmkit.pipeline._require_work(range(1, 21), range(1, 1001), 150_000, names)
 
     def test_huge_grid_fails_before_expanding(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
@@ -893,7 +895,7 @@ class TestGridBound:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError):
-                _parse_grid("--k-grid", "0:5,1:1000000000")
+                _parse_grid("--k-grid", "0:5,1:1000000000", 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -905,7 +907,7 @@ class TestGridBound:
     )
     def test_bound_counts_every_part(self, text):
         with pytest.raises(ValueError, match="--n-grid holds 1000001 points"):
-            _parse_grid("--n-grid", text)
+            _parse_grid("--n-grid", text, 1)
 
     # One past the bound on each single horizon or window length; a valid
     # call otherwise, so only the named flag can fail it.
@@ -1018,7 +1020,7 @@ class TestMonteCarlo:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["error"] == "ValueError"
-        assert "seed=-1" in err["message"]
+        assert err["message"] == "--seed must be >= 0, got -1"
         assert list(tmp_path.iterdir()) == [fig2_params_file]
 
     def test_general_forecaster_reports_exact_theory(self, tmp_path, capsys):

@@ -80,7 +80,9 @@ class TestLibrary:
         _assert_names(str(info.value), grid, "n", "k")
 
     def test_ints_in_the_order_given(self):
-        assert check_grid((3, np.int64(1)), [2.0, 0]) == ([3, 1], [2, 0])
+        n_values, k_values = check_grid((3, np.int64(1)), [np.uint8(2), 0])
+        assert (n_values, k_values) == ([3, 1], [2, 0])
+        assert {type(v) for v in n_values + k_values} == {int}
 
     def test_bounds_are_inclusive(self):
         assert check_grid([MAX_GRID_POINTS], [MAX_GRID_POINTS, 0]) == (

@@ -267,6 +267,26 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(model, np.zeros(6), np.zeros(6), 5, 2)
 
+    def test_work_bound_applies_to_library_calls(self, monkeypatch):
+        ident = StandardizationParams(0.0, 1.0)
+        model = FittedModel(params=FIG2_PARAMS, x_standardize=ident, y_standardize=ident)
+        y = np.linspace(-1.0, 1.0, 60)
+        # Filter means 5 * 56, errors 55 + 53 windows.
+        work = 5 * 56 + 55 + 53
+        monkeypatch.setattr(pipeline, "MAX_EVALUATE_WORK", work)
+        assert len(evaluate_grid(model, y, y, [5], [1, 3])) == 2
+        monkeypatch.setattr(pipeline, "MAX_EVALUATE_WORK", work - 1)
+        with pytest.raises(
+            ValueError,
+            match=f"^n_values \\(1 values\\) by k_values \\(2 values\\) on 60 rows takes {work} ",
+        ):
+            evaluate_grid(model, y, y, [5], [1, 3])
+
+    def test_work_bound_importable_from_the_command_line_module(self):
+        import pmmkit.cli
+
+        assert pmmkit.cli.MAX_EVALUATE_WORK == pipeline.MAX_EVALUATE_WORK == 2 * 10**9
+
 
 class TestSerialization:
     def test_round_trip_with_detrend(self, tmp_path):

@@ -97,7 +97,7 @@ class TestReproducibility:
             t.x[0] = 99.0  # frozen
 
     def test_negative_seed_named(self):
-        with pytest.raises(ValueError, match="seed=-3"):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -3$"):
             sample(FIG2_PARAMS, 10, seed=-3)
 
 
@@ -147,7 +147,7 @@ class TestMonteCarloMse:
         assert r1 == r2
 
     def test_negative_seed_named(self):
-        with pytest.raises(ValueError, match="seed=-1"):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             monte_carlo_mse(FIG2_PARAMS, FIG2_PARAMS, 5, 2, 500, seed=-1)
 
     # Fewer than one block, exactly one, one plus a single replicate, and
