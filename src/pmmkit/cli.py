@@ -53,7 +53,7 @@ from .forecasting import (
     MAX_GRID_POINTS, MAX_INDEX, MAX_REPLICATES, MAX_SIMULATE_STEPS,
     check_grid, check_int, forecast, forecast_path,
 )
-from .io import atomic_write, read_columns, write_json, write_rows
+from .io import _is_number, atomic_write, read_columns, write_json, write_rows
 from .model import (
     PmmError,
     hmm_params,
@@ -124,13 +124,11 @@ def _parse_grid(flag: str, text: str, low: int) -> list[int]:
 
 
 def _parse_periods(text: str) -> tuple[float, float]:
-    try:
-        p1, p2 = (float(v) for v in text.split(","))
-    except ValueError:
-        raise ValueError(
-            f"--periods needs two comma-separated numbers, got {text!r}"
-        ) from None
-    return p1, p2
+    """Two numbers by the CSV field rule, ``io._is_number``."""
+    parts = text.split(",")
+    if len(parts) != 2 or not all(map(_is_number, parts)):
+        raise ValueError(f"--periods needs two comma-separated numbers, got {text!r}")
+    return float(parts[0]), float(parts[1])
 
 
 def _read_y_column(path: str) -> np.ndarray:
@@ -286,7 +284,9 @@ def cmd_monte_carlo(args) -> dict:
 
     p_true = load_params(args.params)
     p_fc = load_params(args.forecaster_params) if args.forecaster_params else p_true
-    mse, stderr = monte_carlo_mse(p_true, p_fc, args.n, args.k, args.reps, args.seed)
+    mse, stderr = monte_carlo_mse(
+        p_true, p_fc, args.n, args.k, args.reps, args.seed, ("--reps", "--n", "--k")
+    )
     theory = forecaster_mse(p_true, p_fc, [args.n], [args.k])[(args.n, args.k)]
     return {
         "n": args.n,
@@ -305,9 +305,8 @@ def cmd_oracle(args) -> dict:
     from .oracle import oracle_forecast
 
     params = load_params(args.params)
-    y = _read_y_column(args.input)[: args.n]
-    if y.size < args.n:
-        raise ValueError(f"input has fewer than {args.n} observations")
+    y = _read_y_column(args.input)
+    y = y[: check_int(args.n, "--n", 1, y.size)]
     # The filter state (the forecast at k = 0) or the k-step forecast, both
     # with mean and variance.
     mean, variance = oracle_forecast(params, y, args.k)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels_py as kernels
-from .forecasting import check_int
+from .forecasting import check_int, check_series
 from .model import PmmParams, TransitionModel
 from .riccati import _riccati_step, orbit
 
@@ -65,9 +65,7 @@ def run_filter(m: TransitionModel, ys) -> FilterState:
     is the last term of the model's variance recursion.  Both match
     filter_init followed by filter_step over ys[1:].
     """
-    ys = np.asarray(ys, dtype=float)
-    if ys.ndim != 1 or ys.size < 1:
-        raise ValueError("need a 1-d sequence with at least one observation")
+    ys = check_series(ys, "ys", 1)
     variances, gains = _variance_and_gains(m, ys.size)
     return FilterState(
         n=ys.size,

@@ -24,9 +24,9 @@ from .model import TransitionModel
 if TYPE_CHECKING:  # filtering loads numpy; this module does not
     from .filtering import FilterState
 
-__all__ = ["MAX_GRID_POINTS", "MAX_INDEX", "MAX_REPLICATES", "MAX_SIMULATE_STEPS",
-           "ForecastResult", "check_grid", "check_int", "forecast", "forecast_path",
-           "horizon_terms"]
+__all__ = ["MAX_GRID_POINTS", "MAX_INDEX", "MAX_REPLICATES", "MAX_REPLICATE_STEPS",
+           "MAX_SIMULATE_STEPS", "ForecastResult", "check_grid", "check_int",
+           "check_series", "forecast", "forecast_path", "horizon_terms"]
 
 # The largest n or k, and the most (n, k) points, of a grid: each can cost
 # time linear in it (the k-step map; the Riccati passes until they cycle).
@@ -37,6 +37,10 @@ MAX_SIMULATE_STEPS = 10**7
 # The most Monte Carlo replicates: 14 s and a 341 MB peak for
 # ``monte-carlo --n 50 --k 5`` at 10^7 on the same VM, linear in reps.
 MAX_REPLICATES = 10**7
+# The most replicate-steps, reps * (n + k), of one Monte Carlo: at the bound
+# 14 s for n + k = 60 and 41 s for n + k = 2 * 10^6 (24 and 68 ns a
+# replicate-step) on the same VM.
+MAX_REPLICATE_STEPS = 6 * 10**8
 # The largest 1-based sample index of a seasonal phase: every integer up to
 # 2^53 is a float, and past it neighbouring indices round to one float.
 MAX_INDEX = 2**53
@@ -62,6 +66,22 @@ def check_int(value, name: str, low: int, high: int | None = None) -> int:
     if high is not None and value > high:
         raise ValueError(f"{name} must be <= {high}, got {value}")
     return value
+
+
+def check_series(values, name: str, low: int, high: int | None = None) -> "np.ndarray":
+    """``values`` as a 1-d float array, the one rule for a series.  One that
+    is not 1-d, holds a NaN or an infinity, or has a length ``check_int``
+    rejects in low..high, raises ValueError naming ``name``."""
+    import numpy as np  # here, so that the theory path loads no numpy
+
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"{name} must be a 1-d series, got shape {x.shape}")
+    if not (finite := np.isfinite(x)).all():
+        i = int(finite.argmin())
+        raise ValueError(f"{name} must be finite, got {x[i]} at index {i}")
+    check_int(x.size, f"length of {name}", low, high)
+    return x
 
 
 def check_grid(n_values, k_values, names=("n_values", "k_values")) -> tuple[list, list]:

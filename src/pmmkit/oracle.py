@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forecasting import check_grid
+from .forecasting import check_grid, check_series
 from .model import InvalidModelError, PmmParams, markov_form
 
 __all__ = [
@@ -115,7 +115,7 @@ def oracle_filter(p: PmmParams, ys) -> tuple[float, float]:
 
 def oracle_forecast(p: PmmParams, ys, k: int) -> tuple[float, float]:
     """Exact E[X_{n+k} | Y_1:n] and its variance by joint conditioning."""
-    ys = np.asarray(ys, dtype=float)
+    ys = check_series(ys, "ys", 1)
     n = ys.size
     joint = build_joint(p, n, k)
     w, var = conditional(

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .filtering import filter_coefficients
-from .forecasting import MAX_INDEX, check_grid, check_int, horizon_terms
+from .forecasting import MAX_INDEX, check_grid, check_int, check_series, horizon_terms
 from .io import atomic_write, finite_number, read_columns, read_json, write_json
 from .model import PmmParams, markov_form, validate
 from .simulate import empirical_covariances
@@ -208,9 +208,7 @@ def _design_matrix(start_index: int, count: int, periods) -> np.ndarray:
 
 def fit_detrend(y, periods=DEFAULT_PERIODS) -> DetrendModel:
     """Least-squares fit of the harmonic seasonal component."""
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size <= 5:
-        raise ValueError("need a 1-d series longer than 5 points")
+    y = check_series(y, "y", 6)
     p1, p2 = float(periods[0]), float(periods[1])
     # Written so that nan fails too: a nan period would reach LAPACK as a
     # nan design matrix.
@@ -240,7 +238,7 @@ def seasonal_values(d: DetrendModel, start_index: int, count: int) -> np.ndarray
 def detrend(y, d: DetrendModel, start_index: int = 0) -> np.ndarray:
     """Subtract the seasonal component; ``start_index`` anchors the phase
     when ``y`` is a slice out of a longer series."""
-    y = np.asarray(y, dtype=float)
+    y = check_series(y, "y", 0)
     return y - seasonal_values(d, start_index, y.size)
 
 
@@ -258,12 +256,8 @@ def estimate_params(
     ``fit_window`` are carried through as metadata only; detrending is the
     caller's step.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size:
-        raise ValueError("series lengths differ")
-    if x.size < 30:
-        raise ValueError(f"need at least 30 points to estimate, got {x.size}")
+    x = check_series(x, "x", 30)
+    y = check_series(y, "y", x.size, x.size)
     x_stats = _standardization(x, "x")
     y_stats = _standardization(y, "y")
     raw = empirical_covariances(x_stats.apply(x), y_stats.apply(y))
@@ -305,20 +299,10 @@ def _standardization(values: np.ndarray, name: str) -> StandardizationParams:
 
 def _window_errors(model: FittedModel, x_test, y_test, n_values, k_values):
     """Yield (n, k, squared errors of every sliding (n, k) window) over the
-    grid; the filter means of each n are computed once, and every k's
-    horizon coefficients come from one ``horizon_terms`` pass."""
-    x_test = np.asarray(x_test, dtype=float)
-    y_test = np.asarray(y_test, dtype=float)
-    if x_test.size != y_test.size:
-        raise ValueError("series lengths differ")
+    grid and series ``evaluate_grid`` checked; each n's filter means are
+    computed once, and every k's horizon coefficients come from one pass."""
     x_std = model.x_standardize.apply(x_test)
     y_std = model.y_standardize.apply(y_test)
-    # The longest window stands for the grid.
-    n, k = max(n_values), max(k_values)
-    if x_test.size - n - k + 1 < 1:
-        raise ValueError(
-            f"test series of length {x_test.size} has no complete (n={n}, k={k}) window"
-        )
     m = markov_form(model.params)
     terms = horizon_terms(m, k_values)
     for n in n_values:
@@ -362,7 +346,11 @@ def evaluate_grid(
     name the grids by ``names``.
     """
     n_values, k_values = check_grid(n_values, k_values, names)
-    _require_work(n_values, k_values, np.size(x_test), names)
+    # The longest window, n + k rows, stands for the grid.
+    n, k = max(n_values), max(k_values)
+    x_test = check_series(x_test, f"x_test (longest window n={n}, k={k})", n + k)
+    y_test = check_series(y_test, "y_test", x_test.size, x_test.size)
+    _require_work(n_values, k_values, x_test.size, names)
     return {
         (n, k): float(errors.mean())
         for n, k, errors in _window_errors(model, x_test, y_test, n_values, k_values)

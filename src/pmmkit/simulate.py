@@ -26,7 +26,8 @@ import numpy as np
 from . import _kernels_py as kernels
 from .filtering import filter_coefficients
 from .forecasting import (
-    MAX_REPLICATES, MAX_SIMULATE_STEPS, check_grid, check_int, horizon_terms,
+    MAX_REPLICATE_STEPS, MAX_REPLICATES, MAX_SIMULATE_STEPS, check_grid, check_int,
+    check_series, horizon_terms,
 )
 from .io import write_numbered_floats
 from .model import Matrix2, PmmParams, TransitionModel, markov_form
@@ -45,7 +46,8 @@ RNG_ALGORITHM = "numpy-pcg64"
 # 1 MB at 50 steps, so it stays in cache.
 REPLICATE_CHUNK = 1024
 # Most replicates times steps in one block: 16 bytes each for the noise, so
-# about 16 MB at any n + k.
+# at most about 16 MB while n + k <= 2^20; past that a block is one
+# replicate, whose noise takes 16 (n + k) bytes.
 BLOCK_STEPS = 2**20
 
 
@@ -141,13 +143,16 @@ def monte_carlo_mse(
     k: int,
     reps: int,
     seed: int,
+    names=("reps", "n", "k"),
 ) -> tuple[float, float]:
     """Empirical MSE of a forecaster on data simulated from ``p_true``.
 
     Each replicate is an independent trajectory of length n + k; the
     forecaster filters the first n observations under its own parameters
     and predicts X_{n+k}.  Returns the mean squared error and its standard
-    error over ``reps`` replicates, 100..MAX_REPLICATES.
+    error over ``reps`` replicates, 100..MAX_REPLICATES.  Before any draw,
+    reps * (n + k) is bounded by MAX_REPLICATE_STEPS; errors name reps, n
+    and k by ``names``.
 
     The draws are those of simulating every replicate: the first pairs of
     all replicates up front, then each block of replicates
@@ -158,8 +163,13 @@ def monte_carlo_mse(
     equal one large draw bit for bit, so the result does not depend on the
     block size.
     """
-    reps = check_int(reps, "reps", 100, MAX_REPLICATES)
-    check_grid([n], [k], ("n", "k"))
+    reps = check_int(reps, names[0], 100, MAX_REPLICATES)
+    check_grid([n], [k], names[1:])
+    if (steps := reps * (n + k)) > MAX_REPLICATE_STEPS:
+        raise ValueError(
+            f"{names[0]} ({reps}) times {names[1]} + {names[2]} ({n + k}) is {steps} "
+            f"replicate-steps, more than {MAX_REPLICATE_STEPS}"
+        )
     weights = _error_weights(markov_form(p_true), markov_form(forecaster_params), n, k)
     rng = _rng(seed)
     e0 = rng.standard_normal((reps, 2))
@@ -186,10 +196,8 @@ def empirical_covariances(x, y) -> PmmParams:
     which holds for simulated paths by construction; the fitting pipeline
     standardizes before calling this.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size != y.size or x.size < 2:
-        raise ValueError("need equal-length series with at least two points")
+    x = check_series(x, "x", 2)
+    y = check_series(y, "y", x.size, x.size)
     denom = x.size - 1
     return PmmParams(
         a=float(x[:-1] @ x[1:]) / denom,

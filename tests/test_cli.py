@@ -1084,7 +1084,7 @@ class TestOracleSubcommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err) == {
-            "error": "ValueError", "message": "input has fewer than 4 observations",
+            "error": "ValueError", "message": "--n must be <= 3, got 4",
         }
 
 
@@ -1176,6 +1176,24 @@ def test_bad_periods_one_json_line(tmp_path, periods, detail):
     error = json.loads(line)
     assert error["error"] == "ValueError" and detail in error["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]
+
+
+@pytest.mark.parametrize("periods", ["2_4,8772", "\uff12\uff14,8772", "24,8_772", "24,8772,"])
+def test_periods_by_the_csv_number_rule(tmp_path, capsys, periods):
+    # float() reads "2_4" and full-width digits as 24; a CSV field may not.
+    t = sample(FIG2_PARAMS, 200, seed=11)
+    write_series_csv(tmp_path / "s.csv", t.x, t.y)
+    out = tmp_path / "m.json"
+    argv = ["fit", "--input", tmp_path / "s.csv", "--output", out, "--detrend"]
+    assert run_cli(*argv, "--periods", "24,8772") == 0
+    out.unlink()
+    capsys.readouterr()
+    assert run_cli(*argv, "--periods", periods) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError",
+        "message": f"--periods needs two comma-separated numbers, got {periods!r}",
+    }
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

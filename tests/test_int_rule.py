@@ -26,6 +26,7 @@ from pmmkit.cli import _Integer, _Window, build_parser, main
 from pmmkit.error_analysis import observation_covariance
 from pmmkit.forecasting import (
     MAX_INDEX,
+    MAX_REPLICATE_STEPS,
     MAX_REPLICATES,
     MAX_SIMULATE_STEPS,
     check_int,
@@ -202,6 +203,19 @@ def test_flag_messages(tmp_path, capsys, command, flag, text, message):
     assert main([*calls[command], flag, text]) == 1
     assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
     assert list(out.iterdir()) == []
+
+
+def test_monte_carlo_replicate_steps_name_the_flags(tmp_path, capsys):
+    # Each flag in its range, but 2 * 10^13 replicate-steps together.
+    _, calls = _valid_calls(tmp_path)
+    capsys.readouterr()
+    argv = [*calls["monte-carlo"], "--reps", "10000000", "--n", "1000000", "--k", "1000000"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError",
+        "message": "--reps (10000000) times --n + --k (2000000) is 20000000000000 "
+                   f"replicate-steps, more than {MAX_REPLICATE_STEPS}",
+    }
 
 
 @pytest.mark.parametrize("command", ["forecast", "evaluate"])

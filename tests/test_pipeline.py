@@ -257,8 +257,11 @@ class TestEvaluate:
         ident = StandardizationParams(0.0, 1.0)
         model = FittedModel(params=FIG2_PARAMS, x_standardize=ident, y_standardize=ident)
         n_values, k_values = Counted(range(1, 201)), Counted(range(201))
-        with pytest.raises(ValueError, match=r"length 300 has no complete \(n=200, k=200\)"):
-            next(_window_errors(model, np.zeros(300), np.zeros(300), n_values, k_values))
+        with pytest.raises(
+            ValueError,
+            match=r"^length of x_test \(longest window n=200, k=200\) must be >= 400, got 300$",
+        ):
+            evaluate_grid(model, np.zeros(300), np.zeros(300), n_values, k_values)
         assert Counted.passes <= 4
 
     def test_insufficient_data_rejected(self):

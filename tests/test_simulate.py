@@ -150,6 +150,18 @@ class TestMonteCarloMse:
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             monte_carlo_mse(FIG2_PARAMS, FIG2_PARAMS, 5, 2, 500, seed=-1)
 
+    def test_replicate_steps_bounded_before_any_draw(self, monkeypatch):
+        # 500 replicates of n + k = 7 steps.
+        monkeypatch.setattr(simulate, "MAX_REPLICATE_STEPS", 3500)
+        assert monte_carlo_mse(FIG2_PARAMS, FIG2_PARAMS, 5, 2, 500, seed=1)
+        monkeypatch.setattr(simulate, "MAX_REPLICATE_STEPS", 3499)
+        monkeypatch.setattr(simulate, "_rng", None)  # a draw would fail otherwise
+        with pytest.raises(
+            ValueError,
+            match="^reps \\(500\\) times n \\+ k \\(7\\) is 3500 replicate-steps, more than 3499$",
+        ):
+            monte_carlo_mse(FIG2_PARAMS, FIG2_PARAMS, 5, 2, 500, seed=1)
+
     # Fewer than one block, exactly one, one plus a single replicate, and
     # two full blocks plus a partial one.
     @pytest.mark.parametrize(
