@@ -28,7 +28,7 @@ S_t's (X_t, Y_t) block is the stationary marginal M = [[1, b], [b, 1]]
 at every t, so the pass carries (P_t, s13, s23, s33): the forecaster's
 filter variance, which fixes the next gain, and e_t's covariances with
 X_t, Y_t and itself.  The MSE is then (v1^2 + 2b v1 v2 + v2^2 + noise) +
-v3 (2 (v1 s13 + v2 s23) + v3 s33), its first part summed once per k.
+v3 (2 (v1 s13 + v2 s23) + v3 s33), from the two models' horizon terms.
 The first rows of A^k and A'^k and the noise come from
 ``forecasting.horizon_terms``, one pass up to the largest k per distinct
 model; one pass over n then yields every grid point (the error analysis
@@ -167,20 +167,12 @@ def _augmented_recursion(m: TransitionModel, m_fc: TransitionModel):
     return start, step
 
 
-def _mse_grid(model, forecaster, n_values, k_values) -> dict[tuple[int, int], float]:
-    """MSE(n, k) = v^T S_n v + noise over the grid, keyed in increasing n;
-    ``model`` and ``forecaster`` are (Markov form, horizon terms) pairs."""
-    m, terms = model
-    m_fc, fc_terms = forecaster
-    # Per k: the error weights v on (X_n, Y_n, e_n), and the noise after n
-    # plus v's (X, Y) part, which M fixes.
-    weights = []
-    for k in k_values:
-        xx, xy, noise = terms[k]
-        fc_xx, fc_xy, _ = fc_terms[k]
-        v1, v2 = xx - fc_xx, xy - fc_xy
-        weights.append((k, v1, v2, fc_xx, v1 * v1 + 2.0 * m.b * v1 * v2 + v2 * v2 + noise))
-    out = {}
+def _mse_grid(model, forecaster, n_values, k_values) -> list[float]:
+    """MSE(n, k) = v^T S_n v + noise over the grid, as one flat list: n in
+    increasing order and, for each n, k in ``k_values`` order.  ``model``
+    and ``forecaster`` are (Markov form, horizon terms) pairs."""
+    (m, terms), (m_fc, fc_terms) = model, forecaster
+    out = []
     states = orbit(*_augmented_recursion(m, m_fc))
     t, cycle = 0, []
     for n in sorted(n_values):
@@ -191,8 +183,12 @@ def _mse_grid(model, forecaster, n_values, k_values) -> dict[tuple[int, int], fl
         if t < n:  # the orbit ended on its cycle, which serves n
             state = cycle[(n - t - 1) % len(cycle)]
         _, s13, s23, s33 = state
-        for k, v1, v2, v3, fixed in weights:
-            out[(n, k)] = fixed + v3 * (2.0 * (v1 * s13 + v2 * s23) + v3 * s33)
+        for k in k_values:
+            # v = (xx - xx', xy - xy', xx'); its (X, Y) part and the noise first.
+            (xx, xy, noise), (v3, fc_xy, _) = terms[k], fc_terms[k]
+            v1, v2 = xx - v3, xy - fc_xy
+            fixed = v1 * v1 + 2.0 * m.b * v1 * v2 + v2 * v2 + noise
+            out.append(fixed + v3 * (2.0 * (v1 * s13 + v2 * s23) + v3 * s33))
     return out
 
 
@@ -208,7 +204,8 @@ def forecaster_mse(
     """
     n_values, k_values = check_grid(n_values, k_values)
     horizons = _horizons((p_true, p_fc), k_values)
-    return _mse_grid(horizons[p_true], horizons[p_fc], n_values, k_values)
+    mse = _mse_grid(horizons[p_true], horizons[p_fc], n_values, k_values)
+    return dict(zip(((n, k) for n in sorted(n_values) for k in k_values), mse))
 
 
 def theoretical_mse_pmm(p: PmmParams, n: int, k: int) -> float:
@@ -248,21 +245,20 @@ def mse_sweep(
         label: _mse_grid(horizons[p_true], horizons[p], n_values, k_values)
         for label, p in (("PMM", p_true), ("HMM", p_hmm))
     }
-    if len(k_values) > 1:
+    del horizons  # free the horizon terms before the curves are built
+    # Each n's run of len(k_values) points starts at its offset.
+    width = len(k_values)
+    start = {n: i * width for i, n in enumerate(sorted(n_values))}
+    if width > 1:
         fixed = len(n_values) > 1
         return [
-            MseCurve(
-                label,
-                "k",
-                tuple((k, mse[label][(n, k)]) for k in k_values),
-                {"n": n} if fixed else {},
-            )
+            MseCurve(label, "k", tuple(zip(k_values, mse[label][start[n] : start[n] + width])),
+                     {"n": n} if fixed else {})
             for n in n_values
             for label in ("PMM", "HMM")
         ]
-    k = k_values[0]
     return [
-        MseCurve(label, "n", tuple((n, mse[label][(n, k)]) for n in n_values), {})
+        MseCurve(label, "n", tuple((n, mse[label][start[n]]) for n in n_values), {})
         for label in ("PMM", "HMM")
     ]
 

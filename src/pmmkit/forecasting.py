@@ -70,11 +70,18 @@ def check_int(value, name: str, low: int, high: int | None = None) -> int:
 
 def check_series(values, name: str, low: int, high: int | None = None) -> "np.ndarray":
     """``values`` as a 1-d float array, the one rule for a series.  One that
-    is not 1-d, holds a NaN or an infinity, or has a length ``check_int``
-    rejects in low..high, raises ValueError naming ``name``."""
+    does not hold real numbers (bool, int or float), is not 1-d, holds a NaN
+    or an infinity, or has a length ``check_int`` rejects in low..high,
+    raises ValueError naming ``name``."""
     import numpy as np  # here, so that the theory path loads no numpy
 
-    x = np.asarray(values, dtype=float)
+    try:
+        dtype = (x := np.asarray(values)).dtype
+    except ValueError:  # ragged rows, which numpy holds only as objects
+        dtype = np.dtype(object)
+    if dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be a series of real numbers, got dtype {dtype}")
+    x = x.astype(float, copy=False)
     if x.ndim != 1:
         raise ValueError(f"{name} must be a 1-d series, got shape {x.shape}")
     if not (finite := np.isfinite(x)).all():

@@ -37,10 +37,6 @@ class JointCovariance:
     def __post_init__(self) -> None:
         self.matrix.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def x_index(self, t: int) -> int:
         """Stacked index of X_t (t is 1-based)."""
         total = self.n_observed + self.horizon
@@ -67,27 +63,12 @@ def build_joint(p: PmmParams, n: int, k: int, cap: int = DEFAULT_CAP) -> JointCo
     lags = [np.array(m.marginal)]
     for _ in range(total - 1):
         lags.append(A @ lags[-1])
-
-    def cov(s: int, t: int, row: int, col: int) -> float:
-        # Cov[component row of Z_s, component col of Z_t]
-        if s >= t:
-            return lags[s - t][row, col]
-        return lags[t - s][col, row]
-
-    dim = total + n
-    g = np.empty((dim, dim))
-    for s in range(1, total + 1):
-        for t in range(1, total + 1):
-            g[s - 1, t - 1] = cov(s, t, 0, 0)
-    for s in range(1, total + 1):
-        for t in range(1, n + 1):
-            val = cov(s, t, 0, 1)
-            g[s - 1, total + t - 1] = val
-            g[total + t - 1, s - 1] = val
-    for s in range(1, n + 1):
-        for t in range(1, n + 1):
-            g[total + s - 1, total + t - 1] = cov(s, t, 1, 1)
-    return JointCovariance(n_observed=n, horizon=k, matrix=g)
+    # Cov[Z_s, Z_t] over the pairs, then X_1..X_{n+k}, Y_1..Y_n out of it.
+    pairs = np.block(
+        [[lags[s - t] if s >= t else lags[t - s].T for t in range(total)] for s in range(total)]
+    )
+    order = [2 * t for t in range(total)] + [2 * t + 1 for t in range(n)]
+    return JointCovariance(n_observed=n, horizon=k, matrix=pairs[np.ix_(order, order)])
 
 
 def conditional(

@@ -53,7 +53,9 @@ REPAIR_TOL = 1e-6
 # Most steps one evaluate_grid pass may take, from the row count: filter
 # means sum_n n (rows - n + 1) plus squared errors
 # sum_{n,k} (rows - n - k + 1) = sum_n |k| (rows - n + 1) - |n| sum_k k.
-# Both passes take about 9 ns a step on a 2-vCPU Xeon VM, 18 s at the bound.
+# At 98% of the bound (n 1..57, k 1..200 on 150,000 rows) one pass takes
+# 4.7 s, and `evaluate`, one pass per forecaster, 9.4 s with a 47 MB peak,
+# on a 2-vCPU Xeon VM.
 MAX_EVALUATE_WORK = 2 * 10**9
 
 

@@ -3,8 +3,9 @@ Kalman reference for the hidden-Markov special case, and the step-by-step
 loops, the left-multiplication k-step map, the per-horizon forecast and
 variance recursions, the forecast coefficients, the n x n quadratic form,
 the row-by-row CSV reader and writers, the exact-MSE pass as one numpy
-matrix product per step and the simulate-and-filter Monte Carlo that the
-production paths replaced, kept as references; the production exact-MSE
+matrix product per step, the exact-MSE grid as per-k weights and an (n, k)
+dict, and the simulate-and-filter Monte Carlo that the production paths
+replaced, kept as references; the production exact-MSE
 step, and the 7-entry one it replaced, run to every n without a cycle
 exit; and the blockless form of the production Monte Carlo."""
 
@@ -12,15 +13,22 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import islice
 
 import numpy as np
 
 from pmmkit import PmmParams, filter_coefficients, hmm_params, markov_form, validate
 from pmmkit import _kernels_py as kernels
-from pmmkit.error_analysis import _augmented_recursion, observation_covariance
+from pmmkit.error_analysis import (
+    MseCurve,
+    _augmented_recursion,
+    _horizons,
+    _require_hmm,
+    observation_covariance,
+)
 from pmmkit.filtering import batch_filter_means, filter_variance_sequence
-from pmmkit.forecasting import horizon_terms
-from pmmkit.riccati import _riccati_step
+from pmmkit.forecasting import check_grid, horizon_terms
+from pmmkit.riccati import _riccati_step, orbit
 from pmmkit.simulate import _chol2, _error_weights
 
 
@@ -278,7 +286,7 @@ def _seven_entry_mse(m, state, v1, v2, v3, noise) -> float:
 
 
 def _four_entry_mse(m, state, v1, v2, v3, noise) -> float:
-    # As in error_analysis._mse_grid, operation for operation.
+    # As in error_analysis._mse_grid at each point, operation for operation.
     _, s13, s23, s33 = state
     fixed = v1 * v1 + 2.0 * m.b * v1 * v2 + v2 * v2 + noise
     return fixed + v3 * (2.0 * (v1 * s13 + v2 * s23) + v3 * s33)
@@ -314,6 +322,68 @@ def seven_entry_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_v
     """``forecaster_mse`` over the 7-entry state and its full quadratic
     form, stepped to every n: the pass that the 4-entry one replaced."""
     return _stepped_mse(seven_entry_recursion, _seven_entry_mse, p_true, p_fc, n_values, k_values)
+
+
+def _dict_mse_grid(model, forecaster, n_values, k_values) -> dict:
+    """The exact-MSE grid as it was before the flat list: a 5-tuple of error
+    weights per k, then one (n, k)-keyed dict in increasing n."""
+    m, terms = model
+    m_fc, fc_terms = forecaster
+    weights = []
+    for k in k_values:
+        xx, xy, noise = terms[k]
+        fc_xx, fc_xy, _ = fc_terms[k]
+        v1, v2 = xx - fc_xx, xy - fc_xy
+        weights.append((k, v1, v2, fc_xx, v1 * v1 + 2.0 * m.b * v1 * v2 + v2 * v2 + noise))
+    out = {}
+    states = orbit(*_augmented_recursion(m, m_fc))
+    t, cycle = 0, []
+    for n in sorted(n_values):
+        for state, period in islice(states, n - t):
+            t += 1
+            if period:
+                cycle.append(state)
+        if t < n:
+            state = cycle[(n - t - 1) % len(cycle)]
+        _, s13, s23, s33 = state
+        for k, v1, v2, v3, fixed in weights:
+            out[(n, k)] = fixed + v3 * (2.0 * (v1 * s13 + v2 * s23) + v3 * s33)
+    return out
+
+
+def dict_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) -> dict:
+    """``forecaster_mse`` over the per-k weights and (n, k) dict."""
+    n_values, k_values = check_grid(n_values, k_values)
+    horizons = _horizons((p_true, p_fc), k_values)
+    return _dict_mse_grid(horizons[p_true], horizons[p_fc], n_values, k_values)
+
+
+def dict_mse_sweep(p_true: PmmParams, p_hmm: PmmParams, n_values, k_values) -> list:
+    """``mse_sweep`` with every curve point looked up in an (n, k) dict."""
+    n_values, k_values = check_grid(n_values, k_values)
+    _require_hmm(p_hmm)
+    horizons = _horizons((p_true, p_hmm), k_values)
+    mse = {
+        label: _dict_mse_grid(horizons[p_true], horizons[p], n_values, k_values)
+        for label, p in (("PMM", p_true), ("HMM", p_hmm))
+    }
+    if len(k_values) > 1:
+        fixed = len(n_values) > 1
+        return [
+            MseCurve(
+                label,
+                "k",
+                tuple((k, mse[label][(n, k)]) for k in k_values),
+                {"n": n} if fixed else {},
+            )
+            for n in n_values
+            for label in ("PMM", "HMM")
+        ]
+    k = k_values[0]
+    return [
+        MseCurve(label, "n", tuple((n, mse[label][(n, k)]) for n in n_values), {})
+        for label in ("PMM", "HMM")
+    ]
 
 
 def cycle_entry_and_period(p_true: PmmParams, p_fc: PmmParams) -> tuple[int, int]:

@@ -27,6 +27,8 @@ from helpers import (
     FIG2_PARAMS,
     FOUND_PARAMS,
     cycle_entry_and_period,
+    dict_forecaster_mse,
+    dict_mse_sweep,
     forecast_coefficients,
     lift_forecaster_mse,
     loop_forecaster_mse,
@@ -502,3 +504,61 @@ class TestSweep:
         model, sweep, index, mse = lines[1].split(",")
         assert (model, sweep, index) == ("PMM", "n", "1")
         assert float(mse) == pytest.approx(1 - 0.04, abs=1e-12)
+
+
+class TestFlatPass:
+    """``forecaster_mse`` and ``mse_sweep`` against the per-k weights and
+    (n, k) dicts that the flat list replaced: bit for bit (``repr`` tells
+    every finite float apart, -0.0 included), in key and curve order."""
+
+    GRIDS = [
+        ([9, 2, 30, 5], [4, 0, 7]),  # unsorted
+        ([50, 20, 3, 1], [6, 3, 1]),  # descending
+        ([40, 7, 1, 300], [2]),  # unsorted n sweep
+        ([400, 90, 1], [0]),  # descending n sweep
+        ([12], [5, 0, 9, 1]),  # one n
+        ([3, 1, 8, 200], [0]),  # one k
+        ([4], [0]),
+        (range(1, 31), range(0, 25)),  # dense
+        (range(30, 0, -1), range(24, -1, -1)),  # dense, descending
+    ]
+
+    @staticmethod
+    def assert_same(p_true, p_hmm, n_values, k_values):
+        for p_fc in (p_true, p_hmm):
+            got = forecaster_mse(p_true, p_fc, n_values, k_values)
+            want = dict_forecaster_mse(p_true, p_fc, n_values, k_values)
+            assert repr(list(got.items())) == repr(list(want.items()))
+        got = mse_sweep(p_true, p_hmm, n_values, k_values)
+        assert repr(got) == repr(dict_mse_sweep(p_true, p_hmm, n_values, k_values))
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4", "fig5"])
+    @pytest.mark.parametrize("n_values, k_values", GRIDS)
+    def test_matches_dict_pass_on_presets(self, preset, n_values, k_values):
+        fig = get_preset(preset)
+        self.assert_same(fig.true_params, fig.hmm_reference, n_values, k_values)
+
+    def test_matches_dict_pass_on_random_grids(self):
+        rng = np.random.default_rng(27)
+        for _ in range(40):
+            p_true = FOUND_PARAMS if rng.random() < 0.25 else random_valid_params(rng)
+            n_values = rng.permutation(rng.choice(np.arange(1, 500), rng.integers(1, 12), False))
+            k_values = rng.permutation(rng.choice(np.arange(0, 60), rng.integers(1, 12), False))
+            self.assert_same(p_true, random_hmm(rng), n_values.tolist(), k_values.tolist())
+
+    # fig2 at 5*10^4 points, Python 3.11: the per-k weights and (n, k) dicts
+    # peaked at 46.2 MB and 19.7 MB, the flat lists at 27.4 MB and 9.7 MB.
+    @pytest.mark.parametrize(
+        "n_values, k_values, bound",
+        [(range(100, 101), range(1, 50_001), 35e6), (range(1, 224), range(1, 225), 14e6)],
+    )
+    def test_sweep_peak(self, n_values, k_values, bound):
+        fig = get_preset("fig2")
+        tracemalloc.start()
+        try:
+            curves = mse_sweep(fig.true_params, fig.hmm_reference, n_values, k_values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(c.points) for c in curves) == 2 * len(n_values) * len(k_values)
+        assert peak < bound

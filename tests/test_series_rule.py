@@ -1,9 +1,10 @@
 """One series rule, ``forecasting.check_series``, for every array of
-observations the library takes: a series is 1-d, finite and of a stated
-length, and a bad one raises one ValueError shape naming the argument,
+observations the library takes: a series is real, 1-d, finite and of a
+stated length, and a bad one raises one ValueError shape naming the argument,
 rather than a NaN result or an error from deep inside numpy."""
 
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -75,6 +76,42 @@ class TestCheckSeries:
             check_series(np.zeros(3), "x", 4)
         with pytest.raises(ValueError, match="^length of x must be <= 2, got 3$"):
             check_series(np.zeros(3), "x", 0, 2)
+
+
+    def test_real_kinds_accepted(self):
+        for values in ([True, False], np.array([1, 2], dtype=np.uint8), [2**63, 1]):
+            x = check_series(values, "x", 1)
+            assert x.dtype == np.float64 and x.tolist() == np.asarray(values, float).tolist()
+
+    # Each was parsed, cut to its real part or left to numpy's own error.
+    @pytest.mark.parametrize("values, dtype", [
+        (np.array([1 + 2j, 0.5]), "complex128"),
+        ([1 + 2j, 0.5], "complex128"),
+        (np.array(["0.1", "0.2"]), "<U3"),
+        (["a", "b"], "<U1"),
+        ([[1.0], [2.0, 3.0]], "object"),
+        ([1.0, [2.0]], "object"),
+        ([None, 1.0], "object"),
+        ([Decimal("0.1"), Decimal("0.2")], "object"),
+        ([2**70, 1], "object"),
+        (np.array([1, 2], dtype="datetime64[D]"), "datetime64[D]"),
+    ], ids=["complex-array", "complex-list", "str-array", "str-list", "ragged",
+            "ragged-scalar-first", "none", "decimal", "past-int64", "datetime"])
+    def test_not_real_named(self, values, dtype):
+        with pytest.raises(ValueError, match=f"^x must be a series of real numbers, "
+                                             f"got dtype {re.escape(dtype)}$"):
+            check_series(values, "x", 0)
+
+
+@pytest.mark.parametrize("entry, arg", ARGUMENTS, ids=_ids(ARGUMENTS))
+@pytest.mark.parametrize("form", ["complex", "ragged"])
+def test_not_real_named(entry, arg, form):
+    series = _valid(entry)
+    values = series[arg]
+    series[arg] = values + 0j if form == "complex" else [values[:1], values]
+    dtype = "complex128" if form == "complex" else "object"
+    _raises(entry, series,
+            f"{LABELS.get(arg, arg)} must be a series of real numbers, got dtype {dtype}")
 
 
 NON_FINITE = [(entry, arg, value, where) for entry, arg in ARGUMENTS
