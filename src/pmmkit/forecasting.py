@@ -24,9 +24,9 @@ from .model import TransitionModel
 if TYPE_CHECKING:  # filtering loads numpy; this module does not
     from .filtering import FilterState
 
-__all__ = ["MAX_GRID_POINTS", "MAX_INDEX", "MAX_REPLICATES", "MAX_REPLICATE_STEPS",
-           "MAX_SIMULATE_STEPS", "ForecastResult", "check_grid", "check_int",
-           "check_series", "forecast", "forecast_path", "horizon_terms"]
+__all__ = ["FLOOR", "MAX_GRID_POINTS", "MAX_INDEX", "MAX_REPLICATES",
+           "MAX_REPLICATE_STEPS", "MAX_SIMULATE_STEPS", "ForecastResult", "check_grid",
+           "check_int", "check_series", "forecast", "forecast_path", "horizon_terms"]
 
 # The largest n or k, and the most (n, k) points, of a grid: each can cost
 # time linear in it (the k-step map; the Riccati passes until they cycle).
@@ -34,16 +34,22 @@ MAX_GRID_POINTS = 10**6
 # The most steps of one simulated trajectory: 3.3 s and an 878 MB peak for
 # ``simulate`` at 10^7 on a 2-vCPU Xeon VM, linear in the steps.
 MAX_SIMULATE_STEPS = 10**7
-# The most Monte Carlo replicates: 14 s and a 341 MB peak for
+# The most Monte Carlo replicates: 11 s and a 341 MB peak for
 # ``monte-carlo --n 50 --k 5`` at 10^7 on the same VM, linear in reps.
 MAX_REPLICATES = 10**7
-# The most replicate-steps, reps * (n + k), of one Monte Carlo: at the bound
-# 14 s for n + k = 60 and 41 s for n + k = 2 * 10^6 (24 and 68 ns a
-# replicate-step) on the same VM.
+# The most replicate-steps, reps * (n + k), of one Monte Carlo: about 24 ns
+# a replicate-step at any n + k, start-up included, so at most 15 s at the
+# bound on the same VM.
 MAX_REPLICATE_STEPS = 6 * 10**8
 # The largest 1-based sample index of a seasonal phase: every integer up to
 # 2^53 is a float, and past it neighbouring indices round to one float.
 MAX_INDEX = 2**53
+# Below this magnitude a decaying weight (the first row of A^k, a Monte
+# Carlo error weight) is set to 0.0.  Such a weight is subnormal: rounding
+# holds it at a few units of 2^-1074 rather than letting it decay, and each
+# product with it costs about 30 normal ones.  2^-1064 is 1024 units of the
+# smallest subnormal and under 1e-12 of the smallest normal float.
+FLOOR = 2.0**-1064
 
 
 class ForecastResult(NamedTuple):
@@ -122,7 +128,8 @@ def horizon_terms(
     one pass over k = 0..max(k_values); k = 0 gives (1, 0, 0).
 
     Both depend on the first row r of A^j alone: r <- r A, and the noise
-    gains r Q r^T, over Python floats."""
+    gains r Q r^T, over Python floats.  An entry of r below FLOOR in
+    magnitude is set to 0.0."""
     wanted = set(k_values)
     if not wanted or min(wanted) < 0:
         raise ValueError(f"horizons must be a nonempty set of k >= 0, got {sorted(wanted)}")
@@ -135,6 +142,8 @@ def horizon_terms(
             out[k] = (xx, xy, noise)
         noise += q11 * xx * xx + 2.0 * q12 * xx * xy + q22 * xy * xy
         xx, xy = xx * a1 + xy * a3, xx * a2 + xy * a4
+        xx = xx if abs(xx) >= FLOOR else 0.0
+        xy = xy if abs(xy) >= FLOOR else 0.0
     return out
 
 

@@ -7,7 +7,8 @@ matrix product per step, the exact-MSE grid as per-k weights and an (n, k)
 dict, and the simulate-and-filter Monte Carlo that the production paths
 replaced, kept as references; the production exact-MSE
 step, and the 7-entry one it replaced, run to every n without a cycle
-exit; and the blockless form of the production Monte Carlo."""
+exit; the blockless form of the production Monte Carlo; and the Monte
+Carlo error weights before any was floored to 0.0."""
 
 from __future__ import annotations
 
@@ -498,6 +499,49 @@ def whole_batch_weighted_mse(
     eps = rng.standard_normal((reps, n + k - 1, 2)).reshape(reps, -1)
     errors = weights[0, 0] * e0[:, 0] + weights[0, 1] * e0[:, 1]
     errors += np.einsum("ij,j->i", eps, weights[1:].ravel())
+    sq_errors = errors * errors
+    return float(sq_errors.mean()), float(sq_errors.std(ddof=1) / math.sqrt(reps))
+
+
+def unfloored_error_weights(m_true, m_fc, n: int, k: int) -> np.ndarray:
+    """``simulate._error_weights`` before ``forecasting.FLOOR``: no weight
+    is set to 0.0, and the forecaster's first row of A^k comes from the row
+    recurrence of ``horizon_terms`` without its floor."""
+    (f1, f2), (f3, f4) = m_fc.A
+    xx, xy = 1.0, 0.0
+    for _ in range(k):
+        xx, xy = xx * f1 + xy * f3, xx * f2 + xy * f4
+    v = (xx * filter_coefficients(m_fc, n)).tolist()
+    v[-1] += xy
+    l011, l021, l022 = _chol2(m_true.marginal)
+    lq11, lq21, lq22 = _chol2(m_true.Q)
+    (a1, a2), (a3, a4) = m_true.A
+    # Z_t is numbered from t = 0 here, so Y_1:n are the y of t = 0..n-1.
+    rows = []
+    lam_x, lam_y = 1.0, 0.0
+    for t in range(n + k - 1, 0, -1):
+        if t < n:
+            lam_y -= v[t]
+        rows.append((lam_x * lq11 + lam_y * lq21, lam_y * lq22))
+        lam_x, lam_y = lam_x * a1 + lam_y * a3, lam_x * a2 + lam_y * a4
+    lam_y -= v[0]
+    rows.append((lam_x * l011 + lam_y * l021, lam_y * l022))
+    return np.array(rows[::-1])
+
+
+def unfloored_monte_carlo_mse(
+    p_true: PmmParams, p_fc: PmmParams, n: int, k: int, reps: int, seed: int
+) -> tuple[float, float]:
+    """``monte_carlo_mse`` weighted by ``unfloored_error_weights``, one
+    replicate per block, so its memory is O(n + k) at any length."""
+    weights = unfloored_error_weights(markov_form(p_true), markov_form(p_fc), n, k)
+    rng = np.random.default_rng(seed)
+    e0 = rng.standard_normal((reps, 2))
+    errors = weights[0, 0] * e0[:, 0] + weights[0, 1] * e0[:, 1]
+    step_weights = weights[1:].ravel()
+    for i in range(reps):
+        noise = rng.standard_normal((1, n + k - 1, 2)).reshape(1, -1)
+        errors[i : i + 1] += np.einsum("ij,j->i", noise, step_weights)
     sq_errors = errors * errors
     return float(sq_errors.mean()), float(sq_errors.std(ddof=1) / math.sqrt(reps))
 

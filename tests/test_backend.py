@@ -16,7 +16,7 @@ from pmmkit import (
 )
 from pmmkit._kernels_py import SCAN_BLOCK, simulate_block
 from pmmkit.pipeline import FittedModel, StandardizationParams, _window_errors
-from pmmkit.simulate import REPLICATE_CHUNK
+from pmmkit.simulate import BLOCK_STEPS
 from helpers import (
     quadratic_filter_coefficients,
     random_valid_params,
@@ -53,7 +53,8 @@ def test_sample_matches_sequential_loop(preset, n_steps):
 
 
 def test_simulate_block_rows_bit_identical_to_sequential_loop():
-    reps = 2 * REPLICATE_CHUNK + 3  # more than one Monte Carlo block
+    # Two Monte Carlo blocks of 13 steps and a partial one.
+    reps = 2 * (BLOCK_STEPS // 13) + 3
     rng = np.random.default_rng(62)
     x0 = rng.standard_normal(reps)
     y0 = rng.standard_normal(reps)

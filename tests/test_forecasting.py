@@ -10,7 +10,7 @@ from pmmkit import (
     markov_form,
     run_filter,
 )
-from pmmkit.forecasting import horizon_terms
+from pmmkit.forecasting import FLOOR, horizon_terms
 from pmmkit.oracle import oracle_forecast
 from pmmkit.presets import PRESET_NAMES, get_preset
 from helpers import (
@@ -239,6 +239,14 @@ class TestHorizonTerms:
                 assert terms[i + 1][2] == pytest.approx(
                     terms[i][2] + row @ m.Q @ row, abs=1e-14
                 )
+
+    def test_no_row_entry_below_floor(self):
+        # fig2's row of A^k turns subnormal at k = 6,723; an entry below
+        # FLOOR is exactly 0.0, and by k = 10^5 both are.
+        terms = horizon_terms(FIG2_MODEL, range(10**5 + 1))
+        rows = np.abs([(xx, xy) for xx, xy, _ in terms.values()])
+        assert not np.any((rows > 0) & (rows < FLOOR))
+        assert np.all(rows[-1] == 0)
 
     def test_repeated_and_unsorted_horizons(self):
         assert horizon_terms(FIG2_MODEL, [5, 2, 5]) == horizon_terms(FIG2_MODEL, [2, 5])

@@ -16,9 +16,10 @@ from pmmkit import (
     sample,
 )
 from pmmkit import simulate
+from pmmkit.forecasting import FLOOR
 from pmmkit.io import WRITE_ROWS
 from pmmkit.simulate import (
-    REPLICATE_CHUNK,
+    BLOCK_STEPS,
     Trajectory,
     _error_weights,
     empirical_covariances,
@@ -31,6 +32,7 @@ from helpers import (
     SOIL_PARAMS,
     rowwise_trajectory_to_csv,
     simulated_errors,
+    unfloored_monte_carlo_mse,
     whole_batch_monte_carlo_mse,
     whole_batch_weighted_mse,
 )
@@ -100,6 +102,29 @@ class TestReproducibility:
         with pytest.raises(ValueError, match="^seed must be >= 0, got -3$"):
             sample(FIG2_PARAMS, 10, seed=-3)
 
+    # One-step paths as the sampler wrote them when it returned the first
+    # pair without calling the kernel: (seed, x, y).
+    ONE_STEP = {
+        "fig2": [(0, 0.1257302210933933, -0.15458184726020585),
+                 (1, 0.345584192064786, 0.7359012475833006),
+                 (7, 0.0012301533574825742, 0.29246362126020115),
+                 (2**40, -1.3670605025457785, 0.21177889910016354)],
+        "soil": [(0, 0.1257302210933933, -0.04266126289507047),
+                 (1, 0.345584192064786, 0.8775918346580963),
+                 (7, 0.0012301533574825742, 0.2515343687729621),
+                 (2**40, -1.3670605025457785, -0.7951365014645029)],
+        "pressure": [(0, 0.1257302210933933, -0.1811220232890775),
+                     (1, 0.345584192064786, 0.4499439995620551),
+                     (7, 0.0012301533574825742, 0.23825833799228638),
+                     (2**40, -1.3670605025457785, 0.769913003305395)],
+    }
+
+    @pytest.mark.parametrize("truth", ONE_STEP)
+    def test_one_step_bit_identical_to_first_pair(self, truth):
+        for seed, x, y in self.ONE_STEP[truth]:
+            t = sample(TRUE_PARAMS[truth], 1, seed)
+            assert t.x.tolist() == [x] and t.y.tolist() == [y]
+
 
 class TestMoments:
     def test_independent_params_iid_standard_normal(self):
@@ -162,29 +187,51 @@ class TestMonteCarloMse:
         ):
             monte_carlo_mse(FIG2_PARAMS, FIG2_PARAMS, 5, 2, 500, seed=1)
 
-    # Fewer than one block, exactly one, one plus a single replicate, and
-    # two full blocks plus a partial one.
+    # With the budget set so that a block holds BLOCK_STEPS // (n + k) =
+    # 1024 replicates: fewer than one block, exactly one, one plus a single
+    # replicate, and two full blocks plus a partial one.
+    @pytest.mark.parametrize("reps", [100, 1024, 1025, 2 * 1024 + 3])
+    @pytest.mark.parametrize("n, k", [(1, 0), (1, 3), (50, 5)])
+    @pytest.mark.parametrize("preset", ["fig2", "fig4"])
+    @pytest.mark.parametrize("which", ["true", "hmm"])
+    def test_blocks_equal_whole_batch(self, monkeypatch, reps, n, k, preset, which):
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", 1024 * (n + k))
+        assert_blocks_equal_whole_batch(preset, which, n, k, reps)
+
+    # The same at the default budget, with blocks of BLOCK_STEPS // (n + k)
+    # replicates: exactly one block, one plus a single replicate, and two
+    # full blocks plus a partial one.
     @pytest.mark.parametrize(
-        "reps", [100, REPLICATE_CHUNK, REPLICATE_CHUNK + 1, 2 * REPLICATE_CHUNK + 3]
+        "blocks, extra", [(1, 0), (1, 1), (2, 3)], ids=["one", "one_plus_one", "two_plus_three"]
     )
     @pytest.mark.parametrize("n, k", [(1, 0), (1, 3), (50, 5)])
     @pytest.mark.parametrize("preset", ["fig2", "fig4"])
     @pytest.mark.parametrize("which", ["true", "hmm"])
-    def test_blocks_equal_whole_batch(self, reps, n, k, preset, which):
-        fig = get_preset(preset)
-        p_fc = fig.true_params if which == "true" else fig.hmm_reference
-        args = (fig.true_params, p_fc, n, k, reps, 23)
-        assert monte_carlo_mse(*args) == whole_batch_weighted_mse(*args)
+    def test_default_blocks_equal_whole_batch(self, blocks, extra, n, k, preset, which):
+        reps = blocks * (BLOCK_STEPS // (n + k)) + extra
+        assert_blocks_equal_whole_batch(preset, which, n, k, reps)
 
     # Every block holds one replicate, where a matrix-vector product would
-    # take another path than on a full block.
-    @pytest.mark.parametrize("reps", [100, REPLICATE_CHUNK + 1])
+    # take another path than on a full block: 100 and 1025 such blocks.
+    @pytest.mark.parametrize("reps", [100, 1025])
     @pytest.mark.parametrize("n, k", [(1, 0), (1, 3), (50, 5)])
     def test_one_replicate_blocks_equal_whole_batch(self, monkeypatch, reps, n, k):
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 1)
         fig = get_preset("fig4")
         args = (fig.true_params, fig.hmm_reference, n, k, reps, 27)
         assert monte_carlo_mse(*args) == whole_batch_weighted_mse(*args)
+
+    # Weights below FLOOR are 0.0 in the product, and the mean and standard
+    # error keep every bit: a draw times such a weight cannot move an error
+    # of order 1.  At n = k = 10^5 most weights of either forecaster are.
+    @pytest.mark.parametrize("n", [10**4, 10**5])
+    @pytest.mark.parametrize("preset", ["fig2", "fig4"])
+    @pytest.mark.parametrize("which", ["true", "hmm"])
+    def test_equals_unfloored_weights(self, which, preset, n):
+        fig = get_preset(preset)
+        p_fc = fig.true_params if which == "true" else fig.hmm_reference
+        args = (fig.true_params, p_fc, n, n, 100, 29)
+        assert monte_carlo_mse(*args) == unfloored_monte_carlo_mse(*args)
 
     @pytest.mark.parametrize("n, k", MC_GRID)
     @pytest.mark.parametrize("which", FORECASTERS)
@@ -207,10 +254,11 @@ class TestMonteCarloMse:
         finally:
             tracemalloc.stop()
         # The noise of every replicate at once would take about 650 MB
-        # here, and a block's noise with both its trajectories about 18 MB.
+        # here; with 1 MB blocks of it the peak is about 4 MB.
         assert peak < 16_000_000
 
-    # n + k = 5000 makes a block of 2**20 // 5000 = 209 replicates.
+    # n + k = 5000 makes a block of 2**16 // 5000 = 13 replicates, so 300
+    # replicates are 23 full blocks and one of a single replicate.
     def test_long_replicates_equal_whole_batch(self):
         fig = get_preset("fig4")
         args = (fig.true_params, fig.hmm_reference, 4995, 5, 300, 25)
@@ -224,8 +272,8 @@ class TestMonteCarloMse:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # A block of REPLICATE_CHUNK replicates would take about 82 MB here,
-        # and a block's noise with both its trajectories about 34 MB.
+        # The noise of all 1024 replicates at once would take about 82 MB
+        # here; with blocks of 13 replicates the peak is about 1.2 MB.
         assert peak < 24_000_000
 
 
@@ -263,6 +311,18 @@ class TestErrorWeights:
         np.testing.assert_allclose(
             weights.ravel(), errors, rtol=1e-13, atol=1e-13 * np.linalg.norm(errors)
         )
+
+
+    @pytest.mark.parametrize("which", ["true", "hmm"])
+    def test_no_weight_below_floor(self, which):
+        fig = get_preset("fig4")
+        p_fc = fig.true_params if which == "true" else fig.hmm_reference
+        weights = _error_weights(
+            markov_form(fig.true_params), markov_form(p_fc), 10**5, 10**5
+        )
+        magnitudes = np.abs(weights)
+        assert not np.any((magnitudes > 0) & (magnitudes < FLOOR))
+        assert np.any(magnitudes == 0)
 
 
 class TestCsv:
@@ -312,6 +372,13 @@ class TestCsv:
     def test_arbitrary_doubles_equal_rowwise(self, rows):
         x, y = np.array(rows).T
         assert_csv_equals_rowwise(Trajectory(x=x.copy(), y=y.copy(), seed=0))
+
+
+def assert_blocks_equal_whole_batch(preset, which, n, k, reps) -> None:
+    fig = get_preset(preset)
+    p_fc = fig.true_params if which == "true" else fig.hmm_reference
+    args = (fig.true_params, p_fc, n, k, reps, 23)
+    assert monte_carlo_mse(*args) == whole_batch_weighted_mse(*args)
 
 
 def assert_csv_equals_rowwise(traj) -> str:
