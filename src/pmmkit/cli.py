@@ -66,18 +66,6 @@ from .presets import PRESET_NAMES, get_preset
 if TYPE_CHECKING:
     import numpy as np
 
-    from .pipeline import FittedModel
-
-
-def __getattr__(name):
-    # The evaluate work bound lives beside the pass it counts, in pipeline,
-    # which loads numpy; so on first access only.
-    if name == "MAX_EVALUATE_WORK":
-        from .pipeline import MAX_EVALUATE_WORK
-
-        return MAX_EVALUATE_WORK
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def _atomic_write(path: Path, write_fn) -> None:
     atomic_write(path, write_fn)
@@ -136,19 +124,8 @@ def _read_y_column(path: str) -> np.ndarray:
     return read_columns(path, ("y",))[0]
 
 
-def _load_fitted(args) -> FittedModel:
-    from .pipeline import FittedModel, StandardizationParams
-
-    if args.model is not None:
-        return FittedModel.load(args.model)
-    # Bare parameters: identity standardization, no seasonal component.
-    params = load_params(args.params)
-    ident = StandardizationParams(0.0, 1.0)
-    return FittedModel(params=params, x_standardize=ident, y_standardize=ident)
-
-
 def cmd_simulate(args) -> dict:
-    from .simulate import empirical_covariances, sample, trajectory_to_csv
+    from .simulate import RNG_ALGORITHM, empirical_covariances, sample, trajectory_to_csv
 
     traj = sample(load_params(args.params), args.n, args.seed)
     covariances = empirical_covariances(traj.x, traj.y).to_dict()
@@ -157,7 +134,7 @@ def cmd_simulate(args) -> dict:
         "output": str(args.output),
         "n": args.n,
         "seed": args.seed,
-        "rng": traj.rng,
+        "rng": RNG_ALGORITHM,
         "empirical_covariances": covariances,
     }
 
@@ -223,9 +200,9 @@ def cmd_fit(args) -> dict:
 
 def cmd_forecast(args) -> dict:
     from .filtering import run_filter
-    from .pipeline import detrend
+    from .pipeline import FittedModel, detrend
 
-    fitted = _load_fitted(args)
+    fitted = FittedModel.load(args.model or args.params)
     y = _read_y_column(args.input)
     check_int(args.n, "--n", 1, y.size)
     tail = y[-args.n :]
@@ -361,6 +338,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+_MODEL_HELP = "fitted-model JSON, or bare parameter JSON (no standardization or seasonal part)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pmmkit",
@@ -412,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("forecast", help="forecast from the last n observations")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--model", help="fitted-model JSON")
-    source.add_argument("--params", help="bare parameter JSON (no standardization)")
+    source.add_argument("--model", help=_MODEL_HELP)
+    source.add_argument("--params", help=_MODEL_HELP)
     p.add_argument("--input", required=True, help="CSV with a y column")
     p.add_argument("--n", action=_Integer, low=1, required=True)
     p.add_argument("--k", action=_Integer, low=1, high=MAX_GRID_POINTS, required=True)
@@ -427,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "evaluate", help="sliding-window MSE table over an (n, k) grid"
     )
-    p.add_argument("--model", required=True, help="fitted-model JSON")
+    p.add_argument("--model", required=True, help=_MODEL_HELP)
     p.add_argument("--input", required=True, help="test CSV with x,y columns")
     p.add_argument("--n-grid", required=True)
     p.add_argument("--k-grid", required=True)

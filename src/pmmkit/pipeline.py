@@ -65,7 +65,9 @@ class DetrendModel:
 
     theta: np.ndarray  # (5,): constant, cos p1, sin p1, cos p2, sin p2
     periods: tuple[float, float]
-    sigma: float  # fit-window dispersion; inert, kept as metadata
+    # Sample variance of every row the seasonal fit used, which is the whole
+    # input of ``fit``, not its window; inert, kept as metadata.
+    sigma: float
 
     def __post_init__(self) -> None:
         self.theta.setflags(write=False)
@@ -85,13 +87,17 @@ class StandardizationParams:
         return values * self.std + self.mean
 
 
+# No centering and no scaling: the moments of a bare parameter file.
+_IDENTITY = StandardizationParams(0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class FittedModel:
     """Everything needed to forecast a new window of the same series."""
 
     params: PmmParams
-    x_standardize: StandardizationParams
-    y_standardize: StandardizationParams
+    x_standardize: StandardizationParams = _IDENTITY
+    y_standardize: StandardizationParams = _IDENTITY
     detrend: DetrendModel | None = None
     fit_window: tuple[int, int] | None = None
     repaired: bool = False
@@ -119,11 +125,15 @@ class FittedModel:
         """The model a ``to_json_dict`` document describes; a missing,
         non-numeric or out-of-range field, a ``detrend`` that is neither an
         object nor null, or a ``repaired`` that is not a boolean raises
-        ValueError naming it."""
+        ValueError naming it.  A bare parameter document, with no
+        ``params`` key and any of a..e, is those parameters with identity
+        moments and no seasonal part."""
         if not isinstance(doc, dict):
             raise ValueError(
                 f"fitted model must be a JSON object, got {type(doc).__name__}"
             )
+        if "params" not in doc and any(key in doc for key in "abcde"):
+            return cls(PmmParams.from_dict(doc))
         det = None
         d = doc.get("detrend")
         if d is not None:
@@ -143,7 +153,8 @@ class FittedModel:
         if window is not None:
             if not (isinstance(window, list) and len(window) == 2):
                 raise ValueError(f"fitted model: fit_window must be two integers, got {window!r}")
-            window = tuple(check_int(v, "fitted model: fit_window", 0) for v in window)
+            start = check_int(window[0], "fitted model: fit_window start", 0)
+            window = (start, check_int(window[1], "fitted model: fit_window end", start + 1))
         repaired = doc.get("repaired", False)
         if not isinstance(repaired, bool):
             raise ValueError(f"fitted model: repaired must be true or false, got {repaired!r}")

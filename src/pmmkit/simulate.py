@@ -56,7 +56,6 @@ class Trajectory:
     x: np.ndarray
     y: np.ndarray
     seed: int
-    rng: str = RNG_ALGORITHM
 
     def __post_init__(self) -> None:
         self.x.setflags(write=False)

@@ -22,7 +22,7 @@ from pmmkit import (
 )
 from pmmkit.cli import MAX_GRID_POINTS, _parse_grid, main
 from pmmkit.model import is_hmm, save_params
-from pmmkit.pipeline import DEFAULT_PERIODS, DetrendModel, StandardizationParams, evaluate
+from pmmkit.pipeline import DEFAULT_PERIODS, DetrendModel, evaluate
 from helpers import (
     FIG2_PARAMS,
     PRESSURE_PARAMS,
@@ -30,6 +30,9 @@ from helpers import (
     rowwise_trajectory_to_csv,
     scalar_mse_pmm,
 )
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture
@@ -145,17 +148,6 @@ class TestSimulate:
     ):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"a": 1.0, "b": 0, "c": 0, "d": 0, "e": 0}))
-        ident = {"mean": 0.0, "std": 1.0}
-        bad_model = tmp_path / "model.json"
-        bad_model.write_text(
-            json.dumps(
-                {
-                    "params": {"a": 1.0, "b": 0, "c": 0, "d": 0, "e": 0},
-                    "x_standardize": ident,
-                    "y_standardize": ident,
-                }
-            )
-        )
         hmm_file = tmp_path / "hmm.json"
         save_params(hmm_params(0.9, -0.2), hmm_file)
         data = tmp_path / "obs.csv"
@@ -170,7 +162,7 @@ class TestSimulate:
                 "--output", out,
             ],
             "evaluate": [
-                "evaluate", "--model", bad_model, "--input", data,
+                "evaluate", "--model", bad, "--input", data,
                 "--n-grid", 2, "--k-grid", 1, "--output", out,
             ],
             "monte-carlo-true": [
@@ -387,6 +379,21 @@ class TestForecast:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "ValueError"
 
+    # Either flag reads a fitted model with its scaling and seasonal part,
+    # and a bare parameter file as an identity-scaled model.
+    @pytest.mark.parametrize("model", ["model.json", "true.json"])
+    def test_params_and_model_read_alike(self, tmp_path, capsys, model):
+        outputs = []
+        for flag in ("--params", "--model"):
+            out = tmp_path / f"{flag[2:]}.csv"
+            code = run_cli(
+                "forecast", flag, GOLDEN / model, "--input", GOLDEN / "series.csv",
+                "--n", 50, "--k", 3, "--horizon-path", "--output", out,
+            )
+            assert code == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_infinite_observation_is_a_json_error(
         self, tmp_path, fig2_params_file, capsys
     ):
@@ -457,6 +464,20 @@ class TestEvaluate:
                 want.append(f"{n},{k},{mse_h:.12e},{mse_p:.12e}")
         assert table.read_text().splitlines() == want
 
+    def test_bare_parameter_file_is_an_identity_model(self, tmp_path, capsys):
+        FittedModel(FIG2_PARAMS).save(tmp_path / "identity.json")
+        tables = []
+        for model in (GOLDEN / "true.json", tmp_path / "identity.json"):
+            table = tmp_path / f"{model.stem}.csv"
+            code = run_cli(
+                "evaluate", "--model", model, "--input", GOLDEN / "series.csv",
+                "--n-grid", "5,20", "--k-grid", "1,24", "--output", table,
+            )
+            assert code == 0
+            tables.append(table.read_bytes())
+        capsys.readouterr()
+        assert tables[0] == tables[1]
+
     def test_empty_grid_rejected(self, tmp_path, capsys):
         t = sample(FIG2_PARAMS, 1000, seed=7)
         data = tmp_path / "d.csv"
@@ -505,6 +526,9 @@ MALFORMED_MODELS = {
     "string_theta": (("detrend", "theta"), [1.0] * 4 + ["x"], "detrend.theta"),
     "unit_period": (("detrend", "periods"), [1.0, 8772.0], "detrend.periods"),
     "scalar_fit_window": (("fit_window",), 5, "fit_window"),
+    # The rule of fit --window: 0 <= start < end.
+    "backwards_fit_window": (("fit_window",), [5, 2], "fit_window end must be >= 6, got 2"),
+    "empty_fit_window": (("fit_window",), [3, 3], "fit_window end must be >= 4, got 3"),
     "empty_detrend": (("detrend",), {}, "detrend.periods"),
     "zero_detrend": (("detrend",), 0, "detrend must be an object or null"),
     "false_detrend": (("detrend",), False, "detrend must be an object or null"),
@@ -517,8 +541,6 @@ def _model_doc(path, value):
     """A valid detrended fitted-model document with one edit applied."""
     doc = FittedModel(
         params=FIG2_PARAMS,
-        x_standardize=StandardizationParams(0.0, 1.0),
-        y_standardize=StandardizationParams(0.0, 1.0),
         detrend=DetrendModel(theta=np.zeros(5), periods=(24.0, 8772.0), sigma=1.0),
     ).to_json_dict()
     if not path:
@@ -603,11 +625,8 @@ class TestByteOrderMark:
 class TestMalformedInput:
     @pytest.fixture
     def model_file(self, tmp_path):
-        ident = StandardizationParams(0.0, 1.0)
         path = tmp_path / "model.json"
-        FittedModel(params=FIG2_PARAMS, x_standardize=ident, y_standardize=ident).save(
-            path
-        )
+        FittedModel(FIG2_PARAMS).save(path)
         return path
 
     @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
@@ -828,8 +847,7 @@ class TestGridBound:
         ids=["theory", "theory-preset-k", "evaluate"],
     )
     def test_grid_of_too_many_points_fails_at_once(self, tmp_path, argv, names):
-        ident = StandardizationParams(0.0, 1.0)
-        FittedModel(FIG2_PARAMS, ident, ident).save(tmp_path / "model.json")
+        FittedModel(FIG2_PARAMS).save(tmp_path / "model.json")
         (tmp_path / "s.csv").write_text("x,y\n" + "0.5,1.5\n" * 150_000)
         out = _python(["-m", "pmmkit.cli", *argv, "--output", "t.csv"], tmp_path, timeout=10)
         assert out.returncode == 1 and out.stdout == ""
@@ -856,8 +874,7 @@ class TestGridBound:
     # The point bound caps the grid, not the work: each cell scores every
     # window of the series.
     def test_evaluate_work_bound(self, tmp_path, capsys, monkeypatch):
-        ident = StandardizationParams(0.0, 1.0)
-        FittedModel(FIG2_PARAMS, ident, ident).save(tmp_path / "m.json")
+        FittedModel(FIG2_PARAMS).save(tmp_path / "m.json")
         write_series_csv(tmp_path / "s.csv", np.zeros(60), np.linspace(-1.0, 1.0, 60))
         out = tmp_path / "table.csv"
         argv = ["evaluate", "--model", tmp_path / "m.json", "--input", tmp_path / "s.csv",
@@ -964,8 +981,7 @@ class TestGridBound:
         assert not out.exists()
 
     def test_evaluate_rejects_repeated_value(self, tmp_path, capsys):
-        ident = StandardizationParams(0.0, 1.0)
-        FittedModel(FIG2_PARAMS, ident, ident).save(tmp_path / "m.json")
+        FittedModel(FIG2_PARAMS).save(tmp_path / "m.json")
         write_series_csv(tmp_path / "s.csv", np.zeros(60), np.linspace(-1.0, 1.0, 60))
         out = tmp_path / "table.csv"
         argv = ["evaluate", "--model", tmp_path / "m.json", "--input", tmp_path / "s.csv",

@@ -11,7 +11,7 @@ from pmmkit import forecaster_mse, hmm_params, monte_carlo_mse, mse_sweep
 from pmmkit.cli import main
 from pmmkit.forecasting import MAX_GRID_POINTS, check_grid
 from pmmkit.model import save_params
-from pmmkit.pipeline import FittedModel, StandardizationParams, evaluate_grid
+from pmmkit.pipeline import FittedModel, evaluate_grid
 from helpers import FIG2_PARAMS
 
 HMM = hmm_params(FIG2_PARAMS.a, FIG2_PARAMS.b)
@@ -53,8 +53,7 @@ def _text(values) -> str:
 
 @pytest.fixture
 def fitted():
-    ident = StandardizationParams(0.0, 1.0)
-    return FittedModel(FIG2_PARAMS, ident, ident)
+    return FittedModel(FIG2_PARAMS)
 
 
 class TestLibrary:

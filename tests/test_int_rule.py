@@ -32,7 +32,7 @@ from pmmkit.forecasting import (
     check_int,
 )
 from pmmkit.model import save_params
-from pmmkit.pipeline import DetrendModel, StandardizationParams, detrend
+from pmmkit.pipeline import DetrendModel, detrend
 from helpers import FIG2_PARAMS
 
 MODEL = markov_form(FIG2_PARAMS)
@@ -222,8 +222,7 @@ def test_monte_carlo_replicate_steps_name_the_flags(tmp_path, capsys):
 def test_start_index_past_two_to_the_53_rows(tmp_path, capsys, command):
     """A start index the flag admits, but whose last row is past 2^53."""
     out, calls = _valid_calls(tmp_path)
-    ident = StandardizationParams(0.0, 1.0)
-    FittedModel(FIG2_PARAMS, ident, ident, detrend=DETREND).save(tmp_path / "m.json")
+    FittedModel(FIG2_PARAMS, detrend=DETREND).save(tmp_path / "m.json")
     argv = calls[command]
     assert main([*argv, "--start-index", str(MAX_INDEX - 60)]) == 0
     for path in out.iterdir():

@@ -13,6 +13,7 @@ from pmmkit import (
 )
 from pmmkit import pipeline
 from pmmkit.io import read_columns
+from pmmkit.model import save_params
 from pmmkit.pipeline import (
     REPAIR_TOL,
     StandardizationParams,
@@ -197,10 +198,7 @@ class TestEstimate:
 class TestEvaluate:
     def test_true_forecaster_matches_theory(self):
         t = sample(FIG2_PARAMS, 30_000, seed=79)
-        ident = StandardizationParams(0.0, 1.0)
-        model = FittedModel(
-            params=FIG2_PARAMS, x_standardize=ident, y_standardize=ident
-        )
+        model = FittedModel(FIG2_PARAMS)
         n, k = 5, 2
         mse = evaluate(model, t.x, t.y, n, k)
         theory = theoretical_mse_pmm(FIG2_PARAMS, n, k)
@@ -212,11 +210,8 @@ class TestEvaluate:
 
     def test_pmm_beats_hmm_restriction_on_pmm_data(self):
         t = sample(FIG2_PARAMS, 20_000, seed=80)
-        ident = StandardizationParams(0.0, 1.0)
-        pmm = FittedModel(params=FIG2_PARAMS, x_standardize=ident, y_standardize=ident)
-        hmm = FittedModel(
-            params=hmm_params(0.9, -0.2), x_standardize=ident, y_standardize=ident
-        )
+        pmm = FittedModel(FIG2_PARAMS)
+        hmm = FittedModel(hmm_params(0.9, -0.2))
         for n, k in ((5, 1), (10, 3)):
             [(_, _, err_p)] = _window_errors(pmm, t.x, t.y, [n], [k])
             [(_, _, err_h)] = _window_errors(hmm, t.x, t.y, [n], [k])
@@ -224,8 +219,7 @@ class TestEvaluate:
             assert diff.mean() >= -3 * diff.std(ddof=1) / np.sqrt(diff.size)
 
     def test_window_count(self):
-        ident = StandardizationParams(0.0, 1.0)
-        model = FittedModel(params=FIG2_PARAMS, x_standardize=ident, y_standardize=ident)
+        model = FittedModel(FIG2_PARAMS)
         x = np.zeros(20)
         y = np.zeros(20)
         [(_, _, errors)] = _window_errors(model, x, y, [5], [2])
@@ -254,8 +248,7 @@ class TestEvaluate:
                 Counted.passes += 1
                 return super().__iter__()
 
-        ident = StandardizationParams(0.0, 1.0)
-        model = FittedModel(params=FIG2_PARAMS, x_standardize=ident, y_standardize=ident)
+        model = FittedModel(FIG2_PARAMS)
         n_values, k_values = Counted(range(1, 201)), Counted(range(201))
         with pytest.raises(
             ValueError,
@@ -265,14 +258,12 @@ class TestEvaluate:
         assert Counted.passes <= 4
 
     def test_insufficient_data_rejected(self):
-        ident = StandardizationParams(0.0, 1.0)
-        model = FittedModel(params=FIG2_PARAMS, x_standardize=ident, y_standardize=ident)
+        model = FittedModel(FIG2_PARAMS)
         with pytest.raises(ValueError):
             evaluate(model, np.zeros(6), np.zeros(6), 5, 2)
 
     def test_work_bound_applies_to_library_calls(self, monkeypatch):
-        ident = StandardizationParams(0.0, 1.0)
-        model = FittedModel(params=FIG2_PARAMS, x_standardize=ident, y_standardize=ident)
+        model = FittedModel(FIG2_PARAMS)
         y = np.linspace(-1.0, 1.0, 60)
         # Filter means 5 * 56, errors 55 + 53 windows.
         work = 5 * 56 + 55 + 53
@@ -285,10 +276,8 @@ class TestEvaluate:
         ):
             evaluate_grid(model, y, y, [5], [1, 3])
 
-    def test_work_bound_importable_from_the_command_line_module(self):
-        import pmmkit.cli
-
-        assert pmmkit.cli.MAX_EVALUATE_WORK == pipeline.MAX_EVALUATE_WORK == 2 * 10**9
+    def test_work_bound_value(self):
+        assert pipeline.MAX_EVALUATE_WORK == 2 * 10**9
 
 
 class TestSerialization:
@@ -315,6 +304,14 @@ class TestSerialization:
         loaded = FittedModel.load(path)
         assert loaded.detrend is None
         assert loaded.params == fitted.params
+
+    def test_bare_parameter_file_is_an_identity_model(self, tmp_path):
+        path = tmp_path / "params.json"
+        save_params(FIG2_PARAMS, path)
+        loaded = FittedModel.load(path)
+        assert loaded == FittedModel(FIG2_PARAMS)
+        assert loaded.x_standardize == loaded.y_standardize == StandardizationParams(0.0, 1.0)
+        assert (loaded.detrend, loaded.fit_window, loaded.repaired) == (None, None, False)
 
     # Series of any scale: past about 1e154 the squared deviations overflow
     # and estimation must refuse the series rather than save an infinity.

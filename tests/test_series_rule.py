@@ -13,15 +13,14 @@ from pmmkit import estimate_params, markov_form, run_filter
 from pmmkit.forecasting import check_series
 from pmmkit.oracle import oracle_filter, oracle_forecast
 from pmmkit.pipeline import (
-    DetrendModel, FittedModel, StandardizationParams, detrend, evaluate_grid, fit_detrend,
+    DetrendModel, FittedModel, detrend, evaluate_grid, fit_detrend,
 )
 from pmmkit.simulate import empirical_covariances
 from helpers import FIG2_PARAMS
 
 MODEL = markov_form(FIG2_PARAMS)
 DETREND = DetrendModel(np.array([0.1, 0.2, -0.3, 0.05, 0.4]), (24.0, 8772.0), 1.0)
-IDENT = StandardizationParams(0.0, 1.0)
-FITTED = FittedModel(params=FIG2_PARAMS, x_standardize=IDENT, y_standardize=IDENT)
+FITTED = FittedModel(FIG2_PARAMS)
 
 # Entry point -> (call, length of a valid series, {argument: least length}),
 # a least length of None meaning the length of the first argument.
