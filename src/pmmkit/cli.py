@@ -75,9 +75,9 @@ def _atomic_write(path: Path, write_fn) -> None:
 
 
 def _parse_int(text: str) -> int:
-    """ASCII digits with an optional sign, as in a CSV field, as an int (int()
-    alone also takes 1_0 and other scripts' digits); ValueError otherwise."""
-    if not text.isascii() or "_" in text:
+    """ASCII digits with an optional sign, a CSV number by ``io._is_number``,
+    as an int (int() alone also takes 1_0 and other scripts' digits)."""
+    if not _is_number(text):
         raise ValueError(text)
     return int(text)
 
@@ -85,9 +85,9 @@ def _parse_int(text: str) -> int:
 def _parse_grid(flag: str, text: str, low: int) -> list[int]:
     """Comma-separated integers by ``_parse_int``, no part empty; a:b
     expands to the inclusive range, and needs b >= a.  Errors name ``flag``
-    and the bad text.  A grid of more than MAX_GRID_POINTS integers, or a
-    part with an end that ``check_int`` rejects in low..MAX_GRID_POINTS, is
-    rejected before it is expanded; ``check_grid`` rules on the rest."""
+    and the bad text.  Before the grid is expanded, ``check_int`` bounds
+    its count of integers at MAX_GRID_POINTS and each part's ends in
+    low..MAX_GRID_POINTS; ``check_grid`` rules on the rest."""
     ranges: list[range] = []
     try:
         for part in text.split(","):
@@ -101,10 +101,7 @@ def _parse_grid(flag: str, text: str, low: int) -> list[int]:
         ) from None
     # Not len(): a range longer than sys.maxsize has none.
     size = sum(r.stop - r.start for r in ranges)
-    if size > MAX_GRID_POINTS:
-        raise ValueError(
-            f"{flag} holds {size} points, more than {MAX_GRID_POINTS}: {text!r}"
-        )
+    check_int(size, f"points of {flag} {text!r}", 1, MAX_GRID_POINTS)
     for r in ranges:
         check_int(r.start, flag, low, MAX_GRID_POINTS)
         check_int(r.stop - 1, flag, low, MAX_GRID_POINTS)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels_py as kernels
-from .forecasting import check_int, check_series
+from .forecasting import FLOOR, check_int, check_series
 from .model import PmmParams, TransitionModel
 from .riccati import _riccati_step, orbit
 
@@ -85,13 +85,9 @@ def _variance_and_gains(m: TransitionModel, n: int) -> tuple[np.ndarray, np.ndar
         gains[i] = g
         variances[i] = p
     if i + 1 < n:
-        # The orbit ended on its cycle: repeat it in rows, then a short tail.
-        start = i + 1 - period
-        whole = (n - start) // period * period
+        # The orbit ended on its cycle: repeat it to the end.
         for values in (gains, variances):
-            cycle = values[start : i + 1]
-            values[start : start + whole].reshape(-1, period)[1:] = cycle
-            values[start + whole :] = cycle[: n - start - whole]
+            values[i + 1 :] = np.resize(values[i + 1 - period : i + 1], n - i - 1)
     return variances, gains[1:]
 
 
@@ -105,15 +101,25 @@ def _weights(m: TransitionModel, gains: np.ndarray) -> np.ndarray:
     # c_t = a1 - a3*G_t, adds d_t = a2 - a4*G_t to the weight of
     # observation t-1 and gives observation t the weight G_t (b for the
     # first).  So observation j < n ends with (w_j*c_{j+1} + d_{j+1}) times
-    # the suffix product c_{j+2}...c_n.
+    # the suffix product c_{j+2}...c_n.  The products are formed from the
+    # end a block at a time by cumprod, which multiplies in order, up to
+    # the block where they fall below FLOOR; the earlier ones stay 0.0, as
+    # does every weight below FLOOR.
     (a1, a2), (a3, a4) = m.A
     entry = np.concatenate(([m.b], gains))
     c = a1 - a3 * gains
     d = a2 - a4 * gains
-    suffix = np.append(np.cumprod(c[::-1])[::-1][1:], 1.0)
+    products = np.zeros(c.size)  # c_n, c_n c_{n-1}, ..., c_n...c_2
+    product = 1.0
+    for lo in range(0, c.size, 4096):
+        block = np.cumprod(np.append(product, c[::-1][lo : lo + 4096]))[1:]
+        products[lo : lo + 4096] = block
+        if abs(product := block[-1]) < FLOOR:
+            break
     weights = np.empty(entry.size)
-    weights[:-1] = (entry[:-1] * c + d) * suffix
+    weights[:-1] = (entry[:-1] * c + d) * np.append(products[::-1][1:], 1.0)
     weights[-1] = entry[-1]
+    weights[np.abs(weights) < FLOOR] = 0.0
     return weights
 
 

@@ -44,8 +44,8 @@ MAX_REPLICATE_STEPS = 6 * 10**8
 # The largest 1-based sample index of a seasonal phase: every integer up to
 # 2^53 is a float, and past it neighbouring indices round to one float.
 MAX_INDEX = 2**53
-# Below this magnitude a decaying weight (the first row of A^k, a Monte
-# Carlo error weight) is set to 0.0.  Such a weight is subnormal: rounding
+# Below this magnitude a decaying weight (the first row of A^k, a filter
+# weight, a Monte Carlo error weight) is set to 0.0.  Such a weight is subnormal: rounding
 # holds it at a few units of 2^-1074 rather than letting it decay, and each
 # product with it costs about 30 normal ones.  2^-1064 is 1024 units of the
 # smallest subnormal and under 1e-12 of the smallest normal float.
@@ -112,11 +112,8 @@ def check_grid(n_values, k_values, names=("n_values", "k_values")) -> tuple[list
             raise ValueError(f"{name} repeats the value {repeat}")
         grids.append(values)
     (n_name, k_name), (n_values, k_values) = names, grids
-    if (points := len(n_values) * len(k_values)) > MAX_GRID_POINTS:
-        raise ValueError(
-            f"{n_name} ({len(n_values)} values) by {k_name} ({len(k_values)} values) "
-            f"makes {points} (n, k) points, more than {MAX_GRID_POINTS}"
-        )
+    check_int(len(n_values) * len(k_values), f"(n, k) points of {n_name} ({len(n_values)} values)"
+              f" by {k_name} ({len(k_values)} values)", 1, MAX_GRID_POINTS)
     return n_values, k_values
 
 

@@ -305,9 +305,9 @@ def save_params(p: PmmParams, path: str | Path) -> None:
 
 
 def load_params(path: str | Path) -> PmmParams:
-    """Read parameters from JSON; accepts a bare {a..e} document or a fitted
-    model document with a nested "params" object."""
+    """Read parameters from JSON: a fitted model document's "params" object,
+    or a bare {a..e} document if it has no "params" key."""
     data = read_json(path)
-    if isinstance(data, dict) and isinstance(data.get("params"), dict):
+    if isinstance(data, dict) and "params" in data:
         data = data["params"]
     return PmmParams.from_dict(data)

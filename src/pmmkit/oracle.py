@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forecasting import check_grid, check_series
+from .forecasting import check_grid, check_int, check_series
 from .model import InvalidModelError, PmmParams, markov_form
 
 __all__ = [
@@ -54,8 +54,7 @@ class JointCovariance:
 def build_joint(p: PmmParams, n: int, k: int, cap: int = DEFAULT_CAP) -> JointCovariance:
     """Joint covariance of (X_1..X_{n+k}, Y_1..Y_n) under the model."""
     check_grid([n], [k], ("n", "k"))
-    if n + k > cap:
-        raise ValueError(f"n + k = {n + k} exceeds the oracle cap {cap}")
+    check_int(n + k, "n + k of the oracle's joint law", 1, cap)
     m = markov_form(p)
     total = n + k
     # lags[j] = Cov[Z_{t+j}, Z_t] = A^j M

@@ -125,14 +125,14 @@ class FittedModel:
         """The model a ``to_json_dict`` document describes; a missing,
         non-numeric or out-of-range field, a ``detrend`` that is neither an
         object nor null, or a ``repaired`` that is not a boolean raises
-        ValueError naming it.  A bare parameter document, with no
-        ``params`` key and any of a..e, is those parameters with identity
-        moments and no seasonal part."""
+        ValueError naming it.  A document with no ``params`` key is a bare
+        parameter document: those parameters with identity moments and no
+        seasonal part."""
         if not isinstance(doc, dict):
             raise ValueError(
                 f"fitted model must be a JSON object, got {type(doc).__name__}"
             )
-        if "params" not in doc and any(key in doc for key in "abcde"):
+        if "params" not in doc:
             return cls(PmmParams.from_dict(doc))
         det = None
         d = doc.get("detrend")
@@ -334,15 +334,11 @@ def evaluate(model: FittedModel, x_test, y_test, n: int, k: int) -> float:
 
 
 def _require_work(n_values, k_values, rows: int, names) -> None:
-    """ValueError naming both grids and the row count if the steps
-    ``_window_errors`` takes exceed MAX_EVALUATE_WORK."""
+    """ValueError naming both grids and the row count if ``check_int``
+    rejects the steps ``_window_errors`` takes in 0..MAX_EVALUATE_WORK."""
     work = sum((n + len(k_values)) * (rows - n + 1) for n in n_values)
-    work -= len(n_values) * sum(k_values)
-    if work > MAX_EVALUATE_WORK:
-        raise ValueError(
-            f"{names[0]} ({len(n_values)} values) by {names[1]} ({len(k_values)} values) "
-            f"on {rows} rows takes {work} steps, more than {MAX_EVALUATE_WORK}"
-        )
+    what = f"steps of {names[0]} ({len(n_values)} values) by {names[1]} ({len(k_values)} values)"
+    check_int(work - len(n_values) * sum(k_values), f"{what} on {rows} rows", 0, MAX_EVALUATE_WORK)
 
 
 def evaluate_grid(

@@ -165,11 +165,8 @@ def monte_carlo_mse(
     """
     reps = check_int(reps, names[0], 100, MAX_REPLICATES)
     check_grid([n], [k], names[1:])
-    if (steps := reps * (n + k)) > MAX_REPLICATE_STEPS:
-        raise ValueError(
-            f"{names[0]} ({reps}) times {names[1]} + {names[2]} ({n + k}) is {steps} "
-            f"replicate-steps, more than {MAX_REPLICATE_STEPS}"
-        )
+    what = f"replicate-steps of {names[0]} ({reps}) times {names[1]} + {names[2]} ({n + k})"
+    check_int(reps * (n + k), what, 1, MAX_REPLICATE_STEPS)
     weights = _error_weights(markov_form(p_true), markov_form(forecaster_params), n, k)
     rng = _rng(seed)
     e0 = rng.standard_normal((reps, 2))

@@ -7,8 +7,8 @@ matrix product per step, the exact-MSE grid as per-k weights and an (n, k)
 dict, and the simulate-and-filter Monte Carlo that the production paths
 replaced, kept as references; the production exact-MSE
 step, and the 7-entry one it replaced, run to every n without a cycle
-exit; the blockless form of the production Monte Carlo; and the Monte
-Carlo error weights before any was floored to 0.0."""
+exit; the blockless form of the production Monte Carlo; and the filter
+weights and the Monte Carlo error weights before any was floored to 0.0."""
 
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from pmmkit.error_analysis import (
     _require_hmm,
     observation_covariance,
 )
-from pmmkit.filtering import batch_filter_means, filter_variance_sequence
+from pmmkit.filtering import _variance_and_gains, batch_filter_means, filter_variance_sequence
 from pmmkit.forecasting import check_grid, horizon_terms
 from pmmkit.riccati import _riccati_step, orbit
 from pmmkit.simulate import _chol2, _error_weights
@@ -503,15 +503,30 @@ def whole_batch_weighted_mse(
     return float(sq_errors.mean()), float(sq_errors.std(ddof=1) / math.sqrt(reps))
 
 
+def unfloored_weights(m, gains: np.ndarray) -> np.ndarray:
+    """``filtering._weights`` before ``forecasting.FLOOR``: the whole suffix
+    product by one ``np.cumprod``, and no weight set to 0.0."""
+    (a1, a2), (a3, a4) = m.A
+    entry = np.concatenate(([m.b], gains))
+    c = a1 - a3 * gains
+    d = a2 - a4 * gains
+    suffix = np.append(np.cumprod(c[::-1])[::-1][1:], 1.0)
+    weights = np.empty(entry.size)
+    weights[:-1] = (entry[:-1] * c + d) * suffix
+    weights[-1] = entry[-1]
+    return weights
+
+
 def unfloored_error_weights(m_true, m_fc, n: int, k: int) -> np.ndarray:
     """``simulate._error_weights`` before ``forecasting.FLOOR``: no weight
-    is set to 0.0, and the forecaster's first row of A^k comes from the row
-    recurrence of ``horizon_terms`` without its floor."""
+    is set to 0.0, the filter weights are ``unfloored_weights``, and the
+    forecaster's first row of A^k comes from the row recurrence of
+    ``horizon_terms`` without its floor."""
     (f1, f2), (f3, f4) = m_fc.A
     xx, xy = 1.0, 0.0
     for _ in range(k):
         xx, xy = xx * f1 + xy * f3, xx * f2 + xy * f4
-    v = (xx * filter_coefficients(m_fc, n)).tolist()
+    v = (xx * unfloored_weights(m_fc, _variance_and_gains(m_fc, n)[1])).tolist()
     v[-1] += xy
     l011, l021, l022 = _chol2(m_true.marginal)
     lq11, lq21, lq22 = _chol2(m_true.Q)

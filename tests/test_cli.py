@@ -513,10 +513,14 @@ MALFORMED_INPUTS = {
 MISSING = object()
 # Edits of a valid fitted-model document that loading must reject, as
 # (key path, new value or MISSING, text the message must contain); the
-# empty path wraps the whole document in a list.
+# empty path puts the value in the document's place, or for None wraps the
+# whole document in a list.
 MALFORMED_MODELS = {
     "list_document": ((), None, "must be a JSON object"),
-    "missing_params": (("params",), MISSING, "parameters must be an object"),
+    # A document without a params key is a bare parameter document.
+    "missing_params": (("params",), MISSING, "invalid parameters: missing a, b, c, d, e"),
+    "empty_document": ((), {}, "invalid parameters: missing a, b, c, d, e"),
+    "detrend_only": ((), {"detrend": None}, "invalid parameters: missing a, b, c, d, e"),
     "missing_mean": (("x_standardize", "mean"), MISSING, "x_standardize.mean"),
     "nan_mean": (("y_standardize", "mean"), float("nan"), "y_standardize.mean"),
     "string_std": (("y_standardize", "std"), "abc", "y_standardize.std"),
@@ -544,7 +548,7 @@ def _model_doc(path, value):
         detrend=DetrendModel(theta=np.zeros(5), periods=(24.0, 8772.0), sigma=1.0),
     ).to_json_dict()
     if not path:
-        return [doc]
+        return [doc] if value is None else value
     *outer, key = path
     section = doc
     for name in outer:
@@ -834,25 +838,27 @@ class TestUsageErrors:
 class TestGridBound:
     # Each ran for more than 15 s, or for ever, before the bound on points.
     @pytest.mark.parametrize(
-        "argv, names",
+        "argv, names, points",
         [
             (["theoretical-mse", "--preset", "fig3", "--n-grid", "1:100000",
-              "--k-grid", "1:100000"], "--n-grid (100000 values) by --k-grid (100000 values)"),
+              "--k-grid", "1:100000"],
+             "--n-grid (100000 values) by --k-grid (100000 values)", 10**10),
             (["theoretical-mse", "--preset", "fig3", "--n-grid", "1:20000"],
-             "--n-grid (20000 values) by the fig3 preset's k grid (100 values)"),
+             "--n-grid (20000 values) by the fig3 preset's k grid (100 values)", 2_000_000),
             (["evaluate", "--model", "model.json", "--input", "s.csv", "--n-grid",
               "1:100000", "--k-grid", "1:100000"],
-             "--n-grid (100000 values) by --k-grid (100000 values)"),
+             "--n-grid (100000 values) by --k-grid (100000 values)", 10**10),
         ],
         ids=["theory", "theory-preset-k", "evaluate"],
     )
-    def test_grid_of_too_many_points_fails_at_once(self, tmp_path, argv, names):
+    def test_grid_of_too_many_points_fails_at_once(self, tmp_path, argv, names, points):
         FittedModel(FIG2_PARAMS).save(tmp_path / "model.json")
         (tmp_path / "s.csv").write_text("x,y\n" + "0.5,1.5\n" * 150_000)
         out = _python(["-m", "pmmkit.cli", *argv, "--output", "t.csv"], tmp_path, timeout=10)
         assert out.returncode == 1 and out.stdout == ""
-        message = json.loads(out.stderr)["message"]
-        assert message.startswith(names) and f"more than {MAX_GRID_POINTS}" in message
+        assert json.loads(out.stderr)["message"] == (
+            f"(n, k) points of {names} must be <= {MAX_GRID_POINTS}, got {points}"
+        )
         assert not (tmp_path / "t.csv").exists()
 
     # An empty part; a backwards range, which was dropped; 1_0, which int()
@@ -891,15 +897,17 @@ class TestGridBound:
         assert captured.out == ""
         assert json.loads(captured.err) == {
             "error": "ValueError",
-            "message": f"--n-grid (2 values) by --k-grid (2 values) on 60 rows takes {work} "
-                       f"steps, more than {work - 1}",
+            "message": "steps of --n-grid (2 values) by --k-grid (2 values) on 60 rows "
+                       f"must be <= {work - 1}, got {work}",
         }
         assert not out.exists()
 
     def test_work_bound_admits_the_benchmark_grid(self):
         names = ("n_values", "k_values")
         pmmkit.pipeline._require_work([5, 20, 50], [1, 24, 48], 150_000, names)
-        with pytest.raises(ValueError, match="on 150000 rows takes 3021297340 steps"):
+        with pytest.raises(
+            ValueError, match="on 150000 rows must be <= 2000000000, got 3021297340$"
+        ):
             pmmkit.pipeline._require_work(range(1, 21), range(1, 1001), 150_000, names)
 
     def test_huge_grid_fails_before_expanding(self, tmp_path, capsys):
@@ -923,8 +931,11 @@ class TestGridBound:
         [f"1:{MAX_GRID_POINTS},5", f"1:{MAX_GRID_POINTS // 2},0:{MAX_GRID_POINTS // 2}"],
     )
     def test_bound_counts_every_part(self, text):
-        with pytest.raises(ValueError, match="--n-grid holds 1000001 points"):
+        with pytest.raises(ValueError) as info:
             _parse_grid("--n-grid", text, 1)
+        assert str(info.value) == (
+            f"points of --n-grid {text!r} must be <= {MAX_GRID_POINTS}, got 1000001"
+        )
 
     # One past the bound on each single horizon or window length; a valid
     # call otherwise, so only the named flag can fail it.

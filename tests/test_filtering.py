@@ -14,9 +14,12 @@ from pmmkit import (
 from pmmkit import filtering
 from pmmkit.filtering import (
     _variance_and_gains,
+    _weights,
     batch_filter_means,
+    filter_coefficients,
     filter_variance_sequence,
 )
+from pmmkit.forecasting import FLOOR
 from pmmkit.model import _transition
 from pmmkit.oracle import oracle_filter
 from pmmkit.presets import PRESET_NAMES, get_preset
@@ -28,6 +31,7 @@ from helpers import (
     loop_variance_and_gains,
     random_valid_params,
     scalar_hmm_kalman,
+    unfloored_weights,
 )
 
 FIG2_MODEL = markov_form(FIG2_PARAMS)
@@ -207,6 +211,24 @@ class TestRiccatiCycle:
         n = entry + (10**6 - entry) % period
         want_variances, want_gains = loop_variance_and_gains(m, n)
         assert (variances[-1], gains[-1]) == (want_variances[-1], want_gains[-1])
+
+
+class TestWeightFloor:
+    # The suffix products fall below FLOOR after a few thousand
+    # observations; n = 4097 ends one past the first block of products.
+    @pytest.mark.parametrize("n", [1, 2, 50, 4097, 50_000])
+    def test_bit_for_bit_with_the_unfloored_weights(self, n):
+        ys = np.random.default_rng(n).standard_normal(n)
+        for m in _fixed_point_models()[: 2 * len(PRESET_NAMES)] + _cycling_models():
+            gains = _variance_and_gains(m, n)[1]
+            want = unfloored_weights(m, gains)
+            assert np.array_equal(_weights(m, gains), np.where(np.abs(want) < FLOOR, 0.0, want))
+            assert run_filter(m, ys).mean == float(want @ ys)
+
+    def test_no_weight_below_the_floor(self):
+        for m in _fixed_point_models()[: 2 * len(PRESET_NAMES)] + _cycling_models():
+            magnitudes = np.abs(filter_coefficients(m, 50_000))
+            assert not np.any((magnitudes > 0.0) & (magnitudes < FLOOR))
 
 
 class TestHmmReduction:

@@ -38,8 +38,10 @@ def _ids(cases):
 
 def _assert_names(message: str, grid: str, n_name: str, k_name: str) -> None:
     if grid == "both":
-        assert message.startswith(f"{n_name} (1001 values) by {k_name} (1000 values) ")
-        assert f"more than {MAX_GRID_POINTS}" in message
+        assert message == (
+            f"(n, k) points of {n_name} (1001 values) by {k_name} (1000 values) "
+            f"must be <= {MAX_GRID_POINTS}, got 1001000"
+        )
     else:
         assert message.startswith(f"{n_name if grid == 'n' else k_name} ")
 

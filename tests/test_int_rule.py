@@ -213,8 +213,8 @@ def test_monte_carlo_replicate_steps_name_the_flags(tmp_path, capsys):
     assert main(argv) == 1
     assert json.loads(capsys.readouterr().err) == {
         "error": "ValueError",
-        "message": "--reps (10000000) times --n + --k (2000000) is 20000000000000 "
-                   f"replicate-steps, more than {MAX_REPLICATE_STEPS}",
+        "message": "replicate-steps of --reps (10000000) times --n + --k (2000000) "
+                   f"must be <= {MAX_REPLICATE_STEPS}, got 20000000000000",
     }
 
 

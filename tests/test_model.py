@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -249,6 +250,24 @@ class TestSerialization:
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"params": FIG2_PARAMS.to_dict(), "repaired": False}))
         assert load_params(path) == FIG2_PARAMS
+
+    # A document is a fitted model if and only if it has a params key.
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"params": 1, **FIG2_PARAMS.to_dict()},
+             "parameters must be an object with keys a..e, got int"),
+            ({"params": None, **FIG2_PARAMS.to_dict()},
+             "parameters must be an object with keys a..e, got NoneType"),
+            ({}, "invalid parameters: missing a, b, c, d, e"),
+            ({"detrend": None}, "invalid parameters: missing a, b, c, d, e"),
+        ],
+    )
+    def test_params_key_decides_the_document(self, tmp_path, doc, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_params(path)
 
     @pytest.mark.parametrize(
         "doc, named",

@@ -272,7 +272,8 @@ class TestEvaluate:
         monkeypatch.setattr(pipeline, "MAX_EVALUATE_WORK", work - 1)
         with pytest.raises(
             ValueError,
-            match=f"^n_values \\(1 values\\) by k_values \\(2 values\\) on 60 rows takes {work} ",
+            match=f"^steps of n_values \\(1 values\\) by k_values \\(2 values\\) on 60 rows "
+                  f"must be <= {work - 1}, got {work}$",
         ):
             evaluate_grid(model, y, y, [5], [1, 3])
 

@@ -183,7 +183,7 @@ class TestMonteCarloMse:
         monkeypatch.setattr(simulate, "_rng", None)  # a draw would fail otherwise
         with pytest.raises(
             ValueError,
-            match="^reps \\(500\\) times n \\+ k \\(7\\) is 3500 replicate-steps, more than 3499$",
+            match="^replicate-steps of reps \\(500\\) times n \\+ k \\(7\\) must be <= 3499, got 3500$",
         ):
             monte_carlo_mse(FIG2_PARAMS, FIG2_PARAMS, 5, 2, 500, seed=1)
 
