@@ -172,19 +172,21 @@ def cmd_theoretical_mse(args) -> dict:
 
 def cmd_fit(args) -> dict:
     from .pipeline import (
-        DEFAULT_PERIODS, detrend, estimate_params, fit_detrend, read_series_csv,
+        DEFAULT_PERIODS, MIN_FIT_ROWS, detrend, estimate_params, fit_detrend, read_series_csv,
     )
 
     if args.periods is not None and not args.detrend:
         raise ValueError("argument --periods: not allowed without argument --detrend")
     x, y = read_series_csv(args.input)
+    lo, hi = args.window or (0, x.size)
+    check_int(hi, "--window end", lo + 1, x.size)
+    what = f"rows of --window {lo}:{hi}" if args.window else f"rows of {args.input}"
+    check_int(hi - lo, what, MIN_FIT_ROWS)
     detrend_model = None
     if args.detrend:
         periods = DEFAULT_PERIODS if args.periods is None else _parse_periods(args.periods)
         detrend_model = fit_detrend(y, periods)
         y = detrend(y, detrend_model)
-    lo, hi = args.window or (0, x.size)
-    check_int(hi, "--window end", lo + 1, x.size)
     fitted = estimate_params(x[lo:hi], y[lo:hi], detrend_model=detrend_model, fit_window=(lo, hi))
     _atomic_write(Path(args.output), lambda fh: write_json(fh, fitted.to_json_dict()))
     return {
@@ -226,8 +228,6 @@ def cmd_forecast(args) -> dict:
 
 
 def cmd_evaluate(args) -> dict:
-    import dataclasses
-
     from .pipeline import FittedModel, detrend, evaluate_grid, read_series_csv
 
     names = ("--n-grid", "--k-grid")
@@ -236,19 +236,13 @@ def cmd_evaluate(args) -> dict:
     x, y = read_series_csv(args.input)
     if fitted.detrend is not None:
         y = detrend(y, fitted.detrend, start_index=args.start_index)
-    # The fitted model first, so that inadmissible parameters are reported
-    # by markov_form's gate rather than by the restriction's |a| < 1 check.
-    mse_pmm = evaluate_grid(fitted, x, y, *grids, names)
-    hmm_restriction = hmm_params(fitted.params.a, fitted.params.b)
-    hmm_fitted = dataclasses.replace(fitted, params=hmm_restriction)
-    mse_hmm = evaluate_grid(hmm_fitted, x, y, *grids, names)
-    rows = [(n, k, mse_hmm[(n, k)], mse_pmm[(n, k)]) for n, k in mse_pmm]
+    rows = [(n, k, *cell) for (n, k), cell in evaluate_grid(fitted, x, y, *grids, names).items()]
     columns = ("n", "k", "mse_hmm", "mse_pmm")
     _atomic_write(Path(args.output), lambda fh: write_rows(fh, columns, rows))
     return {
         "output": str(args.output),
         "rows": len(rows),
-        "hmm_restriction": hmm_restriction.to_dict(),
+        "hmm_restriction": hmm_params(fitted.params.a, fitted.params.b).to_dict(),
         "pmm_wins": sum(1 for r in rows if r[3] <= r[2]),
     }
 
@@ -276,8 +270,9 @@ def cmd_monte_carlo(args) -> dict:
 
 def cmd_oracle(args) -> dict:
     from .filtering import run_filter
-    from .oracle import oracle_forecast
+    from .oracle import DEFAULT_CAP, oracle_forecast
 
+    check_int(args.n + args.k, "--n + --k of the oracle's joint law", 1, DEFAULT_CAP)
     params = load_params(args.params)
     y = _read_y_column(args.input)
     y = y[: check_int(args.n, "--n", 1, y.size)]

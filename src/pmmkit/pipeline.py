@@ -28,7 +28,7 @@ import numpy as np
 from .filtering import filter_coefficients
 from .forecasting import MAX_INDEX, check_grid, check_int, check_series, horizon_terms
 from .io import atomic_write, finite_number, read_columns, read_json, write_json
-from .model import PmmParams, markov_form, validate
+from .model import PmmParams, hmm_params, markov_form, validate
 from .simulate import empirical_covariances
 
 __all__ = [
@@ -50,12 +50,14 @@ DEFAULT_PERIODS = (24.0, 8772.0)
 # empirical estimate.
 REPAIR_TOL = 1e-6
 
-# Most steps one evaluate_grid pass may take, from the row count: filter
-# means sum_n n (rows - n + 1) plus squared errors
+MIN_FIT_ROWS = 30  # fewest rows estimate_params fits on
+
+# Most steps one forecaster may take in an evaluate_grid pass, from the row
+# count: filter means sum_n n (rows - n + 1) plus squared errors
 # sum_{n,k} (rows - n - k + 1) = sum_n |k| (rows - n + 1) - |n| sum_k k.
-# At 98% of the bound (n 1..57, k 1..200 on 150,000 rows) one pass takes
-# 4.7 s, and `evaluate`, one pass per forecaster, 9.4 s with a 47 MB peak,
-# on a 2-vCPU Xeon VM.
+# One pass takes them for both forecasters: at 98% of the bound (n 1..57,
+# k 1..200 on 150,000 rows) `evaluate` took 9.3 s with a 47 MB peak on a
+# 2-vCPU Xeon VM.
 MAX_EVALUATE_WORK = 2 * 10**9
 
 
@@ -269,7 +271,7 @@ def estimate_params(
     ``fit_window`` are carried through as metadata only; detrending is the
     caller's step.
     """
-    x = check_series(x, "x", 30)
+    x = check_series(x, "x", MIN_FIT_ROWS)
     y = check_series(y, "y", x.size, x.size)
     x_stats = _standardization(x, "x")
     y_stats = _standardization(y, "y")
@@ -311,31 +313,34 @@ def _standardization(values: np.ndarray, name: str) -> StandardizationParams:
 
 
 def _window_errors(model: FittedModel, x_test, y_test, n_values, k_values):
-    """Yield (n, k, squared errors of every sliding (n, k) window) over the
-    grid and series ``evaluate_grid`` checked; each n's filter means are
-    computed once, and every k's horizon coefficients come from one pass."""
+    """Yield (n, k, e_hmm, e_pmm): the squared errors of every sliding (n, k)
+    window over the checked grid and series, of the model's hidden-Markov
+    restriction and of the model, each n's filter means computed once."""
     x_std = model.x_standardize.apply(x_test)
     y_std = model.y_standardize.apply(y_test)
-    m = markov_form(model.params)
-    terms = horizon_terms(m, k_values)
+    # The model first: its inadmissible parameters fail markov_form's gate,
+    # not the restriction's |a| < 1 check.
+    pmm = markov_form(model.params)
+    forms = (markov_form(hmm_params(model.params.a, model.params.b)), pmm)
+    terms = [horizon_terms(m, k_values) for m in forms]
     for n in n_values:
-        means = np.correlate(y_std, filter_coefficients(m, n), "valid")
+        means = [np.correlate(y_std, filter_coefficients(m, n), "valid") for m in forms]
         for k in k_values:
             count = x_test.size - n - k + 1
-            xx, xy, _ = terms[k]
-            predictions = xx * means[:count] + xy * y_std[n - 1 : n - 1 + count]
+            observed = y_std[n - 1 : n - 1 + count]
             targets = x_std[n - 1 + k : n - 1 + k + count]
-            yield n, k, (targets - predictions) ** 2
+            yield n, k, *((targets - (t[k][0] * mean[:count] + t[k][1] * observed)) ** 2
+                          for t, mean in zip(terms, means))
 
 
-def evaluate(model: FittedModel, x_test, y_test, n: int, k: int) -> float:
-    """One cell of ``evaluate_grid``."""
+def evaluate(model: FittedModel, x_test, y_test, n: int, k: int) -> tuple[float, float]:
+    """One cell of ``evaluate_grid``: (mse_hmm, mse_pmm)."""
     return evaluate_grid(model, x_test, y_test, [n], [k])[(n, k)]
 
 
 def _require_work(n_values, k_values, rows: int, names) -> None:
     """ValueError naming both grids and the row count if ``check_int``
-    rejects the steps ``_window_errors`` takes in 0..MAX_EVALUATE_WORK."""
+    rejects one forecaster's steps in ``_window_errors``, 0..MAX_EVALUATE_WORK."""
     work = sum((n + len(k_values)) * (rows - n + 1) for n in n_values)
     what = f"steps of {names[0]} ({len(n_values)} values) by {names[1]} ({len(k_values)} values)"
     check_int(work - len(n_values) * sum(k_values), f"{what} on {rows} rows", 0, MAX_EVALUATE_WORK)
@@ -343,9 +348,9 @@ def _require_work(n_values, k_values, rows: int, names) -> None:
 
 def evaluate_grid(
     model: FittedModel, x_test, y_test, n_values, k_values, names=("n_values", "k_values")
-) -> dict[tuple[int, int], float]:
-    """Standardized mean squared error over all sliding (n, k) windows, for
-    every (n, k) of the grid, sharing each n's filter means across all k.
+) -> dict[tuple[int, int], tuple[float, float]]:
+    """(mse_hmm, mse_pmm), the mean squared errors of the model's hidden-Markov
+    restriction and of the model over all sliding (n, k) windows, per grid cell.
 
     Window i filters the standardized observations y[i:i+n] and predicts
     the standardized x at offset i+n-1+k; windows slide by one.  Inputs are
@@ -361,8 +366,8 @@ def evaluate_grid(
     y_test = check_series(y_test, "y_test", x_test.size, x_test.size)
     _require_work(n_values, k_values, x_test.size, names)
     return {
-        (n, k): float(errors.mean())
-        for n, k, errors in _window_errors(model, x_test, y_test, n_values, k_values)
+        (n, k): (float(e_hmm.mean()), float(e_pmm.mean()))
+        for n, k, e_hmm, e_pmm in _window_errors(model, x_test, y_test, n_values, k_values)
     }
 
 

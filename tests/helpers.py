@@ -4,8 +4,9 @@ loops, the left-multiplication k-step map, the per-horizon forecast and
 variance recursions, the forecast coefficients, the n x n quadratic form,
 the row-by-row CSV reader and writers, the exact-MSE pass as one numpy
 matrix product per step, the exact-MSE grid as per-k weights and an (n, k)
-dict, and the simulate-and-filter Monte Carlo that the production paths
-replaced, kept as references; the production exact-MSE
+dict, the simulate-and-filter Monte Carlo and the one-forecaster
+sliding-window errors that the production paths replaced, kept as
+references; the production exact-MSE
 step, and the 7-entry one it replaced, run to every n without a cycle
 exit; the blockless form of the production Monte Carlo; and the filter
 weights and the Monte Carlo error weights before any was floored to 0.0."""
@@ -559,6 +560,28 @@ def unfloored_monte_carlo_mse(
         errors[i : i + 1] += np.einsum("ij,j->i", noise, step_weights)
     sq_errors = errors * errors
     return float(sq_errors.mean()), float(sq_errors.std(ddof=1) / math.sqrt(reps))
+
+
+def single_window_errors(model, x_test, y_test, n_values, k_values):
+    """``pipeline._window_errors`` before it scored the hidden-Markov
+    restriction in the same pass: one forecaster, ``model.params``, per
+    call.
+
+    Yield (n, k, squared errors of every sliding (n, k) window) over the
+    grid and series ``evaluate_grid`` checked; each n's filter means are
+    computed once, and every k's horizon coefficients come from one pass."""
+    x_std = model.x_standardize.apply(x_test)
+    y_std = model.y_standardize.apply(y_test)
+    m = markov_form(model.params)
+    terms = horizon_terms(m, k_values)
+    for n in n_values:
+        means = np.correlate(y_std, filter_coefficients(m, n), "valid")
+        for k in k_values:
+            count = x_test.size - n - k + 1
+            xx, xy, _ = terms[k]
+            predictions = xx * means[:count] + xy * y_std[n - 1 : n - 1 + count]
+            targets = x_std[n - 1 + k : n - 1 + k + count]
+            yield n, k, (targets - predictions) ** 2
 
 
 def rowwise_trajectory_to_csv(traj, fh) -> None:

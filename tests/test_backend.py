@@ -111,7 +111,7 @@ def test_window_errors_equal_per_window_filter(n, k):
     )
     traj = sample(p, 400, seed=67)
     x_test, y_test = 0.3 + 1.7 * traj.x, -0.2 + 0.8 * traj.y
-    [(_, _, errors)] = _window_errors(model, x_test, y_test, [n], [k])
+    [(_, _, _, errors)] = _window_errors(model, x_test, y_test, [n], [k])
     m = markov_form(p)
     a_k = np.linalg.matrix_power(m.A, k)
     x_std, y_std = (x_test - 0.3) / 1.7, (y_test + 0.2) / 0.8

@@ -302,6 +302,34 @@ class TestFit:
         assert code == 0
         assert FittedModel.load(model_path).fit_window == (0, 1000)
 
+    @pytest.mark.parametrize("window", [None, "0:10", "1990:2000"])
+    def test_too_few_rows_named_before_the_seasonal_fit(self, tmp_path, capsys, window):
+        # Below pipeline.MIN_FIT_ROWS; a 5-row file would fail fit_detrend's
+        # 6-row minimum if the seasonal fit ran first.
+        data = GOLDEN / "series.csv"
+        if window is None:
+            data = tmp_path / "short.csv"
+            write_series_csv(data, [0.1, -0.2, 0.3, 0.5, -0.4], [1.0, 0.2, -0.7, 0.4, 0.0])
+        argv = ["fit", "--input", data, "--output", tmp_path / "m.json", "--detrend"]
+        if window is not None:
+            argv += ["--window", window]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        what = f"rows of {data}" if window is None else f"rows of --window {window}"
+        rows = 5 if window is None else 10
+        assert json.loads(captured.err) == {
+            "error": "ValueError", "message": f"{what} must be >= 30, got {rows}",
+        }
+        assert not (tmp_path / "m.json").exists()
+
+    def test_window_of_thirty_rows_fits(self, tmp_path, capsys):
+        assert run_cli(
+            "fit", "--input", GOLDEN / "series.csv", "--output", tmp_path / "m.json",
+            "--window", "0:30",
+        ) == 0
+        assert FittedModel.load(tmp_path / "m.json").fit_window == (0, 30)
+
 
 class TestForecast:
     def test_oracle_agreement_on_tiny_input(self, tmp_path, fig2_params_file, capsys):
@@ -451,16 +479,11 @@ class TestEvaluate:
         assert code == 0
         capsys.readouterr()
         fitted = FittedModel.load(model_path)
-        hmm = FittedModel(
-            params=hmm_params(fitted.params.a, fitted.params.b),
-            x_standardize=fitted.x_standardize,
-            y_standardize=fitted.y_standardize,
-        )
         x, y = t.x[3_000:], t.y[3_000:]
         want = ["n,k,mse_hmm,mse_pmm"]
         for n in (5, 20, 50):
             for k in (1, 24, 48):
-                mse_h, mse_p = evaluate(hmm, x, y, n, k), evaluate(fitted, x, y, n, k)
+                mse_h, mse_p = evaluate(fitted, x, y, n, k)
                 want.append(f"{n},{k},{mse_h:.12e},{mse_p:.12e}")
         assert table.read_text().splitlines() == want
 
@@ -1103,6 +1126,22 @@ class TestOracleSubcommand:
                 got = json.loads(capsys.readouterr().out)["theoretical_mse"]
                 want = scalar_mse_pmm(p, n, k)
                 assert abs(got - want) <= 1e-12 * want
+
+    def test_n_plus_k_past_the_cap_names_both_flags(self, tmp_path, fig2_params_file, capsys):
+        # Each flag in its range, n + k one past oracle.DEFAULT_CAP; the
+        # sum is checked before the input is read, so a missing file is
+        # not what is reported.
+        argv = ["oracle", "--params", fig2_params_file, "--input", tmp_path / "missing.csv"]
+        assert run_cli(*argv, "--n", 12, "--k", 5) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError",
+            "message": "--n + --k of the oracle's joint law must be <= 16, got 17",
+        }
+        argv[-1] = GOLDEN / "series.csv"
+        assert run_cli(*argv, "--n", 12, "--k", 4) == 0
+        capsys.readouterr()
 
     def test_n_beyond_the_rows_is_a_json_error(self, tmp_path, fig2_params_file, capsys):
         data = tmp_path / "obs.csv"

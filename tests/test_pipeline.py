@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,7 @@ from pmmkit.pipeline import (
     read_series_csv,
     seasonal_values,
 )
-from helpers import FIG2_PARAMS, dictreader_columns
+from helpers import FIG2_PARAMS, FIG4_PARAMS, dictreader_columns, single_window_errors
 
 
 def harmonic(i, period):
@@ -180,7 +183,7 @@ class TestEstimate:
         y = x + 0.05 * rng.standard_normal(4000)
         fitted = estimate_params(x, y)
         assert validate(fitted.params).ok
-        assert np.isfinite(evaluate(fitted, x[2000:], y[2000:], 20, 5))
+        assert np.isfinite(evaluate(fitted, x[2000:], y[2000:], 20, 5)).all()
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
@@ -200,9 +203,9 @@ class TestEvaluate:
         t = sample(FIG2_PARAMS, 30_000, seed=79)
         model = FittedModel(FIG2_PARAMS)
         n, k = 5, 2
-        mse = evaluate(model, t.x, t.y, n, k)
+        _, mse = evaluate(model, t.x, t.y, n, k)
         theory = theoretical_mse_pmm(FIG2_PARAMS, n, k)
-        [(_, _, errors)] = _window_errors(model, t.x, t.y, [n], [k])
+        [(_, _, _, errors)] = _window_errors(model, t.x, t.y, [n], [k])
         # overlapping windows correlate; allow a generous multiple of the
         # naive standard error
         naive_se = errors.std(ddof=1) / np.sqrt(errors.size)
@@ -210,11 +213,10 @@ class TestEvaluate:
 
     def test_pmm_beats_hmm_restriction_on_pmm_data(self):
         t = sample(FIG2_PARAMS, 20_000, seed=80)
+        # The restriction of FIG2_PARAMS is hmm_params(0.9, -0.2).
         pmm = FittedModel(FIG2_PARAMS)
-        hmm = FittedModel(hmm_params(0.9, -0.2))
         for n, k in ((5, 1), (10, 3)):
-            [(_, _, err_p)] = _window_errors(pmm, t.x, t.y, [n], [k])
-            [(_, _, err_h)] = _window_errors(hmm, t.x, t.y, [n], [k])
+            [(_, _, err_h, err_p)] = _window_errors(pmm, t.x, t.y, [n], [k])
             diff = err_h - err_p
             assert diff.mean() >= -3 * diff.std(ddof=1) / np.sqrt(diff.size)
 
@@ -222,8 +224,8 @@ class TestEvaluate:
         model = FittedModel(FIG2_PARAMS)
         x = np.zeros(20)
         y = np.zeros(20)
-        [(_, _, errors)] = _window_errors(model, x, y, [5], [2])
-        assert errors.size == 14
+        [(_, _, err_h, err_p)] = _window_errors(model, x, y, [5], [2])
+        assert err_h.size == err_p.size == 14
 
     def test_grid_bit_identical_to_per_cell_evaluate(self):
         t = sample(FIG2_PARAMS, 5_000, seed=82)
@@ -279,6 +281,57 @@ class TestEvaluate:
 
     def test_work_bound_value(self):
         assert pipeline.MAX_EVALUATE_WORK == 2 * 10**9
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _golden_detrended(tmp_path):
+    model = FittedModel.load(GOLDEN / "model.json")
+    x, y = read_series_csv(GOLDEN / "series.csv")
+    return model, x[12:], detrend(y[12:], model.detrend, start_index=12)
+
+
+def _seeded_scaled(tmp_path):
+    model = FittedModel(
+        params=FIG4_PARAMS,
+        x_standardize=StandardizationParams(0.3, 1.7),
+        y_standardize=StandardizationParams(-0.2, 0.8),
+    )
+    t = sample(FIG4_PARAMS, 3_000, seed=87)
+    return model, 0.3 + 1.7 * t.x, -0.2 + 0.8 * t.y
+
+
+def _bare_parameter_file(tmp_path):
+    save_params(FIG2_PARAMS, tmp_path / "params.json")
+    return (FittedModel.load(tmp_path / "params.json"), *read_series_csv(GOLDEN / "series.csv"))
+
+
+class TestOnePass:
+    """Both forecasters in one pass against two one-forecaster passes of the
+    path it replaced (``helpers.single_window_errors``), bit for bit."""
+
+    @pytest.mark.parametrize(
+        "case", [_golden_detrended, _seeded_scaled, _bare_parameter_file],
+        ids=["golden-detrended", "seeded-scaled", "bare-parameter-file"],
+    )
+    def test_equals_two_single_forecaster_passes(self, tmp_path, case):
+        model, x, y = case(tmp_path)
+        p = model.params
+        restriction = replace(model, params=hmm_params(p.a, p.b))
+        grid = ([1, 5, 20, 50], [0, 1, 6, 24])
+        pairs = zip(
+            single_window_errors(restriction, x, y, *grid),
+            single_window_errors(model, x, y, *grid),
+        )
+        table = evaluate_grid(model, x, y, *grid)
+        assert list(table) == [(n, k) for n in grid[0] for k in grid[1]]
+        for (n, k, e_hmm, e_pmm), (want_h, want_p) in zip(
+            _window_errors(model, x, y, *grid), pairs, strict=True
+        ):
+            assert (n, k) == want_h[:2] == want_p[:2]
+            assert np.array_equal(e_hmm, want_h[2]) and np.array_equal(e_pmm, want_p[2])
+            assert table[n, k] == (float(want_h[2].mean()), float(want_p[2].mean()))
 
 
 class TestSerialization:
