@@ -23,6 +23,9 @@ the ``pmmkit`` script and ``python -m pmmkit.cli``, this module sets
 OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, MKL_NUM_THREADS, BLIS_NUM_THREADS
 and VECLIB_MAXIMUM_THREADS to 1 unless one of them is already set; export
 any of them to choose otherwise.  Imported after numpy, it changes nothing.
+``monte-carlo`` runs its replicate blocks on threads of its own, one per
+CPU of the process's affinity mask; each block draws from its own stream
+and the results are combined in one thread, so they change no digit.
 """
 
 from __future__ import annotations
@@ -177,6 +180,7 @@ def cmd_fit(args) -> dict:
 
     if args.periods is not None and not args.detrend:
         raise ValueError("argument --periods: not allowed without argument --detrend")
+    periods = DEFAULT_PERIODS if args.periods is None else _parse_periods(args.periods)
     x, y = read_series_csv(args.input)
     lo, hi = args.window or (0, x.size)
     check_int(hi, "--window end", lo + 1, x.size)
@@ -184,7 +188,6 @@ def cmd_fit(args) -> dict:
     check_int(hi - lo, what, MIN_FIT_ROWS)
     detrend_model = None
     if args.detrend:
-        periods = DEFAULT_PERIODS if args.periods is None else _parse_periods(args.periods)
         detrend_model = fit_detrend(y, periods)
         y = detrend(y, detrend_model)
     fitted = estimate_params(x[lo:hi], y[lo:hi], detrend_model=detrend_model, fit_window=(lo, hi))

@@ -34,12 +34,13 @@ MAX_GRID_POINTS = 10**6
 # The most steps of one simulated trajectory: 3.3 s and an 878 MB peak for
 # ``simulate`` at 10^7 on a 2-vCPU Xeon VM, linear in the steps.
 MAX_SIMULATE_STEPS = 10**7
-# The most Monte Carlo replicates: 11 s and a 341 MB peak for
-# ``monte-carlo --n 50 --k 5`` at 10^7 on the same VM, linear in reps.
+# The most Monte Carlo replicates: 5.5 s on two CPUs (11 s on one) and a
+# 266 MB peak for ``monte-carlo --n 50 --k 5`` at 10^7 on the same VM,
+# linear in reps.
 MAX_REPLICATES = 10**7
-# The most replicate-steps, reps * (n + k), of one Monte Carlo: about 24 ns
-# a replicate-step at any n + k, start-up included, so at most 15 s at the
-# bound on the same VM.
+# The most replicate-steps, reps * (n + k), of one Monte Carlo: about 20 ns
+# of CPU a replicate-step at any n + k, start-up included, so about 12 s of
+# CPU at the bound on the same VM, shared among its CPUs.
 MAX_REPLICATE_STEPS = 6 * 10**8
 # The largest 1-based sample index of a seasonal phase: every integer up to
 # 2^53 is a float, and past it neighbouring indices round to one float.

@@ -11,14 +11,20 @@ Monte Carlo builds no trajectory.  Every forecaster here is linear in the
 observations and every observation is linear in the normal draws, so a
 replicate's forecast error is one fixed weight vector dotted with its own
 draws; one backward pass through the true model gives those weights in
-O(n + k).  The draws come at most BLOCK_STEPS replicate-steps (but at least
-one replicate) at a time, and only their errors are kept, so the memory is
-O(reps + n + k + BLOCK_STEPS).
+O(n + k).  The replicates come in blocks of at most BLOCK_STEPS
+replicate-steps (but at least one replicate), and block j draws from its
+own stream, child j of the seed's ``SeedSequence``.  The blocks run on one
+thread per CPU of the process's affinity mask, and only their errors are
+kept, so the memory is O(reps + n + k + threads * BLOCK_STEPS).  The block
+partition and each block's stream do not depend on the thread count, so
+it changes no digit of the result.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +49,11 @@ __all__ = [
 
 RNG_ALGORITHM = "numpy-pcg64"
 # Most replicate-steps in one Monte Carlo block, which holds at least one
-# replicate: 16 bytes each for the noise, so about 1 MB until n + k passes
-# 2^16.  A replicate-step costs about 20 ns at any n + k, at this budget or
-# at 2^20, on a 2-vCPU Xeon VM.
+# replicate, and in one draw of a replicate longer than that: 16 bytes each
+# for the noise, so about 1 MB a thread.  The blocks fix which stream draws
+# each replicate, so this constant, unlike the thread count, is part of
+# what a seed means.  A replicate-step costs about 20 ns of CPU at any
+# n + k on a 2-vCPU Xeon VM.
 BLOCK_STEPS = 2**16
 
 
@@ -76,8 +84,20 @@ def _chol2(mat: Matrix2) -> tuple[float, float, float]:
     return l11, l21, math.sqrt(m22 - l21 * l21)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(check_int(seed, "seed", 0))
+def _rng(seed: int, *spawn_key: int) -> np.random.Generator:
+    """The generator of ``seed``, or of its child stream ``spawn_key`` as
+    numbered by ``SeedSequence.spawn``: every generator of this module."""
+    seq = np.random.SeedSequence(check_int(seed, "seed", 0), spawn_key=spawn_key)
+    return np.random.default_rng(seq)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, so that taskset or a cpuset limits Monte Carlo's
+    threads."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def sample(p: PmmParams, n_steps: int, seed: int) -> Trajectory:
@@ -153,32 +173,65 @@ def monte_carlo_mse(
     reps * (n + k) is bounded by MAX_REPLICATE_STEPS; errors name reps, n
     and k by ``names``.
 
-    The draws are those of simulating every replicate: the first pairs of
-    all replicates up front, then each block of max(1, BLOCK_STEPS //
-    (n + k)) replicates draws its own noise.  No
-    trajectory is built: a block's errors are its noise times the weights
-    of ``_error_weights``, reduced row by row with ``np.einsum``, which
-    gives every row the same bits at any block size.  Consecutive draws
-    equal one large draw bit for bit, so the result does not depend on the
-    block size.  A replicate-step costs about 20 ns at any n + k on a 2-vCPU
-    Xeon VM.
+    Block j holds replicates j * b .. j * b + b - 1, b = max(1, BLOCK_STEPS
+    // (n + k)), and draws from the generator of SeedSequence(seed,
+    spawn_key=(j,)).  A replicate draws its 2 (n + k) normals in the order
+    a simulation takes them, the first pair first.  No trajectory is built:
+    a block's errors are its noise times the weights of ``_error_weights``,
+    reduced row by row with ``np.einsum``.  A replicate longer than
+    BLOCK_STEPS draws its row in pieces of BLOCK_STEPS steps and adds their
+    products in order.
+
+    The blocks run on min(blocks, CPUs of the affinity mask) threads, block
+    j on thread j mod that count, the caller's thread being thread 0.  No
+    digit depends on the count: the blocks, their streams and their
+    arithmetic do not, and the mean and standard error are taken in the
+    caller's thread.  An exception in any thread stops the others at their
+    next block and is raised here.  A replicate-step costs about 20 ns of
+    CPU at any n + k on a 2-vCPU Xeon VM.
     """
     reps = check_int(reps, names[0], 100, MAX_REPLICATES)
     check_grid([n], [k], names[1:])
     what = f"replicate-steps of {names[0]} ({reps}) times {names[1]} + {names[2]} ({n + k})"
     check_int(reps * (n + k), what, 1, MAX_REPLICATE_STEPS)
-    weights = _error_weights(markov_form(p_true), markov_form(forecaster_params), n, k)
-    rng = _rng(seed)
-    e0 = rng.standard_normal((reps, 2))
-    errors = weights[0, 0] * e0[:, 0] + weights[0, 1] * e0[:, 1]
-    del e0
-    step_weights = weights[1:].ravel()
+    weights = _error_weights(markov_form(p_true), markov_form(forecaster_params), n, k).ravel()
+    seed = check_int(seed, "seed", 0)
+    width, piece = weights.size, 2 * BLOCK_STEPS
     chunk = max(1, BLOCK_STEPS // (n + k))
-    for lo in range(0, reps, chunk):
-        rows = min(chunk, reps - lo)
-        noise = rng.standard_normal((rows, n + k - 1, 2)).reshape(rows, -1)
-        errors[lo : lo + rows] += np.einsum("ij,j->i", noise, step_weights)
-        del noise  # so that the next block's draw does not overlap this one
+    blocks = -(-reps // chunk)
+    workers = min(blocks, _cpu_count())
+    errors = np.zeros(reps)
+    stop = threading.Event()
+    failures = []
+
+    def stripe(first: int) -> None:
+        try:
+            for j in range(first, blocks, workers):
+                if stop.is_set():
+                    return
+                rng = _rng(seed, j)
+                out = errors[j * chunk : (j + 1) * chunk]
+                # One piece, unless a lone replicate is longer than BLOCK_STEPS;
+                # each piece's noise is freed before the next is drawn.
+                for c in range(0, width, piece):
+                    noise = rng.standard_normal((out.size, min(piece, width - c)))
+                    out += np.einsum("ij,j->i", noise, weights[c : c + piece])
+                    del noise
+        except BaseException as exc:
+            failures.append(exc)
+            stop.set()
+
+    threads = [threading.Thread(target=stripe, args=(w,)) for w in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        stripe(0)
+        for thread in threads:
+            thread.join()
+    finally:
+        stop.set()  # an interrupt while joining stops the workers too
+    if failures:
+        raise failures[0]
     sq_errors = errors * errors
     mse = float(sq_errors.mean())
     stderr = float(sq_errors.std(ddof=1) / math.sqrt(reps))

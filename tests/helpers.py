@@ -4,9 +4,9 @@ loops, the left-multiplication k-step map, the per-horizon forecast and
 variance recursions, the forecast coefficients, the n x n quadratic form,
 the row-by-row CSV reader and writers, the exact-MSE pass as one numpy
 matrix product per step, the exact-MSE grid as per-k weights and an (n, k)
-dict, the simulate-and-filter Monte Carlo and the one-forecaster
-sliding-window errors that the production paths replaced, kept as
-references; the production exact-MSE
+dict, the simulate-and-filter Monte Carlo, the single-stream Monte Carlo
+and the one-forecaster sliding-window errors that the production paths
+replaced, kept as references; the production exact-MSE
 step, and the 7-entry one it replaced, run to every n without a cycle
 exit; the blockless form of the production Monte Carlo; and the filter
 weights and the Monte Carlo error weights before any was floored to 0.0."""
@@ -21,6 +21,7 @@ import numpy as np
 
 from pmmkit import PmmParams, filter_coefficients, hmm_params, markov_form, validate
 from pmmkit import _kernels_py as kernels
+from pmmkit import simulate
 from pmmkit.error_analysis import (
     MseCurve,
     _augmented_recursion,
@@ -29,9 +30,11 @@ from pmmkit.error_analysis import (
     observation_covariance,
 )
 from pmmkit.filtering import _variance_and_gains, batch_filter_means, filter_variance_sequence
-from pmmkit.forecasting import check_grid, horizon_terms
+from pmmkit.forecasting import (
+    MAX_REPLICATE_STEPS, MAX_REPLICATES, check_grid, check_int, horizon_terms,
+)
 from pmmkit.riccati import _riccati_step, orbit
-from pmmkit.simulate import _chol2, _error_weights
+from pmmkit.simulate import BLOCK_STEPS, _chol2, _error_weights, _rng
 
 
 def random_valid_params(rng, max_spectral_radius: float = 0.999) -> PmmParams:
@@ -476,14 +479,37 @@ def simulated_errors(
     return x[:, n + k - 1] - predictions
 
 
+def block_stream_noise(seed: int, n: int, k: int, reps: int) -> np.ndarray:
+    """The normals of every replicate at once, shape (reps, 2 (n + k)), in
+    the layout of ``monte_carlo_mse``: block j of max(1, BLOCK_STEPS //
+    (n + k)) replicates draws its rows from SeedSequence(seed,
+    spawn_key=(j,)), the first pair of each row first.  BLOCK_STEPS is read
+    at call time, so that a test may set it."""
+    chunk = max(1, simulate.BLOCK_STEPS // (n + k))
+    return np.concatenate([
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
+        .standard_normal((min(chunk, reps - lo), 2 * (n + k)))
+        for j, lo in enumerate(range(0, reps, chunk))
+    ])
+
+
+def pieces(width: int) -> list[slice]:
+    """The column slices in which ``monte_carlo_mse`` takes a row of
+    ``width`` normals: one, unless the row is longer than BLOCK_STEPS steps,
+    then pieces of BLOCK_STEPS steps (BLOCK_STEPS read at call time)."""
+    piece = 2 * simulate.BLOCK_STEPS
+    return [slice(c, c + piece) for c in range(0, width, piece)]
+
+
 def whole_batch_monte_carlo_mse(
     p_true: PmmParams, p_fc: PmmParams, n: int, k: int, reps: int, seed: int
 ) -> tuple[float, float]:
     """``monte_carlo_mse`` by simulating and filtering every replicate, with
-    the noise of every replicate drawn at once: O(reps * (n + k)) memory."""
-    rng = np.random.default_rng(seed)
-    e0 = rng.standard_normal((reps, 2))
-    eps = rng.standard_normal((reps, n + k - 1, 2))
+    the noise of every replicate drawn at once from the streams of
+    ``block_stream_noise``: O(reps * (n + k)) memory."""
+    noise = block_stream_noise(seed, n, k, reps)
+    e0 = noise[:, :2]
+    eps = noise[:, 2:].reshape(reps, n + k - 1, 2)
     sq_errors = simulated_errors(p_true, p_fc, n, k, e0, eps) ** 2
     return float(sq_errors.mean()), float(sq_errors.std(ddof=1) / math.sqrt(reps))
 
@@ -492,16 +518,50 @@ def whole_batch_weighted_mse(
     p_true: PmmParams, p_fc: PmmParams, n: int, k: int, reps: int, seed: int
 ) -> tuple[float, float]:
     """``monte_carlo_mse`` with the noise of every replicate drawn at once
-    and weighted by one ``np.einsum``: the production arithmetic without
-    the blocks, O(reps * (n + k)) memory."""
-    weights = _error_weights(markov_form(p_true), markov_form(p_fc), n, k)
-    rng = np.random.default_rng(seed)
-    e0 = rng.standard_normal((reps, 2))
-    eps = rng.standard_normal((reps, n + k - 1, 2)).reshape(reps, -1)
-    errors = weights[0, 0] * e0[:, 0] + weights[0, 1] * e0[:, 1]
-    errors += np.einsum("ij,j->i", eps, weights[1:].ravel())
+    from the streams of ``block_stream_noise`` and weighted by one
+    ``np.einsum`` per piece of the rows: the production arithmetic without
+    the blocks or the threads, O(reps * (n + k)) memory."""
+    weights = _error_weights(markov_form(p_true), markov_form(p_fc), n, k).ravel()
+    noise = block_stream_noise(seed, n, k, reps)
+    errors = np.zeros(reps)
+    for cols in pieces(weights.size):
+        errors += np.einsum("ij,j->i", np.ascontiguousarray(noise[:, cols]), weights[cols])
     sq_errors = errors * errors
     return float(sq_errors.mean()), float(sq_errors.std(ddof=1) / math.sqrt(reps))
+
+
+def single_stream_monte_carlo_mse(
+    p_true: PmmParams,
+    forecaster_params: PmmParams,
+    n: int,
+    k: int,
+    reps: int,
+    seed: int,
+    names=("reps", "n", "k"),
+) -> tuple[float, float]:
+    """``monte_carlo_mse`` as it was on one stream and one thread: the
+    first pairs of all replicates up front, then each block's noise, from
+    the one generator of ``seed``."""
+    reps = check_int(reps, names[0], 100, MAX_REPLICATES)
+    check_grid([n], [k], names[1:])
+    what = f"replicate-steps of {names[0]} ({reps}) times {names[1]} + {names[2]} ({n + k})"
+    check_int(reps * (n + k), what, 1, MAX_REPLICATE_STEPS)
+    weights = _error_weights(markov_form(p_true), markov_form(forecaster_params), n, k)
+    rng = _rng(seed)
+    e0 = rng.standard_normal((reps, 2))
+    errors = weights[0, 0] * e0[:, 0] + weights[0, 1] * e0[:, 1]
+    del e0
+    step_weights = weights[1:].ravel()
+    chunk = max(1, BLOCK_STEPS // (n + k))
+    for lo in range(0, reps, chunk):
+        rows = min(chunk, reps - lo)
+        noise = rng.standard_normal((rows, n + k - 1, 2)).reshape(rows, -1)
+        errors[lo : lo + rows] += np.einsum("ij,j->i", noise, step_weights)
+        del noise  # so that the next block's draw does not overlap this one
+    sq_errors = errors * errors
+    mse = float(sq_errors.mean())
+    stderr = float(sq_errors.std(ddof=1) / math.sqrt(reps))
+    return mse, stderr
 
 
 def unfloored_weights(m, gains: np.ndarray) -> np.ndarray:
@@ -548,16 +608,19 @@ def unfloored_error_weights(m_true, m_fc, n: int, k: int) -> np.ndarray:
 def unfloored_monte_carlo_mse(
     p_true: PmmParams, p_fc: PmmParams, n: int, k: int, reps: int, seed: int
 ) -> tuple[float, float]:
-    """``monte_carlo_mse`` weighted by ``unfloored_error_weights``, one
-    replicate per block, so its memory is O(n + k) at any length."""
-    weights = unfloored_error_weights(markov_form(p_true), markov_form(p_fc), n, k)
-    rng = np.random.default_rng(seed)
-    e0 = rng.standard_normal((reps, 2))
-    errors = weights[0, 0] * e0[:, 0] + weights[0, 1] * e0[:, 1]
-    step_weights = weights[1:].ravel()
-    for i in range(reps):
-        noise = rng.standard_normal((1, n + k - 1, 2)).reshape(1, -1)
-        errors[i : i + 1] += np.einsum("ij,j->i", noise, step_weights)
+    """``monte_carlo_mse`` weighted by ``unfloored_error_weights``, on the
+    streams of ``block_stream_noise`` but one replicate at a time, so its
+    memory is O(n + k) at any length: consecutive draws from a block's
+    generator equal the block's one draw bit for bit."""
+    weights = unfloored_error_weights(markov_form(p_true), markov_form(p_fc), n, k).ravel()
+    chunk = max(1, simulate.BLOCK_STEPS // (n + k))
+    errors = np.zeros(reps)
+    for j, lo in enumerate(range(0, reps, chunk)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
+        for i in range(lo, min(lo + chunk, reps)):
+            for cols in pieces(weights.size):
+                noise = rng.standard_normal((1, weights[cols].size))
+                errors[i : i + 1] += np.einsum("ij,j->i", noise, weights[cols])
     sq_errors = errors * errors
     return float(sq_errors.mean()), float(sq_errors.std(ddof=1) / math.sqrt(reps))
 

@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -320,6 +321,24 @@ class TestFit:
         rows = 5 if window is None else 10
         assert json.loads(captured.err) == {
             "error": "ValueError", "message": f"{what} must be >= 30, got {rows}",
+        }
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("window", [None, "0:10"], ids=["missing_input", "short_window"])
+    def test_periods_checked_before_the_input(self, tmp_path, capsys, window):
+        # Read first, a missing file or a window below the fitting minimum
+        # would be reported in place of the malformed flag.
+        data = tmp_path / "missing.csv" if window is None else GOLDEN / "series.csv"
+        argv = ["fit", "--input", data, "--output", tmp_path / "m.json",
+                "--detrend", "--periods", "x"]
+        if window is not None:
+            argv += ["--window", window]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError",
+            "message": "--periods needs two comma-separated numbers, got 'x'",
         }
         assert not (tmp_path / "m.json").exists()
 
@@ -1072,6 +1091,35 @@ class TestMonteCarlo:
         assert err["error"] == "ValueError"
         assert err["message"] == "--seed must be >= 0, got -1"
         assert list(tmp_path.iterdir()) == [fig2_params_file]
+
+    def test_memory_error_in_a_worker_is_one_json_line(
+        self, tmp_path, fig2_params_file, capsys, monkeypatch
+    ):
+        # Two threads; block 1 of 2 runs on the second and fails there
+        # with numpy's own MemoryError subclass.
+        failed_on = []
+        rng = pmmkit.simulate._rng
+
+        def failing_rng(seed, *spawn_key):
+            if spawn_key == (1,):
+                failed_on.append(threading.current_thread())
+                np.empty(2**57)
+            return rng(seed, *spawn_key)
+
+        monkeypatch.setattr(pmmkit.simulate, "_rng", failing_rng)
+        monkeypatch.setattr(pmmkit.simulate, "_cpu_count", lambda: 2)
+        code = run_cli(
+            "monte-carlo", "--params", fig2_params_file,
+            "--n", 50, "--k", 5, "--reps", 2000, "--seed", 15,
+        )
+        assert code == 1
+        assert failed_on and failed_on[0] is not threading.current_thread()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "MemoryError"
+        assert "1.00 EiB" in err["message"]
 
     def test_general_forecaster_reports_exact_theory(self, tmp_path, capsys):
         true = get_preset("fig4").true_params

@@ -1,4 +1,7 @@
 import io
+import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -32,6 +35,7 @@ from helpers import (
     SOIL_PARAMS,
     rowwise_trajectory_to_csv,
     simulated_errors,
+    single_stream_monte_carlo_mse,
     unfloored_monte_carlo_mse,
     whole_batch_monte_carlo_mse,
     whole_batch_weighted_mse,
@@ -245,7 +249,9 @@ class TestMonteCarloMse:
             monte_carlo_mse(*args), whole_batch_monte_carlo_mse(*args), rtol=1e-13
         )
 
-    def test_memory_bounded_in_replicates(self):
+    def test_memory_bounded_in_replicates(self, monkeypatch):
+        # Eight threads, whatever the machine, each with one block in flight.
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 8)
         fig = get_preset("fig4")
         tracemalloc.start()
         try:
@@ -264,7 +270,8 @@ class TestMonteCarloMse:
         args = (fig.true_params, fig.hmm_reference, 4995, 5, 300, 25)
         assert monte_carlo_mse(*args) == whole_batch_weighted_mse(*args)
 
-    def test_memory_bounded_in_replicate_length(self):
+    def test_memory_bounded_in_replicate_length(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 8)
         fig = get_preset("fig4")
         tracemalloc.start()
         try:
@@ -275,6 +282,147 @@ class TestMonteCarloMse:
         # The noise of all 1024 replicates at once would take about 82 MB
         # here; with blocks of 13 replicates the peak is about 1.2 MB.
         assert peak < 24_000_000
+
+    def test_memory_bounded_in_threads(self, monkeypatch):
+        # n + k = 2 * 10^5 is three pieces of BLOCK_STEPS steps a replicate.
+        # The weights are formed before tracing: their O(n + k) Python
+        # floats are not the noise.
+        fig = get_preset("fig4")
+        n = k = 10**5
+        weights = _error_weights(markov_form(fig.true_params), markov_form(fig.hmm_reference), n, k)
+        monkeypatch.setattr(simulate, "_error_weights", lambda *args: weights)
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 8)
+        tracemalloc.start()
+        try:
+            monte_carlo_mse(fig.true_params, fig.hmm_reference, n, k, 100, seed=31)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A whole row in flight on each of 8 threads would take 25.6 MB; a
+        # piece on each takes 8 * 16 * BLOCK_STEPS bytes, 8.4 MB.
+        assert peak < 8 * 16 * BLOCK_STEPS + 1_000_000
+
+    # The single-stream Monte Carlo drew every replicate's first pair up
+    # front and weighed it apart from the rest of the row.
+    @pytest.mark.parametrize("n, k", MC_GRID)
+    @pytest.mark.parametrize("which", FORECASTERS)
+    @pytest.mark.parametrize("truth", TRUE_PARAMS)
+    def test_row_arithmetic_matches_single_stream(self, truth, which, n, k):
+        """One product over a whole row against the first pair's two
+        products plus one over the rest, on the same draws."""
+        p_true = TRUE_PARAMS[truth]
+        weights = _error_weights(
+            markov_form(p_true), markov_form(FORECASTERS[which](p_true)), n, k
+        )
+        noise = np.random.default_rng(30).standard_normal((500, 2 * (n + k)))
+        new = np.einsum("ij,j->i", noise, weights.ravel())
+        old = weights[0, 0] * noise[:, 0] + weights[0, 1] * noise[:, 1]
+        old += np.einsum("ij,j->i", np.ascontiguousarray(noise[:, 2:]), weights[1:].ravel())
+        # An error near 0 keeps its absolute rounding, not its relative one;
+        # the mean and standard error of the squares are held to 1e-13.
+        np.testing.assert_allclose(mse_and_stderr(new), mse_and_stderr(old), rtol=1e-13)
+
+    @pytest.mark.parametrize("n, k", MC_GRID)
+    @pytest.mark.parametrize("which", FORECASTERS)
+    @pytest.mark.parametrize("truth", TRUE_PARAMS)
+    def test_agrees_with_single_stream(self, truth, which, n, k):
+        """The per-block streams and the single stream are independent
+        samples of one law: their MSEs agree within 5 combined standard
+        errors."""
+        p_true = TRUE_PARAMS[truth]
+        args = (p_true, FORECASTERS[which](p_true), n, k, 2000, 32)
+        mse, stderr = monte_carlo_mse(*args)
+        old_mse, old_stderr = single_stream_monte_carlo_mse(*args)
+        assert abs(mse - old_mse) <= 5 * math.hypot(stderr, old_stderr)
+
+    # Nine blocks of 1191 replicates, and 100 one-replicate blocks of two
+    # pieces each; the threads switch every microsecond, so that a block
+    # written over by another thread would show.
+    @pytest.mark.parametrize("n, k, reps", [(50, 5, 10_000), (40_000, 30_000, 100)])
+    def test_same_result_at_any_worker_count(self, monkeypatch, n, k, reps):
+        fig = get_preset("fig4")
+        args = (fig.true_params, fig.hmm_reference, n, k, reps, 33)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(simulate, "_cpu_count", lambda: workers)
+                results.append(monte_carlo_mse(*args))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[1:] == results[:-1]
+        assert results[0] == whole_batch_weighted_mse(*args)
+
+    def test_blocks_striped_over_threads(self, monkeypatch):
+        # Block j runs on thread j mod 3, the caller's thread being thread 0.
+        ran = {}
+        rng = simulate._rng
+
+        def recording_rng(seed, *spawn_key):
+            ran[spawn_key] = threading.get_ident()
+            return rng(seed, *spawn_key)
+
+        monkeypatch.setattr(simulate, "_rng", recording_rng)
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 3)
+        monte_carlo_mse(FIG2_PARAMS, FIG2_PARAMS, 50, 5, 10_000, seed=34)
+        assert sorted(ran) == [(j,) for j in range(9)]
+        stripes = [{ran[(j,)] for j in range(w, 9, 3)} for w in range(3)]
+        assert all(len(s) == 1 for s in stripes)
+        assert stripes[0] == {threading.get_ident()}
+        assert len(set.union(*stripes)) == 3
+
+    def test_worker_failure_stops_the_caller(self, monkeypatch):
+        # Block 1 fails on the second thread once the caller has begun
+        # block 0, which waits for that thread to end, so the caller's next
+        # block (2) must see the failure.
+        started = []
+        begun = threading.Event()
+        rng = simulate._rng
+
+        def failing_rng(seed, *spawn_key):
+            started.append(spawn_key)
+            if spawn_key == (1,):
+                begun.wait(timeout=60)
+                np.empty(2**57)  # numpy's MemoryError, raised at once
+            if spawn_key == (0,):
+                begun.set()
+                for thread in set(threading.enumerate()) - before:
+                    thread.join(timeout=60)
+            return rng(seed, *spawn_key)
+
+        before = set(threading.enumerate())
+        monkeypatch.setattr(simulate, "_rng", failing_rng)
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+        with pytest.raises(MemoryError):
+            monte_carlo_mse(FIG2_PARAMS, FIG2_PARAMS, 50, 5, 10_000, seed=35)
+        assert sorted(started) == [(0,), (1,)]
+
+    def test_caller_interrupt_stops_the_workers(self, monkeypatch):
+        # The caller is interrupted in block 0 once the second thread has
+        # begun block 1; that thread stops at a later block, and no thread
+        # of the call is left running.
+        started = []
+        begun = threading.Event()
+        rng = simulate._rng
+
+        def interrupted_rng(seed, *spawn_key):
+            started.append(spawn_key)
+            if spawn_key == (1,):
+                begun.set()
+            if spawn_key == (0,):
+                begun.wait(timeout=60)
+                raise KeyboardInterrupt
+            return rng(seed, *spawn_key)
+
+        before = set(threading.enumerate())
+        monkeypatch.setattr(simulate, "_rng", interrupted_rng)
+        monkeypatch.setattr(simulate, "_cpu_count", lambda: 2)
+        # 839 blocks of 78 replicates.
+        with pytest.raises(KeyboardInterrupt):
+            monte_carlo_mse(FIG2_PARAMS, FIG2_PARAMS, 800, 40, 65_400, seed=36)
+        assert set(threading.enumerate()) <= before
+        assert (1,) in started and len(started) < 100
 
 
 class TestErrorWeights:
@@ -372,6 +520,11 @@ class TestCsv:
     def test_arbitrary_doubles_equal_rowwise(self, rows):
         x, y = np.array(rows).T
         assert_csv_equals_rowwise(Trajectory(x=x.copy(), y=y.copy(), seed=0))
+
+
+def mse_and_stderr(errors) -> tuple[float, float]:
+    sq_errors = errors * errors
+    return sq_errors.mean(), sq_errors.std(ddof=1) / math.sqrt(errors.size)
 
 
 def assert_blocks_equal_whole_batch(preset, which, n, k, reps) -> None:
