@@ -8,9 +8,9 @@ surface; helpers such as the oracle, the detrending steps and the
 validation report stay importable from their submodules.
 
 The import is lazy: a name loads its submodule on first access, so that
-``pmmkit.cli`` can pin numpy's thread pool before numpy loads.  The model,
-the presets, the forecasting map and the exact MSE are Python floats and
-load no numpy; the filtering, pipeline, simulation and oracle modules do.
+``pmmkit.cli`` can pin numpy's thread pool before numpy loads.  The model
+and its files, the presets, the forecasting map and the exact MSE are Python
+floats and load no numpy; the filtering, pipeline, simulation and oracle do.
 """
 
 import importlib
@@ -29,10 +29,10 @@ _EXPORTS = {
     ],
     "forecasting": ["ForecastResult", "forecast", "forecast_path"],
     "model": [
-        "PmmError", "InvalidModelError", "PmmParams", "TransitionModel", "hmm_params",
-        "load_params", "markov_form", "validate",
+        "PmmError", "InvalidModelError", "PmmParams", "TransitionModel", "FittedModel",
+        "hmm_params", "load_params", "markov_form", "validate",
     ],
-    "pipeline": ["FittedModel", "estimate_params"],
+    "pipeline": ["estimate_params"],
     "presets": ["get_preset"],
     "simulate": ["monte_carlo_mse", "sample"],
 }

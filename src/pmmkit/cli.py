@@ -58,6 +58,7 @@ from .forecasting import (
 )
 from .io import _is_number, atomic_write, read_columns, write_json, write_rows
 from .model import (
+    FittedModel,
     PmmError,
     hmm_params,
     load_params,
@@ -202,7 +203,7 @@ def cmd_fit(args) -> dict:
 
 def cmd_forecast(args) -> dict:
     from .filtering import run_filter
-    from .pipeline import FittedModel, detrend
+    from .pipeline import detrend
 
     fitted = FittedModel.load(args.model or args.params)
     y = _read_y_column(args.input)
@@ -231,7 +232,7 @@ def cmd_forecast(args) -> dict:
 
 
 def cmd_evaluate(args) -> dict:
-    from .pipeline import FittedModel, detrend, evaluate_grid, read_series_csv
+    from .pipeline import detrend, evaluate_grid, read_series_csv
 
     names = ("--n-grid", "--k-grid")
     grids = _parse_grid(names[0], args.n_grid, 1), _parse_grid(names[1], args.k_grid, 0)

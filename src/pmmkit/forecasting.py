@@ -19,10 +19,9 @@ import numbers
 import operator
 from typing import TYPE_CHECKING, NamedTuple
 
-from .model import TransitionModel
-
 if TYPE_CHECKING:  # filtering loads numpy; this module does not
     from .filtering import FilterState
+    from .model import TransitionModel  # model imports check_int from here
 
 __all__ = ["FLOOR", "MAX_GRID_POINTS", "MAX_INDEX", "MAX_REPLICATES",
            "MAX_REPLICATE_STEPS", "MAX_SIMULATE_STEPS", "ForecastResult", "check_grid",

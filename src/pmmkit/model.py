@@ -1,4 +1,4 @@
-"""Model parameterization, validation, and Markov-form conversion.
+"""Model parameterization, validation, Markov-form conversion and model files.
 
 A stationary Gaussian pairwise model of the couple Z_n = (X_n, Y_n) is fixed
 by five covariances of the standardized variables:
@@ -21,7 +21,8 @@ Everything here is 2x2 and 4x4 algebra over Python floats, so this module,
 and the exact theory built on it, loads no numpy.  The admissibility gate
 finds the smallest eigenvalue of Q and the spectral radius of A in closed
 form, and the smallest eigenvalue of the 4x4 stationary covariance by
-cyclic Jacobi rotations.
+cyclic Jacobi rotations.  Every model file, fitted or bare parameters, is
+read by ``FittedModel.load``; ``load_params`` keeps its parameters.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
+from .forecasting import check_int
 from .io import atomic_write, finite_number, read_json, write_json
 
 __all__ = [
@@ -38,6 +40,9 @@ __all__ = [
     "PmmParams",
     "TransitionModel",
     "ValidationReport",
+    "DetrendModel",
+    "StandardizationParams",
+    "FittedModel",
     "gamma_from_params",
     "hmm_params",
     "is_hmm",
@@ -300,14 +305,147 @@ def validate(p: PmmParams) -> ValidationReport:
     )
 
 
+class DetrendModel(NamedTuple):
+    """Fitted harmonic seasonal component of the observed series."""
+
+    theta: tuple[float, ...]  # constant, cos p1, sin p1, cos p2, sin p2
+    periods: tuple[float, float]
+    # Sample variance of every row the seasonal fit used, which is the whole
+    # input of ``fit``, not its window; inert, kept as metadata.
+    sigma: float
+
+
+class StandardizationParams(NamedTuple):
+    """Centering/scaling moments estimated on the fitting window."""
+
+    mean: float
+    std: float
+
+    def apply(self, values):
+        return (values - self.mean) / self.std
+
+    def invert(self, values):
+        return values * self.std + self.mean
+
+
+# No centering and no scaling: the moments of a bare parameter file.
+_IDENTITY = StandardizationParams(0.0, 1.0)
+
+
+class FittedModel(NamedTuple):
+    """Everything needed to forecast a new window of the same series."""
+
+    params: PmmParams
+    x_standardize: StandardizationParams = _IDENTITY
+    y_standardize: StandardizationParams = _IDENTITY
+    detrend: DetrendModel | None = None
+    fit_window: tuple[int, int] | None = None
+    repaired: bool = False
+
+    def to_json_dict(self) -> dict:
+        doc: dict = {
+            "params": self.params.to_dict(),
+            "detrend": None,
+            "x_standardize": self.x_standardize._asdict(),
+            "y_standardize": self.y_standardize._asdict(),
+            "repaired": self.repaired,
+        }
+        if self.detrend is not None:
+            doc["detrend"] = {
+                "theta": list(self.detrend.theta),
+                "periods": list(self.detrend.periods),
+                "sigma": self.detrend.sigma,
+            }
+        if self.fit_window is not None:
+            doc["fit_window"] = list(self.fit_window)
+        return doc
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "FittedModel":
+        """The model a ``to_json_dict`` document describes; a missing,
+        non-numeric or out-of-range field, a ``detrend`` that is neither an
+        object nor null, or a ``repaired`` that is not a boolean raises
+        ValueError naming it.  A document with no ``params`` key is a bare
+        parameter document: those parameters with identity moments and no
+        seasonal part."""
+        if not isinstance(doc, dict):
+            raise ValueError(
+                f"fitted model must be a JSON object, got {type(doc).__name__}"
+            )
+        if "params" not in doc:
+            return cls(PmmParams.from_dict(doc))
+        det = None
+        d = doc.get("detrend")
+        if d is not None:
+            if not isinstance(d, dict):
+                raise ValueError(f"fitted model: detrend must be an object or null, got {d!r}")
+            periods = _numbers(d.get("periods"), "detrend.periods", 2)
+            if min(periods) <= 1.0:
+                raise ValueError(
+                    f"fitted model: detrend.periods must exceed 1 sample, got {periods}"
+                )
+            det = DetrendModel(
+                theta=tuple(_numbers(d.get("theta"), "detrend.theta", 5)),
+                periods=tuple(periods),
+                sigma=_number(d.get("sigma"), "detrend.sigma"),
+            )
+        window = doc.get("fit_window")
+        if window is not None:
+            if not (isinstance(window, list) and len(window) == 2):
+                raise ValueError(f"fitted model: fit_window must be two integers, got {window!r}")
+            start = check_int(window[0], "fitted model: fit_window start", 0)
+            window = (start, check_int(window[1], "fitted model: fit_window end", start + 1))
+        repaired = doc.get("repaired", False)
+        if not isinstance(repaired, bool):
+            raise ValueError(f"fitted model: repaired must be true or false, got {repaired!r}")
+        return cls(
+            params=PmmParams.from_dict(doc.get("params")),
+            x_standardize=_moments(doc, "x_standardize"),
+            y_standardize=_moments(doc, "y_standardize"),
+            detrend=det,
+            fit_window=window,
+            repaired=repaired,
+        )
+
+    def save(self, path: str | Path) -> None:
+        atomic_write(path, lambda fh: write_json(fh, self.to_json_dict()))
+
+    @classmethod
+    def load(cls, path: str | Path) -> "FittedModel":
+        return cls.from_json_dict(read_json(path))
+
+
+def _number(value, name: str) -> float:
+    number = finite_number(value)
+    if number is None:
+        raise ValueError(f"fitted model: {name} must be a finite number, got {value!r}")
+    return number
+
+
+def _numbers(value, name: str, count: int) -> list[float]:
+    numbers = [finite_number(v) for v in value] if isinstance(value, list) else []
+    if len(numbers) != count or None in numbers:
+        raise ValueError(
+            f"fitted model: {name} must be {count} finite numbers, got {value!r}"
+        )
+    return numbers
+
+
+def _moments(doc: dict, key: str) -> StandardizationParams:
+    """Standardization moments read by name; other keys are ignored."""
+    section = doc.get(key)
+    if not isinstance(section, dict):
+        raise ValueError(f"fitted model: {key} must be an object with mean and std")
+    std = _number(section.get("std"), f"{key}.std")
+    if std <= 0.0:
+        raise ValueError(f"fitted model: {key}.std must be > 0, got {std}")
+    return StandardizationParams(_number(section.get("mean"), f"{key}.mean"), std)
+
+
 def save_params(p: PmmParams, path: str | Path) -> None:
     atomic_write(path, lambda fh: write_json(fh, p.to_dict()))
 
 
 def load_params(path: str | Path) -> PmmParams:
-    """Read parameters from JSON: a fitted model document's "params" object,
-    or a bare {a..e} document if it has no "params" key."""
-    data = read_json(path)
-    if isinstance(data, dict) and "params" in data:
-        data = data["params"]
-    return PmmParams.from_dict(data)
+    """The parameters of the model file at ``path``, by ``FittedModel.load``."""
+    return FittedModel.load(path).params

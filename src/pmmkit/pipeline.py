@@ -14,27 +14,25 @@ lag-1 covariances of the standardized series; test data are standardized
 with the fitting window's moments.  ``fit --window`` cuts that window only
 after fitting the seasonal component on every row of the file, so rows
 outside it, such as those a later ``evaluate`` scores, leak into the model
-through the seasonal coefficients.
+through the seasonal coefficients.  The fitted model's types live in ``model``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .filtering import filter_coefficients
 from .forecasting import MAX_INDEX, check_grid, check_int, check_series, horizon_terms
-from .io import atomic_write, finite_number, read_columns, read_json, write_json
-from .model import PmmParams, hmm_params, markov_form, validate
+from .io import read_columns
+from .model import (
+    DetrendModel, FittedModel, StandardizationParams, hmm_params, markov_form, validate,
+)
 from .simulate import empirical_covariances
 
 __all__ = [
-    "DetrendModel",
-    "StandardizationParams",
-    "FittedModel",
     "fit_detrend",
     "detrend",
     "seasonal_values",
@@ -59,149 +57,6 @@ MIN_FIT_ROWS = 30  # fewest rows estimate_params fits on
 # k 1..200 on 150,000 rows) `evaluate` took 9.3 s with a 47 MB peak on a
 # 2-vCPU Xeon VM.
 MAX_EVALUATE_WORK = 2 * 10**9
-
-
-@dataclass(frozen=True)
-class DetrendModel:
-    """Fitted harmonic seasonal component of the observed series."""
-
-    theta: np.ndarray  # (5,): constant, cos p1, sin p1, cos p2, sin p2
-    periods: tuple[float, float]
-    # Sample variance of every row the seasonal fit used, which is the whole
-    # input of ``fit``, not its window; inert, kept as metadata.
-    sigma: float
-
-    def __post_init__(self) -> None:
-        self.theta.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class StandardizationParams:
-    """Centering/scaling moments estimated on the fitting window."""
-
-    mean: float
-    std: float
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return (values - self.mean) / self.std
-
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std + self.mean
-
-
-# No centering and no scaling: the moments of a bare parameter file.
-_IDENTITY = StandardizationParams(0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class FittedModel:
-    """Everything needed to forecast a new window of the same series."""
-
-    params: PmmParams
-    x_standardize: StandardizationParams = _IDENTITY
-    y_standardize: StandardizationParams = _IDENTITY
-    detrend: DetrendModel | None = None
-    fit_window: tuple[int, int] | None = None
-    repaired: bool = False
-
-    def to_json_dict(self) -> dict:
-        doc: dict = {
-            "params": self.params.to_dict(),
-            "detrend": None,
-            "x_standardize": asdict(self.x_standardize),
-            "y_standardize": asdict(self.y_standardize),
-            "repaired": self.repaired,
-        }
-        if self.detrend is not None:
-            doc["detrend"] = {
-                "theta": [float(v) for v in self.detrend.theta],
-                "periods": list(self.detrend.periods),
-                "sigma": self.detrend.sigma,
-            }
-        if self.fit_window is not None:
-            doc["fit_window"] = list(self.fit_window)
-        return doc
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "FittedModel":
-        """The model a ``to_json_dict`` document describes; a missing,
-        non-numeric or out-of-range field, a ``detrend`` that is neither an
-        object nor null, or a ``repaired`` that is not a boolean raises
-        ValueError naming it.  A document with no ``params`` key is a bare
-        parameter document: those parameters with identity moments and no
-        seasonal part."""
-        if not isinstance(doc, dict):
-            raise ValueError(
-                f"fitted model must be a JSON object, got {type(doc).__name__}"
-            )
-        if "params" not in doc:
-            return cls(PmmParams.from_dict(doc))
-        det = None
-        d = doc.get("detrend")
-        if d is not None:
-            if not isinstance(d, dict):
-                raise ValueError(f"fitted model: detrend must be an object or null, got {d!r}")
-            periods = _numbers(d.get("periods"), "detrend.periods", 2)
-            if min(periods) <= 1.0:
-                raise ValueError(
-                    f"fitted model: detrend.periods must exceed 1 sample, got {periods}"
-                )
-            det = DetrendModel(
-                theta=np.array(_numbers(d.get("theta"), "detrend.theta", 5)),
-                periods=(periods[0], periods[1]),
-                sigma=_number(d.get("sigma"), "detrend.sigma"),
-            )
-        window = doc.get("fit_window")
-        if window is not None:
-            if not (isinstance(window, list) and len(window) == 2):
-                raise ValueError(f"fitted model: fit_window must be two integers, got {window!r}")
-            start = check_int(window[0], "fitted model: fit_window start", 0)
-            window = (start, check_int(window[1], "fitted model: fit_window end", start + 1))
-        repaired = doc.get("repaired", False)
-        if not isinstance(repaired, bool):
-            raise ValueError(f"fitted model: repaired must be true or false, got {repaired!r}")
-        return cls(
-            params=PmmParams.from_dict(doc.get("params")),
-            x_standardize=_moments(doc, "x_standardize"),
-            y_standardize=_moments(doc, "y_standardize"),
-            detrend=det,
-            fit_window=window,
-            repaired=repaired,
-        )
-
-    def save(self, path: str | Path) -> None:
-        atomic_write(path, lambda fh: write_json(fh, self.to_json_dict()))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "FittedModel":
-        return cls.from_json_dict(read_json(path))
-
-
-def _number(value, name: str) -> float:
-    number = finite_number(value)
-    if number is None:
-        raise ValueError(f"fitted model: {name} must be a finite number, got {value!r}")
-    return number
-
-
-def _numbers(value, name: str, count: int) -> list[float]:
-    numbers = [finite_number(v) for v in value] if isinstance(value, list) else []
-    if len(numbers) != count or None in numbers:
-        raise ValueError(
-            f"fitted model: {name} must be {count} finite numbers, got {value!r}"
-        )
-    return numbers
-
-
-def _moments(doc: dict, key: str) -> StandardizationParams:
-    """Standardization moments read by name; other keys are ignored."""
-    section = doc.get(key)
-    if not isinstance(section, dict):
-        raise ValueError(f"fitted model: {key} must be an object with mean and std")
-    std = _number(section.get("std"), f"{key}.std")
-    if std <= 0.0:
-        raise ValueError(f"fitted model: {key}.std must be > 0, got {std}")
-    return StandardizationParams(_number(section.get("mean"), f"{key}.mean"), std)
 
 
 def _design_matrix(start_index: int, count: int, periods) -> np.ndarray:
@@ -242,7 +97,7 @@ def fit_detrend(y, periods=DEFAULT_PERIODS) -> DetrendModel:
             f"rank-deficient harmonic design (rank {rank}); "
             "periods alias each other or the sampling grid"
         )
-    return DetrendModel(theta=theta, periods=(p1, p2), sigma=sigma)
+    return DetrendModel(theta=tuple(theta.tolist()), periods=(p1, p2), sigma=sigma)
 
 
 def seasonal_values(d: DetrendModel, start_index: int, count: int) -> np.ndarray:

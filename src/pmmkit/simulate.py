@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,13 +108,12 @@ def sample(p: PmmParams, n_steps: int, seed: int) -> Trajectory:
     m = markov_form(p)
     l011, l021, l022 = _chol2(m.marginal)
     lq11, lq21, lq22 = _chol2(m.Q)
-    rng = _rng(seed)
-    e0 = rng.standard_normal(2)
-    x0 = l011 * e0[0]
-    y0 = l021 * e0[0] + l022 * e0[1]
-    eps = rng.standard_normal((n_steps - 1, 2))
+    # Row 0 is the start pair and rows 1.. drive the scan, as in a replicate.
+    eps = _rng(seed).standard_normal((n_steps, 2))
+    x0 = l011 * eps[0, 0]
+    y0 = l021 * eps[0, 0] + l022 * eps[0, 1]
     (a1, a2), (a3, a4) = m.A
-    x, y = kernels.simulate_pairs(a1, a2, a3, a4, lq11, lq21, lq22, x0, y0, eps)
+    x, y = kernels.simulate_pairs(a1, a2, a3, a4, lq11, lq21, lq22, x0, y0, eps[1:])
     return Trajectory(x=x, y=y, seed=seed)
 
 
@@ -141,16 +141,18 @@ def _error_weights(
     lq11, lq21, lq22 = _chol2(m_true.Q)
     (a1, a2), (a3, a4) = m_true.A
     # Z_t is numbered from t = 0 here, so Y_1:n are the y of t = 0..n-1.
-    rows = []
+    rows = array("d")  # the pairs, last row first: 16 bytes a row
     lam_x, lam_y = 1.0, 0.0
     for t in range(n + k - 1, 0, -1):
         if t < n:
             lam_y -= v[t]
-        rows.append((lam_x * lq11 + lam_y * lq21, lam_y * lq22))
+        rows.append(lam_x * lq11 + lam_y * lq21)
+        rows.append(lam_y * lq22)
         lam_x, lam_y = lam_x * a1 + lam_y * a3, lam_x * a2 + lam_y * a4
     lam_y -= v[0]
-    rows.append((lam_x * l011 + lam_y * l021, lam_y * l022))
-    weights = np.array(rows[::-1])
+    rows.append(lam_x * l011 + lam_y * l021)
+    rows.append(lam_y * l022)
+    weights = np.frombuffer(rows, dtype=float).reshape(-1, 2)[::-1].copy()
     weights[np.abs(weights) < FLOOR] = 0.0
     return weights
 

@@ -587,7 +587,7 @@ def _model_doc(path, value):
     """A valid detrended fitted-model document with one edit applied."""
     doc = FittedModel(
         params=FIG2_PARAMS,
-        detrend=DetrendModel(theta=np.zeros(5), periods=(24.0, 8772.0), sigma=1.0),
+        detrend=DetrendModel(theta=(0.0,) * 5, periods=(24.0, 8772.0), sigma=1.0),
     ).to_json_dict()
     if not path:
         return [doc] if value is None else value
@@ -613,6 +613,40 @@ def _model_argv(command, model, data, out):
             "--n-grid", 2, "--k-grid", 1, "--output", out,
         ],
     }[command]
+
+
+# Every flag that reads a model file, in the argv of a call that is valid
+# but for MODEL, the file under test; PARAMS fills any other model flag.
+MODEL_FILE_FLAGS = {
+    "simulate --params": ["simulate", "--params", "MODEL", "--n", 5, "--output", "OUT"],
+    "theoretical-mse --params": [
+        "theoretical-mse", "--params", "MODEL", "--hmm-params", "PARAMS", "--output", "OUT",
+    ],
+    "theoretical-mse --hmm-params": [
+        "theoretical-mse", "--params", "PARAMS", "--hmm-params", "MODEL", "--output", "OUT",
+    ],
+    "monte-carlo --params": ["monte-carlo", "--params", "MODEL", "--n", 2, "--k", 1],
+    "monte-carlo --forecaster-params": [
+        "monte-carlo", "--params", "PARAMS", "--forecaster-params", "MODEL", "--n", 2, "--k", 1,
+    ],
+    "oracle --params": ["oracle", "--params", "MODEL", "--input", "DATA", "--n", 4, "--k", 1],
+    "forecast --model": _model_argv("forecast", "MODEL", "DATA", "OUT"),
+    "forecast --params": [
+        "forecast", "--params", "MODEL", "--input", "DATA", "--n", 4, "--k", 1, "--output", "OUT",
+    ],
+    "evaluate --model": _model_argv("evaluate", "MODEL", "DATA", "OUT"),
+}
+# Fitted-model documents that every one of those flags refuses, with the
+# one message each gets.
+BAD_MODEL_FILES = {
+    "bad_section": (
+        _model_doc(("detrend",), 5), "fitted model: detrend must be an object or null, got 5",
+    ),
+    "params_only": (
+        {"params": FIG2_PARAMS.to_dict()},
+        "fitted model: x_standardize must be an object with mean and std",
+    ),
+}
 
 
 class TestByteOrderMark:
@@ -718,6 +752,21 @@ class TestMalformedInput:
         err = json.loads(captured.err)
         assert err["error"] == "ValueError"
         assert detail in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(BAD_MODEL_FILES))
+    @pytest.mark.parametrize("flag", MODEL_FILE_FLAGS)
+    def test_every_model_flag_refuses_alike(self, tmp_path, fig2_params_file, capsys, flag, case):
+        doc, message = BAD_MODEL_FILES[case]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        data, out = tmp_path / "obs.csv", tmp_path / "out.csv"
+        write_series_csv(data, np.zeros(8), np.linspace(-1.0, 1.0, 8))
+        places = {"MODEL": model, "PARAMS": fig2_params_file, "DATA": data, "OUT": out}
+        assert run_cli(*(places.get(a, a) for a in MODEL_FILE_FLAGS[flag])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ValueError", "message": message}
         assert not out.exists()
 
     # Flag values rejected by name, as (subcommand, flag, bad text); each is
@@ -1431,6 +1480,9 @@ def test_theory_and_version_load_a_lean_import_set(tmp_path):
         ["theoretical-mse", "--preset", "fig3", "--output", "fig3.csv"],
         ["theoretical-mse", "--params", "p.json", "--hmm-params", "h.json",
          "--n-grid", "1:40", "--k-grid", "0:3", "--output", "own.csv"],
+        # A fitted model, read whole by FittedModel.load.
+        ["theoretical-mse", "--params", str(GOLDEN / "model.json"),
+         "--hmm-params", str(GOLDEN / "hmm.json"), "--output", "golden.csv"],
     ]
     for argv in calls:
         out = _python(["-c", ADDED_MODULES, *argv], tmp_path)
@@ -1456,7 +1508,7 @@ def test_no_value_type_reaches_write_json(tmp_path, fig2_params_file, monkeypatc
         docs.append(doc)
         pmmkit.io.write_json(fh, doc)
 
-    for module in (pmmkit.cli, pmmkit.model, pmmkit.pipeline):
+    for module in (pmmkit.cli, pmmkit.model):
         monkeypatch.setattr(module, "write_json", checked)
     p, d = fig2_params_file, tmp_path
     calls = [

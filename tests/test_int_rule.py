@@ -36,7 +36,7 @@ from pmmkit.pipeline import DetrendModel, detrend
 from helpers import FIG2_PARAMS
 
 MODEL = markov_form(FIG2_PARAMS)
-DETREND = DetrendModel(np.array([0.1, 0.2, -0.3, 0.05, 0.4]), (24.0, 8772.0), 1.0)
+DETREND = DetrendModel((0.1, 0.2, -0.3, 0.05, 0.4), (24.0, 8772.0), 1.0)
 
 
 class TestCheckInt:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import pmmkit.model
-import pmmkit.pipeline
 from pmmkit import FittedModel, estimate_params, load_params, sample
 from pmmkit.error_analysis import MseCurve, curves_to_csv
 from pmmkit.io import WRITE_ROWS, atomic_write, finite_number, read_json, write_json, write_rows
@@ -142,7 +141,6 @@ def write_spy(monkeypatch):
         atomic_write(path, write_fn)
 
     monkeypatch.setattr(pmmkit.model, "atomic_write", spy)
-    monkeypatch.setattr(pmmkit.pipeline, "atomic_write", spy)
     return paths
 
 

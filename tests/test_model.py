@@ -19,6 +19,9 @@ from pmmkit.forecasting import ForecastResult
 from pmmkit.model import (
     PD_TOL,
     SPECTRAL_TOL,
+    DetrendModel,
+    FittedModel,
+    StandardizationParams,
     TransitionModel,
     ValidationReport,
     _min_eigenvalue,
@@ -248,7 +251,7 @@ class TestSerialization:
 
     def test_load_accepts_nested_model_document(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps({"params": FIG2_PARAMS.to_dict(), "repaired": False}))
+        FittedModel(FIG2_PARAMS, StandardizationParams(0.3, 1.7)).save(path)
         assert load_params(path) == FIG2_PARAMS
 
     # A document is a fitted model if and only if it has a params key.
@@ -316,6 +319,26 @@ VALUE_TYPES = {
         lambda: SweepPreset("x", PmmParams(0, 0, 0, 0, 0), PmmParams(0, 0, 0, 0, 0), (1,), (0,)),
         "SweepPreset(name='x', true_params=PmmParams(a=0, b=0, c=0, d=0, e=0), "
         "hmm_reference=PmmParams(a=0, b=0, c=0, d=0, e=0), n_values=(1,), k_values=(0,))",
+    ),
+    "StandardizationParams": (
+        lambda: StandardizationParams(0.5, 2.0),
+        "StandardizationParams(mean=0.5, std=2.0)",
+    ),
+    "DetrendModel": (
+        lambda: DetrendModel((1.0, 0.5, -0.5, 0.25, 0.0), (24.0, 8772.0), 2.0),
+        "DetrendModel(theta=(1.0, 0.5, -0.5, 0.25, 0.0), periods=(24.0, 8772.0), sigma=2.0)",
+    ),
+    "FittedModel": (
+        lambda: FittedModel(
+            PmmParams(0.5, -0.25, 0.125, -0.0625, 0.0), StandardizationParams(0.5, 2.0),
+            detrend=DetrendModel((1.0, 0.5, -0.5, 0.25, 0.0), (24.0, 8772.0), 2.0),
+            fit_window=(0, 100),
+        ),
+        "FittedModel(params=PmmParams(a=0.5, b=-0.25, c=0.125, d=-0.0625, e=0.0), "
+        "x_standardize=StandardizationParams(mean=0.5, std=2.0), "
+        "y_standardize=StandardizationParams(mean=0.0, std=1.0), "
+        "detrend=DetrendModel(theta=(1.0, 0.5, -0.5, 0.25, 0.0), periods=(24.0, 8772.0), "
+        "sigma=2.0), fit_window=(0, 100), repaired=False)",
     ),
 }
 

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -318,7 +317,7 @@ class TestOnePass:
     def test_equals_two_single_forecaster_passes(self, tmp_path, case):
         model, x, y = case(tmp_path)
         p = model.params
-        restriction = replace(model, params=hmm_params(p.a, p.b))
+        restriction = model._replace(params=hmm_params(p.a, p.b))
         grid = ([1, 5, 20, 50], [0, 1, 6, 24])
         pairs = zip(
             single_window_errors(restriction, x, y, *grid),

@@ -19,7 +19,7 @@ from pmmkit.simulate import empirical_covariances
 from helpers import FIG2_PARAMS
 
 MODEL = markov_form(FIG2_PARAMS)
-DETREND = DetrendModel(np.array([0.1, 0.2, -0.3, 0.05, 0.4]), (24.0, 8772.0), 1.0)
+DETREND = DetrendModel((0.1, 0.2, -0.3, 0.05, 0.4), (24.0, 8772.0), 1.0)
 FITTED = FittedModel(FIG2_PARAMS)
 
 # Entry point -> (call, length of a valid series, {argument: least length}),

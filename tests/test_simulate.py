@@ -473,6 +473,20 @@ class TestErrorWeights:
         assert np.any(magnitudes == 0)
 
 
+    def test_memory_bounded_at_long_replicates(self):
+        # 4 * 10^5 rows are 6.4 MB of weights; built as a list of Python
+        # 2-tuples and its reversed copy, they peaked at about 74 MB.
+        fig = get_preset("fig2")
+        m_true, m_fc = markov_form(fig.true_params), markov_form(fig.hmm_reference)
+        tracemalloc.start()
+        try:
+            _error_weights(m_true, m_fc, 2 * 10**5, 2 * 10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40_000_000
+
+
 class TestCsv:
     def test_header_and_rows(self):
         t = sample(FIG2_PARAMS, 3, seed=11)
