@@ -176,7 +176,7 @@ def cmd_theoretical_mse(args) -> dict:
 
 def cmd_fit(args) -> dict:
     from .pipeline import (
-        DEFAULT_PERIODS, MIN_FIT_ROWS, detrend, estimate_params, fit_detrend, read_series_csv,
+        DEFAULT_PERIODS, MIN_FIT_ROWS, _fit_and_detrend, estimate_params, read_series_csv,
     )
 
     if args.periods is not None and not args.detrend:
@@ -189,8 +189,7 @@ def cmd_fit(args) -> dict:
     check_int(hi - lo, what, MIN_FIT_ROWS)
     detrend_model = None
     if args.detrend:
-        detrend_model = fit_detrend(y, periods)
-        y = detrend(y, detrend_model)
+        detrend_model, y = _fit_and_detrend(y, periods)
     fitted = estimate_params(x[lo:hi], y[lo:hi], detrend_model=detrend_model, fit_window=(lo, hi))
     _atomic_write(Path(args.output), lambda fh: write_json(fh, fitted.to_json_dict()))
     return {

@@ -86,8 +86,9 @@ def _variance_and_gains(m: TransitionModel, n: int) -> tuple[np.ndarray, np.ndar
         variances[i] = p
     if i + 1 < n:
         # The orbit ended on its cycle: repeat it to the end.
+        rest = n - i - 1
         for values in (gains, variances):
-            values[i + 1 :] = np.resize(values[i + 1 - period : i + 1], n - i - 1)
+            values[i + 1 :] = np.tile(values[i + 1 - period : i + 1], -(-rest // period))[:rest]
     return variances, gains[1:]
 
 

@@ -3,14 +3,17 @@
 ``read_columns`` reads named numeric columns from a headed CSV, as UTF-8
 with any leading byte-order mark ignored.  The header is parsed with the
 csv module and matched by stripped, lower-cased name; other columns, such
-as a timestamp, are ignored.  The data rows are parsed by one
-``np.loadtxt`` call restricted to the named columns, which accepts quoted
-numbers, CRLF line endings and blank lines.  Everything else is
-rejected with a ValueError that names the file: a missing header or column,
-a named column that the header holds twice, no data rows, and, by column
-and data row (1-based, counting the rows that hold data), a short row, an
-empty or non-numeric field (``#`` included: there are no comment lines)
-and a NaN or infinite value.
+as a timestamp, are ignored.  The data rows are parsed from the file's
+path by one ``np.loadtxt`` call restricted to the named columns, which
+reads a path in blocks where it reads an open file a line at a time, and
+accepts quoted numbers, CRLF line endings and blank lines.  Everything else
+is rejected with a ValueError that names the file: a missing header or
+column, a named column that the header holds twice, no data rows, and, by
+column and data row (1-based, counting the rows that hold data), a short
+row, an empty or non-numeric field (``#`` included: there are no comment
+lines) and a NaN or infinite value.  Because numpy opens a path by its
+suffix, a name ending in one of COMPRESSED_SUFFIXES is refused, and so is
+a file that another one replaced between the header's read and the body's.
 
 ``atomic_write`` makes an output file appear whole or not at all: it writes
 a unique temporary file in the target's directory, flushes and fsyncs it,
@@ -64,13 +67,22 @@ __all__ = ["read_columns", "atomic_write", "read_json", "write_json", "finite_nu
 # Rows formatted together by the CSV writers.
 WRITE_ROWS = 4096
 
+# The suffixes numpy's loadtxt decompresses a path by: the keys of
+# np.lib._datasource._file_openers other than None, which this must track.
+COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
 
 def read_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray, ...]:
     """The columns called ``names`` (lower-case; the header is matched
-    case-insensitively) as float arrays, in the order given."""
+    case-insensitively) as float arrays, in the order given.
+
+    The header is read through an open handle and the body parsed from the
+    path by ``np.loadtxt`` (see the module docstring)."""
     import csv  # here, like numpy, so that the rest of the package's I/O loads neither
     import numpy as np
 
+    if os.path.splitext(path)[1] in COMPRESSED_SUFFIXES:
+        raise ValueError(f"{path}: compressed input is not read; decompress it first")
     with open(path, encoding="utf-8-sig") as fh:
         header = next(csv.reader([fh.readline()]), None)
         if not header:
@@ -92,19 +104,37 @@ def read_columns(path: str | Path, names: Sequence[str]) -> tuple[np.ndarray, ..
         start = fh.tell()
         if all(line == "\n" for line in iter(fh.readline, "")):
             raise ValueError(f"{path}: no data rows")
-        fh.seek(start)
+        # An absolute name, so that a relative one such as a://series.csv
+        # is not taken for a URL, joined without normalising, so that the
+        # OS resolves it as it resolved path: link/../x follows the link.
+        source = os.path.join(os.getcwd(), os.fspath(path))
         try:
             data = np.loadtxt(
-                fh,
+                source,
                 delimiter=",",
+                skiprows=1,
                 usecols=[index[name] for name in names],
                 ndmin=2,
                 comments=None,
                 quotechar='"',
+                encoding="utf-8-sig",
             )
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
+            error = exc
+        else:
+            error = None
+        # numpy opened source again: it must still name the file read here.
+        try:
+            same = os.path.samestat(os.fstat(fh.fileno()), os.stat(source))
+        except OSError:
+            same = False
+        if not same:
+            raise ValueError(f"{path}: the file was replaced while it was read")
+        if isinstance(error, OSError):
+            raise error
+        if error is not None:
             fh.seek(start)
-            raise ValueError(f"{path}: {_bad_field(fh, index, names) or exc}") from None
+            raise ValueError(f"{path}: {_bad_field(fh, index, names) or error}") from None
     finite = np.isfinite(data)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]

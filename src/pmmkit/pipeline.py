@@ -63,21 +63,26 @@ def _design_matrix(start_index: int, count: int, periods) -> np.ndarray:
     # The last row's 1-based index must be a float exactly; see MAX_INDEX.
     last = check_int(start_index, "start_index", 0) + count
     check_int(last, "start_index + rows", 0, MAX_INDEX)
-    i = np.arange(start_index + 1, start_index + count + 1, dtype=float)
-    p1, p2 = periods
-    return np.column_stack(
-        [
-            np.ones(count),
-            np.cos(2.0 * np.pi * i / p1),
-            np.sin(2.0 * np.pi * i / p1),
-            np.cos(2.0 * np.pi * i / p2),
-            np.sin(2.0 * np.pi * i / p2),
-        ]
-    )
+    design = np.empty((count, 5))
+    design[:, 0] = 1.0
+    angle = 2.0 * np.pi * np.arange(start_index + 1, start_index + count + 1, dtype=float)
+    for col, period in zip((1, 3), periods):
+        # The phase 2*pi*i/p, shared by the period's cos and sin.  Its error
+        # grows with i; the exact phase, from np.fmod(i, p), would replace
+        # this line (ROADMAP item 2), and move printed digits.
+        phase = angle / period
+        np.cos(phase, out=design[:, col])
+        np.sin(phase, out=design[:, col + 1])
+    return design
 
 
 def fit_detrend(y, periods=DEFAULT_PERIODS) -> DetrendModel:
     """Least-squares fit of the harmonic seasonal component."""
+    return _fit_and_detrend(y, periods)[0]
+
+
+def _fit_and_detrend(y, periods) -> tuple[DetrendModel, np.ndarray]:
+    """``fit_detrend``'s model and ``detrend`` of y by it, from one design."""
     y = check_series(y, "y", 6)
     p1, p2 = float(periods[0]), float(periods[1])
     # Written so that nan fails too: a nan period would reach LAPACK as a
@@ -97,7 +102,8 @@ def fit_detrend(y, periods=DEFAULT_PERIODS) -> DetrendModel:
             f"rank-deficient harmonic design (rank {rank}); "
             "periods alias each other or the sampling grid"
         )
-    return DetrendModel(theta=tuple(theta.tolist()), periods=(p1, p2), sigma=sigma)
+    model = DetrendModel(theta=tuple(theta.tolist()), periods=(p1, p2), sigma=sigma)
+    return model, y - design @ model.theta
 
 
 def seasonal_values(d: DetrendModel, start_index: int, count: int) -> np.ndarray:

@@ -150,10 +150,13 @@ def _error_weights(
         rows.append(lam_y * lq22)
         lam_x, lam_y = lam_x * a1 + lam_y * a3, lam_x * a2 + lam_y * a4
     lam_y -= v[0]
+    del v  # n Python floats: freed before the array copies below
     rows.append(lam_x * l011 + lam_y * l021)
     rows.append(lam_y * l022)
     weights = np.frombuffer(rows, dtype=float).reshape(-1, 2)[::-1].copy()
-    weights[np.abs(weights) < FLOOR] = 0.0
+    del rows
+    # Two comparisons rather than np.abs, which would make a float temporary.
+    weights[(weights > -FLOOR) & (weights < FLOOR)] = 0.0
     return weights
 
 

@@ -4,17 +4,20 @@ loops, the left-multiplication k-step map, the per-horizon forecast and
 variance recursions, the forecast coefficients, the n x n quadratic form,
 the row-by-row CSV reader and writers, the exact-MSE pass as one numpy
 matrix product per step, the exact-MSE grid as per-k weights and an (n, k)
-dict, the simulate-and-filter Monte Carlo, the single-stream Monte Carlo
-and the one-forecaster sliding-window errors that the production paths
-replaced, kept as references; the production exact-MSE
-step, and the 7-entry one it replaced, run to every n without a cycle
-exit; the blockless form of the production Monte Carlo; and the filter
-weights and the Monte Carlo error weights before any was floored to 0.0."""
+dict, the simulate-and-filter Monte Carlo, the single-stream Monte Carlo,
+the one-forecaster sliding-window errors, the column-stacked seasonal
+design and the Monte Carlo error weights that keep every buffer to the
+end, which the production paths replaced, kept as references; the
+production exact-MSE step, and the 7-entry one it replaced, run to every n
+without a cycle exit; the blockless form of the production Monte Carlo;
+and the filter weights and the Monte Carlo error weights before any was
+floored to 0.0."""
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from itertools import islice
 
 import numpy as np
@@ -31,7 +34,7 @@ from pmmkit.error_analysis import (
 )
 from pmmkit.filtering import _variance_and_gains, batch_filter_means, filter_variance_sequence
 from pmmkit.forecasting import (
-    MAX_REPLICATE_STEPS, MAX_REPLICATES, check_grid, check_int, horizon_terms,
+    FLOOR, MAX_INDEX, MAX_REPLICATE_STEPS, MAX_REPLICATES, check_grid, check_int, horizon_terms,
 )
 from pmmkit.riccati import _riccati_step, orbit
 from pmmkit.simulate import BLOCK_STEPS, _chol2, _error_weights, _rng
@@ -645,6 +648,51 @@ def single_window_errors(model, x_test, y_test, n_values, k_values):
             predictions = xx * means[:count] + xy * y_std[n - 1 : n - 1 + count]
             targets = x_std[n - 1 + k : n - 1 + k + count]
             yield n, k, (targets - predictions) ** 2
+
+
+def stacked_design_matrix(start_index: int, count: int, periods) -> np.ndarray:
+    """``pipeline._design_matrix`` before it filled one array: five column
+    arrays, each phase formed once per column, joined by ``np.column_stack``."""
+    # The last row's 1-based index must be a float exactly; see MAX_INDEX.
+    last = check_int(start_index, "start_index", 0) + count
+    check_int(last, "start_index + rows", 0, MAX_INDEX)
+    i = np.arange(start_index + 1, start_index + count + 1, dtype=float)
+    p1, p2 = periods
+    return np.column_stack(
+        [
+            np.ones(count),
+            np.cos(2.0 * np.pi * i / p1),
+            np.sin(2.0 * np.pi * i / p1),
+            np.cos(2.0 * np.pi * i / p2),
+            np.sin(2.0 * np.pi * i / p2),
+        ]
+    )
+
+
+def retaining_error_weights(m_true, m_fc, n: int, k: int) -> np.ndarray:
+    """``simulate._error_weights`` before it released its list of filter
+    weights and its row buffer early and floored without ``np.abs``."""
+    [(xx, xy, _)] = horizon_terms(m_fc, [k]).values()
+    v = (xx * filter_coefficients(m_fc, n)).tolist()
+    v[-1] += xy
+    l011, l021, l022 = _chol2(m_true.marginal)
+    lq11, lq21, lq22 = _chol2(m_true.Q)
+    (a1, a2), (a3, a4) = m_true.A
+    # Z_t is numbered from t = 0 here, so Y_1:n are the y of t = 0..n-1.
+    rows = array("d")  # the pairs, last row first: 16 bytes a row
+    lam_x, lam_y = 1.0, 0.0
+    for t in range(n + k - 1, 0, -1):
+        if t < n:
+            lam_y -= v[t]
+        rows.append(lam_x * lq11 + lam_y * lq21)
+        rows.append(lam_y * lq22)
+        lam_x, lam_y = lam_x * a1 + lam_y * a3, lam_x * a2 + lam_y * a4
+    lam_y -= v[0]
+    rows.append(lam_x * l011 + lam_y * l021)
+    rows.append(lam_y * l022)
+    weights = np.frombuffer(rows, dtype=float).reshape(-1, 2)[::-1].copy()
+    weights[np.abs(weights) < FLOOR] = 0.0
+    return weights
 
 
 def rowwise_trajectory_to_csv(traj, fh) -> None:

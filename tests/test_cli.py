@@ -342,6 +342,25 @@ class TestFit:
         }
         assert not (tmp_path / "m.json").exists()
 
+    def test_one_seasonal_design_per_fit(self, tmp_path, capsys, monkeypatch):
+        # The residual comes from the design the seasonal fit was solved on.
+        from pmmkit import pipeline
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return design_matrix(*args)
+
+        design_matrix = pipeline._design_matrix
+        monkeypatch.setattr(pipeline, "_design_matrix", counted)
+        assert run_cli(
+            "fit", "--input", GOLDEN / "series.csv", "--detrend", "--window", "200:1800",
+            "--output", tmp_path / "model.json",
+        ) == 0
+        assert len(calls) == 1
+        assert (tmp_path / "model.json").read_bytes() == (GOLDEN / "model.json").read_bytes()
+
     def test_window_of_thirty_rows_fits(self, tmp_path, capsys):
         assert run_cli(
             "fit", "--input", GOLDEN / "series.csv", "--output", tmp_path / "m.json",

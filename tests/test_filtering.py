@@ -213,6 +213,22 @@ class TestRiccatiCycle:
         assert (variances[-1], gains[-1]) == (want_variances[-1], want_gains[-1])
 
 
+class TestCycleFill:
+    @pytest.mark.parametrize("period", range(1, 9))
+    def test_equals_the_cycle_resized(self, monkeypatch, period):
+        # A made-up recursion: two variances after the first, then a cycle
+        # of `period` of them; each step's gain is minus its variance.
+        start = 1.0 - FIG2_MODEL.b ** 2
+        path = [start, 0.5, 0.4, *(0.1 + 0.01 * j for j in range(period))]
+        after = dict(zip(path, path[1:] + [path[3]]))
+        monkeypatch.setattr(filtering, "_riccati_step", lambda m, p: (-after[p], after[p]))
+        for n in (1, 3, 4, 11, 4097, 10**5):
+            want = np.concatenate([path[:3], np.resize(path[3:], max(n - 3, 0))])[:n]
+            variances, gains = _variance_and_gains(FIG2_MODEL, n)
+            assert np.array_equal(variances, want)
+            assert np.array_equal(gains, -want[1:])
+
+
 class TestWeightFloor:
     # The suffix products fall below FLOOR after a few thousand
     # observations; n = 4097 ends one past the first block of products.

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ from pmmkit import (
     validate,
 )
 from pmmkit import pipeline
-from pmmkit.io import read_columns
+from pmmkit.forecasting import MAX_INDEX
+from pmmkit.io import COMPRESSED_SUFFIXES, read_columns
 from pmmkit.model import save_params
 from pmmkit.pipeline import (
     REPAIR_TOL,
@@ -27,7 +29,13 @@ from pmmkit.pipeline import (
     read_series_csv,
     seasonal_values,
 )
-from helpers import FIG2_PARAMS, FIG4_PARAMS, dictreader_columns, single_window_errors
+from helpers import (
+    FIG2_PARAMS,
+    FIG4_PARAMS,
+    dictreader_columns,
+    single_window_errors,
+    stacked_design_matrix,
+)
 
 
 def harmonic(i, period):
@@ -122,6 +130,15 @@ class TestDetrend:
             for col in design.T:
                 inner = abs(col @ residual)
                 assert inner <= 1e-8 * np.linalg.norm(col) * np.linalg.norm(residual)
+
+
+class TestDesignMatrix:
+    @pytest.mark.parametrize("periods", [(24.0, 8772.0), (365.25, 7.5)])
+    @pytest.mark.parametrize("start", [0, 150_000, 10**9, MAX_INDEX - 300_000])
+    def test_bit_identical_to_stacked_columns(self, start, periods):
+        design = pipeline._design_matrix(start, 300_000, periods)
+        assert np.array_equal(design, stacked_design_matrix(start, 300_000, periods))
+        assert design.flags.c_contiguous
 
 
 class TestEstimate:
@@ -416,10 +433,14 @@ def _csv_text(header: str, rows, fmt: str = "{0},{1},{2}", newline: str = "\n") 
     return newline.join(lines) + newline
 
 
-# Each case writes the same seeded values in one of the formats the reader
-# accepts; the row-by-row DictReader reader is the reference.
+# Each case writes seeded values in one of the formats the reader accepts;
+# the row-by-row DictReader reader is the reference.
 READER_INPUTS = {
     "evaluate_sized": lambda rows: _csv_text("t,x,y", rows),
+    # Many of np.loadtxt's read blocks, in a spreadsheet's export format.
+    "many_blocks_bom_crlf_quoted": lambda rows: "\ufeff" + _csv_text(
+        '"t","x","y"', _seeded_rows(92, 100_000), fmt='{0},"{1}","{2}"', newline="\r\n"
+    ),
     "crlf": lambda rows: _csv_text("t,x,y", rows[:500], newline="\r\n"),
     "header_case_and_spaces": lambda rows: _csv_text(" T , X ,Y ", rows[:500]),
     "quoted_numbers": lambda rows: _csv_text(
@@ -499,6 +520,72 @@ class TestCsvReader:
         (y_only,) = read_columns(path, ("y",))
         assert np.array_equal(y_only, dictreader_columns(path, ("y",))[0])
         assert x.flags.c_contiguous and y.flags.c_contiguous
+
+    def test_file_replaced_before_the_body_is_parsed(self, tmp_path, monkeypatch):
+        # The header is read through a handle and the body parsed from the
+        # path: a file renamed onto the path in between is refused.
+        path, other = tmp_path / "data.csv", tmp_path / "other.csv"
+        path.write_text("t,x,y\n1,1.0,2.0\n")
+        other.write_text("t,x,y\n1,3.0,4.0\n")
+        loadtxt = np.loadtxt
+
+        def replaced_first(*args, **kwargs):
+            os.replace(other, path)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", replaced_first)
+        with pytest.raises(ValueError) as info:
+            read_series_csv(path)
+        assert str(info.value) == f"{path}: the file was replaced while it was read"
+
+    @pytest.mark.parametrize("suffix", COMPRESSED_SUFFIXES)
+    def test_compressed_suffix_refused(self, tmp_path, suffix):
+        # np.loadtxt would decompress the body by the name's suffix.
+        path = tmp_path / f"data.csv{suffix}"
+        path.write_text("t,x,y\n1,1.0,2.0\n")
+        with pytest.raises(ValueError) as info:
+            read_series_csv(path)
+        assert str(info.value) == f"{path}: compressed input is not read; decompress it first"
+
+    def test_relative_name_with_a_scheme_is_a_path(self, tmp_path, monkeypatch):
+        # np.loadtxt takes a name of the form scheme://host for a URL.
+        (tmp_path / "a:").mkdir()
+        (tmp_path / "a:" / "data.csv").write_text("t,x,y\n1,1.5,-0.5\n2,2.5,0.5\n")
+        monkeypatch.chdir(tmp_path)
+        x, y = read_series_csv("a://data.csv")
+        np.testing.assert_array_equal(x, [1.5, 2.5])
+        np.testing.assert_array_equal(y, [-0.5, 0.5])
+
+    def test_dot_dot_after_a_symlink_follows_the_link(self, tmp_path, monkeypatch):
+        # link/../data.csv is real/data.csv to the OS, not ./data.csv as
+        # os.path.normpath would have it; header and rows come from one file.
+        (tmp_path / "real" / "sub").mkdir(parents=True)
+        (tmp_path / "link").symlink_to(tmp_path / "real" / "sub")
+        (tmp_path / "real" / "data.csv").write_text("t,x,y\n1,1.5,-0.5\n2,2.5,0.5\n")
+        (tmp_path / "data.csv").write_text("t,x,y\n1,9.0,9.0\n")
+        monkeypatch.chdir(tmp_path)
+        x, y = read_series_csv("link/../data.csv")
+        np.testing.assert_array_equal(x, [1.5, 2.5])
+        np.testing.assert_array_equal(y, [-0.5, 0.5])
+
+    def test_file_removed_before_the_body_is_parsed(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_text("t,x,y\n1,1.0,2.0\n")
+        loadtxt = np.loadtxt
+
+        def removed_first(*args, **kwargs):
+            path.unlink()
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", removed_first)
+        with pytest.raises(ValueError) as info:
+            read_series_csv(path)
+        assert str(info.value) == f"{path}: the file was replaced while it was read"
+
+    def test_compressed_suffixes_are_the_ones_numpy_opens_by(self):
+        from numpy.lib import _datasource
+
+        assert set(COMPRESSED_SUFFIXES) == set(_datasource._file_openers.keys()) - {None}
 
     @pytest.mark.parametrize("case", sorted(REJECTED_INPUTS))
     def test_rejected_with_path_named(self, tmp_path, case):

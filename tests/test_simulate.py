@@ -33,6 +33,7 @@ from helpers import (
     FIG4_PARAMS,
     PRESSURE_PARAMS,
     SOIL_PARAMS,
+    retaining_error_weights,
     rowwise_trajectory_to_csv,
     simulated_errors,
     single_stream_monte_carlo_mse,
@@ -485,6 +486,23 @@ class TestErrorWeights:
         finally:
             tracemalloc.stop()
         assert peak < 40_000_000
+
+    @pytest.mark.parametrize("which", FORECASTERS)
+    def test_peak_within_three_times_the_weights(self, which):
+        # Keeping the n filter weights as Python floats, the row buffer and
+        # np.abs's temporary to the end peaked at 4.2 times the weights.
+        p_true = get_preset("fig2").true_params
+        m_true, m_fc = markov_form(p_true), markov_form(FORECASTERS[which](p_true))
+        n = k = 5 * 10**4
+        want = retaining_error_weights(m_true, m_fc, n, k)
+        tracemalloc.start()
+        try:
+            weights = _error_weights(m_true, m_fc, n, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * weights.nbytes
+        assert np.array_equal(weights, want)
 
 
 class TestCsv:
