@@ -12,8 +12,9 @@ PMM_LOG=DEBUG|INFO|WARNING for log verbosity.
 ``theoretical-mse`` and ``--version`` load none of numpy, dataclasses,
 inspect, logging and csv: the model, the Riccati recursion, the k-step map
 and the exact MSE are Python floats in named tuples, and this module
-imports the numpy-backed modules (pipeline, simulate, oracle, filtering)
-in the subcommands that use them; logging loads only when PMM_LOG is set
+imports error_analysis and the numpy-backed modules in the subcommands that
+use them, so ``fit``, ``forecast`` and ``evaluate`` load no simulation,
+kernel, theory or oracle module; logging loads only when PMM_LOG is set
 or the process has loaded it already, and is configured only for PMM_LOG.
 
 Numpy's BLAS gets one thread: every call works on 2x2/3x3 recursions and
@@ -46,12 +47,6 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_ENV):
     os.environ.update(dict.fromkeys(_THREAD_ENV, "1"))
 
 from . import __version__
-from .error_analysis import (
-    curves_to_csv,
-    forecaster_mse,
-    mse_sweep,
-    theoretical_mse_pmm,
-)
 from .forecasting import (
     MAX_GRID_POINTS, MAX_INDEX, MAX_REPLICATES, MAX_SIMULATE_STEPS,
     check_grid, check_int, forecast, forecast_path,
@@ -141,6 +136,8 @@ def cmd_simulate(args) -> dict:
 
 
 def cmd_theoretical_mse(args) -> dict:
+    from .error_analysis import curves_to_csv, mse_sweep
+
     if args.preset:
         # A preset fixes both models; a parameter file beside it would be ignored.
         for flag, value in (("--params", args.params), ("--hmm-params", args.hmm_params)):
@@ -251,6 +248,7 @@ def cmd_evaluate(args) -> dict:
 
 
 def cmd_monte_carlo(args) -> dict:
+    from .error_analysis import forecaster_mse
     from .simulate import RNG_ALGORITHM, monte_carlo_mse
 
     p_true = load_params(args.params)
@@ -272,13 +270,19 @@ def cmd_monte_carlo(args) -> dict:
 
 
 def cmd_oracle(args) -> dict:
+    from .error_analysis import theoretical_mse_pmm
     from .filtering import run_filter
     from .oracle import DEFAULT_CAP, oracle_forecast
+    from .pipeline import detrend
 
     check_int(args.n + args.k, "--n + --k of the oracle's joint law", 1, DEFAULT_CAP)
-    params = load_params(args.params)
+    fitted = FittedModel.load(args.params)
+    params = fitted.params
     y = _read_y_column(args.input)
     y = y[: check_int(args.n, "--n", 1, y.size)]
+    if fitted.detrend is not None:  # anchored at row 0, as forecast's default
+        y = detrend(y, fitted.detrend)
+    y = fitted.y_standardize.apply(y)  # the units forecast filters in
     # The filter state (the forecast at k = 0) or the k-step forecast, both
     # with mean and variance.
     mean, variance = oracle_forecast(params, y, args.k)

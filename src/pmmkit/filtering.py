@@ -15,11 +15,10 @@ steps, for a cycle of entry mu and period lambda, plus an O(n) fill.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels_py as kernels
 from .forecasting import FLOOR, check_int, check_series
 from .model import PmmParams, TransitionModel
 from .riccati import _riccati_step, orbit
@@ -35,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FilterState:
+class FilterState(NamedTuple):
     """Conditional law of the hidden state after n observations."""
 
     n: int
@@ -120,7 +118,8 @@ def _weights(m: TransitionModel, gains: np.ndarray) -> np.ndarray:
     weights = np.empty(entry.size)
     weights[:-1] = (entry[:-1] * c + d) * np.append(products[::-1][1:], 1.0)
     weights[-1] = entry[-1]
-    weights[np.abs(weights) < FLOOR] = 0.0
+    # Two comparisons rather than np.abs, which would make a float temporary.
+    weights[(weights > -FLOOR) & (weights < FLOOR)] = 0.0
     return weights
 
 
@@ -140,6 +139,8 @@ def batch_filter_means(m: TransitionModel, obs: np.ndarray) -> np.ndarray:
 
     Row i yields the same value as ``run_filter(m, obs[i]).mean``.
     """
+    from . import _kernels_py as kernels  # here: run_filter's callers load no kernels
+
     obs = np.asarray(obs, dtype=float)
     if obs.ndim != 2 or obs.shape[1] < 1:
         raise ValueError("obs must be 2-d with at least one column")

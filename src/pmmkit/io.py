@@ -64,8 +64,9 @@ if TYPE_CHECKING:
 __all__ = ["read_columns", "atomic_write", "read_json", "write_json", "finite_number",
            "write_rows", "write_numbered_floats"]
 
-# Rows formatted together by the CSV writers.
-WRITE_ROWS = 4096
+# Rows formatted together by the CSV writers: 3e5 trajectory rows took 52 ms
+# at this size, 56-67 ms at 4096 and 56-61 ms at 32768 on a 2-vCPU Xeon VM.
+WRITE_ROWS = 16384
 
 # The suffixes numpy's loadtxt decompresses a path by: the keys of
 # np.lib._datasource._file_openers other than None, which this must track.

@@ -17,10 +17,10 @@ the marginal pair covariance and C = [[a, e], [d, c]] the lag-one cross
 covariance Cov[Z_{n+1}, Z_n].  Only Q matters outside of sampling, so the
 transition model stores Q rather than a particular square root B.
 
-Everything here is 2x2 and 4x4 algebra over Python floats, so this module,
-and the exact theory built on it, loads no numpy.  The admissibility gate
-finds the smallest eigenvalue of Q and the spectral radius of A in closed
-form, and the smallest eigenvalue of the 4x4 stationary covariance by
+All but the moment estimator ``empirical_covariances`` is 2x2 and 4x4
+algebra over Python floats: the module and the exact theory load no numpy.
+The admissibility gate finds the smallest eigenvalue of Q and the spectral
+radius of A in closed form, and that of the 4x4 stationary covariance by
 cyclic Jacobi rotations.  Every model file, fitted or bare parameters, is
 read by ``FittedModel.load``; ``load_params`` keeps its parameters.
 """
@@ -31,7 +31,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from .forecasting import check_int
+from .forecasting import check_int, check_series
 from .io import atomic_write, finite_number, read_json, write_json
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "DetrendModel",
     "StandardizationParams",
     "FittedModel",
+    "empirical_covariances",
     "gamma_from_params",
     "hmm_params",
     "is_hmm",
@@ -107,6 +108,23 @@ class PmmParams(NamedTuple):
                 problems.append("not a finite number: " + ", ".join(bad))
             raise ValueError("invalid parameters: " + "; ".join(problems))
         return cls(**values)
+
+
+def empirical_covariances(x, y) -> PmmParams:
+    """Moment estimates of (a, b, c, d, e) from a pair of standardized
+    series, as a simulated path is by construction and ``estimate_params``
+    makes them: sums of products over N - 1, the lag-1 sums over the N - 1
+    aligned pairs."""
+    x = check_series(x, "x", 2)
+    y = check_series(y, "y", x.size, x.size)
+    denom = x.size - 1
+    return PmmParams(
+        a=float(x[:-1] @ x[1:]) / denom,
+        b=float(x @ y) / denom,
+        c=float(y[:-1] @ y[1:]) / denom,
+        d=float(x[:-1] @ y[1:]) / denom,
+        e=float(x[1:] @ y[:-1]) / denom,
+    )
 
 
 # A 2x2 matrix as its two rows of floats.

@@ -14,7 +14,8 @@ lag-1 covariances of the standardized series; test data are standardized
 with the fitting window's moments.  ``fit --window`` cuts that window only
 after fitting the seasonal component on every row of the file, so rows
 outside it, such as those a later ``evaluate`` scores, leak into the model
-through the seasonal coefficients.  The fitted model's types live in ``model``.
+through the seasonal coefficients.  The fitted model's types and the moment
+estimator ``empirical_covariances`` live in ``model``.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .filtering import filter_coefficients
 from .forecasting import MAX_INDEX, check_grid, check_int, check_series, horizon_terms
 from .io import read_columns
 from .model import (
-    DetrendModel, FittedModel, StandardizationParams, hmm_params, markov_form, validate,
+    DetrendModel, FittedModel, StandardizationParams, empirical_covariances, hmm_params,
+    markov_form, validate,
 )
-from .simulate import empirical_covariances
 
 __all__ = [
     "fit_detrend",

@@ -18,6 +18,8 @@ thread per CPU of the process's affinity mask, and only their errors are
 kept, so the memory is O(reps + n + k + threads * BLOCK_STEPS).  The block
 partition and each block's stream do not depend on the thread count, so
 it changes no digit of the result.
+``empirical_covariances`` is ``model``'s, so that ``fit`` loads no
+simulation; it stays importable from here.
 """
 
 from __future__ import annotations
@@ -30,14 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels_py as kernels
 from .filtering import filter_coefficients
 from .forecasting import (
     FLOOR, MAX_REPLICATE_STEPS, MAX_REPLICATES, MAX_SIMULATE_STEPS, check_grid,
-    check_int, check_series, horizon_terms,
+    check_int, horizon_terms,
 )
 from .io import write_numbered_floats
-from .model import Matrix2, PmmParams, TransitionModel, markov_form
+from .model import Matrix2, PmmParams, TransitionModel, empirical_covariances, markov_form
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -104,6 +105,8 @@ def _cpu_count() -> int:
 def sample(p: PmmParams, n_steps: int, seed: int) -> Trajectory:
     """Simulate ``n_steps`` pairs, 1..MAX_SIMULATE_STEPS; deterministic
     given (p, n_steps, seed)."""
+    from . import _kernels_py as kernels  # here: monte-carlo loads no kernels
+
     n_steps = check_int(n_steps, "n_steps", 1, MAX_SIMULATE_STEPS)
     m = markov_form(p)
     l011, l021, l022 = _chol2(m.marginal)
@@ -241,26 +244,6 @@ def monte_carlo_mse(
     mse = float(sq_errors.mean())
     stderr = float(sq_errors.std(ddof=1) / math.sqrt(reps))
     return mse, stderr
-
-
-def empirical_covariances(x, y) -> PmmParams:
-    """Moment estimates of (a, b, c, d, e) from a pair of series.
-
-    Sums of products with a 1/(N-1) denominator (the lag-1 sums run over
-    the N-1 aligned pairs).  Assumes the series are already standardized,
-    which holds for simulated paths by construction; the fitting pipeline
-    standardizes before calling this.
-    """
-    x = check_series(x, "x", 2)
-    y = check_series(y, "y", x.size, x.size)
-    denom = x.size - 1
-    return PmmParams(
-        a=float(x[:-1] @ x[1:]) / denom,
-        b=float(x @ y) / denom,
-        c=float(y[:-1] @ y[1:]) / denom,
-        d=float(x[:-1] @ y[1:]) / denom,
-        e=float(x[1:] @ y[:-1]) / denom,
-    )
 
 
 def trajectory_to_csv(traj: Trajectory, fh) -> None:

@@ -67,6 +67,9 @@ COMMANDS = [
                    "--n", "8", "--k", "0"]),
     ("oracle-k4", ["oracle", "--params", "true.json", "--input", "series.csv",
                    "--n", "8", "--k", "4"]),
+    # A fitted model: the rows detrended and standardized, as forecast reads them.
+    ("oracle-model", ["oracle", "--params", "model.json", "--input", "series.csv",
+                      "--n", "8", "--k", "4"]),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")

@@ -83,3 +83,22 @@ def test_counted_arguments_are_parameters():
 
 def test_backend_name_is_reported():
     assert isinstance(pmmkit.backend_name(), str)
+
+
+def test_traced_fit_finds_the_estimator(tmp_path, capsys):
+    # The estimator lives in pmmkit.model; the tracer wraps it in every
+    # namespace that imported it, pipeline's included.
+    from pmmkit.cli import main
+
+    golden = Path(__file__).resolve().parent / "golden"
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        code = main(["fit", "--input", str(golden / "series.csv"), "--detrend",
+                     "--output", str(tmp_path / "model.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0, capsys.readouterr().err
+    summary = layers.summarize(tracer)
+    assert summary["simulate.empirical_covariances.calls"] == 1
+    assert summary["pipeline.estimate_params.calls"] == 1

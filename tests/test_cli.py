@@ -1224,6 +1224,25 @@ class TestOracleSubcommand:
             payload["theoretical_mse"], abs=1e-9
         )
 
+    # A fitted model conditions the first n rows detrended from row 0 and
+    # standardized, as forecast does on a file of those rows.
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_fitted_model_filters_as_forecast_does(self, tmp_path, capsys, k):
+        model, n = GOLDEN / "model.json", 8
+        assert FittedModel.load(model).detrend is not None
+        rows = (GOLDEN / "series.csv").read_text().splitlines(keepends=True)[: n + 1]
+        data = tmp_path / "head.csv"
+        data.write_text("".join(rows))
+        assert run_cli("oracle", "--params", model, "--input", GOLDEN / "series.csv",
+                       "--n", n, "--k", k) == 0
+        oracle = json.loads(capsys.readouterr().out)
+        assert run_cli("forecast", "--model", model, "--input", data,
+                       "--n", n, "--k", max(k, 1)) == 0
+        forecast = json.loads(capsys.readouterr().out)
+        want = forecast["forecasts"][0]["mean"] if k else forecast["filter_mean"]
+        assert oracle["recursive"]["mean"] == want
+        assert oracle["oracle"]["mean"] == pytest.approx(want, abs=1e-9)
+
     @pytest.mark.parametrize("preset", ["fig2", "fig4"])
     def test_theoretical_mse_matches_scalar_reference(self, tmp_path, capsys, preset):
         p = get_preset(preset).true_params
@@ -1489,28 +1508,46 @@ sys.exit(code)
 # numpy, and the stdlib modules whose import dominates a numpy-free run's
 # start-up; dataclasses loads inspect.
 LEAN_PATH_EXCLUDES = {"numpy", "dataclasses", "inspect", "logging", "csv"}
+# What the real-data commands never run: the simulation, kernel, theory and
+# oracle modules, and the dataclasses of the first two.
+REAL_DATA_EXCLUDES = {
+    "pmmkit.simulate", "pmmkit._kernels_py", "pmmkit.error_analysis", "pmmkit.oracle",
+    "pmmkit._backend", "dataclasses",
+}
 
 
 def test_theory_and_version_load_a_lean_import_set(tmp_path):
     (tmp_path / "p.json").write_text(json.dumps(FIG2_PARAMS.to_dict()))
     (tmp_path / "h.json").write_text(json.dumps(hmm_params(0.9, -0.2).to_dict()))
+    model, series = str(GOLDEN / "model.json"), str(GOLDEN / "series.csv")
     calls = [
-        ["--version"],
-        ["theoretical-mse", "--preset", "fig3", "--output", "fig3.csv"],
-        ["theoretical-mse", "--params", "p.json", "--hmm-params", "h.json",
-         "--n-grid", "1:40", "--k-grid", "0:3", "--output", "own.csv"],
+        (["--version"], LEAN_PATH_EXCLUDES),
+        (["theoretical-mse", "--preset", "fig3", "--output", "fig3.csv"], LEAN_PATH_EXCLUDES),
+        (["theoretical-mse", "--params", "p.json", "--hmm-params", "h.json",
+          "--n-grid", "1:40", "--k-grid", "0:3", "--output", "own.csv"], LEAN_PATH_EXCLUDES),
         # A fitted model, read whole by FittedModel.load.
-        ["theoretical-mse", "--params", str(GOLDEN / "model.json"),
-         "--hmm-params", str(GOLDEN / "hmm.json"), "--output", "golden.csv"],
+        (["theoretical-mse", "--params", model, "--hmm-params", str(GOLDEN / "hmm.json"),
+          "--output", "golden.csv"], LEAN_PATH_EXCLUDES),
+        (["fit", "--input", series, "--detrend", "--window", "200:1800", "--output", "m.json"],
+         REAL_DATA_EXCLUDES),
+        (["forecast", "--model", model, "--input", series, "--n", "50", "--k", "24",
+          "--horizon-path", "--output", "forecast.csv"], REAL_DATA_EXCLUDES),
+        (["evaluate", "--model", model, "--input", series, "--n-grid", "5,20",
+          "--k-grid", "1,6", "--start-index", "12", "--output", "table.csv"],
+         REAL_DATA_EXCLUDES),
+        (["simulate", "--params", "p.json", "--n", "100", "--output", "s.csv"],
+         {"pmmkit.error_analysis"}),
+        (["monte-carlo", "--params", "p.json", "--n", "10", "--k", "5", "--reps", "200"],
+         {"pmmkit._kernels_py"}),
     ]
-    for argv in calls:
+    for argv, excludes in calls:
         out = _python(["-c", ADDED_MODULES, *argv], tmp_path)
         assert out.returncode == 0, out.stderr
         added = set(out.stdout.splitlines()[-1].split())
         assert "pmmkit.cli" in added
-        assert not added & LEAN_PATH_EXCLUDES, (argv, added & LEAN_PATH_EXCLUDES)
+        assert not added & excludes, (argv, added & excludes)
     # PMM_LOG loads logging, and the line it asks for is written.
-    out = _python(["-c", ADDED_MODULES, *calls[1]], tmp_path, PMM_LOG="info")
+    out = _python(["-c", ADDED_MODULES, *calls[1][0]], tmp_path, PMM_LOG="info")
     assert out.returncode == 0, out.stderr
     assert "logging" in out.stdout.splitlines()[-1].split()
     assert "wrote fig3.csv" in out.stderr

@@ -232,13 +232,16 @@ class TestCycleFill:
 class TestWeightFloor:
     # The suffix products fall below FLOOR after a few thousand
     # observations; n = 4097 ends one past the first block of products.
-    @pytest.mark.parametrize("n", [1, 2, 50, 4097, 50_000])
+    # The floor is the one np.abs(w) < FLOOR spells, byte for byte, so a
+    # -0.0 weight becomes 0.0.
+    @pytest.mark.parametrize("n", [1, 2, 50, 4097, 50_000, 10**6])
     def test_bit_for_bit_with_the_unfloored_weights(self, n):
         ys = np.random.default_rng(n).standard_normal(n)
         for m in _fixed_point_models()[: 2 * len(PRESET_NAMES)] + _cycling_models():
             gains = _variance_and_gains(m, n)[1]
             want = unfloored_weights(m, gains)
-            assert np.array_equal(_weights(m, gains), np.where(np.abs(want) < FLOOR, 0.0, want))
+            got, floored = _weights(m, gains), np.where(np.abs(want) < FLOOR, 0.0, want)
+            assert np.array_equal(got, floored) and got.tobytes() == floored.tobytes()
             assert run_filter(m, ys).mean == float(want @ ys)
 
     def test_no_weight_below_the_floor(self):

@@ -15,6 +15,7 @@ from pmmkit import (
 )
 from pmmkit import error_analysis
 from pmmkit.error_analysis import MseCurve
+from pmmkit.filtering import FilterState
 from pmmkit.forecasting import ForecastResult
 from pmmkit.model import (
     PD_TOL,
@@ -288,8 +289,8 @@ class TestSerialization:
             assert text in str(info.value)
 
 
-# One instance of each value type on the numpy-free path, built twice by
-# its factory, and its repr.
+# One instance of each value type that holds no array, built twice by its
+# factory, and its repr.
 VALUE_TYPES = {
     "PmmParams": (
         lambda: PmmParams(0.5, -0.25, 0.125, -0.0625, 0.0),
@@ -314,6 +315,10 @@ VALUE_TYPES = {
     "ForecastResult": (
         lambda: ForecastResult(3, 0.25, 0.5),
         "ForecastResult(horizon=3, mean=0.25, variance=0.5)",
+    ),
+    "FilterState": (
+        lambda: FilterState(4, 0.25, 0.5, -1.5),
+        "FilterState(n=4, mean=0.25, variance=0.5, last_y=-1.5)",
     ),
     "SweepPreset": (
         lambda: SweepPreset("x", PmmParams(0, 0, 0, 0, 0), PmmParams(0, 0, 0, 0, 0), (1,), (0,)),

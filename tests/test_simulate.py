@@ -517,9 +517,12 @@ class TestCsv:
         assert first[0] == "1"
         assert float(first[1]) == pytest.approx(t.x[0], rel=1e-11)
 
-    # 10 and 100_001 rows take t from 9 to 10 and from 99 999 to 100 000.
+    # 10 and 100_001 rows take t from 9 to 10 and from 99 999 to 100 000;
+    # 4095..4097 straddle a block of 4096 rows, the writer's earlier size.
     @pytest.mark.parametrize(
-        "n_steps", [1, 10, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1, 10_000, 100_001]
+        "n_steps",
+        sorted({1, 10, 4095, 4096, 4097, 10_000, WRITE_ROWS - 1, WRITE_ROWS,
+                WRITE_ROWS + 1, 100_001}),
     )
     def test_batched_rows_equal_rowwise(self, n_steps):
         assert_csv_equals_rowwise(sample(FIG2_PARAMS, n_steps, seed=12))
