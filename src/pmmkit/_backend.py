@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 # Kept for pmmbench: its provenance calls backend_name(), its traced run wraps
-# kernels.  simulate_block and batch_filter_means are called only there and by
-# the tests' simulate-and-filter reference.
+# kernels.  No kernel has a caller in the package, only the tests' references.
 from . import _kernels_py as kernels  # noqa: F401
 
 

@@ -30,7 +30,7 @@ __all__ = ["FLOOR", "MAX_GRID_POINTS", "MAX_INDEX", "MAX_REPLICATES",
 # The largest n or k, and the most (n, k) points, of a grid: each can cost
 # time linear in it (the k-step map; the Riccati passes until they cycle).
 MAX_GRID_POINTS = 10**6
-# The most steps of one simulated trajectory: 3.3 s and an 878 MB peak for
+# The most steps of one simulated trajectory: 3.9 s and a 340 MB peak for
 # ``simulate`` at 10^7 on a 2-vCPU Xeon VM, linear in the steps.
 MAX_SIMULATE_STEPS = 10**7
 # The most Monte Carlo replicates: 5.5 s on two CPUs (11 s on one) and a

@@ -5,19 +5,19 @@ correlation b; later pairs follow Z_{t+1} = A Z_t + B W_{t+1}, with B the
 lower Cholesky factor of Q (any square root would do; the lower factor is
 fixed for reproducibility).  All randomness comes from numpy's default
 PCG64 generator, so a (params, length, seed) triple pins the trajectory
-bit for bit.
+bit for bit.  ``_scan``, a blocked numpy scan, solves the recurrence.
 
 Monte Carlo builds no trajectory.  Every forecaster here is linear in the
 observations and every observation is linear in the normal draws, so a
 replicate's forecast error is one fixed weight vector dotted with its own
-draws; one backward pass through the true model gives those weights in
-O(n + k).  The replicates come in blocks of at most BLOCK_STEPS
-replicate-steps (but at least one replicate), and block j draws from its
-own stream, child j of the seed's ``SeedSequence``.  The blocks run on one
-thread per CPU of the process's affinity mask, and only their errors are
-kept, so the memory is O(reps + n + k + threads * BLOCK_STEPS).  The block
-partition and each block's stream do not depend on the thread count, so
-it changes no digit of the result.
+draws; one backward pass through the true model, the same scan in
+reversed time, gives those weights.  The replicates come in blocks of at
+most BLOCK_STEPS replicate-steps (but at least one replicate), and block j
+draws from its own stream, child j of the seed's ``SeedSequence``.  The
+blocks run on one thread per CPU of the process's affinity mask, and only
+their errors are kept, so the memory is O(reps + n + k + threads *
+BLOCK_STEPS).  The block partition and each block's stream do not depend on
+the thread count, so it changes no digit of the result.
 ``empirical_covariances`` is ``model``'s, so that ``fit`` loads no
 simulation; it stays importable from here.
 """
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +56,9 @@ RNG_ALGORITHM = "numpy-pcg64"
 # what a seed means.  A replicate-step costs about 20 ns of CPU at any
 # n + k on a 2-vCPU Xeon VM.
 BLOCK_STEPS = 2**16
+# Steps per block of ``_scan``: the blocks fix each simulated state's rounding.
+SCAN_BLOCK = 256
+SCAN_GROUP = 256  # blocks per group of _scan's last pass: 0.5 MB temporaries
 
 
 @dataclass(frozen=True)
@@ -102,22 +104,70 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _scan(a1, a2, a3, a4, z) -> None:
+    """Overwrite ``z``, a C-ordered (2, steps) array whose column 0 holds
+    Z_0 and column t >= 1 the input u_t, with the states of Z_t = A Z_{t-1}
+    + u_t, A = ((a1, a2), (a3, a4)).
+
+    The steps after the first split into blocks of SCAN_BLOCK.  Inside a
+    block the state i steps in is A^i s + r_i, where s is the state entering
+    the block and r_i the response to the block's own inputs from a zero
+    start.  The responses of all blocks advance together in place (step i
+    of every block is the strided slice ``z[:, 1 + i::width]``), a scalar
+    loop carries the entry states, s' = A^B s + r_B, and A^(i+1) s joins r_i.
+    """
+    assert z.flags.c_contiguous, "the last pass adds into views of z's rows"
+    x, y = z
+    width = max(1, min(SCAN_BLOCK, x.size - 1))
+    for i in range(1, width):
+        rx, ry = x[1 + i :: width], y[1 + i :: width]
+        px, py = x[i :: width][: rx.size], y[i :: width][: rx.size]
+        rx += a1 * px + a2 * py
+        ry += a3 * px + a4 * py
+    # powers[i] = A^(i+1)
+    powers = np.empty((width, 2, 2))
+    powers[0] = ((a1, a2), (a3, a4))
+    for i in range(1, width):
+        powers[i] = powers[0] @ powers[i - 1]
+    (p11, p12), (p21, p22) = powers[-1].tolist()
+    # The state entering each block, and past the last block if it is full.
+    entry = [(float(x[0]), float(y[0]))]
+    for ex, ey in zip(x[width::width].tolist(), y[width::width].tolist()):
+        xs, ys = entry[-1]
+        entry.append((p11 * xs + p12 * ys + ex, p21 * xs + p22 * ys + ey))
+    sx, sy = np.array(entry).T
+    # Blocks as rows: SCAN_GROUP full ones at a time, then a partial last one.
+    full, rest = divmod(x.size - 1, width)
+    bounds = [*range(0, full, SCAN_GROUP), full] + [full + 1] * (rest > 0)
+    for lo, hi in zip(bounds, bounds[1:]):
+        for row, (q1, q2) in zip(z, powers.transpose(1, 2, 0)):
+            block = row[1 + lo * width : 1 + hi * width].reshape(hi - lo, -1)
+            w = block.shape[1]
+            block += np.multiply.outer(sx[lo:hi], q1[:w]) + np.multiply.outer(sy[lo:hi], q2[:w])
+
+
+def _lower_times(l11, l21, l22, eps, out) -> None:
+    """Write L w, L = ((l11, 0), (l21, l22)), for each row w of ``eps`` into ``out``'s columns."""
+    np.multiply(eps[:, 1], l22, out=out[0])  # scratch, so no temporary
+    np.multiply(eps[:, 0], l21, out=out[1])
+    out[1] += out[0]
+    np.multiply(eps[:, 0], l11, out=out[0])
+
+
 def sample(p: PmmParams, n_steps: int, seed: int) -> Trajectory:
     """Simulate ``n_steps`` pairs, 1..MAX_SIMULATE_STEPS; deterministic
-    given (p, n_steps, seed)."""
-    from . import _kernels_py as kernels  # here: monte-carlo loads no kernels
-
+    given (p, n_steps, seed).  The draws and the states are the memory:
+    32 bytes a step."""
     n_steps = check_int(n_steps, "n_steps", 1, MAX_SIMULATE_STEPS)
     m = markov_form(p)
-    l011, l021, l022 = _chol2(m.marginal)
-    lq11, lq21, lq22 = _chol2(m.Q)
     # Row 0 is the start pair and rows 1.. drive the scan, as in a replicate.
     eps = _rng(seed).standard_normal((n_steps, 2))
-    x0 = l011 * eps[0, 0]
-    y0 = l021 * eps[0, 0] + l022 * eps[0, 1]
-    (a1, a2), (a3, a4) = m.A
-    x, y = kernels.simulate_pairs(a1, a2, a3, a4, lq11, lq21, lq22, x0, y0, eps[1:])
-    return Trajectory(x=x, y=y, seed=seed)
+    z = np.empty((2, n_steps))
+    _lower_times(*_chol2(m.marginal), eps[:1], z[:, :1])
+    _lower_times(*_chol2(m.Q), eps[1:], z[:, 1:])
+    del eps
+    _scan(*m.A[0], *m.A[1], z)
+    return Trajectory(x=z[0], y=z[1], seed=seed)
 
 
 def _error_weights(
@@ -133,31 +183,31 @@ def _error_weights(
     lam B . W_t, so one backward pass carries lam from (1, 0) on Z_{n+k}
     down to Z_1, taking -v_t on the y of each Z_t with t <= n: the impulse
     response of a suboptimal filter's error (Anderson & Moore, Optimal
-    Filtering, 1979).  O(n + k) time, over Python floats.  A weight below
-    FLOOR in magnitude is 0.0: times a draw it cannot move an error of
-    order 1, and a subnormal weight would slow every product.
+    Filtering, 1979).  In reversed time that pass is the recurrence
+    ``sample`` solves, with A transposed, so ``_scan`` runs it.  v is formed
+    before the scan's buffer, so the peak is the weights twice.  A weight
+    below FLOOR in magnitude is 0.0: times a draw it cannot move an
+    error of order 1, and a subnormal weight would slow every product.
     """
     [(xx, xy, _)] = horizon_terms(m_fc, [k]).values()
-    v = (xx * filter_coefficients(m_fc, n)).tolist()
+    v = xx * filter_coefficients(m_fc, n)
     v[-1] += xy
-    l011, l021, l022 = _chol2(m_true.marginal)
-    lq11, lq21, lq22 = _chol2(m_true.Q)
+    # Column c is lam on Z_t, t = n + k - 1 - c, numbered from t = 0 (so
+    # Y_1:n are the y of t = 0..n-1); its input is -v_t where t < n.
+    lam = np.zeros((2, n + k))
+    lam[0, 0] = 1.0
+    np.negative(v[::-1], out=lam[1, k:])
+    del v
     (a1, a2), (a3, a4) = m_true.A
-    # Z_t is numbered from t = 0 here, so Y_1:n are the y of t = 0..n-1.
-    rows = array("d")  # the pairs, last row first: 16 bytes a row
-    lam_x, lam_y = 1.0, 0.0
-    for t in range(n + k - 1, 0, -1):
-        if t < n:
-            lam_y -= v[t]
-        rows.append(lam_x * lq11 + lam_y * lq21)
-        rows.append(lam_y * lq22)
-        lam_x, lam_y = lam_x * a1 + lam_y * a3, lam_x * a2 + lam_y * a4
-    lam_y -= v[0]
-    del v  # n Python floats: freed before the array copies below
-    rows.append(lam_x * l011 + lam_y * l021)
-    rows.append(lam_y * l022)
-    weights = np.frombuffer(rows, dtype=float).reshape(-1, 2)[::-1].copy()
-    del rows
+    _scan(a1, a3, a2, a4, lam)
+    # lam B, B being Q's factor for Z_2.. and the marginal's for Z_1.
+    for cols, cov in ((slice(-1), m_true.Q), (slice(-1, None), m_true.marginal)):
+        l11, l21, l22 = _chol2(cov)
+        lam[0, cols] *= l11
+        lam[0, cols] += l21 * lam[1, cols]
+        lam[1, cols] *= l22
+    weights = np.ascontiguousarray(lam[:, ::-1].T)
+    del lam
     # Two comparisons rather than np.abs, which would make a float temporary.
     weights[(weights > -FLOOR) & (weights < FLOOR)] = 0.0
     return weights

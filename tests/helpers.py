@@ -1,13 +1,14 @@
 """Shared test utilities: random admissible models, an independent scalar
 Kalman reference for the hidden-Markov special case, and the step-by-step
-loops, the left-multiplication k-step map, the per-horizon forecast and
-variance recursions, the forecast coefficients, the n x n quadratic form,
-the row-by-row CSV reader and writers, the exact-MSE pass as one numpy
-matrix product per step, the exact-MSE grid as per-k weights and an (n, k)
-dict, the simulate-and-filter Monte Carlo, the single-stream Monte Carlo,
-the one-forecaster sliding-window errors, the column-stacked seasonal
-design and the Monte Carlo error weights that keep every buffer to the
-end, which the production paths replaced, kept as references; the
+loops, the time-major blocked scan, the left-multiplication k-step map,
+the per-horizon forecast and variance recursions, the forecast
+coefficients, the n x n quadratic form, the row-by-row CSV reader and
+writers, the exact-MSE pass as one numpy matrix product per step, the
+exact-MSE grid as per-k weights and an (n, k) dict, the simulate-and-filter
+Monte Carlo, the single-stream Monte Carlo, the one-forecaster
+sliding-window errors, the column-stacked seasonal design and the Monte
+Carlo error weights by a Python loop that keeps every buffer to the end,
+which the production paths replaced, kept as references; the
 production exact-MSE step, and the 7-entry one it replaced, run to every n
 without a cycle exit; the blockless form of the production Monte Carlo;
 and the filter weights and the Monte Carlo error weights before any was
@@ -37,7 +38,7 @@ from pmmkit.forecasting import (
     FLOOR, MAX_INDEX, MAX_REPLICATE_STEPS, MAX_REPLICATES, check_grid, check_int, horizon_terms,
 )
 from pmmkit.riccati import _riccati_step, orbit
-from pmmkit.simulate import BLOCK_STEPS, _chol2, _error_weights, _rng
+from pmmkit.simulate import BLOCK_STEPS, SCAN_BLOCK, _chol2, _error_weights, _rng
 
 
 def random_valid_params(rng, max_spectral_radius: float = 0.999) -> PmmParams:
@@ -113,6 +114,58 @@ def sequential_simulate_pairs(a1, a2, a3, a4, l11, l21, l22, x0, y0, eps):
         y[t] = yn
         xs = xn
         ys = yn
+    return x, y
+
+
+def time_major_simulate_pairs(a1, a2, a3, a4, l11, l21, l22, x0, y0, eps):
+    """``_kernels_py.simulate_pairs`` before ``simulate._scan`` worked in
+    place: the noise padded to whole blocks and copied time-major.
+
+    ``eps`` has shape (steps-1, 2); returns x, y arrays of length steps.
+
+    The steps after the first split into blocks of SCAN_BLOCK.  Inside a
+    block the state i steps in is A^i s + r_i, where s is the state entering
+    the block and r_i the response to the block's own noise from a zero
+    start.  The responses of all blocks advance together, one step per
+    iteration; a scalar loop then carries the entry states forward,
+    s' = A^B s + r_B.
+    """
+    steps = eps.shape[0] + 1
+    x = np.empty(steps)
+    y = np.empty(steps)
+    x[0] = x0
+    y[0] = y0
+    if steps == 1:
+        return x, y
+    width = min(SCAN_BLOCK, steps - 1)
+    blocks = -(-(steps - 1) // width)
+    noise_x = np.zeros(blocks * width)
+    noise_y = np.zeros(blocks * width)
+    noise_x[: steps - 1] = l11 * eps[:, 0]
+    noise_y[: steps - 1] = l21 * eps[:, 0] + l22 * eps[:, 1]
+    # Time-major (width, blocks): row i holds step i of every block.
+    rx = np.ascontiguousarray(noise_x.reshape(blocks, width).T)
+    ry = np.ascontiguousarray(noise_y.reshape(blocks, width).T)
+    for i in range(1, width):
+        rx[i] += a1 * rx[i - 1] + a2 * ry[i - 1]
+        ry[i] += a3 * rx[i - 1] + a4 * ry[i - 1]
+    # powers[i] = A^(i+1)
+    powers = np.empty((width, 2, 2))
+    powers[0] = ((a1, a2), (a3, a4))
+    for i in range(1, width):
+        powers[i] = powers[0] @ powers[i - 1]
+    (p11, p12), (p21, p22) = powers[-1].tolist()
+    sx = np.empty(blocks)
+    sy = np.empty(blocks)
+    xs, ys = float(x0), float(y0)
+    for b, (ex, ey) in enumerate(zip(rx[-1].tolist(), ry[-1].tolist())):
+        sx[b] = xs
+        sy[b] = ys
+        xs, ys = p11 * xs + p12 * ys + ex, p21 * xs + p22 * ys + ey
+    x_blocks = powers[:, 0, :1] * sx + powers[:, 0, 1:] * sy + rx
+    y_blocks = powers[:, 1, :1] * sx + powers[:, 1, 1:] * sy + ry
+    x[1:] = x_blocks.T.ravel()[: steps - 1]
+    y[1:] = y_blocks.T.ravel()[: steps - 1]
     return x, y
 
 
@@ -523,7 +576,10 @@ def whole_batch_weighted_mse(
     """``monte_carlo_mse`` with the noise of every replicate drawn at once
     from the streams of ``block_stream_noise`` and weighted by one
     ``np.einsum`` per piece of the rows: the production arithmetic without
-    the blocks or the threads, O(reps * (n + k)) memory."""
+    the blocks or the threads, O(reps * (n + k)) memory.  Except that
+    einsum sums a row of more than 8,192 normals in another order alone
+    than in a batch, so a one-replicate block of such rows can differ in
+    the last digit."""
     weights = _error_weights(markov_form(p_true), markov_form(p_fc), n, k).ravel()
     noise = block_stream_noise(seed, n, k, reps)
     errors = np.zeros(reps)
@@ -670,8 +726,9 @@ def stacked_design_matrix(start_index: int, count: int, periods) -> np.ndarray:
 
 
 def retaining_error_weights(m_true, m_fc, n: int, k: int) -> np.ndarray:
-    """``simulate._error_weights`` before it released its list of filter
-    weights and its row buffer early and floored without ``np.abs``."""
+    """``simulate._error_weights`` before it ran ``simulate._scan``, one
+    Python step per time point, released its list of filter weights and its
+    row buffer early and floored without ``np.abs``."""
     [(xx, xy, _)] = horizon_terms(m_fc, [k]).values()
     v = (xx * filter_coefficients(m_fc, n)).tolist()
     v[-1] += xy

@@ -14,13 +14,14 @@ from pmmkit import (
     run_filter,
     sample,
 )
-from pmmkit._kernels_py import SCAN_BLOCK, simulate_block
+from pmmkit._kernels_py import simulate_block, simulate_pairs
 from pmmkit.pipeline import FittedModel, StandardizationParams, _window_errors
-from pmmkit.simulate import BLOCK_STEPS
+from pmmkit.simulate import BLOCK_STEPS, SCAN_BLOCK, _chol2
 from helpers import (
     quadratic_filter_coefficients,
     random_valid_params,
     sequential_simulate_pairs,
+    time_major_simulate_pairs,
 )
 
 PRESETS = ("fig2", "fig3", "fig4", "fig5")
@@ -32,17 +33,25 @@ def test_backend_reported():
     assert backend_name() == "python"
 
 
+# The steps after the first: one block short of full, full, one step into
+# a second and two; eight blocks, the last of two steps; and 3,907 blocks,
+# the last of 64.
+SCAN_STEPS = [
+    1, 2, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, SCAN_BLOCK + 2, 7 * SCAN_BLOCK + 3,
+    10**6 + 1,
+]
+
+
 @pytest.mark.parametrize("preset", ["fig2", "fig4", "fig5"])
-@pytest.mark.parametrize(
-    "n_steps", [1, 2, SCAN_BLOCK, SCAN_BLOCK + 1, SCAN_BLOCK + 2, 7 * SCAN_BLOCK + 3]
-)
+@pytest.mark.parametrize("n_steps", SCAN_STEPS)
 def test_sample_matches_sequential_loop(preset, n_steps):
     p = get_preset(preset).true_params
     m = markov_form(p)
     # The draws sample makes: the first pair, then one noise pair per step.
     rng = np.random.default_rng(31)
-    x0, y0 = np.linalg.cholesky(m.marginal) @ rng.standard_normal(2)
+    e0 = rng.standard_normal(2)
     eps = rng.standard_normal((n_steps - 1, 2))
+    x0, y0 = np.linalg.cholesky(m.marginal) @ e0
     (l11, _), (l21, l22) = np.linalg.cholesky(m.Q)
     x_ref, y_ref = sequential_simulate_pairs(
         *np.ravel(m.A), l11, l21, l22, x0, y0, eps
@@ -50,6 +59,22 @@ def test_sample_matches_sequential_loop(preset, n_steps):
     traj = sample(p, n_steps, seed=31)
     np.testing.assert_allclose(traj.x, x_ref, rtol=0, atol=1e-12)
     np.testing.assert_allclose(traj.y, y_ref, rtol=0, atol=1e-12)
+    # Bit for bit, the padded time-major scan that the in-place one
+    # replaced, on the Cholesky factors sample takes.
+    l11, l21, l22 = _chol2(m.marginal)
+    x0, y0 = l11 * e0[0], l21 * e0[0] + l22 * e0[1]
+    want = time_major_simulate_pairs(*np.ravel(m.A), *_chol2(m.Q), x0, y0, eps)
+    assert np.array_equal(traj.x, want[0]) and np.array_equal(traj.y, want[1])
+
+
+@pytest.mark.parametrize("n_steps", SCAN_STEPS)
+def test_simulate_pairs_bit_identical_to_time_major_scan(n_steps):
+    rng = np.random.default_rng(31)
+    x0, y0 = rng.standard_normal(2)
+    eps = rng.standard_normal((n_steps - 1, 2))
+    want = time_major_simulate_pairs(*A, *L, x0, y0, eps)
+    got = simulate_pairs(*A, *L, x0, y0, eps)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_simulate_block_rows_bit_identical_to_sequential_loop():

@@ -1536,7 +1536,7 @@ def test_theory_and_version_load_a_lean_import_set(tmp_path):
           "--k-grid", "1,6", "--start-index", "12", "--output", "table.csv"],
          REAL_DATA_EXCLUDES),
         (["simulate", "--params", "p.json", "--n", "100", "--output", "s.csv"],
-         {"pmmkit.error_analysis"}),
+         {"pmmkit.error_analysis", "pmmkit._kernels_py"}),
         (["monte-carlo", "--params", "p.json", "--n", "10", "--k", "5", "--reps", "200"],
          {"pmmkit._kernels_py"}),
     ]
