@@ -1,21 +1,20 @@
 """Command-line entry point tying the modules into end-to-end workflows.
 
-Subcommands: simulate, theoretical-mse, fit, forecast, evaluate,
-monte-carlo (plus a hidden oracle subcommand for debugging).  Every
-subcommand is deterministic given its flags, writes output files atomically
-through ``pmmkit.io`` (whose writers print every CSV number by one rule)
-and returns its JSON summary; ``main`` alone writes stdout, the summary of
-a subcommand that succeeded, and exits 0 only then.  Failures are reported as one
-machine-readable JSON line on stderr with exit 1.  Set
-PMM_LOG=DEBUG|INFO|WARNING for log verbosity.
+Subcommands: simulate, theoretical-mse, fit, forecast, evaluate and
+monte-carlo.  Every subcommand is deterministic given its flags, writes
+output files atomically through ``pmmkit.io`` (whose writers print every
+CSV number by one rule) and returns its JSON summary, whose ``output``
+names the file it wrote; ``main`` alone writes stdout, the summary of a
+subcommand that succeeded, and exits 0 only then.  Failures are reported as
+one machine-readable JSON line on stderr with exit 1; a run that succeeds
+writes nothing to stderr.
 
 ``theoretical-mse`` and ``--version`` load none of numpy, dataclasses,
 inspect, logging and csv: the model, the Riccati recursion, the k-step map
 and the exact MSE are Python floats in named tuples, and this module
 imports error_analysis and the numpy-backed modules in the subcommands that
 use them, so ``fit``, ``forecast`` and ``evaluate`` load no simulation,
-kernel, theory or oracle module; logging loads only when PMM_LOG is set
-or the process has loaded it already, and is configured only for PMM_LOG.
+kernel, theory or oracle module.
 
 Numpy's BLAS gets one thread: every call works on 2x2/3x3 recursions and
 single vectors, where a thread pool only adds start-up, spinning workers
@@ -67,10 +66,9 @@ if TYPE_CHECKING:
 
 
 def _atomic_write(path: Path, write_fn) -> None:
+    """Every file a subcommand writes; a function of its own, so that a
+    profiler can tell the CLI's writes from those of the library."""
     atomic_write(path, write_fn)
-    # Only a process that loaded logging can have a handler for this line.
-    if logging := sys.modules.get("logging"):
-        logging.getLogger("pmmkit").info("wrote %s", path)
 
 
 def _parse_int(text: str) -> int:
@@ -201,7 +199,7 @@ def cmd_forecast(args) -> dict:
     from .filtering import run_filter
     from .pipeline import detrend
 
-    fitted = FittedModel.load(args.model or args.params)
+    fitted = FittedModel.load(args.model)
     y = _read_y_column(args.input)
     check_int(args.n, "--n", 1, y.size)
     tail = y[-args.n :]
@@ -223,8 +221,12 @@ def cmd_forecast(args) -> dict:
     ]
     if args.output:
         _atomic_write(Path(args.output), lambda fh: write_rows(fh, columns, rows))
-    forecasts = [dict(zip(columns, row)) for row in rows]
-    return {"n": args.n, "filter_mean": state.mean, "forecasts": forecasts}
+    return {
+        "output": args.output,
+        "n": args.n,
+        "filter_mean": state.mean,
+        "forecasts": [dict(zip(columns, row)) for row in rows],
+    }
 
 
 def cmd_evaluate(args) -> dict:
@@ -266,36 +268,6 @@ def cmd_monte_carlo(args) -> dict:
         "mse": mse,
         "stderr": stderr,
         "theoretical_mse": theory,
-    }
-
-
-def cmd_oracle(args) -> dict:
-    from .error_analysis import theoretical_mse_pmm
-    from .filtering import run_filter
-    from .oracle import DEFAULT_CAP, oracle_forecast
-    from .pipeline import detrend
-
-    check_int(args.n + args.k, "--n + --k of the oracle's joint law", 1, DEFAULT_CAP)
-    fitted = FittedModel.load(args.params)
-    params = fitted.params
-    y = _read_y_column(args.input)
-    y = y[: check_int(args.n, "--n", 1, y.size)]
-    if fitted.detrend is not None:  # anchored at row 0, as forecast's default
-        y = detrend(y, fitted.detrend)
-    y = fitted.y_standardize.apply(y)  # the units forecast filters in
-    # The filter state (the forecast at k = 0) or the k-step forecast, both
-    # with mean and variance.
-    mean, variance = oracle_forecast(params, y, args.k)
-    model = markov_form(params)
-    recursive = run_filter(model, y)
-    if args.k:
-        recursive = forecast(recursive, model, args.k)
-    return {
-        "n": args.n,
-        "k": args.k,
-        "oracle": {"mean": mean, "variance": variance},
-        "recursive": {"mean": recursive.mean, "variance": recursive.variance},
-        "theoretical_mse": theoretical_mse_pmm(params, args.n, args.k),
     }
 
 
@@ -351,11 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
-    sub = parser.add_subparsers(
-        dest="command",
-        required=True,
-        metavar="{simulate,theoretical-mse,fit,forecast,evaluate,monte-carlo}",
-    )
+    sub = parser.add_subparsers(required=True)
 
     p = sub.add_parser("simulate", help="sample a trajectory to CSV (t,x,y)")
     p.add_argument("--params", required=True, help="parameter JSON file")
@@ -390,9 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("forecast", help="forecast from the last n observations")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--model", help=_MODEL_HELP)
-    source.add_argument("--params", help=_MODEL_HELP)
+    p.add_argument("--model", required=True, help=_MODEL_HELP)
     p.add_argument("--input", required=True, help="CSV with a y column")
     p.add_argument("--n", action=_Integer, low=1, required=True)
     p.add_argument("--k", action=_Integer, low=1, high=MAX_GRID_POINTS, required=True)
@@ -429,41 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", action=_Integer, default=0)
     p.set_defaults(func=cmd_monte_carlo)
 
-    # Debugging aid, hidden from usage: exact joint-covariance conditioning
-    # on small inputs.
-    p = sub.add_parser("oracle")
-    p.add_argument("--params", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--n", action=_Integer, low=1, high=MAX_GRID_POINTS, required=True)
-    p.add_argument("--k", action=_Integer, high=MAX_GRID_POINTS, default=0)
-    p.set_defaults(func=cmd_oracle)
-
     return parser
-
-
-def _configure_logging() -> None:
-    """Log at the level named by PMM_LOG, in any case.  Without PMM_LOG
-    nothing is configured: a host process keeps its own handlers, and
-    logging stays unloaded unless the process loaded it."""
-    name = os.environ.get("PMM_LOG")
-    if name is None:
-        return
-    import logging
-
-    # Maps a level name to its number and anything else to a string.
-    level = logging.getLevelName(name.upper())
-    if not isinstance(level, int):
-        raise ValueError(
-            f"PMM_LOG={name!r} is not a log level; "
-            "use DEBUG, INFO, WARNING, ERROR or CRITICAL"
-        )
-    logging.basicConfig(level=level)
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _configure_logging()
         write_json(sys.stdout, args.func(args))
         return 0
     # ImportError: a subcommand that needs numpy, on an install without it.

@@ -63,13 +63,6 @@ COMMANDS = [
     ("repaired", ["fit", "--input", "alternating.csv", "--output", "repaired.json"]),
     ("monte-carlo", ["monte-carlo", "--params", "true.json", "--forecaster-params",
                      "hmm.json", "--n", "10", "--k", "5", "--reps", "2000", "--seed", "3"]),
-    ("oracle-k0", ["oracle", "--params", "true.json", "--input", "series.csv",
-                   "--n", "8", "--k", "0"]),
-    ("oracle-k4", ["oracle", "--params", "true.json", "--input", "series.csv",
-                   "--n", "8", "--k", "4"]),
-    # A fitted model: the rows detrended and standardized, as forecast reads them.
-    ("oracle-model", ["oracle", "--params", "model.json", "--input", "series.csv",
-                      "--n", "8", "--k", "4"]),
 ]
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")

@@ -1,6 +1,5 @@
 import io
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -29,7 +28,6 @@ from helpers import (
     PRESSURE_PARAMS,
     quadratic_form_mse,
     rowwise_trajectory_to_csv,
-    scalar_mse_pmm,
 )
 
 
@@ -141,7 +139,6 @@ class TestSimulate:
             "monte-carlo-true",
             "monte-carlo-forecaster",
             "theoretical-mse",
-            "oracle",
         ],
     )
     def test_invalid_params_fail_with_json_error(
@@ -159,7 +156,7 @@ class TestSimulate:
                 "simulate", "--params", bad, "--n", 10, "--seed", 0, "--output", out,
             ],
             "forecast": [
-                "forecast", "--params", bad, "--input", data, "--n", 4, "--k", 2,
+                "forecast", "--model", bad, "--input", data, "--n", 4, "--k", 2,
                 "--output", out,
             ],
             "evaluate": [
@@ -177,7 +174,6 @@ class TestSimulate:
                 "theoretical-mse", "--params", bad, "--hmm-params", hmm_file,
                 "--n-grid", 4, "--k-grid", 0, "--output", out,
             ],
-            "oracle": ["oracle", "--params", bad, "--input", data, "--n", 4],
         }[command]
         assert run_cli(*argv) == 1
         captured = capsys.readouterr()
@@ -374,7 +370,7 @@ class TestForecast:
         data = tmp_path / "obs.csv"
         write_series_csv(data, np.zeros(3), [0.3, -1.1, 0.7])
         code = run_cli(
-            "forecast", "--params", fig2_params_file, "--input", data,
+            "forecast", "--model", fig2_params_file, "--input", data,
             "--n", 3, "--k", 2,
         )
         assert code == 0
@@ -387,7 +383,7 @@ class TestForecast:
         data = tmp_path / "obs.csv"
         write_series_csv(data, np.zeros(4), [0.5, 0.1, -0.4, 1.0])
         code = run_cli(
-            "forecast", "--params", fig2_params_file, "--input", data,
+            "forecast", "--model", fig2_params_file, "--input", data,
             "--n", 4, "--k", 600,
         )
         assert code == 0
@@ -413,7 +409,7 @@ class TestForecast:
         write_series_csv(data, np.zeros(3), [0.3, -1.1, 0.7])
         out = tmp_path / "fc.csv"
         code = run_cli(
-            "forecast", "--params", fig2_params_file, "--input", data,
+            "forecast", "--model", fig2_params_file, "--input", data,
             "--n", 3, "--k", 5, "--horizon-path", "--output", out,
         )
         assert code == 0
@@ -425,19 +421,19 @@ class TestForecast:
         data = tmp_path / "obs.csv"
         write_series_csv(data, np.zeros(3), [0.1, 0.2, 0.3])
         code = run_cli(
-            "forecast", "--params", fig2_params_file, "--input", data,
+            "forecast", "--model", fig2_params_file, "--input", data,
             "--n", 10, "--k", 1,
         )
         assert code == 1
         capsys.readouterr()
 
-    @pytest.mark.parametrize("command", ["forecast", "oracle"])
+    @pytest.mark.parametrize("command", ["forecast"])
     @pytest.mark.parametrize("n", [0, -3])
     def test_nonpositive_n_rejected(self, tmp_path, fig2_params_file, capsys, command, n):
         data = tmp_path / "obs.csv"
         write_series_csv(data, np.zeros(3), [0.1, 0.2, 0.3])
         code = run_cli(
-            command, "--params", fig2_params_file, "--input", data,
+            command, "--model", fig2_params_file, "--input", data,
             "--n", n, "--k", 1,
         )
         assert code == 1
@@ -445,28 +441,13 @@ class TestForecast:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "ValueError"
 
-    # Either flag reads a fitted model with its scaling and seasonal part,
-    # and a bare parameter file as an identity-scaled model.
-    @pytest.mark.parametrize("model", ["model.json", "true.json"])
-    def test_params_and_model_read_alike(self, tmp_path, capsys, model):
-        outputs = []
-        for flag in ("--params", "--model"):
-            out = tmp_path / f"{flag[2:]}.csv"
-            code = run_cli(
-                "forecast", flag, GOLDEN / model, "--input", GOLDEN / "series.csv",
-                "--n", 50, "--k", 3, "--horizon-path", "--output", out,
-            )
-            assert code == 0
-            outputs.append((capsys.readouterr().out, out.read_bytes()))
-        assert outputs[0] == outputs[1]
-
     def test_infinite_observation_is_a_json_error(
         self, tmp_path, fig2_params_file, capsys
     ):
         data = tmp_path / "obs.csv"
         write_series_csv(data, np.zeros(3), [0.1, float("inf"), 0.3])
         code = run_cli(
-            "forecast", "--params", fig2_params_file, "--input", data,
+            "forecast", "--model", fig2_params_file, "--input", data,
             "--n", 3, "--k", 1,
         )
         assert code == 1
@@ -648,11 +629,7 @@ MODEL_FILE_FLAGS = {
     "monte-carlo --forecaster-params": [
         "monte-carlo", "--params", "PARAMS", "--forecaster-params", "MODEL", "--n", 2, "--k", 1,
     ],
-    "oracle --params": ["oracle", "--params", "MODEL", "--input", "DATA", "--n", 4, "--k", 1],
     "forecast --model": _model_argv("forecast", "MODEL", "DATA", "OUT"),
-    "forecast --params": [
-        "forecast", "--params", "MODEL", "--input", "DATA", "--n", 4, "--k", 1, "--output", "OUT",
-    ],
     "evaluate --model": _model_argv("evaluate", "MODEL", "DATA", "OUT"),
 }
 # Fitted-model documents that every one of those flags refuses, with the
@@ -909,13 +886,14 @@ class TestUsageErrors:
             (["simulate", "--params", "p.json", "--n", "abc", "--output", "t.csv"], "--n"),
             (["fit", "--input", "s.csv", "--output", "m.json", "--window", "-1:0"],
              "--window"),
-            (["forecast", "--params", "p.json", "--input", "s.csv", "--n", "3", "--k", "1",
+            (["forecast", "--model", "m.json", "--input", "s.csv", "--n", "3", "--k", "1",
               "--bogus"], "--bogus"),
             ([], "simulate"),
-            (["forecast", "--input", "s.csv", "--n", "3", "--k", "1"], "--model --params"),
+            (["forecast", "--input", "s.csv", "--n", "3", "--k", "1"],
+             "the following arguments are required: --model"),
             (["forecast", "--model", "m.json", "--params", "p.json", "--input", "s.csv",
               "--n", "3", "--k", "1", "--output", "f.csv"],
-             "--params: not allowed with argument --model"),
+             "unrecognized arguments: --params p.json"),
             (["theoretical-mse", "--preset", "fig2", "--params", "t.json",
               "--hmm-params", "h.json", "--output", "c.csv"],
              "--params: not allowed with argument --preset"),
@@ -924,6 +902,8 @@ class TestUsageErrors:
              "--hmm-params: not allowed with argument --preset"),
             (["fit", "--input", "s.csv", "--output", "m.json", "--periods", "24,8772"],
              "--periods: not allowed without argument --detrend"),
+            (["oracle", "--params", "p.json", "--input", "s.csv", "--n", "3"],
+             "invalid choice: 'oracle'"),
         ],
     )
     def test_json_error_names_flag(self, tmp_path, monkeypatch, capsys, argv, flag):
@@ -1062,7 +1042,7 @@ class TestGridBound:
         out = tmp_path / "out.csv"
         argv = {
             "forecast": [
-                "forecast", "--params", fig2_params_file, "--input", data,
+                "forecast", "--model", fig2_params_file, "--input", data,
                 "--n", 4, "--k", 1, "--output", out,
             ],
             "monte-carlo": [
@@ -1207,88 +1187,6 @@ class TestMonteCarlo:
         assert abs(payload["mse"] - want) <= 5 * payload["stderr"]
 
 
-class TestOracleSubcommand:
-    def test_recursive_and_oracle_agree(self, tmp_path, fig2_params_file, capsys):
-        data = tmp_path / "obs.csv"
-        write_series_csv(data, np.zeros(3), [0.3, -1.1, 0.7])
-        code = run_cli(
-            "oracle", "--params", fig2_params_file, "--input", data,
-            "--n", 3, "--k", 2,
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["oracle"]["mean"] == pytest.approx(
-            payload["recursive"]["mean"], abs=1e-9
-        )
-        assert payload["oracle"]["variance"] == pytest.approx(
-            payload["theoretical_mse"], abs=1e-9
-        )
-
-    # A fitted model conditions the first n rows detrended from row 0 and
-    # standardized, as forecast does on a file of those rows.
-    @pytest.mark.parametrize("k", [0, 4])
-    def test_fitted_model_filters_as_forecast_does(self, tmp_path, capsys, k):
-        model, n = GOLDEN / "model.json", 8
-        assert FittedModel.load(model).detrend is not None
-        rows = (GOLDEN / "series.csv").read_text().splitlines(keepends=True)[: n + 1]
-        data = tmp_path / "head.csv"
-        data.write_text("".join(rows))
-        assert run_cli("oracle", "--params", model, "--input", GOLDEN / "series.csv",
-                       "--n", n, "--k", k) == 0
-        oracle = json.loads(capsys.readouterr().out)
-        assert run_cli("forecast", "--model", model, "--input", data,
-                       "--n", n, "--k", max(k, 1)) == 0
-        forecast = json.loads(capsys.readouterr().out)
-        want = forecast["forecasts"][0]["mean"] if k else forecast["filter_mean"]
-        assert oracle["recursive"]["mean"] == want
-        assert oracle["oracle"]["mean"] == pytest.approx(want, abs=1e-9)
-
-    @pytest.mark.parametrize("preset", ["fig2", "fig4"])
-    def test_theoretical_mse_matches_scalar_reference(self, tmp_path, capsys, preset):
-        p = get_preset(preset).true_params
-        params = tmp_path / "params.json"
-        save_params(p, params)
-        data = tmp_path / "obs.csv"
-        write_series_csv(data, np.zeros(12), sample(p, 12, seed=3).y)
-        # The oracle conditions the joint law, so n + k stays within its cap.
-        for n in (1, 5, 11):
-            for k in (0, 1, 5):
-                code = run_cli(
-                    "oracle", "--params", params, "--input", data,
-                    "--n", n, "--k", k,
-                )
-                assert code == 0
-                got = json.loads(capsys.readouterr().out)["theoretical_mse"]
-                want = scalar_mse_pmm(p, n, k)
-                assert abs(got - want) <= 1e-12 * want
-
-    def test_n_plus_k_past_the_cap_names_both_flags(self, tmp_path, fig2_params_file, capsys):
-        # Each flag in its range, n + k one past oracle.DEFAULT_CAP; the
-        # sum is checked before the input is read, so a missing file is
-        # not what is reported.
-        argv = ["oracle", "--params", fig2_params_file, "--input", tmp_path / "missing.csv"]
-        assert run_cli(*argv, "--n", 12, "--k", 5) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert json.loads(captured.err) == {
-            "error": "ValueError",
-            "message": "--n + --k of the oracle's joint law must be <= 16, got 17",
-        }
-        argv[-1] = GOLDEN / "series.csv"
-        assert run_cli(*argv, "--n", 12, "--k", 4) == 0
-        capsys.readouterr()
-
-    def test_n_beyond_the_rows_is_a_json_error(self, tmp_path, fig2_params_file, capsys):
-        data = tmp_path / "obs.csv"
-        write_series_csv(data, np.zeros(3), [0.3, -1.1, 0.7])
-        assert run_cli("oracle", "--params", fig2_params_file, "--input", data, "--n", 4) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert json.loads(captured.err) == {
-            "error": "ValueError", "message": "--n must be <= 3, got 4",
-        }
-
-
 THREAD_ENV = (
     "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
@@ -1313,29 +1211,9 @@ def _python(argv, cwd, timeout=None, **env):
 
 
 class TestLogLevel:
-    ARGV = [
-        "-m", "pmmkit.cli", "theoretical-mse", "--preset", "fig2", "--output", "t.csv",
-    ]
-
-    def test_unknown_level_is_a_json_error(self, tmp_path):
-        out = _python(self.ARGV, tmp_path, PMM_LOG="verbose")
-        assert out.returncode == 1
-        assert out.stdout == ""
-        [line] = out.stderr.splitlines()
-        error = json.loads(line)
-        assert error["error"] == "ValueError"
-        assert "PMM_LOG" in error["message"] and "verbose" in error["message"]
-        assert list(tmp_path.iterdir()) == []
-
-    def test_level_name_is_case_insensitive(self, tmp_path):
-        out = _python(self.ARGV, tmp_path, PMM_LOG="info")
-        assert out.returncode == 0, out.stderr
-        assert "wrote t.csv" in out.stderr
-        assert (tmp_path / "t.csv").is_file()
-
     def test_host_root_logger_left_alone(self, tmp_path):
         # A host that imported logging but configured nothing keeps its root
-        # logger as it was: without PMM_LOG, pmmkit configures nothing.
+        # logger as it was: pmmkit configures nothing.
         probe = (
             "import logging, sys\n"
             "from pmmkit.cli import main\n"
@@ -1344,16 +1222,10 @@ class TestLogLevel:
             "assert main(sys.argv[1:]) == 0\n"
             "print(before == (list(root.handlers), root.level), before)\n"
         )
-        out = _python(["-c", probe, *self.ARGV[2:]], tmp_path)
+        argv = ["theoretical-mse", "--preset", "fig2", "--output", "t.csv"]
+        out = _python(["-c", probe, *argv], tmp_path)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines()[-1] == "True ([], 30)"
-
-    def test_process_that_loaded_logging_gets_the_wrote_line(self, tmp_path, caplog, capsys):
-        # Without PMM_LOG, the line still reaches a handler the process set up.
-        caplog.set_level(logging.INFO, logger="pmmkit")
-        out = tmp_path / "t.csv"
-        assert run_cli("theoretical-mse", "--preset", "fig2", "--output", out) == 0
-        assert f"wrote {out}" in caplog.messages
 
 
 @pytest.mark.parametrize(
@@ -1546,11 +1418,11 @@ def test_theory_and_version_load_a_lean_import_set(tmp_path):
         added = set(out.stdout.splitlines()[-1].split())
         assert "pmmkit.cli" in added
         assert not added & excludes, (argv, added & excludes)
-    # PMM_LOG loads logging, and the line it asks for is written.
+    # PMM_LOG is not read: the run loads no logging and writes nothing to stderr.
     out = _python(["-c", ADDED_MODULES, *calls[1][0]], tmp_path, PMM_LOG="info")
     assert out.returncode == 0, out.stderr
-    assert "logging" in out.stdout.splitlines()[-1].split()
-    assert "wrote fig3.csv" in out.stderr
+    assert "logging" not in out.stdout.splitlines()[-1].split()
+    assert out.stderr == ""
 
 
 def test_no_value_type_reaches_write_json(tmp_path, fig2_params_file, monkeypatch, capsys):
@@ -1577,7 +1449,6 @@ def test_no_value_type_reaches_write_json(tmp_path, fig2_params_file, monkeypatc
         ["theoretical-mse", "--preset", "fig3", "--output", d / "c.csv"],
         ["theoretical-mse", "--params", p, "--hmm-params", hmm_file, "--output", d / "o.csv"],
         ["monte-carlo", "--params", p, "--n", 3, "--k", 1, "--reps", 100],
-        ["oracle", "--params", p, "--input", d / "s.csv", "--n", 4, "--k", 1],
     ]
     for argv in calls:
         assert run_cli(*argv) == 0, capsys.readouterr().err

@@ -234,8 +234,8 @@ def test_fit(tmp_path_factory, case):
 )
 def test_forecast(tmp_path_factory, case):
     d = tmp_path_factory.mktemp("forecast")
-    source = ["--params", d / "p.json"] if case["bare"] else ["--model", d / "m.json"]
-    argv = ["forecast", *source, "--input", d / "s.csv", "--n", case["n"],
+    model = d / ("p.json" if case["bare"] else "m.json")
+    argv = ["forecast", "--model", model, "--input", d / "s.csv", "--n", case["n"],
             "--k", case["k"], "--start-index", case["start_index"]]
     if case["horizon_path"]:
         argv.append("--horizon-path")

@@ -159,7 +159,6 @@ def _valid_calls(d):
         "evaluate": ["--model", model, "--input", series, "--n-grid", "2",
                      "--k-grid", "1", "--output", out / "e.csv"],
         "monte-carlo": ["--params", params, "--n", 2, "--k", 1, "--reps", 100],
-        "oracle": ["--params", params, "--input", series, "--n", 4, "--k", 1],
     }
     return out, {command: [command, *map(str, argv)] for command, argv in calls.items()}
 

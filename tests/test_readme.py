@@ -67,10 +67,15 @@ def test_summary_table_matches_cli(tmp_path, capsys):
         "evaluate": ["--model", model, "--input", traj, "--n-grid", "2", "--k-grid", "1",
                      "--output", tmp_path / "e.csv"],
         "monte-carlo": ["--params", params, "--n", 2, "--k", 1, "--reps", 100],
-        "oracle": ["--params", params, "--input", traj, "--n", 4, "--k", 1],
     }
     assert list(runs) == list(table)
     for command, argv in runs.items():
-        assert main([command, *map(str, argv)]) == 0, capsys.readouterr().err
-        summary = json.loads(capsys.readouterr().out)
+        argv = [*map(str, argv)]
+        assert main([command, *argv]) == 0, capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == "", command
+        summary = json.loads(captured.out)
         assert list(summary) == re.findall(r"`(\w+)`", table[command]), command
+        # The file written, or null where --output is optional and not given.
+        if "output" in summary:
+            assert summary["output"] == dict(zip(argv, argv[1:])).get("--output"), command
