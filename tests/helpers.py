@@ -1,44 +1,49 @@
-"""Shared test utilities: random admissible models, an independent scalar
-Kalman reference for the hidden-Markov special case, and the step-by-step
-loops, the time-major blocked scan, the left-multiplication k-step map,
-the per-horizon forecast and variance recursions, the forecast
-coefficients, the n x n quadratic form, the row-by-row CSV reader and
-writers, the exact-MSE pass as one numpy matrix product per step, the
-exact-MSE grid as per-k weights and an (n, k) dict, the simulate-and-filter
-Monte Carlo, the single-stream Monte Carlo, the one-forecaster
-sliding-window errors, the column-stacked seasonal design and the Monte
-Carlo error weights by a Python loop that keeps every buffer to the end,
-which the production paths replaced, kept as references; the
-production exact-MSE step, and the 7-entry one it replaced, run to every n
-without a cycle exit; the blockless form of the production Monte Carlo;
-and the filter weights and the Monte Carlo error weights before any was
-floored to 0.0."""
+"""Shared test utilities: each reference, and the claim it gates.
+
+- random_valid_params, random_hmm: random admissible models, the inputs of many tests.
+- scalar_hmm_kalman, scalar_hmm_filter_coefficients: the hidden-Markov filter is a scalar Kalman.
+- sequential_simulate_pairs: ``simulate._scan`` equals one Python step per time point.
+- time_major_simulate_pairs: ``simulate._scan`` equals its time-major parent, bit for bit.
+- dictreader_columns: ``io.read_columns`` equals a ``csv.DictReader`` read, bit for bit.
+- loop_variance_and_gains: the filter's cycle exit equals a Riccati step per t, bit for bit.
+- reference_forecast: ``forecast_path`` equals each horizon rebuilt from scratch.
+- scalar_mse_grid, scalar_mse_pmm: the optimal MSE equals the scalar variance recursion.
+- forecast_coefficients: the k-step weights that the quadratic form and the oracle read.
+- quadratic_form_mse: any forecaster's MSE equals the Pythagoras split over n x n covariances.
+- loop_forecaster_mse: ``forecaster_mse``'s cycle exit equals its step to every n, bit for bit.
+- cycle_entry_and_period, filter_entry_and_period: the (mu, lambda) that bound a cycle exit.
+- simulated_errors: Monte Carlo's error weights are the errors of simulated, filtered draws.
+- whole_batch_monte_carlo_mse: ``monte_carlo_mse`` equals simulating and filtering each replicate.
+- whole_batch_weighted_mse, block_stream_noise, pieces: no block or thread count moves a digit.
+- single_stream_monte_carlo_mse: the per-block streams sample the one-stream parent's law.
+- unfloored_*: FLOOR changes no filter mean or Monte Carlo digit.
+- single_window_errors: ``evaluate``'s one pass equals two one-forecaster passes, bit for bit.
+- stacked_design_matrix: ``pipeline._design_matrix`` equals its column-stacked parent, bit for bit.
+- retaining_error_weights: ``simulate._error_weights`` equals its Python-loop parent.
+- rowwise_*: the block writers print the bytes of one f-string per row.
+
+The exact theory's reference, filter weights included, is ``reference_decimal``, at 60 digits.
+"""
 
 from __future__ import annotations
 
 import csv
 import math
 from array import array
-from itertools import islice
 
 import numpy as np
 
 from pmmkit import PmmParams, filter_coefficients, hmm_params, markov_form, validate
 from pmmkit import _kernels_py as kernels
 from pmmkit import simulate
-from pmmkit.error_analysis import (
-    MseCurve,
-    _augmented_recursion,
-    _horizons,
-    _require_hmm,
-    observation_covariance,
-)
+from pmmkit.error_analysis import _augmented_recursion, observation_covariance
 from pmmkit.filtering import _variance_and_gains, batch_filter_means, filter_variance_sequence
 from pmmkit.forecasting import (
     FLOOR, MAX_INDEX, MAX_REPLICATE_STEPS, MAX_REPLICATES, check_grid, check_int, horizon_terms,
 )
-from pmmkit.riccati import _riccati_step, orbit
+from pmmkit.riccati import _riccati_step
 from pmmkit.simulate import BLOCK_STEPS, SCAN_BLOCK, _chol2, _error_weights, _rng
+from reference_decimal import FOUND_PARAMS, PRESSURE_PARAMS, SOIL_PARAMS  # noqa: F401
 
 
 def random_valid_params(rng, max_spectral_radius: float = 0.999) -> PmmParams:
@@ -97,23 +102,12 @@ def sequential_simulate_pairs(a1, a2, a3, a4, l11, l21, l22, x0, y0, eps):
     """One trajectory of Z_{t+1} = A Z_t + L w_{t+1}, one Python step per
     time point; ``eps`` has shape (steps-1, 2)."""
     steps = eps.shape[0] + 1
-    x = np.empty(steps)
-    y = np.empty(steps)
-    xs = float(x0)
-    ys = float(y0)
-    x[0] = xs
-    y[0] = ys
-    eu = eps[:, 0].tolist()
-    ev = eps[:, 1].tolist()
-    for t in range(1, steps):
-        u = eu[t - 1]
-        v = ev[t - 1]
-        xn = a1 * xs + a2 * ys + l11 * u
-        yn = a3 * xs + a4 * ys + l21 * u + l22 * v
-        x[t] = xn
-        y[t] = yn
-        xs = xn
-        ys = yn
+    x, y = np.empty(steps), np.empty(steps)
+    x[0] = xs = float(x0)
+    y[0] = ys = float(y0)
+    for t, (u, v) in enumerate(zip(eps[:, 0].tolist(), eps[:, 1].tolist()), start=1):
+        xs, ys = a1 * xs + a2 * ys + l11 * u, a3 * xs + a4 * ys + l21 * u + l22 * v
+        x[t], y[t] = xs, ys
     return x, y
 
 
@@ -131,16 +125,13 @@ def time_major_simulate_pairs(a1, a2, a3, a4, l11, l21, l22, x0, y0, eps):
     s' = A^B s + r_B.
     """
     steps = eps.shape[0] + 1
-    x = np.empty(steps)
-    y = np.empty(steps)
-    x[0] = x0
-    y[0] = y0
+    x, y = np.empty(steps), np.empty(steps)
+    x[0], y[0] = x0, y0
     if steps == 1:
         return x, y
     width = min(SCAN_BLOCK, steps - 1)
     blocks = -(-(steps - 1) // width)
-    noise_x = np.zeros(blocks * width)
-    noise_y = np.zeros(blocks * width)
+    noise_x, noise_y = np.zeros(blocks * width), np.zeros(blocks * width)
     noise_x[: steps - 1] = l11 * eps[:, 0]
     noise_y[: steps - 1] = l21 * eps[:, 0] + l22 * eps[:, 1]
     # Time-major (width, blocks): row i holds step i of every block.
@@ -155,8 +146,7 @@ def time_major_simulate_pairs(a1, a2, a3, a4, l11, l21, l22, x0, y0, eps):
     for i in range(1, width):
         powers[i] = powers[0] @ powers[i - 1]
     (p11, p12), (p21, p22) = powers[-1].tolist()
-    sx = np.empty(blocks)
-    sy = np.empty(blocks)
+    sx, sy = np.empty(blocks), np.empty(blocks)
     xs, ys = float(x0), float(y0)
     for b, (ex, ey) in enumerate(zip(rx[-1].tolist(), ry[-1].tolist())):
         sx[b] = xs
@@ -192,36 +182,6 @@ def loop_variance_and_gains(m, n: int) -> tuple[np.ndarray, np.ndarray]:
         gains[t - 1], p = _riccati_step(m, p)
         variances[t] = p
     return variances, gains
-
-
-def quadratic_filter_coefficients(m, n: int) -> np.ndarray:
-    """Filter-mean weights by the O(n^2) recursion: each step scales all
-    previous weights by (a1 - a3*G), adds (a2 - a4*G) to the weight of the
-    previously-last observation, and appends the gain G."""
-    a1, a2 = m.A[0]
-    a3, a4 = m.A[1]
-    gains = loop_variance_and_gains(m, n)[1]
-    w = np.zeros(n)
-    w[0] = m.b
-    for t in range(2, n + 1):
-        g = gains[t - 2]
-        w[: t - 1] *= a1 - a3 * g
-        w[t - 2] += a2 - a4 * g
-        w[t - 1] = g
-    return w
-
-
-def left_multiplication_powers(m, k_max: int) -> list[tuple[np.ndarray, float]]:
-    """(A^k, [sum_{j<k} A^j Q A^j^T]_00) for k = 0..k_max, one left
-    multiplication A @ A^k per step and the noise summed from the full
-    matrix product: the k-step map that ``horizon_terms`` replaced."""
-    out = []
-    power, noise = np.eye(2), 0.0
-    for _ in range(k_max + 1):
-        out.append((power, noise))
-        noise += float((power @ m.Q @ power.T)[0, 0])
-        power = m.A @ power
-    return out
 
 
 def reference_forecast(s, m, k: int) -> tuple[float, float]:
@@ -287,164 +247,27 @@ def quadratic_form_mse(p_true: PmmParams, p_fc: PmmParams, n: int, k: int) -> fl
     return scalar_mse_pmm(p_true, n, k) + float(delta @ sigma @ delta)
 
 
-def _horizon_weights(m, m_fc, k_values) -> dict:
-    """Per k: the error weights (v1, v2, v3) on (X_n, Y_n, e_n) and the
-    noise after n, from the production k-step map, so that a pass over n
-    is all that differs from ``forecaster_mse``."""
-    fc_terms = horizon_terms(m_fc, k_values)
-    horizon = {}
-    for k, (xx, xy, noise) in horizon_terms(m, k_values).items():
-        fc_xx, fc_xy, _ = fc_terms[k]
-        horizon[k] = (xx - fc_xx, xy - fc_xy, fc_xx, noise)
-    return horizon
-
-
-def seven_entry_recursion(m, m_fc):
-    """The exact-MSE pass's start and step over the state (P, s11, s12, s13,
-    s22, s23, s33), S's (X, Y) block recomputed at every step: the step
-    that ``error_analysis._augmented_recursion`` replaced."""
-    (a1, a2), (a3, a4) = m.A
-    (q11, q12), (_, q22) = m.Q
-    (a1f, a2f), (a3f, a4f) = m_fc.A
-    da1, da2, da3, da4 = a1 - a1f, a2 - a2f, a3 - a3f, a4 - a4f
-
-    def step(state):
-        variance, s11, s12, s13, s22, s23, s33 = state
-        g, next_variance = _riccati_step(m_fc, variance)
-        f1, f2, f3 = da1 - g * da3, da2 - g * da4, a1f - g * a3f
-        x1, x2 = a1 * s11 + a2 * s12, a1 * s12 + a2 * s22
-        y1, y2 = a3 * s11 + a4 * s12, a3 * s12 + a4 * s22
-        e1 = f1 * s11 + f2 * s12 + f3 * s13
-        e2 = f1 * s12 + f2 * s22 + f3 * s23
-        e3 = f1 * s13 + f2 * s23 + f3 * s33
-        hq1, hq2 = q11 - g * q12, q12 - g * q22
-        return (
-            next_variance,
-            x1 * a1 + x2 * a2 + q11,
-            x1 * a3 + x2 * a4 + q12,
-            x1 * f1 + x2 * f2 + (a1 * s13 + a2 * s23) * f3 + hq1,
-            y1 * a3 + y2 * a4 + q22,
-            y1 * f1 + y2 * f2 + (a3 * s13 + a4 * s23) * f3 + hq2,
-            e1 * f1 + e2 * f2 + e3 * f3 + hq1 - g * hq2,
-        )
-
-    b, b_fc = m.b, m_fc.b
-    start = (
-        1.0 - b_fc * b_fc,
-        1.0, b, 1.0 - b_fc * b,
-        1.0, b - b_fc,
-        1.0 - 2.0 * b_fc * b + b_fc * b_fc,
-    )
-    return start, step
-
-
-def _seven_entry_mse(m, state, v1, v2, v3, noise) -> float:
-    _, s11, s12, s13, s22, s23, s33 = state
-    w1 = v1 * s11 + v2 * s12 + v3 * s13
-    w2 = v1 * s12 + v2 * s22 + v3 * s23
-    w3 = v1 * s13 + v2 * s23 + v3 * s33
-    return w1 * v1 + w2 * v2 + w3 * v3 + noise
-
-
-def _four_entry_mse(m, state, v1, v2, v3, noise) -> float:
-    # As in error_analysis._mse_grid at each point, operation for operation.
-    _, s13, s23, s33 = state
-    fixed = v1 * v1 + 2.0 * m.b * v1 * v2 + v2 * v2 + noise
-    return fixed + v3 * (2.0 * (v1 * s13 + v2 * s23) + v3 * s33)
-
-
-def _stepped_mse(recursion, mse, p_true, p_fc, n_values, k_values) -> dict:
-    """``forecaster_mse`` with ``recursion``'s step taken once per t up to
-    the largest n, and ``mse`` of each state and k's weights."""
-    n_values = sorted({int(n) for n in n_values})
-    k_values = sorted({int(k) for k in k_values})
-    m = markov_form(p_true)
-    m_fc = markov_form(p_fc)
-    weights = _horizon_weights(m, m_fc, k_values)
-    state, step = recursion(m, m_fc)
+def loop_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) -> dict:
+    """``forecaster_mse`` with the production step taken once per t up to
+    the largest n, and each point's sum written as in
+    ``error_analysis._mse_grid``, operation for operation: no cycle exit."""
+    n_values, k_values = sorted(set(n_values)), sorted(set(k_values))
+    m, m_fc = markov_form(p_true), markov_form(p_fc)
+    terms, fc_terms = horizon_terms(m, k_values), horizon_terms(m_fc, k_values)
+    state, step = _augmented_recursion(m, m_fc)
     out = {}
     t = 1
     for n in n_values:
         for _ in range(n - t):
             state = step(state)
         t = n
-        for k, v in weights.items():
-            out[(n, k)] = mse(m, state, *v)
-    return out
-
-
-def loop_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) -> dict:
-    """``forecaster_mse`` with the production step taken once per t up to
-    the largest n: no cycle exit."""
-    return _stepped_mse(_augmented_recursion, _four_entry_mse, p_true, p_fc, n_values, k_values)
-
-
-def seven_entry_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) -> dict:
-    """``forecaster_mse`` over the 7-entry state and its full quadratic
-    form, stepped to every n: the pass that the 4-entry one replaced."""
-    return _stepped_mse(seven_entry_recursion, _seven_entry_mse, p_true, p_fc, n_values, k_values)
-
-
-def _dict_mse_grid(model, forecaster, n_values, k_values) -> dict:
-    """The exact-MSE grid as it was before the flat list: a 5-tuple of error
-    weights per k, then one (n, k)-keyed dict in increasing n."""
-    m, terms = model
-    m_fc, fc_terms = forecaster
-    weights = []
-    for k in k_values:
-        xx, xy, noise = terms[k]
-        fc_xx, fc_xy, _ = fc_terms[k]
-        v1, v2 = xx - fc_xx, xy - fc_xy
-        weights.append((k, v1, v2, fc_xx, v1 * v1 + 2.0 * m.b * v1 * v2 + v2 * v2 + noise))
-    out = {}
-    states = orbit(*_augmented_recursion(m, m_fc))
-    t, cycle = 0, []
-    for n in sorted(n_values):
-        for state, period in islice(states, n - t):
-            t += 1
-            if period:
-                cycle.append(state)
-        if t < n:
-            state = cycle[(n - t - 1) % len(cycle)]
         _, s13, s23, s33 = state
-        for k, v1, v2, v3, fixed in weights:
+        for k in k_values:
+            (xx, xy, noise), (v3, fc_xy, _) = terms[k], fc_terms[k]
+            v1, v2 = xx - v3, xy - fc_xy
+            fixed = v1 * v1 + 2.0 * m.b * v1 * v2 + v2 * v2 + noise
             out[(n, k)] = fixed + v3 * (2.0 * (v1 * s13 + v2 * s23) + v3 * s33)
     return out
-
-
-def dict_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) -> dict:
-    """``forecaster_mse`` over the per-k weights and (n, k) dict."""
-    n_values, k_values = check_grid(n_values, k_values)
-    horizons = _horizons((p_true, p_fc), k_values)
-    return _dict_mse_grid(horizons[p_true], horizons[p_fc], n_values, k_values)
-
-
-def dict_mse_sweep(p_true: PmmParams, p_hmm: PmmParams, n_values, k_values) -> list:
-    """``mse_sweep`` with every curve point looked up in an (n, k) dict."""
-    n_values, k_values = check_grid(n_values, k_values)
-    _require_hmm(p_hmm)
-    horizons = _horizons((p_true, p_hmm), k_values)
-    mse = {
-        label: _dict_mse_grid(horizons[p_true], horizons[p], n_values, k_values)
-        for label, p in (("PMM", p_true), ("HMM", p_hmm))
-    }
-    if len(k_values) > 1:
-        fixed = len(n_values) > 1
-        return [
-            MseCurve(
-                label,
-                "k",
-                tuple((k, mse[label][(n, k)]) for k in k_values),
-                {"n": n} if fixed else {},
-            )
-            for n in n_values
-            for label in ("PMM", "HMM")
-        ]
-    k = k_values[0]
-    return [
-        MseCurve(label, "n", tuple((n, mse[label][(n, k)]) for n in n_values), {})
-        for label in ("PMM", "HMM")
-    ]
 
 
 def cycle_entry_and_period(p_true: PmmParams, p_fc: PmmParams) -> tuple[int, int]:
@@ -470,46 +293,6 @@ def entry_and_period(state, step) -> tuple[int, int]:
         state = step(state)
         t += 1
     return seen[state], t - seen[state]
-
-
-def lift_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) -> dict:
-    """``forecaster_mse`` with each augmented-state covariance step taken
-    as one numpy product [F H] diag(S, Q) [F H]^T, up to the largest n."""
-    n_values = sorted({int(n) for n in n_values})
-    k_values = sorted({int(k) for k in k_values})
-    m = markov_form(p_true)
-    m_fc = markov_form(p_fc)
-    horizon = _horizon_weights(m, m_fc, k_values)
-    A, A_fc = np.array(m.A), np.array(m_fc.A)
-    b, b_fc = m.b, m_fc.b
-    cov = np.array(
-        [
-            [1.0, b, 1.0 - b_fc * b],
-            [b, 1.0, b - b_fc],
-            [1.0 - b_fc * b, b - b_fc, 1.0 - 2.0 * b_fc * b + b_fc * b_fc],
-        ]
-    )
-    (da1, da2), (da3, da4) = A - A_fc
-    a1f, a3f = A_fc[:, 0]
-    lift = np.zeros((3, 5))
-    lift[:2, :2] = A
-    lift[:2, 3:] = np.eye(2)
-    blocks = np.zeros((5, 5))
-    blocks[3:, 3:] = m.Q
-    variance = 1.0 - b_fc * b_fc
-    out = {}
-    t = 1
-    for n in n_values:
-        for _ in range(n - t):
-            g, variance = _riccati_step(m_fc, variance)
-            lift[2] = (da1 - g * da3, da2 - g * da4, a1f - g * a3f, 1.0, -g)
-            blocks[:3, :3] = cov
-            cov = lift @ blocks @ lift.T
-        t = n
-        for k, (*v, noise) in horizon.items():
-            v = np.array(v)
-            out[(n, k)] = float(v @ cov @ v) + noise
-    return out
 
 
 def simulated_errors(
@@ -590,12 +373,7 @@ def whole_batch_weighted_mse(
 
 
 def single_stream_monte_carlo_mse(
-    p_true: PmmParams,
-    forecaster_params: PmmParams,
-    n: int,
-    k: int,
-    reps: int,
-    seed: int,
+    p_true: PmmParams, forecaster_params: PmmParams, n: int, k: int, reps: int, seed: int,
     names=("reps", "n", "k"),
 ) -> tuple[float, float]:
     """``monte_carlo_mse`` as it was on one stream and one thread: the
@@ -618,9 +396,7 @@ def single_stream_monte_carlo_mse(
         errors[lo : lo + rows] += np.einsum("ij,j->i", noise, step_weights)
         del noise  # so that the next block's draw does not overlap this one
     sq_errors = errors * errors
-    mse = float(sq_errors.mean())
-    stderr = float(sq_errors.std(ddof=1) / math.sqrt(reps))
-    return mse, stderr
+    return float(sq_errors.mean()), float(sq_errors.std(ddof=1) / math.sqrt(reps))
 
 
 def unfloored_weights(m, gains: np.ndarray) -> np.ndarray:
@@ -775,14 +551,8 @@ def rowwise_curves_to_csv(curves, fh) -> None:
             fh.write(f"{curve.csv_label},{curve.sweep_variable},{index},{mse:.12e}\n")
 
 
-# Reference parameter sets.  fig2/fig4 perturb the cross covariances of the
-# hidden-Markov base a=0.90, b=-0.20; the last two are the fitted values
-# reported for the pressure-by-temperature and soil-moisture-by-temperature
-# experiments (kept as reference fixtures; the source dataset is not shipped).
+# Reference parameter sets: fig2/fig4 perturb the cross covariances of the
+# hidden-Markov base a=0.90, b=-0.20; the real examples live beside the
+# 60-digit reference, which loads no numpy.
 FIG2_PARAMS = PmmParams(0.9, -0.2, 0.036, -0.18, -0.58)
 FIG4_PARAMS = PmmParams(0.9, -0.2, 0.036, -0.38, -0.58)
-PRESSURE_PARAMS = PmmParams(0.996, -0.6, 0.986, -0.599, -0.602)
-# An admissible model whose exact-MSE pass never reaches a fixed point, with
-# itself or with its hidden-Markov restriction as forecaster: it cycles.
-FOUND_PARAMS = PmmParams(-0.6487, 0.7264, 0.0829, -0.4006, -0.1546)
-SOIL_PARAMS = PmmParams(0.996, 0.543, 0.986, 0.545, 0.542)

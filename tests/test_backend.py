@@ -1,5 +1,5 @@
 """The numpy kernels and the coefficient-vector filter against the
-step-by-step recursions they replaced (kept in helpers)."""
+step-by-step recursions they replaced (in helpers and reference_decimal)."""
 
 import numpy as np
 import pytest
@@ -17,12 +17,8 @@ from pmmkit import (
 from pmmkit._kernels_py import simulate_block, simulate_pairs
 from pmmkit.pipeline import FittedModel, StandardizationParams, _window_errors
 from pmmkit.simulate import BLOCK_STEPS, SCAN_BLOCK, _chol2
-from helpers import (
-    quadratic_filter_coefficients,
-    random_valid_params,
-    sequential_simulate_pairs,
-    time_major_simulate_pairs,
-)
+from helpers import random_valid_params, sequential_simulate_pairs, time_major_simulate_pairs
+from reference_decimal import filter_weights
 
 PRESETS = ("fig2", "fig3", "fig4", "fig5")
 A = (0.81, -0.41, -0.18, 0.02)
@@ -97,13 +93,10 @@ def test_simulate_block_rows_bit_identical_to_sequential_loop():
 @pytest.mark.parametrize("n", [1, 2, 3, 50, 400])
 def test_linear_filter_coefficients_match_quadratic_loop(preset, which, n):
     pr = get_preset(preset)
-    m = markov_form(pr.true_params if which == "true" else pr.hmm_reference)
-    np.testing.assert_allclose(
-        filter_coefficients(m, n),
-        quadratic_filter_coefficients(m, n),
-        rtol=1e-13,
-        atol=0,
-    )
+    p = pr.true_params if which == "true" else pr.hmm_reference
+    # The O(n^2) recursion at 60 digits, rounded once.
+    want = [float(w) for w in filter_weights(p, n)[-1]]
+    np.testing.assert_allclose(filter_coefficients(markov_form(p), n), want, rtol=1e-13, atol=0)
 
 
 def fold_filter_step(p, ys):

@@ -1,5 +1,10 @@
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +32,7 @@ from helpers import (
     FIG2_PARAMS,
     FOUND_PARAMS,
     cycle_entry_and_period,
-    dict_forecaster_mse,
-    dict_mse_sweep,
     forecast_coefficients,
-    lift_forecaster_mse,
     loop_forecaster_mse,
     quadratic_form_mse,
     random_hmm,
@@ -38,9 +40,9 @@ from helpers import (
     scalar_hmm_filter_coefficients,
     scalar_mse_grid,
     scalar_mse_pmm,
-    seven_entry_forecaster_mse,
-    seven_entry_recursion,
 )
+import reference_decimal
+from reference_decimal import BOUND, CASES, error_in_eps, worst_mse_error
 
 FIG2_MODEL = markov_form(FIG2_PARAMS)
 HMM_BASE = hmm_params(0.9, -0.2)
@@ -98,6 +100,19 @@ class TestFilterCoefficients:
         weights = filter_coefficients(markov_form(HMM_BASE), 4)
         reference = scalar_hmm_filter_coefficients(0.9, -0.2, 4)
         np.testing.assert_allclose(weights, reference, atol=1e-12)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_within_bound_of_decimal_reference(self, name):
+        # Each weight within the bound, in eps of max|w|, for every n <= 200.
+        bound, p, p_hmm, *_ = CASES[name]
+        for p_fc in (p, p_hmm):
+            m, worst = markov_form(p_fc), []
+            for n, want in enumerate(reference_decimal.filter_weights(p_fc, 200), start=1):
+                scale = max(map(abs, want))
+                got = filter_coefficients(m, n).tolist()
+                worst.append((max(error_in_eps(g, w, scale) for g, w in zip(got, want)), n))
+            print(name, max(worst))
+            assert max(worst)[0] <= bound
 
 
 class TestForecastCoefficients:
@@ -371,39 +386,8 @@ class TestForecasterMse:
             assert len(drawn) < 1000
             assert mse == loop_forecaster_mse(*args)
 
-    def test_float_pass_matches_numpy_lift(self):
-        # The written-out step against one numpy product [F H] diag(S, Q)
-        # [F H]^T per step: the two round differently.
-        pairs = []
-        for preset in ("fig2", "fig3", "fig4", "fig5"):
-            fig = get_preset(preset)
-            pairs += [(fig.true_params, fig.true_params), (fig.true_params, fig.hmm_reference)]
-        rng = np.random.default_rng(73)
-        for _ in range(20):
-            p_true = random_valid_params(rng)
-            pairs += [(p_true, random_valid_params(rng)), (p_true, hmm_params(p_true.a, p_true.b))]
-        for p_true, p_fc in pairs:
-            args = (p_true, p_fc, [1, 2, 9, 60, 400], [0, 1, 5, 20])
-            want = lift_forecaster_mse(*args)
-            for key, mse in forecaster_mse(*args).items():
-                assert abs(mse - want[key]) <= 1e-12 * want[key]
-
-    @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4", "fig5"])
-    def test_xy_block_stays_the_marginal(self, preset):
-        # What lets the pass drop S's (X, Y) block: stepped in full, it
-        # stays the stationary marginal M up to rounding.
-        fig = get_preset(preset)
-        m, m_fc = markov_form(fig.true_params), markov_form(fig.hmm_reference)
-        state, step = seven_entry_recursion(m, m_fc)
-        for _ in range(1000):
-            _, s11, s12, _, s22, _, _ = state = step(state)
-            assert max(abs(s11 - 1.0), abs(s12 - m.b), abs(s22 - 1.0)) <= 1e-15
-        start, step = error_analysis._augmented_recursion(m, m_fc)
-        assert len(start) == len(step(start)) == 4
-
     def test_four_entry_pass_matches_seven_entry_pass(self):
-        # The 4-entry state against the 7-entry one it replaced; the two
-        # round differently (2.4e-15 relative at most here).
+        # The 4-entry state against the decimal pass that steps all of S.
         rng = np.random.default_rng(5)
         n_values, k_values = [*range(1, 301), 1000, 5000], [0, 1, 2, 5, 20]
         for i in range(300):
@@ -414,9 +398,9 @@ class TestForecasterMse:
             else:
                 p_fc = hmm_params(p_true.a, p_true.b) if i % 3 else p_true
             args = (p_true, p_fc, n_values, k_values)
-            want = seven_entry_forecaster_mse(*args)
+            want = reference_decimal.forecaster_mse(*args)
             for key, mse in forecaster_mse(*args).items():
-                assert abs(mse - want[key]) <= 1e-14 * want[key], (i, key)
+                assert abs(Decimal(mse) - want[key]) <= Decimal(1e-14) * want[key], (i, key)
 
     @pytest.mark.parametrize(
         "n_values, k_values", [([0, 3], [0]), ([3], [-1]), ([], [0])]
@@ -424,6 +408,48 @@ class TestForecasterMse:
     def test_bad_grid_rejected(self, n_values, k_values):
         with pytest.raises(ValueError):
             forecaster_mse(FIG2_PARAMS, HMM_BASE, n_values, k_values)
+
+
+class TestDecimalReference:
+    """The float ``forecaster_mse`` within each case's bound, in eps
+    relative, of ``reference_decimal``, which steps all of the augmented
+    covariance S to every n at 60 digits.  Each test prints its worst point."""
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_cases(self, name):
+        bound, *worst = reference_decimal.report()[name]
+        print(name, worst)
+        assert max(worst)[0] <= bound
+
+    def test_random_triples(self):
+        # The truth, its restriction and a second random model, in turn.
+        rng = np.random.default_rng(5)
+        worst = []
+        for _ in range(60):
+            p_true = random_valid_params(rng)
+            for p_fc in (p_true, hmm_params(p_true.a, p_true.b), random_valid_params(rng)):
+                error = worst_mse_error(p_true, p_fc, [1, 2, 9, 60, 400], [0, 1, 5, 20])
+                worst.append((*error, p_true, p_fc))
+        print(max(worst))
+        assert max(worst)[0] <= BOUND
+
+    @pytest.mark.parametrize("which", ["true", "hmm"])
+    @pytest.mark.parametrize("name", ["fig2", "fig4", "pressure", "soil"])
+    def test_cycle_serves_n_10000(self, name, which):
+        # Each orbit ends on a fixed point by step 1924, so n = 10,000 takes
+        # the cycle's state, against the reference stepped all the way.
+        bound, p, p_hmm, *_ = CASES[name]
+        p_fc = p if which == "true" else p_hmm
+        assert sum(cycle_entry_and_period(p, p_fc)) < 10_000
+        error, key = worst_mse_error(p, p_fc, [10_000], [0, 1, 20])
+        print(name, which, error, key)
+        assert error <= bound
+
+    def test_reference_loads_no_numpy(self):
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+        code = "import sys, reference_decimal; sys.exit('numpy' in sys.modules)"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestMonteCarloAgreement:
@@ -507,9 +533,9 @@ class TestSweep:
 
 
 class TestFlatPass:
-    """``forecaster_mse`` and ``mse_sweep`` against the per-k weights and
-    (n, k) dicts that the flat list replaced: bit for bit (``repr`` tells
-    every finite float apart, -0.0 included), in key and curve order."""
+    """``forecaster_mse`` and ``mse_sweep`` over grids in any order: keys in
+    increasing n and, for each n, in the given k order; curves in the given
+    n order; and every value within BOUND eps of ``reference_decimal``."""
 
     GRIDS = [
         ([9, 2, 30, 5], [4, 0, 7]),  # unsorted
@@ -524,27 +550,39 @@ class TestFlatPass:
     ]
 
     @staticmethod
-    def assert_same(p_true, p_hmm, n_values, k_values):
-        for p_fc in (p_true, p_hmm):
-            got = forecaster_mse(p_true, p_fc, n_values, k_values)
-            want = dict_forecaster_mse(p_true, p_fc, n_values, k_values)
-            assert repr(list(got.items())) == repr(list(want.items()))
+    def assert_near(p_true, p_hmm, n_values, k_values):
+        keys = [(n, k) for n in sorted(n_values) for k in k_values]
+        mse = {}
+        for label, p_fc in (("PMM", p_true), ("HMM", p_hmm)):
+            mse[label] = got = forecaster_mse(p_true, p_fc, n_values, k_values)
+            assert list(got) == keys
+            want = reference_decimal.forecaster_mse(p_true, p_fc, n_values, k_values)
+            assert max(error_in_eps(got[key], want[key]) for key in keys) <= BOUND
+        # The sweep's curves hold the same values, bit for bit.
+        if len(k_values) > 1:
+            fixed = len(n_values) > 1
+            want = [(label, "k", tuple((k, mse[label][(n, k)]) for k in k_values),
+                     {"n": n} if fixed else {}) for n in n_values for label in ("PMM", "HMM")]
+        else:
+            [k] = k_values
+            want = [(label, "n", tuple((n, mse[label][(n, k)]) for n in n_values), {})
+                    for label in ("PMM", "HMM")]
         got = mse_sweep(p_true, p_hmm, n_values, k_values)
-        assert repr(got) == repr(dict_mse_sweep(p_true, p_hmm, n_values, k_values))
+        assert [(c.model_label, c.sweep_variable, c.points, dict(c.fixed)) for c in got] == want
 
     @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4", "fig5"])
     @pytest.mark.parametrize("n_values, k_values", GRIDS)
-    def test_matches_dict_pass_on_presets(self, preset, n_values, k_values):
+    def test_matches_reference_on_presets(self, preset, n_values, k_values):
         fig = get_preset(preset)
-        self.assert_same(fig.true_params, fig.hmm_reference, n_values, k_values)
+        self.assert_near(fig.true_params, fig.hmm_reference, n_values, k_values)
 
-    def test_matches_dict_pass_on_random_grids(self):
+    def test_matches_reference_on_random_grids(self):
         rng = np.random.default_rng(27)
         for _ in range(40):
             p_true = FOUND_PARAMS if rng.random() < 0.25 else random_valid_params(rng)
             n_values = rng.permutation(rng.choice(np.arange(1, 500), rng.integers(1, 12), False))
             k_values = rng.permutation(rng.choice(np.arange(0, 60), rng.integers(1, 12), False))
-            self.assert_same(p_true, random_hmm(rng), n_values.tolist(), k_values.tolist())
+            self.assert_near(p_true, random_hmm(rng), n_values.tolist(), k_values.tolist())
 
     # fig2 at 5*10^4 points, Python 3.11: the per-k weights and (n, k) dicts
     # peaked at 46.2 MB and 19.7 MB, the flat lists at 27.4 MB and 9.7 MB.

@@ -8,6 +8,7 @@ import re
 from pathlib import Path
 
 import pmmkit
+import reference_decimal
 from pmmkit.cli import build_parser, main
 from pmmkit.model import save_params
 
@@ -79,3 +80,10 @@ def test_summary_table_matches_cli(tmp_path, capsys):
         # The file written, or null where --output is optional and not given.
         if "output" in summary:
             assert summary["output"] == dict(zip(argv, argv[1:])).get("--output"), command
+
+
+def test_exactness_table_matches_reference():
+    section = _section("How exact are the printed theory values")
+    assert "PYTHONPATH=src python tests/reference_decimal.py" in section
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    assert rows == reference_decimal.table()
