@@ -54,6 +54,7 @@ from .io import _is_number, atomic_write, read_columns, write_json, write_rows
 from .model import (
     FittedModel,
     PmmError,
+    check_periods,
     hmm_params,
     load_params,
     markov_form,
@@ -106,11 +107,12 @@ def _parse_grid(flag: str, text: str, low: int) -> list[int]:
 
 
 def _parse_periods(text: str) -> tuple[float, float]:
-    """Two numbers by the CSV field rule, ``io._is_number``."""
+    """Two numbers by the CSV field rule, ``io._is_number``, that pass
+    ``check_periods``."""
     parts = text.split(",")
     if len(parts) != 2 or not all(map(_is_number, parts)):
         raise ValueError(f"--periods needs two comma-separated numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return check_periods((float(parts[0]), float(parts[1])), "--periods")
 
 
 def _read_y_column(path: str) -> np.ndarray:
@@ -122,7 +124,7 @@ def cmd_simulate(args) -> dict:
     from .simulate import RNG_ALGORITHM, empirical_covariances, sample, trajectory_to_csv
 
     traj = sample(load_params(args.params), args.n, args.seed)
-    covariances = empirical_covariances(traj.x, traj.y).to_dict()
+    covariances = empirical_covariances(traj.x, traj.y)._asdict()
     _atomic_write(Path(args.output), lambda fh: trajectory_to_csv(traj, fh))
     return {
         "output": str(args.output),
@@ -164,8 +166,8 @@ def cmd_theoretical_mse(args) -> dict:
         "output": str(args.output),
         "curves": len(curves),
         "points_per_curve": len(curves[0].points),
-        "true_params": p_true.to_dict(),
-        "hmm_params": p_hmm.to_dict(),
+        "true_params": p_true._asdict(),
+        "hmm_params": p_hmm._asdict(),
     }
 
 
@@ -182,14 +184,14 @@ def cmd_fit(args) -> dict:
     check_int(hi, "--window end", lo + 1, x.size)
     what = f"rows of --window {lo}:{hi}" if args.window else f"rows of {args.input}"
     check_int(hi - lo, what, MIN_FIT_ROWS)
-    detrend_model = None
+    seasonal = None
     if args.detrend:
-        detrend_model, y = _fit_and_detrend(y, periods)
-    fitted = estimate_params(x[lo:hi], y[lo:hi], detrend_model=detrend_model, fit_window=(lo, hi))
+        seasonal, y = _fit_and_detrend(y, periods)
+    fitted = estimate_params(x[lo:hi], y[lo:hi])._replace(detrend=seasonal, fit_window=(lo, hi))
     _atomic_write(Path(args.output), lambda fh: write_json(fh, fitted.to_json_dict()))
     return {
         "output": str(args.output),
-        "params": fitted.params.to_dict(),
+        "params": fitted.params._asdict(),
         "repaired": fitted.repaired,
         "validation": validate(fitted.params).summary(),
     }
@@ -244,7 +246,7 @@ def cmd_evaluate(args) -> dict:
     return {
         "output": str(args.output),
         "rows": len(rows),
-        "hmm_restriction": hmm_params(fitted.params.a, fitted.params.b).to_dict(),
+        "hmm_restriction": hmm_params(fitted.params.a, fitted.params.b)._asdict(),
         "pmm_wins": sum(1 for r in rows if r[3] <= r[2]),
     }
 

@@ -50,8 +50,7 @@ exact up to floating point; no simulation is involved.
 from __future__ import annotations
 
 from itertools import islice
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .forecasting import check_grid, check_int, horizon_terms
 from .io import write_rows
@@ -79,14 +78,12 @@ class MseCurve(NamedTuple):
     model_label: str  # "PMM" or "HMM"
     sweep_variable: str  # "n" or "k"
     points: tuple[tuple[int, float], ...]
-    fixed: Mapping[str, int] = MappingProxyType({})  # read-only: the default is shared
+    fixed_n: int | None = None  # the n of a k sweep over several n
 
     @property
     def csv_label(self) -> str:
-        if self.fixed:
-            inner = ";".join(f"{k}={v}" for k, v in sorted(self.fixed.items()))
-            return f"{self.model_label}({inner})"
-        return self.model_label
+        label = self.model_label
+        return label if self.fixed_n is None else f"{label}(n={self.fixed_n})"
 
 
 def __getattr__(name):
@@ -216,7 +213,7 @@ def theoretical_mse_pmm(p: PmmParams, n: int, k: int) -> float:
 def _require_hmm(p_hmm: PmmParams) -> None:
     if not is_hmm(p_hmm):
         raise InvalidModelError(
-            f"forecaster parameters {p_hmm.astuple()} violate the "
+            f"forecaster parameters {tuple(p_hmm)} violate the "
             "hidden-Markov constraints"
         )
 
@@ -250,15 +247,14 @@ def mse_sweep(
     width = len(k_values)
     start = {n: i * width for i, n in enumerate(sorted(n_values))}
     if width > 1:
-        fixed = len(n_values) > 1
         return [
             MseCurve(label, "k", tuple(zip(k_values, mse[label][start[n] : start[n] + width])),
-                     {"n": n} if fixed else {})
+                     n if len(n_values) > 1 else None)
             for n in n_values
             for label in ("PMM", "HMM")
         ]
     return [
-        MseCurve(label, "n", tuple((n, mse[label][start[n]]) for n in n_values), {})
+        MseCurve(label, "n", tuple((n, mse[label][start[n]]) for n in n_values))
         for label in ("PMM", "HMM")
     ]
 

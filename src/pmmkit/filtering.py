@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .forecasting import FLOOR, check_int, check_series
-from .model import PmmParams, TransitionModel
+from .model import TransitionModel
 from .riccati import _riccati_step, orbit
 
 __all__ = [
@@ -43,9 +43,9 @@ class FilterState(NamedTuple):
     last_y: float
 
 
-def filter_init(p: PmmParams, y1: float) -> FilterState:
+def filter_init(m: TransitionModel, y1: float) -> FilterState:
     """Condition X_1 on Y_1 in the bivariate standard-normal pair."""
-    return FilterState(n=1, mean=p.b * y1, variance=1.0 - p.b * p.b, last_y=y1)
+    return FilterState(n=1, mean=m.b * y1, variance=1.0 - m.b * m.b, last_y=y1)
 
 
 def filter_step(s: FilterState, m: TransitionModel, y_next: float) -> FilterState:

@@ -47,6 +47,7 @@ __all__ = [
     "gamma_from_params",
     "hmm_params",
     "is_hmm",
+    "check_periods",
     "markov_form",
     "validate",
     "load_params",
@@ -58,6 +59,8 @@ PD_TOL = 1e-10
 # A model is stationary-forecastable only if the spectral radius of A stays
 # strictly below 1; this margin rejects the boundary.
 SPECTRAL_TOL = 1e-9
+# How far c, d and e may sit from a*b^2, a*b and a*b in a hidden-Markov model.
+HMM_TOL = 1e-9
 
 
 class PmmError(Exception):
@@ -77,15 +80,9 @@ class PmmParams(NamedTuple):
     d: float
     e: float
 
-    def astuple(self) -> tuple[float, float, float, float, float]:
-        return tuple(self)
-
     def scaled(self, factor: float) -> "PmmParams":
         """All five covariances shrunk toward the independent model."""
-        return PmmParams(*(factor * v for v in self.astuple()))
-
-    def to_dict(self) -> dict[str, float]:
-        return {"a": self.a, "b": self.b, "c": self.c, "d": self.d, "e": self.e}
+        return PmmParams(*(factor * v for v in self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "PmmParams":
@@ -176,7 +173,7 @@ class ValidationReport(NamedTuple):
 
 def gamma_from_params(p: PmmParams) -> tuple[tuple[float, ...], ...]:
     """The 4x4 stationary covariance of (X_1, Y_1, X_2, Y_2), by rows."""
-    a, b, c, d, e = p.astuple()
+    a, b, c, d, e = p
     return (
         (1.0, b, a, d),
         (b, 1.0, e, c),
@@ -192,21 +189,15 @@ def hmm_params(a: float, b: float) -> PmmParams:
     return PmmParams(a, b, a * b * b, a * b, a * b)
 
 
-def is_hmm(p: PmmParams, tol: float = 1e-9) -> bool:
-    """True when the three hidden-Markov constraints hold within ``tol``."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    a, b, c, d, e = p.astuple()
-    return (
-        abs(c - a * b * b) <= tol
-        and abs(d - a * b) <= tol
-        and abs(e - a * b) <= tol
-    )
+def is_hmm(p: PmmParams) -> bool:
+    """True when the three hidden-Markov constraints hold within HMM_TOL."""
+    a, b, c, d, e = p
+    return all(abs(v) <= HMM_TOL for v in (c - a * b * b, d - a * b, e - a * b))
 
 
 def _transition(p: PmmParams) -> tuple[Matrix2, Matrix2]:
     """A and the symmetrized Q, unvalidated; needs |b| < 1."""
-    a, b, c, d, e = map(float, p.astuple())
+    a, b, c, d, e = map(float, p)
     # A = C M^{-1} with the closed-form inverse of the marginal M, whose
     # rows are (1, -b) and (-b, 1) over 1 - b^2; C = [[a, e], [d, c]].
     diag, off = 1.0 / (1.0 - b * b), -b / (1.0 - b * b)
@@ -303,7 +294,7 @@ def validate(p: PmmParams) -> ValidationReport:
     gamma_pd = gamma_min > PD_TOL
     # A covariance beyond +-1 already makes gamma indefinite, and its
     # transition form can overflow.
-    if abs(p.b) < 1.0 and max(map(abs, p.astuple())) <= 1.0:
+    if abs(p.b) < 1.0 and max(map(abs, p)) <= 1.0:
         a_mat, q_mat = _transition(p)
         q_min = _min_eigenvalue_2x2(q_mat)
         radius = _spectral_radius(a_mat)
@@ -331,6 +322,16 @@ class DetrendModel(NamedTuple):
     # Sample variance of every row the seasonal fit used, which is the whole
     # input of ``fit``, not its window; inert, kept as metadata.
     sigma: float
+
+
+def check_periods(periods, name: str) -> tuple[float, float]:
+    """The two harmonic periods as floats; ValueError naming ``name`` unless
+    both are finite and exceed 1 sample."""
+    p1, p2 = float(periods[0]), float(periods[1])
+    # Written so that nan fails too.
+    if not (1.0 < p1 < math.inf and 1.0 < p2 < math.inf):
+        raise ValueError(f"{name} must be finite and exceed 1 sample, got {periods}")
+    return p1, p2
 
 
 class StandardizationParams(NamedTuple):
@@ -362,7 +363,7 @@ class FittedModel(NamedTuple):
 
     def to_json_dict(self) -> dict:
         doc: dict = {
-            "params": self.params.to_dict(),
+            "params": self.params._asdict(),
             "detrend": None,
             "x_standardize": self.x_standardize._asdict(),
             "y_standardize": self.y_standardize._asdict(),
@@ -398,13 +399,9 @@ class FittedModel(NamedTuple):
             if not isinstance(d, dict):
                 raise ValueError(f"fitted model: detrend must be an object or null, got {d!r}")
             periods = _numbers(d.get("periods"), "detrend.periods", 2)
-            if min(periods) <= 1.0:
-                raise ValueError(
-                    f"fitted model: detrend.periods must exceed 1 sample, got {periods}"
-                )
             det = DetrendModel(
                 theta=tuple(_numbers(d.get("theta"), "detrend.theta", 5)),
-                periods=tuple(periods),
+                periods=check_periods(periods, "fitted model: detrend.periods"),
                 sigma=_number(d.get("sigma"), "detrend.sigma"),
             )
         window = doc.get("fit_window")
@@ -461,7 +458,7 @@ def _moments(doc: dict, key: str) -> StandardizationParams:
 
 
 def save_params(p: PmmParams, path: str | Path) -> None:
-    atomic_write(path, lambda fh: write_json(fh, p.to_dict()))
+    atomic_write(path, lambda fh: write_json(fh, p._asdict()))
 
 
 def load_params(path: str | Path) -> PmmParams:

@@ -19,7 +19,6 @@ __all__ = [
     "JointCovariance",
     "build_joint",
     "conditional",
-    "oracle_filter",
     "oracle_forecast",
 ]
 
@@ -87,14 +86,9 @@ def conditional(
     return weights, variance
 
 
-def oracle_filter(p: PmmParams, ys) -> tuple[float, float]:
-    """Exact E[X_n | Y_1:n] and V[X_n | Y_1:n] by joint conditioning: the
-    forecast at k = 0."""
-    return oracle_forecast(p, ys, 0)
-
-
 def oracle_forecast(p: PmmParams, ys, k: int) -> tuple[float, float]:
-    """Exact E[X_{n+k} | Y_1:n] and its variance by joint conditioning."""
+    """Exact E[X_{n+k} | Y_1:n] and its variance by joint conditioning; at
+    k = 0, the filter's E[X_n | Y_1:n] and V[X_n | Y_1:n]."""
     ys = check_series(ys, "ys", 1)
     n = ys.size
     joint = build_joint(p, n, k)

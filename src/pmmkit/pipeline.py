@@ -29,8 +29,8 @@ from .filtering import filter_coefficients
 from .forecasting import MAX_INDEX, check_grid, check_int, check_series, horizon_terms
 from .io import read_columns
 from .model import (
-    DetrendModel, FittedModel, StandardizationParams, empirical_covariances, hmm_params,
-    markov_form, validate,
+    DetrendModel, FittedModel, StandardizationParams, check_periods, empirical_covariances,
+    hmm_params, markov_form, validate,
 )
 
 __all__ = [
@@ -85,11 +85,8 @@ def fit_detrend(y, periods=DEFAULT_PERIODS) -> DetrendModel:
 def _fit_and_detrend(y, periods) -> tuple[DetrendModel, np.ndarray]:
     """``fit_detrend``'s model and ``detrend`` of y by it, from one design."""
     y = check_series(y, "y", 6)
-    p1, p2 = float(periods[0]), float(periods[1])
-    # Written so that nan fails too: a nan period would reach LAPACK as a
-    # nan design matrix.
-    if not (1.0 < p1 < np.inf and 1.0 < p2 < np.inf):
-        raise ValueError(f"periods must be finite and exceed 1 sample, got {periods}")
+    # A nan period would reach LAPACK as a nan design matrix.
+    p1, p2 = check_periods(periods, "periods")
     # Quietly, as in _standardization: a series past the float range is
     # rejected here, before it reaches LAPACK.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -119,19 +116,13 @@ def detrend(y, d: DetrendModel, start_index: int = 0) -> np.ndarray:
     return y - seasonal_values(d, start_index, y.size)
 
 
-def estimate_params(
-    x,
-    y,
-    detrend_model: DetrendModel | None = None,
-    fit_window: tuple[int, int] | None = None,
-) -> FittedModel:
+def estimate_params(x, y) -> FittedModel:
     """Standardize both series and estimate (a, b, c, d, e) empirically.
 
     If the raw estimate fails validation, all five covariances are shrunk
     toward zero by the largest factor that restores admissibility (bisection
-    to 1e-6) and the repair is recorded.  ``detrend_model`` and
-    ``fit_window`` are carried through as metadata only; detrending is the
-    caller's step.
+    to 1e-6) and the repair is recorded.  The model has no seasonal part and
+    no fit window; ``fit`` sets both with ``FittedModel._replace``.
     """
     x = check_series(x, "x", MIN_FIT_ROWS)
     y = check_series(y, "y", x.size, x.size)
@@ -149,12 +140,7 @@ def estimate_params(
                 hi = mid
         params, repaired = raw.scaled(lo), True
     return FittedModel(
-        params=params,
-        x_standardize=x_stats,
-        y_standardize=y_stats,
-        detrend=detrend_model,
-        fit_window=fit_window,
-        repaired=repaired,
+        params=params, x_standardize=x_stats, y_standardize=y_stats, repaired=repaired
     )
 
 

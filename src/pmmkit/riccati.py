@@ -21,7 +21,9 @@ __all__: list[str] = []
 
 # Below this, Y_{n+1} is numerically deterministic given (X_n, Y_n) and the
 # update gain is ill-posed.  Only a hand-built TransitionModel gets here:
-# for one from markov_form the denominator is at least min eig Q > PD_TOL.
+# for one from markov_form the denominator is at least q22 >= min eig Q,
+# and Q, the Schur complement of the marginal in the 4x4 covariance gamma,
+# has min eig Q >= min eig gamma > PD_TOL (the gate's gamma_pd).
 DEGENERATE_DENOMINATOR = 1e-14
 
 

@@ -26,7 +26,7 @@ from pmmkit import (
 from pmmkit.cli import main as cli_main
 from pmmkit.error_analysis import filter_coefficients, mse_sweep, observation_covariance
 from pmmkit.filtering import filter_init, filter_step
-from pmmkit.oracle import oracle_filter, oracle_forecast
+from pmmkit.oracle import oracle_forecast
 from pmmkit.pipeline import (
     StandardizationParams,
     _window_errors,
@@ -58,7 +58,7 @@ def test_criterion_01_oracle_equivalence():
         ys = rng.standard_normal(n)
         m = markov_form(p)
         state = run_filter(m, ys)
-        o_mean, o_var = oracle_filter(p, ys)
+        o_mean, o_var = oracle_forecast(p, ys, 0)
         assert abs(state.mean - o_mean) < 1e-9
         assert abs(state.variance - o_var) < 1e-9
         f_mean, f_var = oracle_forecast(p, ys, k)
@@ -165,7 +165,7 @@ def test_criterion_08_pipeline_round_trip():
     train = sample(truth, 100_000, seed=800)
     fitted = estimate_params(train.x, train.y)
     np.testing.assert_allclose(
-        fitted.params.astuple(), truth.astuple(), atol=0.03
+        fitted.params, truth, atol=0.03
     )
     test_set = sample(truth, 30_000, seed=801)
     grid = ([5, 20, 50], [10, 24, 48])
@@ -279,7 +279,7 @@ def test_criterion_10_invariant_suite():
         p = random_valid_params(rng)
         m = markov_form(p)
         ys = rng.standard_normal(8)
-        state = filter_init(p, ys[0])
+        state = filter_init(m, ys[0])
         for t in range(1, 9):
             if t > 1:
                 state = filter_step(state, m, ys[t - 1])

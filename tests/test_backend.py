@@ -101,7 +101,7 @@ def test_linear_filter_coefficients_match_quadratic_loop(preset, which, n):
 
 def fold_filter_step(p, ys):
     m = markov_form(p)
-    state = filter_init(p, ys[0])
+    state = filter_init(m, ys[0])
     for y in ys[1:]:
         state = filter_step(state, m, float(y))
     return state

@@ -258,7 +258,7 @@ class TestFit:
         assert run_cli("fit", "--input", data, "--output", model_path) == 0
         fitted = FittedModel.load(model_path)
         np.testing.assert_allclose(
-            fitted.params.astuple(), FIG2_PARAMS.astuple(), atol=0.03
+            fitted.params, FIG2_PARAMS, atol=0.03
         )
         summary = json.loads(capsys.readouterr().out)
         assert summary["repaired"] is False
@@ -320,22 +320,27 @@ class TestFit:
         }
         assert not (tmp_path / "m.json").exists()
 
-    @pytest.mark.parametrize("window", [None, "0:10"], ids=["missing_input", "short_window"])
-    def test_periods_checked_before_the_input(self, tmp_path, capsys, window):
+    @pytest.mark.parametrize(
+        "window, periods, message",
+        [(None, "x", "--periods needs two comma-separated numbers, got 'x'"),
+         ("0:10", "x", "--periods needs two comma-separated numbers, got 'x'"),
+         (None, "24,inf", "--periods must be finite and exceed 1 sample, got (24.0, inf)"),
+         ("0:10", "24,0.5", "--periods must be finite and exceed 1 sample, got (24.0, 0.5)")],
+        ids=["missing_input", "short_window", "missing_input_infinite_period",
+             "short_window_sub_sample_period"],
+    )
+    def test_periods_checked_before_the_input(self, tmp_path, capsys, window, periods, message):
         # Read first, a missing file or a window below the fitting minimum
         # would be reported in place of the malformed flag.
         data = tmp_path / "missing.csv" if window is None else GOLDEN / "series.csv"
         argv = ["fit", "--input", data, "--output", tmp_path / "m.json",
-                "--detrend", "--periods", "x"]
+                "--detrend", "--periods", periods]
         if window is not None:
             argv += ["--window", window]
         assert run_cli(*argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert json.loads(captured.err) == {
-            "error": "ValueError",
-            "message": "--periods needs two comma-separated numbers, got 'x'",
-        }
+        assert json.loads(captured.err) == {"error": "ValueError", "message": message}
         assert not (tmp_path / "m.json").exists()
 
     def test_one_seasonal_design_per_fit(self, tmp_path, capsys, monkeypatch):
@@ -639,7 +644,7 @@ BAD_MODEL_FILES = {
         _model_doc(("detrend",), 5), "fitted model: detrend must be an object or null, got 5",
     ),
     "params_only": (
-        {"params": FIG2_PARAMS.to_dict()},
+        {"params": FIG2_PARAMS._asdict()},
         "fitted model: x_standardize must be an object with mean and std",
     ),
 }
@@ -844,7 +849,7 @@ class TestJsonBoundary:
     def test_one_json_error_line(self, tmp_path, capsys, case):
         kind, path, value, detail = BAD_JSON_FILES[case]
         if kind == "params":
-            doc = FIG2_PARAMS.to_dict()
+            doc = FIG2_PARAMS._asdict()
             if value is not TRUNCATED:
                 doc[path[0]] = value
         elif value is TRUNCATED:
@@ -1210,22 +1215,21 @@ def _python(argv, cwd, timeout=None, **env):
     )
 
 
-class TestLogLevel:
-    def test_host_root_logger_left_alone(self, tmp_path):
-        # A host that imported logging but configured nothing keeps its root
-        # logger as it was: pmmkit configures nothing.
-        probe = (
-            "import logging, sys\n"
-            "from pmmkit.cli import main\n"
-            "root = logging.getLogger()\n"
-            "before = (list(root.handlers), root.level)\n"
-            "assert main(sys.argv[1:]) == 0\n"
-            "print(before == (list(root.handlers), root.level), before)\n"
-        )
-        argv = ["theoretical-mse", "--preset", "fig2", "--output", "t.csv"]
-        out = _python(["-c", probe, *argv], tmp_path)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[-1] == "True ([], 30)"
+def test_host_root_logger_left_alone(tmp_path):
+    # A host that imported logging but configured nothing keeps its root
+    # logger as it was: pmmkit configures nothing.
+    probe = (
+        "import logging, sys\n"
+        "from pmmkit.cli import main\n"
+        "root = logging.getLogger()\n"
+        "before = (list(root.handlers), root.level)\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(before == (list(root.handlers), root.level), before)\n"
+    )
+    argv = ["theoretical-mse", "--preset", "fig2", "--output", "t.csv"]
+    out = _python(["-c", probe, *argv], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "True ([], 30)"
 
 
 @pytest.mark.parametrize(
@@ -1336,8 +1340,8 @@ sys.exit(main(sys.argv[1:]))
 
 
 def test_theory_and_version_run_without_numpy(tmp_path):
-    (tmp_path / "p.json").write_text(json.dumps(FIG2_PARAMS.to_dict()))
-    (tmp_path / "h.json").write_text(json.dumps(hmm_params(0.9, -0.2).to_dict()))
+    (tmp_path / "p.json").write_text(json.dumps(FIG2_PARAMS._asdict()))
+    (tmp_path / "h.json").write_text(json.dumps(hmm_params(0.9, -0.2)._asdict()))
     calls = [["--version"]] + [
         ["theoretical-mse", "--preset", fig, "--output", f"{fig}.csv"]
         for fig in ("fig2", "fig3", "fig4", "fig5")
@@ -1389,8 +1393,8 @@ REAL_DATA_EXCLUDES = {
 
 
 def test_theory_and_version_load_a_lean_import_set(tmp_path):
-    (tmp_path / "p.json").write_text(json.dumps(FIG2_PARAMS.to_dict()))
-    (tmp_path / "h.json").write_text(json.dumps(hmm_params(0.9, -0.2).to_dict()))
+    (tmp_path / "p.json").write_text(json.dumps(FIG2_PARAMS._asdict()))
+    (tmp_path / "h.json").write_text(json.dumps(hmm_params(0.9, -0.2)._asdict()))
     model, series = str(GOLDEN / "model.json"), str(GOLDEN / "series.csv")
     calls = [
         (["--version"], LEAN_PATH_EXCLUDES),
@@ -1427,7 +1431,7 @@ def test_theory_and_version_load_a_lean_import_set(tmp_path):
 
 def test_no_value_type_reaches_write_json(tmp_path, fig2_params_file, monkeypatch, capsys):
     # A named tuple would be written silently as a JSON array; summaries and
-    # documents go through to_dict() and summary() instead.
+    # documents go through _asdict() and summary() instead.
     hmm_file = tmp_path / "h.json"
     save_params(hmm_params(0.9, -0.2), hmm_file)
     docs = []

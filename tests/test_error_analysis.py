@@ -89,7 +89,7 @@ class TestFilterCoefficients:
             p = random_valid_params(rng)
             m = markov_form(p)
             ys = rng.standard_normal(10)
-            state = filter_init(p, ys[0])
+            state = filter_init(m, ys[0])
             for t in range(1, 11):
                 if t > 1:
                     state = filter_step(state, m, ys[t - 1])
@@ -260,7 +260,7 @@ class TestForecasterMse:
                 if curve.sweep_variable == "n":
                     n, k = index, k_values[0]
                 else:
-                    n, k = curve.fixed.get("n", n_values[0]), index
+                    n, k = curve.fixed_n or n_values[0], index
                 if curve.model_label == "PMM":
                     want = scalar_mse_pmm(fig.true_params, n, k)
                 else:
@@ -501,7 +501,7 @@ class TestSweep:
             want = forecaster_mse(p_true, p_fc, n_values, k_values)
             for curve in curves:
                 if curve.model_label == label:
-                    n = curve.fixed["n"]
+                    n = curve.fixed_n
                     assert list(curve.points) == [(k, want[(n, k)]) for k in k_values]
 
     # One rule for both: a repeated value would give a curve or a key twice.
@@ -562,13 +562,13 @@ class TestFlatPass:
         if len(k_values) > 1:
             fixed = len(n_values) > 1
             want = [(label, "k", tuple((k, mse[label][(n, k)]) for k in k_values),
-                     {"n": n} if fixed else {}) for n in n_values for label in ("PMM", "HMM")]
+                     n if fixed else None) for n in n_values for label in ("PMM", "HMM")]
         else:
             [k] = k_values
-            want = [(label, "n", tuple((n, mse[label][(n, k)]) for n in n_values), {})
+            want = [(label, "n", tuple((n, mse[label][(n, k)]) for n in n_values), None)
                     for label in ("PMM", "HMM")]
         got = mse_sweep(p_true, p_hmm, n_values, k_values)
-        assert [(c.model_label, c.sweep_variable, c.points, dict(c.fixed)) for c in got] == want
+        assert [(c.model_label, c.sweep_variable, c.points, c.fixed_n) for c in got] == want
 
     @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4", "fig5"])
     @pytest.mark.parametrize("n_values, k_values", GRIDS)

@@ -21,7 +21,7 @@ from pmmkit.filtering import (
 )
 from pmmkit.forecasting import FLOOR
 from pmmkit.model import _transition
-from pmmkit.oracle import oracle_filter
+from pmmkit.oracle import oracle_forecast
 from pmmkit.presets import PRESET_NAMES, get_preset
 from pmmkit.riccati import _riccati_step
 from helpers import (
@@ -39,17 +39,17 @@ FIG2_MODEL = markov_form(FIG2_PARAMS)
 
 class TestInit:
     def test_bivariate_conditioning(self):
-        s = filter_init(hmm_params(0.9, -0.2), 1.0)
+        s = filter_init(markov_form(hmm_params(0.9, -0.2)), 1.0)
         assert s.mean == pytest.approx(-0.2, abs=1e-15)
         assert s.variance == pytest.approx(0.96, abs=1e-15)
         assert s.n == 1 and s.last_y == 1.0
 
     def test_independence(self):
-        s = filter_init(PmmParams(0.3, 0.0, 0.1, 0.0, 0.0), 2.7)
+        s = filter_init(markov_form(PmmParams(0.3, 0.0, 0.1, 0.0, 0.0)), 2.7)
         assert s.mean == 0.0 and s.variance == 1.0
 
     def test_pressure_scale_b(self):
-        s = filter_init(PmmParams(0.9, -0.6, 0.5, -0.5, -0.5), 0.5)
+        s = filter_init(markov_form(PmmParams(0.9, -0.6, 0.5, -0.5, -0.5)), 0.5)
         assert s.mean == pytest.approx(-0.3, abs=1e-15)
         assert s.variance == pytest.approx(0.64, abs=1e-15)
 
@@ -59,7 +59,7 @@ class TestStep:
         # a = 0 kills the transition entirely: each pair is independent of
         # the past, so the update reduces to conditioning within the pair.
         m = markov_form(hmm_params(0.0, 0.5))
-        s = filter_init(hmm_params(0.0, 0.5), -1.3)
+        s = filter_init(m, -1.3)
         s2 = filter_step(s, m, 0.8)
         assert s2.mean == pytest.approx(0.4, abs=1e-14)
         assert s2.variance == pytest.approx(0.75, abs=1e-14)
@@ -68,7 +68,7 @@ class TestStep:
         # b = c = d = e = 0: observations carry no information about X.
         p = PmmParams(0.5, 0.0, 0.0, 0.0, 0.0)
         m = markov_form(p)
-        s = filter_init(p, 0.9)
+        s = filter_init(m, 0.9)
         for y in (0.3, -0.2, 1.5):
             s = filter_step(s, m, y)
         assert s.mean == 0.0
@@ -88,7 +88,7 @@ class TestStep:
         # The filter's own guard, on a model that bypasses the gate.
         A, Q = _transition(p)
         m = TransitionModel(A=A, Q=Q, marginal=np.eye(2))
-        s = filter_init(p, 0.1)
+        s = filter_init(m, 0.1)
         with pytest.raises(InvalidModelError):
             filter_step(s, m, 0.2)
         for n in (2, 5000):
@@ -104,7 +104,7 @@ class TestOracleEquivalence:
             n = int(rng.integers(1, 13))
             ys = rng.standard_normal(n)
             state = run_filter(markov_form(p), ys)
-            mean, var = oracle_filter(p, ys)
+            mean, var = oracle_forecast(p, ys, 0)
             assert state.mean == pytest.approx(mean, abs=1e-9)
             assert state.variance == pytest.approx(var, abs=1e-9)
 
@@ -113,8 +113,8 @@ class TestVarianceProperties:
     def test_variance_is_observation_independent(self):
         rng = np.random.default_rng(22)
         m = markov_form(FIG2_PARAMS)
-        s1 = filter_init(FIG2_PARAMS, 5.0)
-        s2 = filter_init(FIG2_PARAMS, -0.1)
+        s1 = filter_init(m, 5.0)
+        s2 = filter_init(m, -0.1)
         for _ in range(30):
             s1 = filter_step(s1, m, float(rng.standard_normal()))
             s2 = filter_step(s2, m, float(rng.standard_normal()))
@@ -126,7 +126,7 @@ class TestVarianceProperties:
         m = markov_form(p)
         ys = rng.standard_normal(20)
         seq = filter_variance_sequence(m, 20)
-        s = filter_init(p, ys[0])
+        s = filter_init(m, ys[0])
         assert seq[0] == s.variance
         for t in range(1, 20):
             s = filter_step(s, m, ys[t])

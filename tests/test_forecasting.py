@@ -43,7 +43,7 @@ class TestMean:
         )
 
     def test_horizon_must_be_positive(self):
-        s = filter_init(FIG2_PARAMS, 0.2)
+        s = filter_init(FIG2_MODEL, 0.2)
         with pytest.raises(ValueError):
             forecast(s, FIG2_MODEL, 0)
 
@@ -56,7 +56,7 @@ class TestVariance:
     def test_memoryless_model_one_step(self):
         p = hmm_params(0.0, 0.4)
         m = markov_form(p)
-        s = filter_init(p, 1.1)
+        s = filter_init(m, 1.1)
         assert forecast(s, m, 1).variance == pytest.approx(1.0, abs=1e-14)
 
     def test_pinned_fig2_value(self):
@@ -70,7 +70,7 @@ class TestBundle:
     def test_hmm_one_step_hand_value(self):
         p = hmm_params(0.9, -0.2)
         m = markov_form(p)
-        s = filter_init(p, 1.0)
+        s = filter_init(m, 1.0)
         result = forecast(s, m, 1)
         assert result.mean == pytest.approx(-0.18, abs=1e-12)
         assert result.variance == pytest.approx(0.9676, abs=1e-12)

@@ -154,7 +154,7 @@ def test_save_params_round_trips_through_atomic_write(tmp_path, write_spy):
 
 def test_fitted_model_save_round_trips_through_atomic_write(tmp_path, write_spy):
     t = sample(FIG2_PARAMS, 200, seed=84)
-    fitted = estimate_params(t.x, t.y, fit_window=(0, 200))
+    fitted = estimate_params(t.x, t.y)._replace(fit_window=(0, 200))
     path = tmp_path / "model.json"
     fitted.save(path)
     assert write_spy == [path]
@@ -199,7 +199,7 @@ class TestCsvWriters:
 
     def test_curves_equal_rowwise(self):
         points = tuple(zip([*EDGE_INTS, 4, 5], EDGE_FLOATS))
-        curves = [MseCurve("PMM", "k", points, {"n": 5}), MseCurve("HMM", "n", points)]
+        curves = [MseCurve("PMM", "k", points, 5), MseCurve("HMM", "n", points)]
         text = _text(lambda fh: curves_to_csv(curves, fh))
         assert text == _text(lambda fh: rowwise_curves_to_csv(curves, fh))
         assert "PMM(n=5),k,-7,-0.000000000000e+00\n" in text

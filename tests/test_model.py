@@ -31,8 +31,9 @@ from pmmkit.model import (
     is_hmm,
     save_params,
 )
-from pmmkit.presets import SweepPreset
+from pmmkit.presets import PRESET_NAMES, SweepPreset, get_preset
 from helpers import FIG2_PARAMS, FIG4_PARAMS, PRESSURE_PARAMS, random_valid_params
+from reference_decimal import REAL_EXAMPLES
 
 
 class TestGamma:
@@ -65,10 +66,10 @@ class TestGamma:
 class TestHmmParams:
     def test_base_values(self):
         p = hmm_params(0.9, -0.2)
-        assert p.astuple() == pytest.approx((0.9, -0.2, 0.036, -0.18, -0.18))
+        assert p == pytest.approx((0.9, -0.2, 0.036, -0.18, -0.18))
 
     def test_zero_persistence(self):
-        assert hmm_params(0, 0.5).astuple() == (0, 0.5, 0, 0, 0)
+        assert hmm_params(0, 0.5) == (0, 0.5, 0, 0, 0)
 
     def test_boundary_rejected(self):
         with pytest.raises(InvalidModelError):
@@ -79,18 +80,14 @@ class TestHmmParams:
 
 class TestIsHmm:
     def test_exact_hmm(self):
-        assert is_hmm(hmm_params(0.9, -0.2), tol=0)
+        assert is_hmm(hmm_params(0.9, -0.2))
 
     def test_perturbed_model_is_not(self):
-        assert not is_hmm(FIG2_PARAMS, tol=1e-6)
+        assert not is_hmm(FIG2_PARAMS)
 
     def test_fitted_pressure_model_is_not(self):
         # a*b^2 = 0.359 vs c = 0.986
-        assert not is_hmm(PRESSURE_PARAMS, tol=1e-3)
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            is_hmm(FIG2_PARAMS, tol=-1.0)
+        assert not is_hmm(PRESSURE_PARAMS)
 
 
 class TestMarkovForm:
@@ -180,6 +177,22 @@ class TestValidate:
             )
             np.testing.assert_allclose(m.Q, classic, atol=1e-12)
 
+    def test_noise_floor_at_least_the_gamma_floor(self):
+        # Q is the Schur complement of the marginal in gamma, so its least
+        # eigenvalue is at least gamma's: the bound on the innovation variance
+        # that riccati.DEGENERATE_DENOMINATOR's comment cites.  Both are
+        # computed in floats, so Q's may fall short by 4 ulps of 1.0.
+        rng = np.random.default_rng(39)
+        models = [
+            *(p for name in PRESET_NAMES for p in get_preset(name)[1:3]),
+            *REAL_EXAMPLES.values(),
+            *(random_valid_params(rng) for _ in range(1000)),
+        ]
+        for p in models:
+            report = validate(p)
+            assert report.ok
+            assert report.q_min_eigenvalue >= report.gamma_min_eigenvalue - 4 * math.ulp(1.0)
+
     def test_singular_marginal_reported(self):
         report = validate(PmmParams(0.2, 1.0, 0.2, 0.2, 0.2))
         assert not report.ok
@@ -200,7 +213,7 @@ class TestValidateAgainstLapack:
     @staticmethod
     def lapack_report(p: PmmParams) -> tuple[float, float, float, bool]:
         gamma_min = float(np.linalg.eigvalsh(np.array(gamma_from_params(p))).min())
-        if not (abs(p.b) < 1.0 and max(map(abs, p.astuple())) <= 1.0):
+        if not (abs(p.b) < 1.0 and max(map(abs, p)) <= 1.0):
             return gamma_min, float("nan"), float("inf"), False
         a_mat, q_mat = (np.array(m) for m in _transition(p))
         q_min = float(np.linalg.eigvalsh(q_mat).min())
@@ -259,9 +272,9 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "doc, message",
         [
-            ({"params": 1, **FIG2_PARAMS.to_dict()},
+            ({"params": 1, **FIG2_PARAMS._asdict()},
              "parameters must be an object with keys a..e, got int"),
-            ({"params": None, **FIG2_PARAMS.to_dict()},
+            ({"params": None, **FIG2_PARAMS._asdict()},
              "parameters must be an object with keys a..e, got NoneType"),
             ({}, "invalid parameters: missing a, b, c, d, e"),
             ({"detrend": None}, "invalid parameters: missing a, b, c, d, e"),
@@ -308,9 +321,9 @@ VALUE_TYPES = {
         "q_psd=True, spectral_radius=0.75, spectral_ok=True, is_hmm=False)",
     ),
     "MseCurve": (
-        lambda: MseCurve("PMM", "k", ((1, 0.5), (2, 0.75)), {"n": 5}),
+        lambda: MseCurve("PMM", "k", ((1, 0.5), (2, 0.75)), 5),
         "MseCurve(model_label='PMM', sweep_variable='k', points=((1, 0.5), (2, 0.75)), "
-        "fixed={'n': 5})",
+        "fixed_n=5)",
     ),
     "ForecastResult": (
         lambda: ForecastResult(3, 0.25, 0.5),
@@ -368,26 +381,19 @@ class TestValueTypes:
     def test_equal_values_are_equal_and_hash_alike(self, name):
         first, second = VALUE_TYPES[name][0](), VALUE_TYPES[name][0]()
         assert first is not second and first == second
-        if name == "MseCurve":
-            # ``fixed`` is a mapping, so a curve is unhashable, as it was
-            # as a dataclass.
-            with pytest.raises(TypeError):
-                hash(first)
-        else:
-            assert hash(first) == hash(second)
+        assert hash(first) == hash(second)
 
     def test_equal_params_share_one_horizon_pass(self):
-        copy = PmmParams.from_dict(FIG2_PARAMS.to_dict())
+        copy = PmmParams.from_dict(FIG2_PARAMS._asdict())
         assert copy is not FIG2_PARAMS
         assert len(error_analysis._horizons((FIG2_PARAMS, copy), [0, 1])) == 1
 
     def test_params_methods(self):
         p = PmmParams(0.5, -0.25, 0.125, -0.0625, 0.0)
-        assert p.astuple() == (0.5, -0.25, 0.125, -0.0625, 0.0)
-        assert type(p.astuple()) is tuple
-        assert p.to_dict() == {"a": 0.5, "b": -0.25, "c": 0.125, "d": -0.0625, "e": 0.0}
-        assert type(p.to_dict()) is dict
-        assert PmmParams.from_dict(p.to_dict()) == p
+        assert tuple(p) == (0.5, -0.25, 0.125, -0.0625, 0.0)
+        assert p._asdict() == {"a": 0.5, "b": -0.25, "c": 0.125, "d": -0.0625, "e": 0.0}
+        assert type(p._asdict()) is dict
+        assert PmmParams.from_dict(p._asdict()) == p
         assert p.scaled(0.5) == PmmParams(0.25, -0.125, 0.0625, -0.03125, 0.0)
         assert type(p.scaled(0.5)) is PmmParams
 
@@ -406,12 +412,8 @@ class TestValueTypes:
         assert VALUE_TYPES["TransitionModel"][0]().b == -0.25
         assert markov_form(FIG2_PARAMS).b == FIG2_PARAMS.b
 
-    def test_curve_label_and_read_only_default(self):
+    def test_curve_label(self):
         assert VALUE_TYPES["MseCurve"][0]().csv_label == "PMM(n=5)"
-        assert MseCurve("HMM", "k", (), {"n": 5, "k": 1}).csv_label == "HMM(k=1;n=5)"
         plain = MseCurve("HMM", "n", ())
-        assert plain.csv_label == "HMM" and not plain.fixed
-        # The default is shared by every curve built without one.
-        with pytest.raises(TypeError):
-            plain.fixed["n"] = 1
+        assert plain.csv_label == "HMM" and plain.fixed_n is None
         assert MseCurve("PMM", "n", ()).csv_label == "PMM"

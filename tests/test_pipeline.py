@@ -146,7 +146,7 @@ class TestEstimate:
         t = sample(hmm_params(0.9, -0.2), 100_000, seed=75)
         fitted = estimate_params(t.x, t.y)
         np.testing.assert_allclose(
-            fitted.params.astuple(), (0.9, -0.2, 0.036, -0.18, -0.18), atol=0.02
+            fitted.params, (0.9, -0.2, 0.036, -0.18, -0.18), atol=0.02
         )
         assert not fitted.repaired
 
@@ -154,12 +154,12 @@ class TestEstimate:
         t = sample(FIG2_PARAMS, 100_000, seed=76)
         fitted = estimate_params(t.x, t.y)
         np.testing.assert_allclose(
-            fitted.params.astuple(), FIG2_PARAMS.astuple(), atol=0.03
+            fitted.params, FIG2_PARAMS, atol=0.03
         )
         re_sim = sample(fitted.params, 100_000, seed=77)
         refit = estimate_params(re_sim.x, re_sim.y)
         np.testing.assert_allclose(
-            refit.params.astuple(), FIG2_PARAMS.astuple(), atol=0.03
+            refit.params, FIG2_PARAMS, atol=0.03
         )
 
     def test_standardized_window_moments(self):
@@ -356,7 +356,7 @@ class TestSerialization:
         y = rng.standard_normal(300) + np.sin(harmonic(np.arange(1, 301), 24))
         d = fit_detrend(y)
         t = sample(FIG2_PARAMS, 300, seed=82)
-        fitted = estimate_params(t.x, t.y, detrend_model=d, fit_window=(0, 300))
+        fitted = estimate_params(t.x, t.y)._replace(detrend=d, fit_window=(0, 300))
         path = tmp_path / "model.json"
         fitted.save(path)
         loaded = FittedModel.load(path)
@@ -400,9 +400,8 @@ class TestSerialization:
         y = 10.0**y_exp * np.array([v for _, v in pairs])
         try:
             d = fit_detrend(y, (5.0, 12.0)) if detrended else None
-            fitted = estimate_params(
-                x, y if d is None else detrend(y, d), detrend_model=d,
-                fit_window=(0, x.size),
+            fitted = estimate_params(x, y if d is None else detrend(y, d))._replace(
+                detrend=d, fit_window=(0, x.size)
             )
         except ValueError as exc:
             assert "not finite" in str(exc) or "zero-variance" in str(exc)

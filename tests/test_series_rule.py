@@ -11,7 +11,7 @@ import pytest
 
 from pmmkit import estimate_params, markov_form, run_filter
 from pmmkit.forecasting import check_series
-from pmmkit.oracle import oracle_filter, oracle_forecast
+from pmmkit.oracle import oracle_forecast
 from pmmkit.pipeline import (
     DetrendModel, FittedModel, detrend, evaluate_grid, fit_detrend,
 )
@@ -35,7 +35,8 @@ ENTRY_POINTS = {
     ),
     "empirical_covariances": (empirical_covariances, 40, {"x": 2, "y": None}),
     "oracle_forecast": (lambda ys: oracle_forecast(FIG2_PARAMS, ys, 2), 10, {"ys": 1}),
-    "oracle_filter": (lambda ys: oracle_filter(FIG2_PARAMS, ys), 10, {"ys": 1}),
+    # The oracle's filter: its forecast at k = 0.
+    "oracle_filter": (lambda ys: oracle_forecast(FIG2_PARAMS, ys, 0), 10, {"ys": 1}),
 }
 # How a message names an argument, where that is more than its name.
 LABELS = {"x_test": "x_test (longest window n=5, k=1)"}
