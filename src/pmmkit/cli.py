@@ -160,12 +160,13 @@ def cmd_theoretical_mse(args) -> dict:
         (f"{default} n grid" if args.n_grid is None else "--n-grid",
          f"{default} k grid" if args.k_grid is None else "--k-grid"),
     )
-    curves = mse_sweep(p_true, p_hmm, n_values, k_values)
-    _atomic_write(Path(args.output), lambda fh: curves_to_csv(curves, fh))
+    rows = mse_sweep(p_true, p_hmm, n_values, k_values)
+    _atomic_write(Path(args.output), lambda fh: curves_to_csv(rows, fh))
+    curves = len({row[0] for row in rows})
     return {
         "output": str(args.output),
-        "curves": len(curves),
-        "points_per_curve": len(curves[0].points),
+        "curves": curves,
+        "points_per_curve": len(rows) // curves,
         "true_params": p_true._asdict(),
         "hmm_params": p_hmm._asdict(),
     }

@@ -49,8 +49,8 @@ exact up to floating point; no simulation is involved.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import TYPE_CHECKING, NamedTuple
+from itertools import islice, repeat
+from typing import TYPE_CHECKING
 
 from .forecasting import check_grid, check_int, horizon_terms
 from .io import write_rows
@@ -61,7 +61,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "MseCurve",
     "filter_coefficients",
     "forecaster_mse",
     "observation_covariance",
@@ -70,20 +69,6 @@ __all__ = [
     "mse_sweep",
     "curves_to_csv",
 ]
-
-
-class MseCurve(NamedTuple):
-    """One theoretical-MSE curve over a sweep of n or k."""
-
-    model_label: str  # "PMM" or "HMM"
-    sweep_variable: str  # "n" or "k"
-    points: tuple[tuple[int, float], ...]
-    fixed_n: int | None = None  # the n of a k sweep over several n
-
-    @property
-    def csv_label(self) -> str:
-        label = self.model_label
-        return label if self.fixed_n is None else f"{label}(n={self.fixed_n})"
 
 
 def __getattr__(name):
@@ -228,11 +213,14 @@ def theoretical_mse_hmm_under_pmm(
 
 def mse_sweep(
     p_true: PmmParams, p_hmm: PmmParams, n_values, k_values
-) -> list[MseCurve]:
-    """Theoretical MSE of both forecasters over a grid.
+) -> list[tuple[str, str, int, float]]:
+    """Theoretical MSE of both forecasters over a grid, as the
+    ``(model, sweep, index, mse)`` rows that ``theoretical-mse`` writes.
 
-    Sweeps over k when the k grid has more than one value (one curve pair
-    per n), otherwise over n (one curve pair per k).
+    Sweeps over k when the k grid has more than one value: for each n, the
+    PMM then the HMM curve over k, labelled ``PMM(n=...)`` and
+    ``HMM(n=...)`` when there are several n.  Otherwise sweeps over n: the
+    ``PMM`` then the ``HMM`` curve.  Each curve runs in its grid's order.
     """
     n_values, k_values = check_grid(n_values, k_values)
     _require_hmm(p_hmm)
@@ -242,27 +230,23 @@ def mse_sweep(
         label: _mse_grid(horizons[p_true], horizons[p], n_values, k_values)
         for label, p in (("PMM", p_true), ("HMM", p_hmm))
     }
-    del horizons  # free the horizon terms before the curves are built
+    del horizons  # free the horizon terms before the rows are built
     # Each n's run of len(k_values) points starts at its offset.
     width = len(k_values)
     start = {n: i * width for i, n in enumerate(sorted(n_values))}
-    if width > 1:
-        return [
-            MseCurve(label, "k", tuple(zip(k_values, mse[label][start[n] : start[n] + width])),
-                     n if len(n_values) > 1 else None)
-            for n in n_values
-            for label in ("PMM", "HMM")
-        ]
-    return [
-        MseCurve(label, "n", tuple((n, mse[label][start[n]]) for n in n_values))
-        for label in ("PMM", "HMM")
-    ]
+    if width == 1:
+        return [(label, "n", n, mse[label][start[n]])
+                for label in ("PMM", "HMM") for n in n_values]
+    rows = []
+    for n in n_values:
+        for label in ("PMM", "HMM"):
+            # One label string per curve, shared by its rows.
+            model = f"{label}(n={n})" if len(n_values) > 1 else label
+            values = mse[label][start[n] : start[n] + width]
+            rows += zip(repeat(model), repeat("k"), k_values, values)
+    return rows
 
 
-def curves_to_csv(curves, fh) -> None:
-    """Write sweep curves as ``model,sweep,index,mse`` rows."""
-    write_rows(fh, ("model", "sweep", "index", "mse"), (
-        (label, curve.sweep_variable, index, mse)
-        for curve, label in zip(curves, [c.csv_label for c in curves])
-        for index, mse in curve.points
-    ))
+def curves_to_csv(rows, fh) -> None:
+    """Write ``mse_sweep`` rows under the ``model,sweep,index,mse`` header."""
+    write_rows(fh, ("model", "sweep", "index", "mse"), rows)

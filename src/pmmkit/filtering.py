@@ -45,11 +45,13 @@ class FilterState(NamedTuple):
 
 def filter_init(m: TransitionModel, y1: float) -> FilterState:
     """Condition X_1 on Y_1 in the bivariate standard-normal pair."""
+    [y1] = check_series([y1], "y1", 1).tolist()  # run_filter's rule
     return FilterState(n=1, mean=m.b * y1, variance=1.0 - m.b * m.b, last_y=y1)
 
 
 def filter_step(s: FilterState, m: TransitionModel, y_next: float) -> FilterState:
     """Absorb one more observation."""
+    [y_next] = check_series([y_next], "y_next", 1).tolist()
     (a1, a2), (a3, a4) = m.A
     gain, variance = _riccati_step(m, s.variance)
     mean = a1 * s.mean + a2 * s.last_y + gain * (y_next - a3 * s.mean - a4 * s.last_y)

@@ -543,12 +543,11 @@ def rowwise_table(fh, columns, rows) -> None:
         fh.write(",".join(str(v) if isinstance(v, int) else f"{v:.12e}" for v in row) + "\n")
 
 
-def rowwise_curves_to_csv(curves, fh) -> None:
+def rowwise_curves_to_csv(rows, fh) -> None:
     """``curves_to_csv`` with one f-string per row."""
     fh.write("model,sweep,index,mse\n")
-    for curve in curves:
-        for index, mse in curve.points:
-            fh.write(f"{curve.csv_label},{curve.sweep_variable},{index},{mse:.12e}\n")
+    for model, sweep, index, mse in rows:
+        fh.write(f"{model},{sweep},{index},{mse:.12e}\n")
 
 
 # Reference parameter sets: fig2/fig4 perturb the cross covariances of the

@@ -86,11 +86,11 @@ def test_criterion_02_hmm_degeneracy():
 
 
 def _filtering_ratio_curves(preset):
-    curves = mse_sweep(
+    rows = mse_sweep(
         preset.true_params, preset.hmm_reference, preset.n_values, [0]
     )
-    pmm = np.array([v for _, v in curves[0].points])
-    hmm = np.array([v for _, v in curves[1].points])
+    pmm = np.array([mse for model, _, _, mse in rows if model == "PMM"])
+    hmm = np.array([mse for model, _, _, mse in rows if model == "HMM"])
     return pmm, hmm
 
 

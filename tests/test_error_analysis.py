@@ -253,21 +253,19 @@ class TestForecasterMse:
         fig = get_preset(preset)
         n_values = list(n_grid or fig.n_values)
         k_values = list(fig.k_values)
-        curves = mse_sweep(fig.true_params, fig.hmm_reference, n_values, k_values)
-        checked = 0
-        for curve in curves:
-            for index, mse in curve.points:
-                if curve.sweep_variable == "n":
-                    n, k = index, k_values[0]
-                else:
-                    n, k = curve.fixed_n or n_values[0], index
-                if curve.model_label == "PMM":
-                    want = scalar_mse_pmm(fig.true_params, n, k)
-                else:
-                    want = quadratic_form_mse(fig.true_params, fig.hmm_reference, n, k)
-                assert abs(mse - want) <= 1e-12 * want
-                checked += 1
-        assert checked == 2 * len(n_values) * len(k_values)
+        rows = mse_sweep(fig.true_params, fig.hmm_reference, n_values, k_values)
+        for model, sweep, index, mse in rows:
+            label, _, fixed_n = model.partition("(n=")
+            if sweep == "n":
+                n, k = index, k_values[0]
+            else:
+                n, k = int(fixed_n[:-1]) if fixed_n else n_values[0], index
+            if label == "PMM":
+                want = scalar_mse_pmm(fig.true_params, n, k)
+            else:
+                want = quadratic_form_mse(fig.true_params, fig.hmm_reference, n, k)
+            assert abs(mse - want) <= 1e-12 * want
+        assert len(rows) == 2 * len(n_values) * len(k_values)
 
     def test_general_forecaster_matches_quadratic_form(self):
         rng = np.random.default_rng(59)
@@ -466,22 +464,21 @@ class TestMonteCarloAgreement:
 
 class TestSweep:
     def test_filtering_sweep_layout(self):
-        curves = mse_sweep(FIG2_PARAMS, HMM_BASE, range(1, 21), [0])
-        assert [c.model_label for c in curves] == ["PMM", "HMM"]
-        assert all(c.sweep_variable == "n" for c in curves)
-        assert all(len(c.points) == 20 for c in curves)
-        pmm, hmm = curves
-        for (np_, vp), (nh, vh) in zip(pmm.points, hmm.points):
-            assert np_ == nh and vp <= vh + 1e-12
+        rows = mse_sweep(FIG2_PARAMS, HMM_BASE, range(1, 21), [0])
+        assert [row[:3] for row in rows] == [
+            (label, "n", n) for label in ("PMM", "HMM") for n in range(1, 21)
+        ]
+        for (*_, pmm), (*_, hmm) in zip(rows[:20], rows[20:]):
+            assert pmm <= hmm + 1e-12
 
     def test_horizon_sweep_per_n(self):
-        curves = mse_sweep(FIG2_PARAMS, HMM_BASE, [1, 5, 10], range(1, 8))
-        assert len(curves) == 6
-        labels = {c.csv_label for c in curves}
-        assert labels == {
-            "PMM(n=1)", "HMM(n=1)", "PMM(n=5)", "HMM(n=5)", "PMM(n=10)", "HMM(n=10)",
-        }
-        assert all(c.sweep_variable == "k" for c in curves)
+        rows = mse_sweep(FIG2_PARAMS, HMM_BASE, [1, 5, 10], range(1, 8))
+        assert [row[:3] for row in rows] == [
+            (f"{label}(n={n})", "k", k)
+            for n in (1, 5, 10) for label in ("PMM", "HMM") for k in range(1, 8)
+        ]
+        # One label string per curve, which its rows share.
+        assert len({id(row[0]) for row in rows}) == 6
 
     @pytest.mark.parametrize("hmm_truth", [False, True])
     def test_one_horizon_pass_per_distinct_model(self, monkeypatch, hmm_truth):
@@ -494,17 +491,17 @@ class TestSweep:
 
         monkeypatch.setattr(error_analysis, "horizon_terms", spy)
         n_values, k_values = [1, 5, 10], range(0, 30)
-        curves = mse_sweep(p_true, HMM_BASE, n_values, k_values)
+        rows = mse_sweep(p_true, HMM_BASE, n_values, k_values)
         assert len(passes) == (1 if hmm_truth else 2)
         # The values of one forecaster_mse call per forecaster, bit for bit.
-        for label, p_fc in (("PMM", p_true), ("HMM", HMM_BASE)):
-            want = forecaster_mse(p_true, p_fc, n_values, k_values)
-            for curve in curves:
-                if curve.model_label == label:
-                    n = curve.fixed_n
-                    assert list(curve.points) == [(k, want[(n, k)]) for k in k_values]
+        want = {label: forecaster_mse(p_true, p_fc, n_values, k_values)
+                for label, p_fc in (("PMM", p_true), ("HMM", HMM_BASE))}
+        assert rows == [
+            (f"{label}(n={n})", "k", k, want[label][(n, k)])
+            for n in n_values for label in ("PMM", "HMM") for k in k_values
+        ]
 
-    # One rule for both: a repeated value would give a curve or a key twice.
+    # One rule for both: a repeated value would give a row or a key twice.
     @pytest.mark.parametrize("function", [mse_sweep, forecaster_mse])
     @pytest.mark.parametrize(
         "n_values, k_values, name, value",
@@ -516,14 +513,13 @@ class TestSweep:
             function(fig3.true_params, fig3.hmm_reference, n_values, k_values)
 
     def test_single_point_grid(self):
-        curves = mse_sweep(FIG2_PARAMS, HMM_BASE, [4], [0])
-        assert len(curves) == 2
-        assert all(len(c.points) == 1 for c in curves)
+        rows = mse_sweep(FIG2_PARAMS, HMM_BASE, [4], [0])
+        assert [row[:3] for row in rows] == [("PMM", "n", 4), ("HMM", "n", 4)]
 
     def test_csv_format(self):
-        curves = mse_sweep(FIG2_PARAMS, HMM_BASE, [1, 2], [0])
+        rows = mse_sweep(FIG2_PARAMS, HMM_BASE, [1, 2], [0])
         buf = io.StringIO()
-        curves_to_csv(curves, buf)
+        curves_to_csv(rows, buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "model,sweep,index,mse"
         assert len(lines) == 5
@@ -534,8 +530,9 @@ class TestSweep:
 
 class TestFlatPass:
     """``forecaster_mse`` and ``mse_sweep`` over grids in any order: keys in
-    increasing n and, for each n, in the given k order; curves in the given
-    n order; and every value within BOUND eps of ``reference_decimal``."""
+    increasing n and, for each n, in the given k order; the sweep's rows in
+    the given n order; and every value within BOUND eps of
+    ``reference_decimal``."""
 
     GRIDS = [
         ([9, 2, 30, 5], [4, 0, 7]),  # unsorted
@@ -558,17 +555,16 @@ class TestFlatPass:
             assert list(got) == keys
             want = reference_decimal.forecaster_mse(p_true, p_fc, n_values, k_values)
             assert max(error_in_eps(got[key], want[key]) for key in keys) <= BOUND
-        # The sweep's curves hold the same values, bit for bit.
+        # The sweep's rows hold the same values, bit for bit.
         if len(k_values) > 1:
             fixed = len(n_values) > 1
-            want = [(label, "k", tuple((k, mse[label][(n, k)]) for k in k_values),
-                     n if fixed else None) for n in n_values for label in ("PMM", "HMM")]
+            want = [(f"{label}(n={n})" if fixed else label, "k", k, mse[label][(n, k)])
+                    for n in n_values for label in ("PMM", "HMM") for k in k_values]
         else:
             [k] = k_values
-            want = [(label, "n", tuple((n, mse[label][(n, k)]) for n in n_values), None)
-                    for label in ("PMM", "HMM")]
-        got = mse_sweep(p_true, p_hmm, n_values, k_values)
-        assert [(c.model_label, c.sweep_variable, c.points, c.fixed_n) for c in got] == want
+            want = [(label, "n", n, mse[label][(n, k)])
+                    for label in ("PMM", "HMM") for n in n_values]
+        assert mse_sweep(p_true, p_hmm, n_values, k_values) == want
 
     @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4", "fig5"])
     @pytest.mark.parametrize("n_values, k_values", GRIDS)
@@ -585,7 +581,9 @@ class TestFlatPass:
             self.assert_near(p_true, random_hmm(rng), n_values.tolist(), k_values.tolist())
 
     # fig2 at 5*10^4 points, Python 3.11: the per-k weights and (n, k) dicts
-    # peaked at 46.2 MB and 19.7 MB, the flat lists at 27.4 MB and 9.7 MB.
+    # peaked at 46.2 MB and 19.7 MB, the flat lists at 27.4 MB and 9.7 MB,
+    # and the rows in CSV order at 23.2 MB and 11.2 MB; a label string built
+    # per row rather than per curve takes the second to 17.0 MB.
     @pytest.mark.parametrize(
         "n_values, k_values, bound",
         [(range(100, 101), range(1, 50_001), 35e6), (range(1, 224), range(1, 225), 14e6)],
@@ -594,9 +592,9 @@ class TestFlatPass:
         fig = get_preset("fig2")
         tracemalloc.start()
         try:
-            curves = mse_sweep(fig.true_params, fig.hmm_reference, n_values, k_values)
+            rows = mse_sweep(fig.true_params, fig.hmm_reference, n_values, k_values)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(len(c.points) for c in curves) == 2 * len(n_values) * len(k_values)
+        assert len(rows) == 2 * len(n_values) * len(k_values)
         assert peak < bound

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,35 @@ class TestInit:
         s = filter_init(markov_form(PmmParams(0.9, -0.6, 0.5, -0.5, -0.5)), 0.5)
         assert s.mean == pytest.approx(-0.3, abs=1e-15)
         assert s.variance == pytest.approx(0.64, abs=1e-15)
+
+
+class TestObservation:
+    """``filter_init`` and ``filter_step`` take their one observation by the
+    series rule of ``run_filter``, naming ``y1`` or ``y_next``."""
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (np.nan, "must be finite, got nan at index 0"),
+            (np.inf, "must be finite, got inf at index 0"),
+            (-np.inf, "must be finite, got -inf at index 0"),
+            ("0.5", "must be a series of real numbers, got dtype <U3"),
+            (None, "must be a series of real numbers, got dtype object"),
+            ([0.1, 0.2], "must be a 1-d series, got shape (1, 2)"),
+        ],
+    )
+    def test_rejected(self, value, message):
+        with pytest.raises(ValueError, match=f"^y1 {re.escape(message)}$"):
+            filter_init(FIG2_MODEL, value)
+        state = filter_init(FIG2_MODEL, 0.3)
+        with pytest.raises(ValueError, match=f"^y_next {re.escape(message)}$"):
+            filter_step(state, FIG2_MODEL, value)
+
+    def test_real_numbers_accepted_as_floats(self):
+        want = filter_step(filter_init(FIG2_MODEL, 1.0), FIG2_MODEL, -2.0)
+        for one, minus_two in ((1, -2), (np.float64(1.0), np.int64(-2)), (True, -2.0)):
+            got = filter_step(filter_init(FIG2_MODEL, one), FIG2_MODEL, minus_two)
+            assert got == want and type(got.last_y) is float
 
 
 class TestStep:

@@ -8,7 +8,7 @@ import pytest
 
 import pmmkit.model
 from pmmkit import FittedModel, estimate_params, load_params, sample
-from pmmkit.error_analysis import MseCurve, curves_to_csv
+from pmmkit.error_analysis import curves_to_csv
 from pmmkit.io import WRITE_ROWS, atomic_write, finite_number, read_json, write_json, write_rows
 from pmmkit.model import save_params
 from pmmkit.simulate import Trajectory, trajectory_to_csv
@@ -198,10 +198,11 @@ class TestCsvWriters:
         assert _text(lambda fh: write_rows(fh, ("i", "v"), iter(rows))) == want
 
     def test_curves_equal_rowwise(self):
-        points = tuple(zip([*EDGE_INTS, 4, 5], EDGE_FLOATS))
-        curves = [MseCurve("PMM", "k", points, 5), MseCurve("HMM", "n", points)]
-        text = _text(lambda fh: curves_to_csv(curves, fh))
-        assert text == _text(lambda fh: rowwise_curves_to_csv(curves, fh))
+        points = list(zip([*EDGE_INTS, 4, 5], EDGE_FLOATS))
+        rows = [("PMM(n=5)", "k", *point) for point in points]
+        rows += [("HMM", "n", *point) for point in points]
+        text = _text(lambda fh: curves_to_csv(rows, fh))
+        assert text == _text(lambda fh: rowwise_curves_to_csv(rows, fh))
         assert "PMM(n=5),k,-7,-0.000000000000e+00\n" in text
 
     def test_nonfinite_block_equals_rowwise_trajectory(self):

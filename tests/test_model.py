@@ -14,7 +14,6 @@ from pmmkit import (
     validate,
 )
 from pmmkit import error_analysis
-from pmmkit.error_analysis import MseCurve
 from pmmkit.filtering import FilterState
 from pmmkit.forecasting import ForecastResult
 from pmmkit.model import (
@@ -320,11 +319,6 @@ VALUE_TYPES = {
         "ValidationReport(gamma_min_eigenvalue=0.5, gamma_pd=True, q_min_eigenvalue=0.25, "
         "q_psd=True, spectral_radius=0.75, spectral_ok=True, is_hmm=False)",
     ),
-    "MseCurve": (
-        lambda: MseCurve("PMM", "k", ((1, 0.5), (2, 0.75)), 5),
-        "MseCurve(model_label='PMM', sweep_variable='k', points=((1, 0.5), (2, 0.75)), "
-        "fixed_n=5)",
-    ),
     "ForecastResult": (
         lambda: ForecastResult(3, 0.25, 0.5),
         "ForecastResult(horizon=3, mean=0.25, variance=0.5)",
@@ -411,9 +405,3 @@ class TestValueTypes:
     def test_transition_model_b(self):
         assert VALUE_TYPES["TransitionModel"][0]().b == -0.25
         assert markov_form(FIG2_PARAMS).b == FIG2_PARAMS.b
-
-    def test_curve_label(self):
-        assert VALUE_TYPES["MseCurve"][0]().csv_label == "PMM(n=5)"
-        plain = MseCurve("HMM", "n", ())
-        assert plain.csv_label == "HMM" and plain.fixed_n is None
-        assert MseCurve("PMM", "n", ()).csv_label == "PMM"
