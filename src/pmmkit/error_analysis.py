@@ -54,7 +54,9 @@ from typing import TYPE_CHECKING
 
 from .forecasting import check_grid, check_int, horizon_terms
 from .io import write_rows
-from .model import InvalidModelError, PmmParams, TransitionModel, is_hmm, markov_form
+from .model import (
+    InvalidModelError, PmmParams, TransitionModel, check_transition, is_hmm, markov_form,
+)
 from .riccati import _riccati_step, orbit
 
 if TYPE_CHECKING:
@@ -88,7 +90,7 @@ def observation_covariance(m: TransitionModel, b: float, n: int) -> np.ndarray:
     """
     import numpy as np
 
-    n = check_int(n, "n", 1)
+    m, n = check_transition(m, "m"), check_int(n, "n", 1)
     A = np.array(m.A)
     lag_cov = np.empty(n)
     power = np.eye(2)
@@ -101,7 +103,8 @@ def observation_covariance(m: TransitionModel, b: float, n: int) -> np.ndarray:
 
 def _horizons(params, k_values) -> dict:
     """Markov form and horizon terms per distinct model of ``params``: one
-    ``horizon_terms`` pass each."""
+    ``horizon_terms`` pass each, which runs ``check_transition`` on the
+    model before ``_augmented_recursion`` steps it."""
     out = {}
     for p in params:
         if p not in out:

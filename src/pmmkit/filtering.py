@@ -15,12 +15,10 @@ steps, for a cycle of entry mu and period lambda, plus an O(n) fill.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from .forecasting import FLOOR, check_int, check_series
-from .model import TransitionModel
+from .forecasting import FLOOR, FilterState, check_int, check_series, check_state
+from .model import TransitionModel, check_transition
 from .riccati import _riccati_step, orbit
 
 __all__ = [
@@ -34,23 +32,16 @@ __all__ = [
 ]
 
 
-class FilterState(NamedTuple):
-    """Conditional law of the hidden state after n observations."""
-
-    n: int
-    mean: float
-    variance: float
-    last_y: float
-
-
 def filter_init(m: TransitionModel, y1: float) -> FilterState:
     """Condition X_1 on Y_1 in the bivariate standard-normal pair."""
+    m = check_transition(m, "m")
     [y1] = check_series([y1], "y1", 1).tolist()  # run_filter's rule
     return FilterState(n=1, mean=m.b * y1, variance=1.0 - m.b * m.b, last_y=y1)
 
 
 def filter_step(s: FilterState, m: TransitionModel, y_next: float) -> FilterState:
     """Absorb one more observation."""
+    s, m = check_state(s, "s"), check_transition(m, "m")
     [y_next] = check_series([y_next], "y_next", 1).tolist()
     (a1, a2), (a3, a4) = m.A
     gain, variance = _riccati_step(m, s.variance)
@@ -65,7 +56,7 @@ def run_filter(m: TransitionModel, ys) -> FilterState:
     is the last term of the model's variance recursion.  Both match
     filter_init followed by filter_step over ys[1:].
     """
-    ys = check_series(ys, "ys", 1)
+    m, ys = check_transition(m, "m"), check_series(ys, "ys", 1)
     variances, gains = _variance_and_gains(m, ys.size)
     return FilterState(
         n=ys.size,
@@ -94,7 +85,7 @@ def _variance_and_gains(m: TransitionModel, n: int) -> tuple[np.ndarray, np.ndar
 
 def filter_variance_sequence(m: TransitionModel, n: int) -> np.ndarray:
     """V[X_t | Y_1:t] for t = 1..n; observation-independent."""
-    return _variance_and_gains(m, n)[0]
+    return _variance_and_gains(check_transition(m, "m"), n)[0]
 
 
 def _weights(m: TransitionModel, gains: np.ndarray) -> np.ndarray:
@@ -131,6 +122,7 @@ def filter_coefficients(m: TransitionModel, n: int) -> np.ndarray:
 
     The gains come from the model's own variance recursion.
     """
+    m = check_transition(m, "m")
     weights = _weights(m, _variance_and_gains(m, n)[1])
     weights.setflags(write=False)
     return weights

@@ -11,6 +11,10 @@ to the largest k.  It is the package's one k-step map: ``forecast`` and
 ``forecast_path`` apply it to a filter state, ``forecaster_mse`` reads both
 the true model's and the forecaster's horizons from it, and the
 sliding-window evaluation and the Monte Carlo read the forecaster's (xx, xy).
+
+The module also holds the rules for the values that every layer takes: a
+count (``check_int``), a series (``check_series``), an (n, k) grid
+(``check_grid``) and a filter state (``check_state``).
 """
 
 from __future__ import annotations
@@ -19,13 +23,15 @@ import numbers
 import operator
 from typing import TYPE_CHECKING, NamedTuple
 
-if TYPE_CHECKING:  # filtering loads numpy; this module does not
-    from .filtering import FilterState
+from .io import finite_number
+
+if TYPE_CHECKING:
     from .model import TransitionModel  # model imports check_int from here
 
 __all__ = ["FLOOR", "MAX_GRID_POINTS", "MAX_INDEX", "MAX_REPLICATES",
-           "MAX_REPLICATE_STEPS", "MAX_SIMULATE_STEPS", "ForecastResult", "check_grid",
-           "check_int", "check_series", "forecast", "forecast_path", "horizon_terms"]
+           "MAX_REPLICATE_STEPS", "MAX_SIMULATE_STEPS", "FilterState", "ForecastResult",
+           "check_grid", "check_int", "check_series", "check_state", "forecast",
+           "forecast_path", "horizon_terms"]
 
 # The largest n or k, and the most (n, k) points, of a grid: each can cost
 # time linear in it (the k-step map; the Riccati passes until they cycle).
@@ -52,6 +58,15 @@ MAX_INDEX = 2**53
 FLOOR = 2.0**-1064
 
 
+class FilterState(NamedTuple):
+    """Conditional law of the hidden state after n observations."""
+
+    n: int
+    mean: float
+    variance: float
+    last_y: float
+
+
 class ForecastResult(NamedTuple):
     """Predictive law of X at horizon k past the last observation."""
 
@@ -72,6 +87,29 @@ def check_int(value, name: str, low: int, high: int | None = None) -> int:
     if high is not None and value > high:
         raise ValueError(f"{name} must be <= {high}, got {value}")
     return value
+
+
+def _number(value, name: str) -> float:
+    """``value`` as a float by ``io.finite_number``; ValueError naming
+    ``name`` unless it is a finite real number."""
+    number = finite_number(value)
+    if number is None:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return number
+
+
+def check_state(s: FilterState, name: str) -> FilterState:
+    """``s`` as a FilterState of floats, the one rule for a filter state:
+    ``n`` by ``check_int`` (at least 1), a finite mean and last_y, and a
+    finite variance of at least 0; anything else raises ValueError naming
+    ``name``."""
+    variance = _number(s.variance, f"{name}.variance")
+    if variance < 0.0:
+        raise ValueError(f"{name}.variance must be >= 0, got {variance}")
+    return FilterState(
+        check_int(s.n, f"{name}.n", 1), _number(s.mean, f"{name}.mean"), variance,
+        _number(s.last_y, f"{name}.last_y"),
+    )
 
 
 def check_series(values, name: str, low: int, high: int | None = None) -> "np.ndarray":
@@ -126,7 +164,10 @@ def horizon_terms(
 
     Both depend on the first row r of A^j alone: r <- r A, and the noise
     gains r Q r^T, over Python floats.  An entry of r below FLOOR in
-    magnitude is set to 0.0."""
+    magnitude is set to 0.0.  ``m`` goes through ``model.check_transition``."""
+    from .model import check_transition  # here: model imports this module
+
+    m = check_transition(m, "m")
     wanted = set(k_values)
     if not wanted or min(wanted) < 0:
         raise ValueError(f"horizons must be a nonempty set of k >= 0, got {sorted(wanted)}")
@@ -145,7 +186,9 @@ def horizon_terms(
 
 
 def _predict(s: FilterState, m: TransitionModel, horizons) -> list[ForecastResult]:
-    """The predictive law at each horizon, from one pass."""
+    """The predictive law at each horizon, from one pass; ``s`` goes through
+    ``check_state`` and ``m`` through ``horizon_terms``'s rule."""
+    s = check_state(s, "s")
     return [
         ForecastResult(
             k, float(xx * s.mean + xy * s.last_y), float(xx * xx * s.variance + noise)

@@ -223,6 +223,8 @@ def write_json(fh: TextIO, doc) -> None:
 
 def finite_number(value) -> float | None:
     """``value`` as a float if it is a finite real number, else None."""
+    if type(value) is float:  # the common case, without the slow ABC check
+        return value if math.isfinite(value) else None
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return None
     try:

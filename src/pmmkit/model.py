@@ -23,15 +23,22 @@ The admissibility gate finds the smallest eigenvalue of Q and the spectral
 radius of A in closed form, and that of the 4x4 stationary covariance by
 cyclic Jacobi rotations.  Every model file, fitted or bare parameters, is
 read by ``FittedModel.load``; ``load_params`` keeps its parameters.
+
+Each value type that a function takes has one rule, run by every function
+that takes it and by the file reader: ``check_transition``,
+``check_standardization``, ``check_detrend`` and ``check_periods`` here,
+and ``forecasting.check_state`` for a filter state.  A named tuple built
+in code, or by ``_make`` and ``_replace``, is checked where it is used.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from pathlib import Path
 from typing import NamedTuple
 
-from .forecasting import check_int, check_series
+from .forecasting import _number, check_int, check_series
 from .io import atomic_write, finite_number, read_json, write_json
 
 __all__ = [
@@ -47,7 +54,10 @@ __all__ = [
     "gamma_from_params",
     "hmm_params",
     "is_hmm",
+    "check_detrend",
     "check_periods",
+    "check_standardization",
+    "check_transition",
     "markov_form",
     "validate",
     "load_params",
@@ -61,6 +71,13 @@ PD_TOL = 1e-10
 SPECTRAL_TOL = 1e-9
 # How far c, d and e may sit from a*b^2, a*b and a*b in a hidden-Markov model.
 HMM_TOL = 1e-9
+# A Markov form's noise covariance Q must have its smallest eigenvalue above
+# this: the filter's innovation variance a3^2 P + q22 is at least q22, so at
+# least this, and the gain that divides by it stays well-posed.
+NOISE_TOL = 1e-14
+# How far A marginal A^T + Q may sit from marginal, entrywise, times 1 - b^2:
+# A = C marginal^-1 is formed with 1 / (1 - b^2), and its rounding grows so.
+STATIONARY_TOL = 1e-12
 
 
 class PmmError(Exception):
@@ -314,6 +331,61 @@ def validate(p: PmmParams) -> ValidationReport:
     )
 
 
+def _matrix2(value, name: str, field: str) -> Matrix2:
+    """``value`` as two rows of two floats by ``io.finite_number``;
+    InvalidModelError naming ``name.field`` unless each entry is a finite
+    number."""
+    try:
+        (m11, m12), (m21, m22) = value
+    except (TypeError, ValueError):
+        m11 = m12 = m21 = m22 = None
+    rows = (finite_number(m11), finite_number(m12)), (finite_number(m21), finite_number(m22))
+    if None in rows[0] or None in rows[1]:
+        raise InvalidModelError(
+            f"{name}.{field} must be a 2x2 matrix of finite numbers, got {value!r}"
+        )
+    return rows
+
+
+def check_transition(m: TransitionModel, name: str) -> TransitionModel:
+    """``m`` as a TransitionModel of floats, the one rule for a Markov form:
+    every entry finite, ``marginal`` ((1, b), (b, 1)) with |b| < 1, Q
+    symmetric with smallest eigenvalue above NOISE_TOL, A of spectral radius
+    below 1 - SPECTRAL_TOL, and A marginal A^T + Q = marginal within
+    STATIONARY_TOL.  Anything else raises InvalidModelError naming ``name``.
+
+    Each test is closed-form 2x2 algebra.  The gate's models pass with a
+    wide margin: Q is the Schur complement of the marginal in the 4x4
+    covariance gamma, so min eig Q >= min eig gamma > PD_TOL = 10^4 NOISE_TOL.
+    """
+    A, Q = _matrix2(m.A, name, "A"), _matrix2(m.Q, name, "Q")
+    M = _matrix2(m.marginal, name, "marginal")
+    (m11, b), (m21, m22) = M
+    if not (m11 == m22 == 1.0 and m21 == b and abs(b) < 1.0):
+        raise InvalidModelError(f"{name}.marginal must be ((1, b), (b, 1)) with |b| < 1, got {M}")
+    (q11, q12), (q21, q22) = Q
+    # Written so that nan fails too.
+    if not (q21 == q12 and _min_eigenvalue_2x2(Q) > NOISE_TOL):
+        raise InvalidModelError(
+            f"{name}.Q must be symmetric with smallest eigenvalue > {NOISE_TOL:g}, got {Q}"
+        )
+    if not (radius := _spectral_radius(A)) < 1.0 - SPECTRAL_TOL:
+        raise InvalidModelError(
+            f"{name}.A must have spectral radius < 1 - {SPECTRAL_TOL:g}, got {radius:g}"
+        )
+    (a1, a2), (a3, a4) = A
+    # The rows of A marginal; A marginal A^T is symmetric, as Q is.
+    x1, x2 = a1 + a2 * b, a1 * b + a2
+    y1, y2 = a3 + a4 * b, a3 * b + a4
+    residual = max(abs(x1 * a1 + x2 * a2 + q11 - 1.0), abs(x1 * a3 + x2 * a4 + q12 - b),
+                   abs(y1 * a3 + y2 * a4 + q22 - 1.0))
+    if not residual * (1.0 - b * b) <= STATIONARY_TOL:
+        raise InvalidModelError(
+            f"{name} is not stationary: A marginal A^T + Q is {residual:g} off marginal"
+        )
+    return TransitionModel(A, Q, M)
+
+
 class DetrendModel(NamedTuple):
     """Fitted harmonic seasonal component of the observed series."""
 
@@ -325,13 +397,42 @@ class DetrendModel(NamedTuple):
 
 
 def check_periods(periods, name: str) -> tuple[float, float]:
-    """The two harmonic periods as floats; ValueError naming ``name`` unless
-    both are finite and exceed 1 sample."""
-    p1, p2 = float(periods[0]), float(periods[1])
-    # Written so that nan fails too.
-    if not (1.0 < p1 < math.inf and 1.0 < p2 < math.inf):
+    """The two harmonic periods as floats, the rule for a pair of periods:
+    ValueError naming ``name`` unless ``periods`` holds exactly two real
+    numbers (not a str, and no bool), each finite and above 1 sample."""
+    try:
+        reals = [p for p in periods if isinstance(p, numbers.Real) and not isinstance(p, bool)]
+        pair = len(reals) == len(periods) == 2
+    except TypeError:  # not a sized iterable
+        pair = False
+    if not pair:
+        raise ValueError(f"{name} must be two real numbers, got {periods!r}")
+    p1, p2 = map(finite_number, reals)
+    if None in (p1, p2) or min(p1, p2) <= 1.0:
         raise ValueError(f"{name} must be finite and exceed 1 sample, got {periods}")
     return p1, p2
+
+
+def _numbers(value, name: str, count: int) -> list[float]:
+    """``value`` as ``count`` floats by ``io.finite_number``; ValueError
+    naming ``name`` unless it holds exactly that many finite numbers."""
+    try:
+        values = [finite_number(v) for v in value]
+    except TypeError:  # not iterable
+        values = []
+    if len(values) != count or None in values:
+        raise ValueError(f"{name} must be {count} finite numbers, got {value!r}")
+    return values
+
+
+def check_detrend(d: DetrendModel, name: str) -> DetrendModel:
+    """``d`` as a DetrendModel of floats, the one rule for a seasonal fit:
+    two finite ``periods`` that pass ``check_periods``, five finite
+    ``theta`` and a finite ``sigma``; anything else raises ValueError
+    naming ``name``."""
+    periods = check_periods(_numbers(d.periods, f"{name}.periods", 2), f"{name}.periods")
+    theta = tuple(_numbers(d.theta, f"{name}.theta", 5))
+    return DetrendModel(theta, periods, _number(d.sigma, f"{name}.sigma"))
 
 
 class StandardizationParams(NamedTuple):
@@ -345,6 +446,16 @@ class StandardizationParams(NamedTuple):
 
     def invert(self, values):
         return values * self.std + self.mean
+
+
+def check_standardization(s: StandardizationParams, name: str) -> StandardizationParams:
+    """``s`` as StandardizationParams of floats, the one rule for the
+    moments: a finite std above 0 and a finite mean; anything else raises
+    ValueError naming ``name``."""
+    std = _number(s.std, f"{name}.std")
+    if std <= 0.0:
+        raise ValueError(f"{name}.std must be > 0, got {std}")
+    return StandardizationParams(_number(s.mean, f"{name}.mean"), std)
 
 
 # No centering and no scaling: the moments of a bare parameter file.
@@ -398,11 +509,9 @@ class FittedModel(NamedTuple):
         if d is not None:
             if not isinstance(d, dict):
                 raise ValueError(f"fitted model: detrend must be an object or null, got {d!r}")
-            periods = _numbers(d.get("periods"), "detrend.periods", 2)
-            det = DetrendModel(
-                theta=tuple(_numbers(d.get("theta"), "detrend.theta", 5)),
-                periods=check_periods(periods, "fitted model: detrend.periods"),
-                sigma=_number(d.get("sigma"), "detrend.sigma"),
+            det = check_detrend(
+                DetrendModel(d.get("theta"), d.get("periods"), d.get("sigma")),
+                "fitted model: detrend",
             )
         window = doc.get("fit_window")
         if window is not None:
@@ -413,14 +522,18 @@ class FittedModel(NamedTuple):
         repaired = doc.get("repaired", False)
         if not isinstance(repaired, bool):
             raise ValueError(f"fitted model: repaired must be true or false, got {repaired!r}")
-        return cls(
-            params=PmmParams.from_dict(doc.get("params")),
-            x_standardize=_moments(doc, "x_standardize"),
-            y_standardize=_moments(doc, "y_standardize"),
-            detrend=det,
-            fit_window=window,
-            repaired=repaired,
-        )
+        params = PmmParams.from_dict(doc.get("params"))
+        moments = []
+        # Read by name; other keys are ignored.
+        for key in ("x_standardize", "y_standardize"):
+            section = doc.get(key)
+            if not isinstance(section, dict):
+                raise ValueError(f"fitted model: {key} must be an object with mean and std")
+            moments.append(check_standardization(
+                StandardizationParams(section.get("mean"), section.get("std")),
+                f"fitted model: {key}",
+            ))
+        return cls(params, *moments, det, window, repaired)
 
     def save(self, path: str | Path) -> None:
         atomic_write(path, lambda fh: write_json(fh, self.to_json_dict()))
@@ -428,33 +541,6 @@ class FittedModel(NamedTuple):
     @classmethod
     def load(cls, path: str | Path) -> "FittedModel":
         return cls.from_json_dict(read_json(path))
-
-
-def _number(value, name: str) -> float:
-    number = finite_number(value)
-    if number is None:
-        raise ValueError(f"fitted model: {name} must be a finite number, got {value!r}")
-    return number
-
-
-def _numbers(value, name: str, count: int) -> list[float]:
-    numbers = [finite_number(v) for v in value] if isinstance(value, list) else []
-    if len(numbers) != count or None in numbers:
-        raise ValueError(
-            f"fitted model: {name} must be {count} finite numbers, got {value!r}"
-        )
-    return numbers
-
-
-def _moments(doc: dict, key: str) -> StandardizationParams:
-    """Standardization moments read by name; other keys are ignored."""
-    section = doc.get(key)
-    if not isinstance(section, dict):
-        raise ValueError(f"fitted model: {key} must be an object with mean and std")
-    std = _number(section.get("std"), f"{key}.std")
-    if std <= 0.0:
-        raise ValueError(f"fitted model: {key}.std must be > 0, got {std}")
-    return StandardizationParams(_number(section.get("mean"), f"{key}.mean"), std)
 
 
 def save_params(p: PmmParams, path: str | Path) -> None:

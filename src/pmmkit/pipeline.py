@@ -29,8 +29,8 @@ from .filtering import filter_coefficients
 from .forecasting import MAX_INDEX, check_grid, check_int, check_series, horizon_terms
 from .io import read_columns
 from .model import (
-    DetrendModel, FittedModel, StandardizationParams, check_periods, empirical_covariances,
-    hmm_params, markov_form, validate,
+    DetrendModel, FittedModel, StandardizationParams, check_detrend, check_periods,
+    check_standardization, empirical_covariances, hmm_params, markov_form, validate,
 )
 
 __all__ = [
@@ -106,6 +106,7 @@ def _fit_and_detrend(y, periods) -> tuple[DetrendModel, np.ndarray]:
 
 def seasonal_values(d: DetrendModel, start_index: int, count: int) -> np.ndarray:
     """f(i) for i = start_index+1 .. start_index+count (1-based indices)."""
+    d = check_detrend(d, "d")
     return _design_matrix(start_index, count, d.periods) @ d.theta
 
 
@@ -205,8 +206,13 @@ def evaluate_grid(
     expected already detrended when the model carries a seasonal fit.
     Before any filter work, the grid goes through ``check_grid`` and its
     steps, counted from the row count, through MAX_EVALUATE_WORK; errors
-    name the grids by ``names``.
+    name the grids by ``names``.  The model's two moments go through
+    ``check_standardization``.
     """
+    model = model._replace(
+        x_standardize=check_standardization(model.x_standardize, "model.x_standardize"),
+        y_standardize=check_standardization(model.y_standardize, "model.y_standardize"),
+    )
     n_values, k_values = check_grid(n_values, k_values, names)
     # The longest window, n + k rows, stands for the grid.
     n, k = max(n_values), max(k_values)

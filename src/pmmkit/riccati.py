@@ -15,28 +15,20 @@ in ``filtering``, and the exact MSE's augmented covariance in
 
 from __future__ import annotations
 
-from .model import InvalidModelError, TransitionModel
+from .model import TransitionModel
 
 __all__: list[str] = []
-
-# Below this, Y_{n+1} is numerically deterministic given (X_n, Y_n) and the
-# update gain is ill-posed.  Only a hand-built TransitionModel gets here:
-# for one from markov_form the denominator is at least q22 >= min eig Q,
-# and Q, the Schur complement of the marginal in the 4x4 covariance gamma,
-# has min eig Q >= min eig gamma > PD_TOL (the gate's gamma_pd).
-DEGENERATE_DENOMINATOR = 1e-14
 
 
 def _riccati_step(m: TransitionModel, p: float) -> tuple[float, float]:
     """The gain that absorbs the next observation, and the filter variance
-    after it, from the current filter variance ``p``."""
+    after it, from the current filter variance ``p`` >= 0.
+
+    Every caller's model has passed ``model.check_transition``, so the
+    innovation variance a3^2 p + q22 is at least min eig Q > NOISE_TOL."""
     (a1, _), (a3, _) = m.A
     (q11, q12), (_, q22) = m.Q
     denom = a3 * a3 * p + q22
-    if denom <= DEGENERATE_DENOMINATOR:
-        raise InvalidModelError(
-            f"degenerate observation channel (innovation variance {denom:g})"
-        )
     gain = (a1 * a3 * p + q12) / denom
     # The clamp guards roundoff at near-degenerate models.
     return gain, max(a1 * a1 * p + q11 - gain * gain * denom, 0.0)

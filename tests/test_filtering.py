@@ -116,11 +116,12 @@ class TestStep:
         p = PmmParams(0.0, 0.0, 1.0 - 1e-15, 0.0, 0.0)
         with pytest.raises(InvalidModelError, match="gamma_pd=False"):
             markov_form(p)
-        # The filter's own guard, on a model that bypasses the gate.
+        # The Markov form's own rule, on a model that bypasses the gate: its
+        # noise floor refuses the model at the filter's first step.
         A, Q = _transition(p)
         m = TransitionModel(A=A, Q=Q, marginal=np.eye(2))
-        s = filter_init(m, 0.1)
-        with pytest.raises(InvalidModelError):
+        with pytest.raises(InvalidModelError, match=r"^m\.Q "):
+            s = filter_init(m, 0.1)
             filter_step(s, m, 0.2)
         for n in (2, 5000):
             with pytest.raises(InvalidModelError):

@@ -178,8 +178,8 @@ class TestValidate:
 
     def test_noise_floor_at_least_the_gamma_floor(self):
         # Q is the Schur complement of the marginal in gamma, so its least
-        # eigenvalue is at least gamma's: the bound on the innovation variance
-        # that riccati.DEGENERATE_DENOMINATOR's comment cites.  Both are
+        # eigenvalue is at least gamma's: why every model the gate admits
+        # clears check_transition's noise floor, NOISE_TOL.  Both are
         # computed in floats, so Q's may fall short by 4 ulps of 1.0.
         rng = np.random.default_rng(39)
         models = [
