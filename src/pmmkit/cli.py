@@ -48,7 +48,7 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_ENV):
 from . import __version__
 from .forecasting import (
     MAX_GRID_POINTS, MAX_INDEX, MAX_REPLICATES, MAX_SIMULATE_STEPS,
-    check_grid, check_int, forecast, forecast_path,
+    check_int, forecast, forecast_path,
 )
 from .io import _is_number, atomic_write, read_columns, write_json, write_rows
 from .model import (
@@ -154,19 +154,17 @@ def cmd_theoretical_mse(args) -> dict:
         n_values, k_values = (1,), (0,)
     default = f"the {args.preset} preset's" if args.preset else "the default"
     # An empty --n-grid= is a malformed grid, not the default one.
-    n_values, k_values = check_grid(
-        n_values if args.n_grid is None else _parse_grid("--n-grid", args.n_grid, 1),
-        k_values if args.k_grid is None else _parse_grid("--k-grid", args.k_grid, 0),
-        (f"{default} n grid" if args.n_grid is None else "--n-grid",
-         f"{default} k grid" if args.k_grid is None else "--k-grid"),
-    )
-    rows = mse_sweep(p_true, p_hmm, n_values, k_values)
+    n_values = n_values if args.n_grid is None else _parse_grid("--n-grid", args.n_grid, 1)
+    k_values = k_values if args.k_grid is None else _parse_grid("--k-grid", args.k_grid, 0)
+    rows = mse_sweep(p_true, p_hmm, n_values, k_values, (
+        f"{default} n grid" if args.n_grid is None else "--n-grid",
+        f"{default} k grid" if args.k_grid is None else "--k-grid"))
     _atomic_write(Path(args.output), lambda fh: curves_to_csv(rows, fh))
-    curves = len({row[0] for row in rows})
+    over_k = len(k_values) > 1
     return {
         "output": str(args.output),
-        "curves": curves,
-        "points_per_curve": len(rows) // curves,
+        "curves": 2 * len(n_values) if over_k else 2,
+        "points_per_curve": len(k_values) if over_k else len(n_values),
         "true_params": p_true._asdict(),
         "hmm_params": p_hmm._asdict(),
     }

@@ -30,27 +30,30 @@ filter variance, which fixes the next gain, and e_t's covariances with
 X_t, Y_t and itself.  The MSE is then (v1^2 + 2b v1 v2 + v2^2 + noise) +
 v3 (2 (v1 s13 + v2 s23) + v3 s33), from the two models' horizon terms.
 The first rows of A^k and A'^k and the noise come from
-``forecasting.horizon_terms``, one pass up to the largest k per distinct
-model; one pass over n then yields every grid point (the error analysis
-of suboptimal filters in Anderson & Moore, Optimal Filtering, 1979).  In
-floating point the state settles into an exact cycle, of entry mu and
-period lambda (a fixed point is lambda = 1), which ``riccati.orbit``
-finds in O(1) memory.  The lambda states of the cycle then serve every
-later n, bit for bit the values of stepping all the way to n, so the
-pass costs O(min(max n, mu + lambda) + grid) time.  Carrying the error
-e_t rather than the mean m_t avoids cancelling two O(1) covariances to
-get a small MSE.  When p_fc is the truth, da = 0, e_t decouples, s33 is
-the filter variance P_n and the MSE is the optimal one,
+``forecasting.horizon_terms`` as float columns, one pass up to the largest
+k per distinct model; one pass over n then fills one float column in grid
+order (the error analysis of suboptimal filters in Anderson & Moore,
+Optimal Filtering, 1979).  In floating point the state settles into an
+exact cycle, of entry mu and period lambda (a fixed point is lambda = 1),
+which ``riccati.orbit`` finds in O(1) memory.  The lambda states of the
+cycle then serve every later n, bit for bit the values of stepping all the
+way to n, so the pass costs O(min(max n, mu + lambda) + grid) time.
+Carrying the error e_t rather than the mean m_t avoids cancelling two O(1)
+covariances to get a small MSE.  When p_fc is the truth, da = 0, e_t
+decouples, s33 is the filter variance P_n and the MSE is the optimal one,
 V[X_{n+k} | Y_1:n]; so ``theoretical_mse_pmm`` is a one-point call with
 p_fc = p_true, and ``theoretical_mse_hmm_under_pmm`` and ``mse_sweep``
-call the same pass with a hidden-Markov forecaster.  Everything here is
-exact up to floating point; no simulation is involved.
+call the same pass with a hidden-Markov forecaster; ``mse_sweep`` streams
+its rows from the two columns.  Everything here is exact up to floating
+point; no simulation is involved.
 """
 
 from __future__ import annotations
 
-from itertools import islice, repeat
-from typing import TYPE_CHECKING
+from array import array
+from itertools import chain, islice, product, repeat
+from operator import sub
+from typing import TYPE_CHECKING, Iterator
 
 from .forecasting import check_grid, check_int, horizon_terms
 from .io import write_rows
@@ -152,15 +155,21 @@ def _augmented_recursion(m: TransitionModel, m_fc: TransitionModel):
     return start, step
 
 
-def _mse_grid(model, forecaster, n_values, k_values) -> list[float]:
-    """MSE(n, k) = v^T S_n v + noise over the grid, as one flat list: n in
-    increasing order and, for each n, k in ``k_values`` order.  ``model``
-    and ``forecaster`` are (Markov form, horizon terms) pairs."""
-    (m, terms), (m_fc, fc_terms) = model, forecaster
-    out = []
+def _mse_grid(model, forecaster, n_values) -> array:
+    """MSE(n, k) = v^T S_n v + noise over the grid, as one flat column in
+    grid order: entry i * |k| + j is the i-th n and the j-th k as given, and
+    n is visited in increasing order.  ``model`` and ``forecaster`` are
+    (Markov form, horizon columns) pairs."""
+    (m, (xx, xy, noise)), (m_fc, (v3, fc_xy, _)) = model, forecaster
+    # v = (xx - xx', xy - xy', xx'), and its (X, Y) part plus the noise, per k.
+    v1 = array("d", map(sub, xx, v3))
+    v2 = array("d", map(sub, xy, fc_xy))
+    fixed = array("d", (x * x + 2.0 * m.b * x * y + y * y + z for x, y, z in zip(v1, v2, noise)))
+    out = array("d", bytes(8 * len(n_values) * len(v3)))
     states = orbit(*_augmented_recursion(m, m_fc))
     t, cycle = 0, []
-    for n in sorted(n_values):
+    for i in sorted(range(len(n_values)), key=n_values.__getitem__):
+        n, j = n_values[i], i * len(v3)
         for state, period in islice(states, n - t):
             t += 1
             if period:
@@ -168,12 +177,9 @@ def _mse_grid(model, forecaster, n_values, k_values) -> list[float]:
         if t < n:  # the orbit ended on its cycle, which serves n
             state = cycle[(n - t - 1) % len(cycle)]
         _, s13, s23, s33 = state
-        for k in k_values:
-            # v = (xx - xx', xy - xy', xx'); its (X, Y) part and the noise first.
-            (xx, xy, noise), (v3, fc_xy, _) = terms[k], fc_terms[k]
-            v1, v2 = xx - v3, xy - fc_xy
-            fixed = v1 * v1 + 2.0 * m.b * v1 * v2 + v2 * v2 + noise
-            out.append(fixed + v3 * (2.0 * (v1 * s13 + v2 * s23) + v3 * s33))
+        for x, y, z, w in zip(v1, v2, v3, fixed):
+            out[j] = w + z * (2.0 * (x * s13 + y * s23) + z * s33)
+            j += 1
     return out
 
 
@@ -181,16 +187,16 @@ def forecaster_mse(
     p_true: PmmParams, p_fc: PmmParams, n_values, k_values
 ) -> dict[tuple[int, int], float]:
     """Exact MSE of the forecaster built from ``p_fc`` on data from
-    ``p_true``, for every (n, k) of the grid, in one pass over n that
-    stops once the augmented-state covariance cycles.
+    ``p_true``, for every (n, k) of the grid in its order, in one pass over
+    n that stops once the augmented-state covariance cycles.
 
     The forecaster may be any admissible model: the true one, its
     hidden-Markov restriction or anything else.
     """
     n_values, k_values = check_grid(n_values, k_values)
     horizons = _horizons((p_true, p_fc), k_values)
-    mse = _mse_grid(horizons[p_true], horizons[p_fc], n_values, k_values)
-    return dict(zip(((n, k) for n in sorted(n_values) for k in k_values), mse))
+    mse = _mse_grid(horizons[p_true], horizons[p_fc], n_values)
+    return dict(zip(product(n_values, k_values), mse))
 
 
 def theoretical_mse_pmm(p: PmmParams, n: int, k: int) -> float:
@@ -215,39 +221,32 @@ def theoretical_mse_hmm_under_pmm(
 
 
 def mse_sweep(
-    p_true: PmmParams, p_hmm: PmmParams, n_values, k_values
-) -> list[tuple[str, str, int, float]]:
-    """Theoretical MSE of both forecasters over a grid, as the
-    ``(model, sweep, index, mse)`` rows that ``theoretical-mse`` writes.
+    p_true: PmmParams, p_hmm: PmmParams, n_values, k_values, names=("n_values", "k_values")
+) -> Iterator[tuple[str, str, int, float]]:
+    """Theoretical MSE of both forecasters over a grid, as an iterator of
+    the ``(model, sweep, index, mse)`` rows that ``theoretical-mse`` writes.
 
     Sweeps over k when the k grid has more than one value: for each n, the
     PMM then the HMM curve over k, labelled ``PMM(n=...)`` and
     ``HMM(n=...)`` when there are several n.  Otherwise sweeps over n: the
     ``PMM`` then the ``HMM`` curve.  Each curve runs in its grid's order.
+    The grid, named by ``names``, and the forecaster are checked, and the MSE
+    computed, before this returns; a row is made when it is read.
     """
-    n_values, k_values = check_grid(n_values, k_values)
+    n_values, k_values = check_grid(n_values, k_values, names)
     _require_hmm(p_hmm)
     # The truth's horizon pass serves both forecasters.
     horizons = _horizons((p_true, p_hmm), k_values)
-    mse = {
-        label: _mse_grid(horizons[p_true], horizons[p], n_values, k_values)
-        for label, p in (("PMM", p_true), ("HMM", p_hmm))
-    }
-    del horizons  # free the horizon terms before the rows are built
-    # Each n's run of len(k_values) points starts at its offset.
-    width = len(k_values)
-    start = {n: i * width for i, n in enumerate(sorted(n_values))}
-    if width == 1:
-        return [(label, "n", n, mse[label][start[n]])
-                for label in ("PMM", "HMM") for n in n_values]
-    rows = []
-    for n in n_values:
-        for label in ("PMM", "HMM"):
-            # One label string per curve, shared by its rows.
-            model = f"{label}(n={n})" if len(n_values) > 1 else label
-            values = mse[label][start[n] : start[n] + width]
-            rows += zip(repeat(model), repeat("k"), k_values, values)
-    return rows
+    mse = [(label, _mse_grid(horizons[p_true], horizons[p], n_values))
+           for label, p in (("PMM", p_true), ("HMM", p_hmm))]
+    if (width := len(k_values)) == 1:
+        curves = [(label, "n", n_values, values) for label, values in mse]
+    else:
+        curves = ((f"{label}(n={n})" if len(n_values) > 1 else label, "k", k_values,
+                   values[i * width : i * width + width])
+                  for i, n in enumerate(n_values) for label, values in mse)
+    return chain.from_iterable(zip(repeat(model), repeat(sweep), index, values)
+                               for model, sweep, index, values in curves)
 
 
 def curves_to_csv(rows, fh) -> None:

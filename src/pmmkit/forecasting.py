@@ -7,10 +7,10 @@ predictive variance is xx^2 P_n plus the variance
 [sum_{j<k} A^j Q A^j^T]_00 of the noise that enters after step n.
 
 ``horizon_terms`` builds (xx, xy, noise) for every wanted k in one pass up
-to the largest k.  It is the package's one k-step map: ``forecast`` and
-``forecast_path`` apply it to a filter state, ``forecaster_mse`` reads both
-the true model's and the forecaster's horizons from it, and the
-sliding-window evaluation and the Monte Carlo read the forecaster's (xx, xy).
+to the largest k, as float columns indexed by each k's position.  It is the
+package's one k-step map: ``forecast`` and ``forecast_path`` apply it to a
+filter state, ``forecaster_mse`` reads both models' horizons from it, and
+the sliding-window evaluation and the Monte Carlo read the forecaster's.
 
 The module also holds the rules for the values that every layer takes: a
 count (``check_int``), a series (``check_series``), an (n, k) grid
@@ -19,8 +19,9 @@ count (``check_int``), a series (``check_series``), an (n, k) grid
 
 from __future__ import annotations
 
-import numbers
 import operator
+from array import array
+from numbers import Integral
 from typing import TYPE_CHECKING, NamedTuple
 
 from .io import finite_number
@@ -79,7 +80,7 @@ def check_int(value, name: str, low: int, high: int | None = None) -> int:
     """``value`` as an int by ``operator.index``, the one rule for a count:
     an int (tested first; the ABC check is slow) or a numpy integer.  A bool,
     float or other value, or one outside low..high, raises ValueError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
         raise ValueError(f"{name} must be an integer, got {value}")
     value = operator.index(value)
     if value < low:
@@ -155,34 +156,36 @@ def check_grid(n_values, k_values, names=("n_values", "k_values")) -> tuple[list
     return n_values, k_values
 
 
-def horizon_terms(
-    m: TransitionModel, k_values
-) -> dict[int, tuple[float, float, float]]:
-    """For each horizon k: the first row (xx, xy) of A^k and the variance
-    [sum_{j<k} A^j Q A^j^T]_00 of the noise that enters after step n, in
-    one pass over k = 0..max(k_values); k = 0 gives (1, 0, 0).
+def horizon_terms(m: TransitionModel, k_values) -> tuple[array, array, array]:
+    """Three float columns aligned with ``k_values``, in the order given:
+    the first row (xx, xy) of A^k and the variance [sum_{j<k} A^j Q A^j^T]_00
+    of the noise that enters after step n, filled by one pass over k =
+    0..max(k_values); k = 0 gives (1, 0, 0).
 
     Both depend on the first row r of A^j alone: r <- r A, and the noise
     gains r Q r^T, over Python floats.  An entry of r below FLOOR in
-    magnitude is set to 0.0.  ``m`` goes through ``model.check_transition``."""
+    magnitude is set to 0.0.  ``m`` goes through ``model.check_transition``,
+    and each k through ``check_int`` in 0..MAX_GRID_POINTS."""
     from .model import check_transition  # here: model imports this module
 
     m = check_transition(m, "m")
-    wanted = set(k_values)
-    if not wanted or min(wanted) < 0:
-        raise ValueError(f"horizons must be a nonempty set of k >= 0, got {sorted(wanted)}")
+    k_values = [check_int(k, "k_values", 0, MAX_GRID_POINTS) for k in k_values]
+    if not k_values:
+        raise ValueError("k_values is an empty grid")
     (a1, a2), (a3, a4) = m.A
     (q11, q12), (_, q22) = m.Q
+    xs, ys, zs = (array("d", bytes(8 * len(k_values))) for _ in range(3))
     xx, xy, noise = 1.0, 0.0, 0.0
-    out = {}
-    for k in range(max(wanted) + 1):
-        if k in wanted:
-            out[k] = (xx, xy, noise)
-        noise += q11 * xx * xx + 2.0 * q12 * xx * xy + q22 * xy * xy
-        xx, xy = xx * a1 + xy * a3, xx * a2 + xy * a4
-        xx = xx if abs(xx) >= FLOOR else 0.0
-        xy = xy if abs(xy) >= FLOOR else 0.0
-    return out
+    k_at = 0
+    for i in sorted(range(len(k_values)), key=k_values.__getitem__):  # positions by k
+        for _ in range(k_values[i] - k_at):
+            noise += q11 * xx * xx + 2.0 * q12 * xx * xy + q22 * xy * xy
+            xx, xy = xx * a1 + xy * a3, xx * a2 + xy * a4
+            xx = xx if abs(xx) >= FLOOR else 0.0
+            xy = xy if abs(xy) >= FLOOR else 0.0
+        k_at = k_values[i]
+        xs[i], ys[i], zs[i] = xx, xy, noise
+    return xs, ys, zs
 
 
 def _predict(s: FilterState, m: TransitionModel, horizons) -> list[ForecastResult]:
@@ -193,7 +196,7 @@ def _predict(s: FilterState, m: TransitionModel, horizons) -> list[ForecastResul
         ForecastResult(
             k, float(xx * s.mean + xy * s.last_y), float(xx * xx * s.variance + noise)
         )
-        for k, (xx, xy, noise) in horizon_terms(m, horizons).items()
+        for k, xx, xy, noise in zip(horizons, *horizon_terms(m, horizons))
     ]
 
 

@@ -174,12 +174,12 @@ def _window_errors(model: FittedModel, x_test, y_test, n_values, k_values):
     terms = [horizon_terms(m, k_values) for m in forms]
     for n in n_values:
         means = [np.correlate(y_std, filter_coefficients(m, n), "valid") for m in forms]
-        for k in k_values:
+        for j, k in enumerate(k_values):
             count = x_test.size - n - k + 1
             observed = y_std[n - 1 : n - 1 + count]
             targets = x_std[n - 1 + k : n - 1 + k + count]
-            yield n, k, *((targets - (t[k][0] * mean[:count] + t[k][1] * observed)) ** 2
-                          for t, mean in zip(terms, means))
+            yield n, k, *((targets - (xx[j] * mean[:count] + xy[j] * observed)) ** 2
+                          for (xx, xy, _), mean in zip(terms, means))
 
 
 def evaluate(model: FittedModel, x_test, y_test, n: int, k: int) -> tuple[float, float]:

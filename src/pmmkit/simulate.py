@@ -189,7 +189,7 @@ def _error_weights(
     below FLOOR in magnitude is 0.0: times a draw it cannot move an
     error of order 1, and a subnormal weight would slow every product.
     """
-    [(xx, xy, _)] = horizon_terms(m_fc, [k]).values()
+    (xx,), (xy,), _ = horizon_terms(m_fc, [k])
     v = xx * filter_coefficients(m_fc, n)
     v[-1] += xy
     # Column c is lam on Z_t, t = n + k - 1 - c, numbered from t = 0 (so

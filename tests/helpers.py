@@ -262,8 +262,9 @@ def loop_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) 
             state = step(state)
         t = n
         _, s13, s23, s33 = state
-        for k in k_values:
-            (xx, xy, noise), (v3, fc_xy, _) = terms[k], fc_terms[k]
+        for j, k in enumerate(k_values):
+            xx, xy, noise = (column[j] for column in terms)
+            v3, fc_xy, _ = (column[j] for column in fc_terms)
             v1, v2 = xx - v3, xy - fc_xy
             fixed = v1 * v1 + 2.0 * m.b * v1 * v2 + v2 * v2 + noise
             out[(n, k)] = fixed + v3 * (2.0 * (v1 * s13 + v2 * s23) + v3 * s33)
@@ -474,9 +475,9 @@ def single_window_errors(model, x_test, y_test, n_values, k_values):
     terms = horizon_terms(m, k_values)
     for n in n_values:
         means = np.correlate(y_std, filter_coefficients(m, n), "valid")
-        for k in k_values:
+        for j, k in enumerate(k_values):
             count = x_test.size - n - k + 1
-            xx, xy, _ = terms[k]
+            xx, xy, _ = (column[j] for column in terms)
             predictions = xx * means[:count] + xy * y_std[n - 1 : n - 1 + count]
             targets = x_std[n - 1 + k : n - 1 + k + count]
             yield n, k, (targets - predictions) ** 2
@@ -505,7 +506,7 @@ def retaining_error_weights(m_true, m_fc, n: int, k: int) -> np.ndarray:
     """``simulate._error_weights`` before it ran ``simulate._scan``, one
     Python step per time point, released its list of filter weights and its
     row buffer early and floored without ``np.abs``."""
-    [(xx, xy, _)] = horizon_terms(m_fc, [k]).values()
+    (xx,), (xy,), _ = horizon_terms(m_fc, [k])
     v = (xx * filter_coefficients(m_fc, n)).tolist()
     v[-1] += xy
     l011, l021, l022 = _chol2(m_true.marginal)

@@ -86,9 +86,9 @@ def test_criterion_02_hmm_degeneracy():
 
 
 def _filtering_ratio_curves(preset):
-    rows = mse_sweep(
+    rows = list(mse_sweep(
         preset.true_params, preset.hmm_reference, preset.n_values, [0]
-    )
+    ))
     pmm = np.array([mse for model, _, _, mse in rows if model == "PMM"])
     hmm = np.array([mse for model, _, _, mse in rows if model == "HMM"])
     return pmm, hmm

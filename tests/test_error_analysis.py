@@ -253,7 +253,7 @@ class TestForecasterMse:
         fig = get_preset(preset)
         n_values = list(n_grid or fig.n_values)
         k_values = list(fig.k_values)
-        rows = mse_sweep(fig.true_params, fig.hmm_reference, n_values, k_values)
+        rows = list(mse_sweep(fig.true_params, fig.hmm_reference, n_values, k_values))
         for model, sweep, index, mse in rows:
             label, _, fixed_n = model.partition("(n=")
             if sweep == "n":
@@ -464,7 +464,7 @@ class TestMonteCarloAgreement:
 
 class TestSweep:
     def test_filtering_sweep_layout(self):
-        rows = mse_sweep(FIG2_PARAMS, HMM_BASE, range(1, 21), [0])
+        rows = list(mse_sweep(FIG2_PARAMS, HMM_BASE, range(1, 21), [0]))
         assert [row[:3] for row in rows] == [
             (label, "n", n) for label in ("PMM", "HMM") for n in range(1, 21)
         ]
@@ -472,7 +472,7 @@ class TestSweep:
             assert pmm <= hmm + 1e-12
 
     def test_horizon_sweep_per_n(self):
-        rows = mse_sweep(FIG2_PARAMS, HMM_BASE, [1, 5, 10], range(1, 8))
+        rows = list(mse_sweep(FIG2_PARAMS, HMM_BASE, [1, 5, 10], range(1, 8)))
         assert [row[:3] for row in rows] == [
             (f"{label}(n={n})", "k", k)
             for n in (1, 5, 10) for label in ("PMM", "HMM") for k in range(1, 8)
@@ -491,7 +491,7 @@ class TestSweep:
 
         monkeypatch.setattr(error_analysis, "horizon_terms", spy)
         n_values, k_values = [1, 5, 10], range(0, 30)
-        rows = mse_sweep(p_true, HMM_BASE, n_values, k_values)
+        rows = list(mse_sweep(p_true, HMM_BASE, n_values, k_values))
         assert len(passes) == (1 if hmm_truth else 2)
         # The values of one forecaster_mse call per forecaster, bit for bit.
         want = {label: forecaster_mse(p_true, p_fc, n_values, k_values)
@@ -512,8 +512,22 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"^{name} repeats the value {value}$"):
             function(fig3.true_params, fig3.hmm_reference, n_values, k_values)
 
+    # The rows are a stream, but a bad grid, named by ``names``, and a
+    # forecaster that is not hidden-Markov are refused by the call itself.
+    @pytest.mark.parametrize(
+        "n_values, k_values, message",
+        [([1], [1, 1], "^--k-grid repeats the value 1$"), ([0], [1], "^--n-grid must be >= 1, got 0$")],
+    )
+    def test_bad_grid_raises_at_call_naming_it(self, n_values, k_values, message):
+        with pytest.raises(ValueError, match=message):
+            mse_sweep(FIG2_PARAMS, HMM_BASE, n_values, k_values, ("--n-grid", "--k-grid"))
+
+    def test_non_hmm_forecaster_raises_at_call(self):
+        with pytest.raises(InvalidModelError, match="hidden-Markov constraints"):
+            mse_sweep(FIG2_PARAMS, FIG2_PARAMS, [1, 2], [0, 1])
+
     def test_single_point_grid(self):
-        rows = mse_sweep(FIG2_PARAMS, HMM_BASE, [4], [0])
+        rows = list(mse_sweep(FIG2_PARAMS, HMM_BASE, [4], [0]))
         assert [row[:3] for row in rows] == [("PMM", "n", 4), ("HMM", "n", 4)]
 
     def test_csv_format(self):
@@ -530,8 +544,8 @@ class TestSweep:
 
 class TestFlatPass:
     """``forecaster_mse`` and ``mse_sweep`` over grids in any order: keys in
-    increasing n and, for each n, in the given k order; the sweep's rows in
-    the given n order; and every value within BOUND eps of
+    the grid's order, n by n as given and, for each n, k as given; the
+    sweep's rows in the given n order; and every value within BOUND eps of
     ``reference_decimal``."""
 
     GRIDS = [
@@ -548,7 +562,7 @@ class TestFlatPass:
 
     @staticmethod
     def assert_near(p_true, p_hmm, n_values, k_values):
-        keys = [(n, k) for n in sorted(n_values) for k in k_values]
+        keys = [(n, k) for n in n_values for k in k_values]
         mse = {}
         for label, p_fc in (("PMM", p_true), ("HMM", p_hmm)):
             mse[label] = got = forecaster_mse(p_true, p_fc, n_values, k_values)
@@ -564,7 +578,7 @@ class TestFlatPass:
             [k] = k_values
             want = [(label, "n", n, mse[label][(n, k)])
                     for label in ("PMM", "HMM") for n in n_values]
-        assert mse_sweep(p_true, p_hmm, n_values, k_values) == want
+        assert list(mse_sweep(p_true, p_hmm, n_values, k_values)) == want
 
     @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4", "fig5"])
     @pytest.mark.parametrize("n_values, k_values", GRIDS)
@@ -580,21 +594,32 @@ class TestFlatPass:
             k_values = rng.permutation(rng.choice(np.arange(0, 60), rng.integers(1, 12), False))
             self.assert_near(p_true, random_hmm(rng), n_values.tolist(), k_values.tolist())
 
-    # fig2 at 5*10^4 points, Python 3.11: the per-k weights and (n, k) dicts
-    # peaked at 46.2 MB and 19.7 MB, the flat lists at 27.4 MB and 9.7 MB,
-    # and the rows in CSV order at 23.2 MB and 11.2 MB; a label string built
-    # per row rather than per curve takes the second to 17.0 MB.
+    # fig2 at 5*10^4 points, Python 3.11, the rows written to a sink that
+    # keeps no text: a list of rows in CSV order beside per-k dicts peaked at
+    # 23.2 MB, 11.9 MB and 17.4 MB; the row stream over float columns at
+    # 7.4 MB, 4.3 MB and 6.3 MB.
     @pytest.mark.parametrize(
         "n_values, k_values, bound",
-        [(range(100, 101), range(1, 50_001), 35e6), (range(1, 224), range(1, 225), 14e6)],
+        [
+            (range(100, 101), range(1, 50_001), 12e6),
+            (range(1, 224), range(1, 225), 8e6),
+            (range(1, 50_001), [0], 10e6),
+        ],
     )
     def test_sweep_peak(self, n_values, k_values, bound):
+        class Sink:
+            lines = 0
+
+            def write(self, text):
+                self.lines += text.count("\n")
+
         fig = get_preset("fig2")
+        sink = Sink()
         tracemalloc.start()
         try:
-            rows = mse_sweep(fig.true_params, fig.hmm_reference, n_values, k_values)
+            curves_to_csv(mse_sweep(fig.true_params, fig.hmm_reference, n_values, k_values), sink)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(rows) == 2 * len(n_values) * len(k_values)
+        assert sink.lines == 1 + 2 * len(n_values) * len(k_values)
         assert peak < bound

@@ -184,14 +184,20 @@ def _models(seed):
     ]
 
 
+def _by_k(m, k_values) -> dict:
+    """``horizon_terms``' three columns as {k: (xx, xy, noise)}."""
+    return dict(zip(k_values, zip(*horizon_terms(m, k_values))))
+
+
 class TestHorizonTerms:
     """The k-step map against np.linalg.matrix_power and an explicit noise
     sum."""
 
     def test_matches_matrix_power_and_noise_sum(self):
         for m in _models(91):
-            terms = horizon_terms(m, HORIZONS)
-            assert list(terms) == sorted(HORIZONS)
+            columns = horizon_terms(m, HORIZONS)
+            assert [len(column) for column in columns] == [len(HORIZONS)] * 3
+            terms = _by_k(m, HORIZONS)
             for k in HORIZONS:
                 powers = [np.linalg.matrix_power(m.A, j) for j in range(k + 1)]
                 noise = sum((p @ m.Q @ p.T)[0, 0] for p in powers[:-1])
@@ -202,22 +208,22 @@ class TestHorizonTerms:
     def test_noise_is_the_stationary_remainder(self):
         # Stationarity: sum_{j<k} A^j Q A^j^T = M - A^k M A^k^T.
         for m in _models(92):
-            for k, (xx, xy, noise) in horizon_terms(m, HORIZONS).items():
+            for k, (xx, xy, noise) in _by_k(m, HORIZONS).items():
                 row = np.array([xx, xy])
                 assert noise == pytest.approx(1.0 - row @ m.marginal @ row, abs=1e-12)
 
     def test_zeroth_horizon_is_identity(self):
-        assert horizon_terms(FIG2_MODEL, [0]) == {0: (1.0, 0.0, 0.0)}
+        assert _by_k(FIG2_MODEL, [0]) == {0: (1.0, 0.0, 0.0)}
 
     def test_first_horizon_is_a_and_q(self):
         m = FIG2_MODEL
-        assert horizon_terms(m, [1]) == {1: (m.A[0][0], m.A[0][1], m.Q[0][0])}
+        assert _by_k(m, [1]) == {1: (m.A[0][0], m.A[0][1], m.Q[0][0])}
 
     def test_hmm_closed_form(self):
         # Under the hidden-Markov constraints X_{n+k} = a^k X_n + noise of
         # variance 1 - a^{2k}, and Y_n carries no extra information.
         a, b = 0.7, 0.3
-        terms = horizon_terms(markov_form(hmm_params(a, b)), [1, 2, 5, 17])
+        terms = _by_k(markov_form(hmm_params(a, b)), [1, 2, 5, 17])
         for k, (xx, xy, noise) in terms.items():
             assert xx == pytest.approx(a**k, rel=1e-13)
             assert xy == pytest.approx(0.0, abs=1e-15)
@@ -229,7 +235,7 @@ class TestHorizonTerms:
         rng = np.random.default_rng(93)
         for m in _models(94):
             j, k = (int(v) for v in rng.integers(0, 11, size=2))
-            terms = horizon_terms(m, range(j + k + 1))
+            terms = _by_k(m, range(j + k + 1))
             row_j = np.array(terms[j][:2])
             np.testing.assert_allclose(
                 row_j @ np.linalg.matrix_power(m.A, k), terms[j + k][:2], atol=1e-12
@@ -243,18 +249,38 @@ class TestHorizonTerms:
     def test_no_row_entry_below_floor(self):
         # fig2's row of A^k turns subnormal at k = 6,723; an entry below
         # FLOOR is exactly 0.0, and by k = 10^5 both are.
-        terms = horizon_terms(FIG2_MODEL, range(10**5 + 1))
-        rows = np.abs([(xx, xy) for xx, xy, _ in terms.values()])
+        xx, xy, _ = horizon_terms(FIG2_MODEL, range(10**5 + 1))
+        rows = np.abs([xx, xy]).T
         assert not np.any((rows > 0) & (rows < FLOOR))
         assert np.all(rows[-1] == 0)
 
     def test_repeated_and_unsorted_horizons(self):
-        assert horizon_terms(FIG2_MODEL, [5, 2, 5]) == horizon_terms(FIG2_MODEL, [2, 5])
+        # Each k's terms sit at its positions, whatever the order or repeats.
+        two, five = zip(*horizon_terms(FIG2_MODEL, [2, 5]))
+        assert list(zip(*horizon_terms(FIG2_MODEL, [5, 2, 5]))) == [five, two, five]
 
     @pytest.mark.parametrize("k_values", [[-1], [3, -2], []])
     def test_negative_or_empty_rejected(self, k_values):
         with pytest.raises(ValueError):
             horizon_terms(FIG2_MODEL, k_values)
+
+    # Each k by check_int: a bool is not k = 1, a float is not taken through
+    # range(), the value bound holds, and the message names one k, not the
+    # whole grid.
+    @pytest.mark.parametrize(
+        "k_values, message",
+        [
+            ([True], "k_values must be an integer, got True"),
+            ([1, 2.5], "k_values must be an integer, got 2.5"),
+            ([2.0], "k_values must be an integer, got 2.0"),
+            ([10**6 + 1], "k_values must be <= 1000000, got 1000001"),
+            (range(-1, 200_000), "k_values must be >= 0, got -1"),
+        ],
+    )
+    def test_each_k_passes_the_integer_rule(self, k_values, message):
+        with pytest.raises(ValueError) as caught:
+            horizon_terms(FIG2_MODEL, k_values)
+        assert str(caught.value) == message
 
 
 class TestAgainstDecimalReference:
@@ -266,7 +292,7 @@ class TestAgainstDecimalReference:
 
     def worst(self, p) -> tuple[float, float]:
         """The worst row and noise errors of ``horizon_terms``, in eps."""
-        got = horizon_terms(markov_form(p), range(self.K_MAX + 1))
+        got = _by_k(markov_form(p), range(self.K_MAX + 1))
         want = reference_decimal.horizon_terms(reference_decimal.transition(p), self.K_MAX)
         rows = max(
             error_in_eps(g, w, max(abs(xx), abs(xy)))
