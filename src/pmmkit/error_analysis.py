@@ -30,7 +30,7 @@ filter variance, which fixes the next gain, and e_t's covariances with
 X_t, Y_t and itself.  The MSE is then (v1^2 + 2b v1 v2 + v2^2 + noise) +
 v3 (2 (v1 s13 + v2 s23) + v3 s33), from the two models' horizon terms.
 The first rows of A^k and A'^k and the noise come from
-``forecasting.horizon_terms`` as float columns, one pass up to the largest
+``forecasting._horizon_terms`` as float columns, one pass up to the largest
 k per distinct model; one pass over n then fills one float column in grid
 order (the error analysis of suboptimal filters in Anderson & Moore,
 Optimal Filtering, 1979).  In floating point the state settles into an
@@ -55,7 +55,7 @@ from itertools import chain, islice, product, repeat
 from operator import sub
 from typing import TYPE_CHECKING, Iterator
 
-from .forecasting import check_grid, check_int, horizon_terms
+from .forecasting import _horizon_terms, check_grid, check_int
 from .io import write_rows
 from .model import (
     InvalidModelError, PmmParams, TransitionModel, check_transition, is_hmm, markov_form,
@@ -106,13 +106,13 @@ def observation_covariance(m: TransitionModel, b: float, n: int) -> np.ndarray:
 
 def _horizons(params, k_values) -> dict:
     """Markov form and horizon terms per distinct model of ``params``: one
-    ``horizon_terms`` pass each, which runs ``check_transition`` on the
-    model before ``_augmented_recursion`` steps it."""
+    ``_horizon_terms`` pass each over the checked ``k_values``, on a model
+    that ``markov_form``'s gate admitted."""
     out = {}
     for p in params:
         if p not in out:
             m = markov_form(p)
-            out[p] = (m, horizon_terms(m, k_values))
+            out[p] = (m, _horizon_terms(m, k_values))
     return out
 
 
@@ -164,7 +164,8 @@ def _mse_grid(model, forecaster, n_values) -> array:
     # v = (xx - xx', xy - xy', xx'), and its (X, Y) part plus the noise, per k.
     v1 = array("d", map(sub, xx, v3))
     v2 = array("d", map(sub, xy, fc_xy))
-    fixed = array("d", (x * x + 2.0 * m.b * x * y + y * y + z for x, y, z in zip(v1, v2, noise)))
+    b = m.b
+    fixed = array("d", (x * x + 2.0 * b * x * y + y * y + z for x, y, z in zip(v1, v2, noise)))
     out = array("d", bytes(8 * len(n_values) * len(v3)))
     states = orbit(*_augmented_recursion(m, m_fc))
     t, cycle = 0, []

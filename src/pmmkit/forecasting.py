@@ -6,11 +6,12 @@ because Y_n is observed, so the predictive mean is xx m_n + xy Y_n.  The
 predictive variance is xx^2 P_n plus the variance
 [sum_{j<k} A^j Q A^j^T]_00 of the noise that enters after step n.
 
-``horizon_terms`` builds (xx, xy, noise) for every wanted k in one pass up
+``_horizon_terms`` builds (xx, xy, noise) for every wanted k in one pass up
 to the largest k, as float columns indexed by each k's position.  It is the
-package's one k-step map: ``forecast`` and ``forecast_path`` apply it to a
-filter state, ``forecaster_mse`` reads both models' horizons from it, and
-the sliding-window evaluation and the Monte Carlo read the forecaster's.
+package's one k-step map, with no rule of its own: ``forecast`` and
+``forecast_path`` apply it to a filter state once they have checked k and
+the model, and ``forecaster_mse``, the sliding-window evaluation and the
+Monte Carlo to models of ``markov_form``'s gate at the ks of a checked grid.
 
 The module also holds the rules for the values that every layer takes: a
 count (``check_int``), a series (``check_series``), an (n, k) grid
@@ -32,7 +33,7 @@ if TYPE_CHECKING:
 __all__ = ["FLOOR", "MAX_GRID_POINTS", "MAX_INDEX", "MAX_REPLICATES",
            "MAX_REPLICATE_STEPS", "MAX_SIMULATE_STEPS", "FilterState", "ForecastResult",
            "check_grid", "check_int", "check_series", "check_state", "forecast",
-           "forecast_path", "horizon_terms"]
+           "forecast_path"]
 
 # The largest n or k, and the most (n, k) points, of a grid: each can cost
 # time linear in it (the k-step map; the Riccati passes until they cycle).
@@ -156,7 +157,7 @@ def check_grid(n_values, k_values, names=("n_values", "k_values")) -> tuple[list
     return n_values, k_values
 
 
-def horizon_terms(m: TransitionModel, k_values) -> tuple[array, array, array]:
+def _horizon_terms(m: TransitionModel, k_values) -> tuple[array, array, array]:
     """Three float columns aligned with ``k_values``, in the order given:
     the first row (xx, xy) of A^k and the variance [sum_{j<k} A^j Q A^j^T]_00
     of the noise that enters after step n, filled by one pass over k =
@@ -164,14 +165,9 @@ def horizon_terms(m: TransitionModel, k_values) -> tuple[array, array, array]:
 
     Both depend on the first row r of A^j alone: r <- r A, and the noise
     gains r Q r^T, over Python floats.  An entry of r below FLOOR in
-    magnitude is set to 0.0.  ``m`` goes through ``model.check_transition``,
-    and each k through ``check_int`` in 0..MAX_GRID_POINTS."""
-    from .model import check_transition  # here: model imports this module
-
-    m = check_transition(m, "m")
-    k_values = [check_int(k, "k_values", 0, MAX_GRID_POINTS) for k in k_values]
-    if not k_values:
-        raise ValueError("k_values is an empty grid")
+    magnitude is set to 0.0.  Nothing is checked: the caller has passed ``m``
+    through ``model.check_transition`` or ``markov_form`` and each k through
+    ``check_int`` in 0..MAX_GRID_POINTS."""
     (a1, a2), (a3, a4) = m.A
     (q11, q12), (_, q22) = m.Q
     xs, ys, zs = (array("d", bytes(8 * len(k_values))) for _ in range(3))
@@ -189,14 +185,17 @@ def horizon_terms(m: TransitionModel, k_values) -> tuple[array, array, array]:
 
 
 def _predict(s: FilterState, m: TransitionModel, horizons) -> list[ForecastResult]:
-    """The predictive law at each horizon, from one pass; ``s`` goes through
-    ``check_state`` and ``m`` through ``horizon_terms``'s rule."""
+    """The predictive law at each checked horizon, from one pass; ``s``
+    goes through ``check_state`` and ``m`` through ``check_transition``."""
+    from .model import check_transition  # here: model imports this module
+
     s = check_state(s, "s")
+    m = check_transition(m, "m")
     return [
         ForecastResult(
             k, float(xx * s.mean + xy * s.last_y), float(xx * xx * s.variance + noise)
         )
-        for k, xx, xy, noise in zip(horizons, *horizon_terms(m, horizons))
+        for k, xx, xy, noise in zip(horizons, *_horizon_terms(m, horizons))
     ]
 
 

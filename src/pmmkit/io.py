@@ -29,21 +29,21 @@ a finite real number, so not a string, a boolean, null, NaN, an infinity
 or an integer too large for a float.
 
 Every CSV the package writes goes through this module, so one rule prints
-its numbers: an int or a str as ``str`` prints it, anything else as
-``%.12e``.  ``write_rows`` formats rows of Python values without numpy, a
-block of WRITE_ROWS rows by one ``%`` operation.  ``write_numbered_floats``
-writes float64 arrays behind a row number, laying each block out as bytes
-with numpy: for a value v it takes e = floor(log10|v|), s = |v| * 10**(12 -
-e) with a correctly rounded power of ten, and the 13 digits of M = rint(s).
-Two roundings of relative error at most 2**-53 each keep s within 2.3e-3 of
-the exact decimal value while s < 1e13, so wherever |frac(s) - 0.5| > 0.005
-and 1e12 <= M < 1e13, M is the correctly rounded mantissa and e the printed
-exponent; a wrong e, or a carry into the next decade, puts M outside that
-range.  The values that fail this rule (ties and near-ties, decade
-carries, zeros: about 1% of a simulated path) are formatted by Python's
-``%``, and a block holding a non-finite value or a nonzero one outside
-1e-99 <= |v| < 1e99 (a possible three-digit exponent) by ``write_rows``'s
-formatter.
+its numbers: a column of ints or strs as ``str`` prints them, any other
+column as ``%.12e``, and every row has the header's width.  ``write_rows``
+prints rows of Python values without numpy, a block of WRITE_ROWS rows by
+one ``%`` template.  ``write_numbered_floats`` writes float64 arrays behind
+a row number, laying each block out as bytes with numpy: for a value v it
+takes e = floor(log10|v|), s = |v| * 10**(12 - e) with a correctly rounded
+power of ten, and the 13 digits of M = rint(s).  Two roundings of relative
+error at most 2**-53 each keep s within 2.3e-3 of the exact decimal value
+while s < 1e13, so wherever |frac(s) - 0.5| > 0.005 and 1e12 <= M < 1e13, M
+is the correctly rounded mantissa and e the printed exponent; a wrong e, or
+a carry into the next decade, puts M outside that range.  The values that
+fail this rule (ties and near-ties, decade carries, zeros: about 1% of a
+simulated path) are formatted by Python's ``%``, and a block holding a
+non-finite value or a nonzero one outside 1e-99 <= |v| < 1e99 (a possible
+three-digit exponent) by one ``%`` template, as ``write_rows`` prints.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ import numbers
 import os
 import tempfile
 from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TextIO
 
@@ -235,31 +236,47 @@ def finite_number(value) -> float | None:
 
 
 def write_rows(fh: TextIO, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write the header ``columns``, then one CSV line per row: an int or
-    a str as ``str`` prints it, anything else as ``%.12e``."""
-    fh.write(",".join(columns) + "\n")
+    """Write the header ``columns``, then one CSV line per row, each block
+    of WRITE_ROWS rows by the first block's ``_template``.  A later block is
+    checked with the first row beside it, so no column changes kind."""
     rows = iter(rows)
-    while block := list(islice(rows, WRITE_ROWS)):
-        fh.write(_format_rows(block))
+    block = list(islice(rows, WRITE_ROWS))
+    head = block[:1]
+    template = _template(columns, block)
+    fh.write(",".join(columns) + "\n")
+    while block:
+        fh.write(template * len(block) % tuple(chain.from_iterable(block)))
+        block = list(islice(rows, WRITE_ROWS))
+        _template(columns, head + block)
 
 
-def _format_rows(rows: list[Sequence]) -> str:
-    """The lines of ``rows`` by one ``%`` operation on their flat values."""
-    template = "".join([_row_template(tuple(map(type, row))) for row in rows])
-    return template % tuple(chain.from_iterable(rows))
-
-
-@functools.cache  # one entry per row layout: a handful in a process
-def _row_template(types: tuple[type, ...]) -> str:
-    return ",".join(["%s" if issubclass(t, (int, str)) else "%.12e" for t in types]) + "\n"
+def _template(columns: Sequence[str], rows: list[Sequence]) -> str:
+    """The ``%`` template of a row of ``rows``: a column of ints or strs by
+    ``%s``, any other column by ``%.12e``.  A row not of the header's width,
+    or a column that holds both kinds, raises ValueError."""
+    if widths := set(map(len, rows)) - {len(columns)}:
+        raise ValueError(f"a row of {min(widths)} field(s) under the header {','.join(columns)}")
+    # Column j by itemgetter, not zip(*rows): zip's iterator per row lives
+    # through collections into the oldest generation, and sets off full
+    # collections of a large heap.
+    kinds = [{issubclass(t, (int, str)) for t in set(map(type, map(itemgetter(j), rows)))}
+             for j in range(len(columns))]
+    if mixed := [name for name, kind in zip(columns, kinds) if len(kind) > 1]:
+        raise ValueError(f"column {mixed[0]} holds both ints or strs and other numbers")
+    return ",".join(["%s" if kind == {True} else "%.12e" for kind in kinds]) + "\n"
 
 
 def write_numbered_floats(fh: TextIO, columns: Sequence[str], *arrays: np.ndarray) -> None:
     """Write the header ``columns``, then row t = 1, 2, ... as t and the
     t-th value of each equal-length float64 array, a block of WRITE_ROWS
-    rows by one ``fh.write`` (see the module docstring)."""
+    rows by one ``fh.write`` (see the module docstring).  Arrays not 1-d of
+    one size, or a header that ``_template`` refuses for t and a value of
+    each, raise ValueError before anything is written."""
     import numpy as np
 
+    if len({a.shape for a in arrays}) != 1 or arrays[0].ndim != 1:
+        raise ValueError(f"arrays must be 1-d of one size, got shapes {[a.shape for a in arrays]}")
+    template = _template(columns, [(1, *[0.0] * len(arrays))])  # for a block numpy cannot lay out
     fh.write(",".join(columns) + "\n")
     n, cols = arrays[0].size, len(arrays)
     width = len(str(n))
@@ -276,7 +293,8 @@ def write_numbered_floats(fh: TextIO, columns: Sequence[str], *arrays: np.ndarra
         with np.errstate(all="ignore"):
             formatted = _fill_words(words[: cols * r], values.ravel())
         if not formatted:
-            fh.write(_format_rows([(lo + i, *row) for i, row in enumerate(values.tolist(), 1)]))
+            numbered = [(lo + i, *row) for i, row in enumerate(values.tolist(), 1)]
+            fh.write(template * r % tuple(chain.from_iterable(numbered)))
             continue
         block = lines[:r]
         block[:, width:-1] = words[: cols * r].view(np.uint8).reshape(r, 20 * cols)

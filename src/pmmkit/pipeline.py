@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .filtering import filter_coefficients
-from .forecasting import MAX_INDEX, check_grid, check_int, check_series, horizon_terms
+from .forecasting import MAX_INDEX, _horizon_terms, check_grid, check_int, check_series
 from .io import read_columns
 from .model import (
     DetrendModel, FittedModel, StandardizationParams, check_detrend, check_periods,
@@ -171,7 +171,7 @@ def _window_errors(model: FittedModel, x_test, y_test, n_values, k_values):
     # not the restriction's |a| < 1 check.
     pmm = markov_form(model.params)
     forms = (markov_form(hmm_params(model.params.a, model.params.b)), pmm)
-    terms = [horizon_terms(m, k_values) for m in forms]
+    terms = [_horizon_terms(m, k_values) for m in forms]
     for n in n_values:
         means = [np.correlate(y_std, filter_coefficients(m, n), "valid") for m in forms]
         for j, k in enumerate(k_values):

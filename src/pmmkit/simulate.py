@@ -33,8 +33,8 @@ import numpy as np
 
 from .filtering import filter_coefficients
 from .forecasting import (
-    FLOOR, MAX_REPLICATE_STEPS, MAX_REPLICATES, MAX_SIMULATE_STEPS, check_grid,
-    check_int, horizon_terms,
+    FLOOR, MAX_REPLICATE_STEPS, MAX_REPLICATES, MAX_SIMULATE_STEPS, _horizon_terms,
+    check_grid, check_int,
 )
 from .io import write_numbered_floats
 from .model import Matrix2, PmmParams, TransitionModel, empirical_covariances, markov_form
@@ -189,7 +189,7 @@ def _error_weights(
     below FLOOR in magnitude is 0.0: times a draw it cannot move an
     error of order 1, and a subnormal weight would slow every product.
     """
-    (xx,), (xy,), _ = horizon_terms(m_fc, [k])
+    (xx,), (xy,), _ = _horizon_terms(m_fc, [k])
     v = xx * filter_coefficients(m_fc, n)
     v[-1] += xy
     # Column c is lam on Z_t, t = n + k - 1 - c, numbered from t = 0 (so

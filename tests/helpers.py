@@ -39,7 +39,7 @@ from pmmkit import simulate
 from pmmkit.error_analysis import _augmented_recursion, observation_covariance
 from pmmkit.filtering import _variance_and_gains, batch_filter_means, filter_variance_sequence
 from pmmkit.forecasting import (
-    FLOOR, MAX_INDEX, MAX_REPLICATE_STEPS, MAX_REPLICATES, check_grid, check_int, horizon_terms,
+    FLOOR, MAX_INDEX, MAX_REPLICATE_STEPS, MAX_REPLICATES, _horizon_terms, check_grid, check_int,
 )
 from pmmkit.riccati import _riccati_step
 from pmmkit.simulate import BLOCK_STEPS, SCAN_BLOCK, _chol2, _error_weights, _rng
@@ -253,7 +253,7 @@ def loop_forecaster_mse(p_true: PmmParams, p_fc: PmmParams, n_values, k_values) 
     ``error_analysis._mse_grid``, operation for operation: no cycle exit."""
     n_values, k_values = sorted(set(n_values)), sorted(set(k_values))
     m, m_fc = markov_form(p_true), markov_form(p_fc)
-    terms, fc_terms = horizon_terms(m, k_values), horizon_terms(m_fc, k_values)
+    terms, fc_terms = _horizon_terms(m, k_values), _horizon_terms(m_fc, k_values)
     state, step = _augmented_recursion(m, m_fc)
     out = {}
     t = 1
@@ -418,7 +418,7 @@ def unfloored_error_weights(m_true, m_fc, n: int, k: int) -> np.ndarray:
     """``simulate._error_weights`` before ``forecasting.FLOOR``: no weight
     is set to 0.0, the filter weights are ``unfloored_weights``, and the
     forecaster's first row of A^k comes from the row recurrence of
-    ``horizon_terms`` without its floor."""
+    ``_horizon_terms`` without its floor."""
     (f1, f2), (f3, f4) = m_fc.A
     xx, xy = 1.0, 0.0
     for _ in range(k):
@@ -472,7 +472,7 @@ def single_window_errors(model, x_test, y_test, n_values, k_values):
     x_std = model.x_standardize.apply(x_test)
     y_std = model.y_standardize.apply(y_test)
     m = markov_form(model.params)
-    terms = horizon_terms(m, k_values)
+    terms = _horizon_terms(m, k_values)
     for n in n_values:
         means = np.correlate(y_std, filter_coefficients(m, n), "valid")
         for j, k in enumerate(k_values):
@@ -506,7 +506,7 @@ def retaining_error_weights(m_true, m_fc, n: int, k: int) -> np.ndarray:
     """``simulate._error_weights`` before it ran ``simulate._scan``, one
     Python step per time point, released its list of filter weights and its
     row buffer early and floored without ``np.abs``."""
-    (xx,), (xy,), _ = horizon_terms(m_fc, [k])
+    (xx,), (xy,), _ = _horizon_terms(m_fc, [k])
     v = (xx * filter_coefficients(m_fc, n)).tolist()
     v[-1] += xy
     l011, l021, l022 = _chol2(m_true.marginal)
@@ -538,10 +538,10 @@ def rowwise_trajectory_to_csv(traj, fh) -> None:
 
 def rowwise_table(fh, columns, rows) -> None:
     """The CLI's table writer before ``io.write_rows``: one line per row,
-    ints printed by ``str`` and everything else as ``.12e``."""
+    ints and strs printed by ``str`` and everything else as ``.12e``."""
     fh.write(",".join(columns) + "\n")
     for row in rows:
-        fh.write(",".join(str(v) if isinstance(v, int) else f"{v:.12e}" for v in row) + "\n")
+        fh.write(",".join(str(v) if isinstance(v, (int, str)) else f"{v:.12e}" for v in row) + "\n")
 
 
 def rowwise_curves_to_csv(rows, fh) -> None:

@@ -1,7 +1,7 @@
 """A 60-digit reference for the exact theory, over stdlib ``decimal``.
 
 Each input float becomes a Decimal exactly, and all else is computed at 60
-digits: ports of ``model._transition``, ``forecasting.horizon_terms``
+digits: ports of ``model._transition``, ``forecasting._horizon_terms``
 (without FLOOR), ``riccati._riccati_step``, the exact-MSE pass stepped to
 every n over all of the augmented covariance S (so the pass's 4-entry
 reduction is checked, not assumed), and the O(n^2) filter-weight recursion.

@@ -21,10 +21,10 @@ from pmmkit import (
     theoretical_mse_hmm_under_pmm,
     theoretical_mse_pmm,
 )
-from pmmkit import error_analysis
+from pmmkit import error_analysis, forecasting
 from pmmkit.error_analysis import curves_to_csv, observation_covariance
 from pmmkit.filtering import filter_init, filter_step
-from pmmkit.forecasting import horizon_terms
+from pmmkit.forecasting import _horizon_terms
 from pmmkit.riccati import _riccati_step
 from pmmkit.oracle import build_joint
 from pmmkit.simulate import monte_carlo_mse
@@ -487,9 +487,9 @@ class TestSweep:
 
         def spy(m, k_values):
             passes.append(m)
-            return horizon_terms(m, k_values)
+            return _horizon_terms(m, k_values)
 
-        monkeypatch.setattr(error_analysis, "horizon_terms", spy)
+        monkeypatch.setattr(error_analysis, "_horizon_terms", spy)
         n_values, k_values = [1, 5, 10], range(0, 30)
         rows = list(mse_sweep(p_true, HMM_BASE, n_values, k_values))
         assert len(passes) == (1 if hmm_truth else 2)
@@ -500,6 +500,20 @@ class TestSweep:
             (f"{label}(n={n})", "k", k, want[label][(n, k)])
             for n in n_values for label in ("PMM", "HMM") for k in k_values
         ]
+
+    def test_each_k_checked_once(self, monkeypatch):
+        # check_grid checks each n and each k once, and the point count; the
+        # k-step map adds no check of its own for either model.
+        calls, check_int = [], forecasting.check_int
+
+        def counting(*args):
+            calls.append(args)
+            return check_int(*args)
+
+        monkeypatch.setattr(forecasting, "check_int", counting)
+        n_values, k_values = [1, 5, 10], range(1, 40)
+        list(mse_sweep(FIG2_PARAMS, HMM_BASE, n_values, k_values))
+        assert len(calls) <= len(n_values) + len(k_values) + 1
 
     # One rule for both: a repeated value would give a row or a key twice.
     @pytest.mark.parametrize("function", [mse_sweep, forecaster_mse])

@@ -10,7 +10,8 @@ from pmmkit import (
     markov_form,
     run_filter,
 )
-from pmmkit.forecasting import FLOOR, horizon_terms
+from pmmkit.error_analysis import forecaster_mse
+from pmmkit.forecasting import FLOOR, _horizon_terms
 from pmmkit.oracle import oracle_forecast
 from helpers import (
     FIG2_PARAMS,
@@ -185,8 +186,8 @@ def _models(seed):
 
 
 def _by_k(m, k_values) -> dict:
-    """``horizon_terms``' three columns as {k: (xx, xy, noise)}."""
-    return dict(zip(k_values, zip(*horizon_terms(m, k_values))))
+    """``_horizon_terms``' three columns as {k: (xx, xy, noise)}."""
+    return dict(zip(k_values, zip(*_horizon_terms(m, k_values))))
 
 
 class TestHorizonTerms:
@@ -195,7 +196,7 @@ class TestHorizonTerms:
 
     def test_matches_matrix_power_and_noise_sum(self):
         for m in _models(91):
-            columns = horizon_terms(m, HORIZONS)
+            columns = _horizon_terms(m, HORIZONS)
             assert [len(column) for column in columns] == [len(HORIZONS)] * 3
             terms = _by_k(m, HORIZONS)
             for k in HORIZONS:
@@ -249,20 +250,22 @@ class TestHorizonTerms:
     def test_no_row_entry_below_floor(self):
         # fig2's row of A^k turns subnormal at k = 6,723; an entry below
         # FLOOR is exactly 0.0, and by k = 10^5 both are.
-        xx, xy, _ = horizon_terms(FIG2_MODEL, range(10**5 + 1))
+        xx, xy, _ = _horizon_terms(FIG2_MODEL, range(10**5 + 1))
         rows = np.abs([xx, xy]).T
         assert not np.any((rows > 0) & (rows < FLOOR))
         assert np.all(rows[-1] == 0)
 
     def test_repeated_and_unsorted_horizons(self):
         # Each k's terms sit at its positions, whatever the order or repeats.
-        two, five = zip(*horizon_terms(FIG2_MODEL, [2, 5]))
-        assert list(zip(*horizon_terms(FIG2_MODEL, [5, 2, 5]))) == [five, two, five]
+        two, five = zip(*_horizon_terms(FIG2_MODEL, [2, 5]))
+        assert list(zip(*_horizon_terms(FIG2_MODEL, [5, 2, 5]))) == [five, two, five]
 
+    # The map has no rule of its own: the k grid reaches it through
+    # check_grid, so these go through forecaster_mse.
     @pytest.mark.parametrize("k_values", [[-1], [3, -2], []])
     def test_negative_or_empty_rejected(self, k_values):
         with pytest.raises(ValueError):
-            horizon_terms(FIG2_MODEL, k_values)
+            forecaster_mse(FIG2_PARAMS, FIG2_PARAMS, [1], k_values)
 
     # Each k by check_int: a bool is not k = 1, a float is not taken through
     # range(), the value bound holds, and the message names one k, not the
@@ -279,7 +282,7 @@ class TestHorizonTerms:
     )
     def test_each_k_passes_the_integer_rule(self, k_values, message):
         with pytest.raises(ValueError) as caught:
-            horizon_terms(FIG2_MODEL, k_values)
+            forecaster_mse(FIG2_PARAMS, FIG2_PARAMS, [1], k_values)
         assert str(caught.value) == message
 
 
@@ -291,7 +294,7 @@ class TestAgainstDecimalReference:
     K_MAX = 100
 
     def worst(self, p) -> tuple[float, float]:
-        """The worst row and noise errors of ``horizon_terms``, in eps."""
+        """The worst row and noise errors of ``_horizon_terms``, in eps."""
         got = _by_k(markov_form(p), range(self.K_MAX + 1))
         want = reference_decimal.horizon_terms(reference_decimal.transition(p), self.K_MAX)
         rows = max(

@@ -9,7 +9,10 @@ import pytest
 import pmmkit.model
 from pmmkit import FittedModel, estimate_params, load_params, sample
 from pmmkit.error_analysis import curves_to_csv
-from pmmkit.io import WRITE_ROWS, atomic_write, finite_number, read_json, write_json, write_rows
+from pmmkit.io import (
+    WRITE_ROWS, atomic_write, finite_number, read_json, write_json, write_numbered_floats,
+    write_rows,
+)
 from pmmkit.model import save_params
 from pmmkit.simulate import Trajectory, trajectory_to_csv
 from helpers import (
@@ -186,11 +189,54 @@ class TestCsvWriters:
         assert "-7,1.000000000000e-04,-1.000000000000e-04\n" in text
         assert "1000000,-0.000000000000e+00,0.000000000000e+00\n" in text
 
-    def test_rows_of_mixed_types_equal_rowwise_table(self):
-        # numpy scalars are no Python int, so they print as %.12e.
-        rows = [(1, 2.5), (2.5, 1), (np.int64(3), np.float64(0.1)), (True,)]
-        want = _text(lambda fh: rowwise_table(fh, ("a", "b"), rows))
-        assert _text(lambda fh: write_rows(fh, ("a", "b"), rows)) == want
+    def test_one_layout_of_each_type_equals_rowwise_table(self):
+        # An int, str or bool column prints by str; a float, np.float64 or
+        # np.int64 column (numpy scalars are no Python int) as %.12e.
+        columns = ("i", "s", "flag", "f", "f64", "i64")
+        rows = [(i, f"s{i}", i % 2 == 0, i / 7.0, np.float64(-i / 3.0), np.int64(i))
+                for i in range(2 * WRITE_ROWS + 3)]
+        text = _text(lambda fh: write_rows(fh, columns, iter(rows)))
+        assert text == _text(lambda fh: rowwise_table(fh, columns, rows))
+        assert "2,s2,True,2.857142857143e-01,-6.666666666667e-01,2.000000000000e+00\n" in text
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(1, 2.5), (2.5, 1)], "column a holds both ints or strs and other numbers"),
+            ([(np.int64(3), 0.5), (1, 2.5)], "column a holds both ints or strs and other numbers"),
+            ([(1,)], "a row of 1 field(s) under the header a,b"),
+            ([(1, 2.5), (1, 2.0, 3)], "a row of 3 field(s) under the header a,b"),
+        ],
+        ids=["mixed", "mixed_numpy_int", "short", "long"],
+    )
+    def test_row_off_the_layout_raises_before_writing(self, rows, message):
+        buf = io.StringIO()
+        with pytest.raises(ValueError) as caught:
+            write_rows(buf, ("a", "b"), rows)
+        assert str(caught.value) == message
+        assert buf.getvalue() == ""
+
+    def test_later_block_held_to_the_first_layout(self):
+        rows = [(1, 2.5)] * WRITE_ROWS + [(1, "x")]
+        with pytest.raises(ValueError, match="^column b holds both ints or strs and other"):
+            write_rows(io.StringIO(), ("a", "b"), rows)
+
+    @pytest.mark.parametrize(
+        "columns, sizes, message",
+        [
+            (("t", "x", "y"), (WRITE_ROWS, WRITE_ROWS + 5),
+             f"arrays must be 1-d of one size, got shapes [({WRITE_ROWS},), ({WRITE_ROWS + 5},)]"),
+            (("t", "x"), (3, 3), "a row of 3 field(s) under the header t,x"),
+        ],
+        ids=["unequal_sizes", "header_too_short"],
+    )
+    def test_numbered_floats_off_the_header_raise(self, columns, sizes, message):
+        buf = io.StringIO()
+        arrays = [np.linspace(0.0, 1.0, size) for size in sizes]
+        with pytest.raises(ValueError) as caught:
+            write_numbered_floats(buf, columns, *arrays)
+        assert str(caught.value) == message
+        assert buf.getvalue() == ""
 
     def test_blocks_equal_rowwise_table(self):
         rows = [(i, i / 7.0) for i in range(2 * WRITE_ROWS + 3)]

@@ -24,7 +24,7 @@ from pmmkit import (
 )
 from pmmkit.error_analysis import observation_covariance
 from pmmkit.filtering import batch_filter_means, filter_variance_sequence
-from pmmkit.forecasting import check_state, horizon_terms
+from pmmkit.forecasting import check_state
 from pmmkit.model import (
     DetrendModel, StandardizationParams, check_detrend, check_periods, check_standardization,
     check_transition,
@@ -86,7 +86,6 @@ MODEL_ENTRY_POINTS = {
     "filter_coefficients": lambda m: filter_coefficients(m, 5),
     "filter_variance_sequence": lambda m: filter_variance_sequence(m, 5),
     "batch_filter_means": lambda m: batch_filter_means(m, np.ones((2, 5))),
-    "horizon_terms": lambda m: horizon_terms(m, [1]),
     "forecast": lambda m: forecast(STATE, m, 1),
     "forecast_path": lambda m: forecast_path(STATE, m, 3),
     "observation_covariance": lambda m: observation_covariance(m, 0.5, 4),
@@ -245,15 +244,15 @@ def test_every_gate_output_passes_the_rule(family):
 
 
 def test_the_rule_loads_no_numpy():
-    # A hand-built model of spectral radius 2 reaches the k-step map on the
+    # A hand-built model of spectral radius 2 reaches forecast, on the
     # theory path, which is refused by the rule without loading numpy.
     code = """
 import sys
-from pmmkit.forecasting import horizon_terms
+from pmmkit.forecasting import FilterState, forecast
 from pmmkit.model import InvalidModelError, TransitionModel
 m = TransitionModel(((2.0, 0.0), (0.0, 0.5)), ((1.0, 0.0), (0.0, 1.0)), ((1.0, 0.0), (0.0, 1.0)))
 try:
-    horizon_terms(m, [1])
+    forecast(FilterState(1, 0.0, 1.0, 0.0), m, 1)
 except InvalidModelError as exc:
     print(exc)
 print("numpy" in sys.modules)
